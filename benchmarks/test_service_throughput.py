@@ -335,10 +335,10 @@ def test_wide_probe_digest_batched_speedup(benchmark, wide_corpus):
     """CI gate: bit-parallel probe digests are >= 8x the scalar path.
 
     Fingerprints every wide-corpus circuit twice — once with the scalar
-    reference evaluator (``batched=False``), once through the bitsliced
-    ``evaluate_many`` hot path — asserts the digests are byte-identical
-    (batching is an evaluation strategy, never an identity change), and
-    gates on the wall-clock ratio.  The measured figures land in the
+    reference loop of ``tests/scalar_reference.py``, once through the
+    bitsliced ``evaluate_many`` hot path — asserts the digests are
+    byte-identical (batching is an evaluation strategy, never an identity
+    change), and gates on the wall-clock ratio.  The measured figures land in the
     pytest-benchmark JSON (``extra_info``) that CI uploads, so the
     speedup trajectory is tracked over time alongside pairs/sec.
     """
@@ -346,6 +346,7 @@ def test_wide_probe_digest_batched_speedup(benchmark, wide_corpus):
         FingerprintContext,
         SampledProbeFingerprinter,
     )
+    from tests.scalar_reference import ScalarProbeFingerprinter
 
     manifest = CorpusManifest.load(wide_corpus / "manifest.json")
     targets = []
@@ -354,8 +355,8 @@ def test_wide_probe_digest_batched_speedup(benchmark, wide_corpus):
     assert all(target.num_lines >= 16 for target in targets)
 
     ctx = FingerprintContext()
-    scalar = SampledProbeFingerprinter(batched=False)
-    batched = SampledProbeFingerprinter(batched=True)
+    scalar = ScalarProbeFingerprinter()
+    batched = SampledProbeFingerprinter()
 
     # Identity first: the digests must agree on every circuit before any
     # throughput claim about the batched path means anything.

@@ -7,9 +7,12 @@ This package provides everything the matching algorithms need from the
   positive/negative controls, plus NOT/CNOT/Toffoli/SWAP/Fredkin helpers.
 * :mod:`repro.circuits.circuit` — :class:`ReversibleCircuit`: a gate list
   with classical simulation, inversion, composition and truth-table export.
+* :mod:`repro.circuits.evaluate` — numpy tabulation of a circuit over its
+  whole input space, behind every truth-table call site.
 * :mod:`repro.circuits.bitslice` — bit-parallel (64-lane) batch
   evaluation of MCT/SWAP cascades: the vectorized counterpart of
-  ``simulate``, held byte-identical to it by a differential test harness.
+  ``simulate`` for sampled batches.  Both kernels are held byte-identical
+  to ``simulate`` by differential test harnesses.
 * :mod:`repro.circuits.permutation` — :class:`Permutation` over
   ``range(2**n)``: the functional view of a reversible circuit.
 * :mod:`repro.circuits.line_permutation` — :class:`LinePermutation` over the
@@ -29,6 +32,7 @@ from __future__ import annotations
 from repro.circuits import (
     bitslice,
     drawing,
+    evaluate,
     io,
     library,
     metrics,
@@ -64,6 +68,7 @@ __all__ = [
     "Permutation",
     "LinePermutation",
     "bitslice",
+    "evaluate",
     "transforms",
     "random",
     "library",

@@ -17,7 +17,7 @@ with a handful of bitwise operations:
 One pass over the gate list therefore evaluates a whole batch of probes
 simultaneously, which is what makes probe digests and the exact matchers'
 query loops cheap (see ``docs/architecture.md``, "Bit-parallel
-evaluation").
+evaluation").  Whole truth tables go to :mod:`repro.circuits.evaluate`.
 
 The scalar path (:meth:`~repro.circuits.circuit.ReversibleCircuit.simulate`,
 gate-object ``apply``) is deliberately left untouched: it is the reference
@@ -28,10 +28,13 @@ harness in ``tests/properties/test_bitslice_differential.py``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.gates import Gate, MCTGate, SwapGate
 from repro.exceptions import CircuitError
+
+if TYPE_CHECKING:  # circuit.py imports this module through evaluate.py
+    from repro.circuits.circuit import ReversibleCircuit
 
 __all__ = [
     "LANE_WIDTH",

@@ -19,7 +19,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Union
 
+import numpy as np
+
 from repro.bits import bits_to_int, int_to_bits
+from repro.circuits.evaluate import tabulate
 from repro.circuits.gates import Gate, MCTGate, SwapGate
 from repro.exceptions import CircuitError
 
@@ -148,25 +151,21 @@ class ReversibleCircuit:
     def truth_table(self) -> list[int]:
         """The full truth table: entry ``x`` holds ``simulate(x)``.
 
-        Exponential in ``num_lines``; intended for small circuits, tests and
-        the white-box helpers.
+        Exponential in ``num_lines``; tabulated in one numpy pass per gate
+        by :func:`repro.circuits.evaluate.tabulate`.
         """
-        return [self.simulate(value) for value in range(1 << self._num_lines)]
+        return tabulate(self).tolist()
 
     def is_identity(self) -> bool:
         """Whether the circuit computes the identity function (exhaustive)."""
-        return all(
-            self.simulate(value) == value for value in range(1 << self._num_lines)
-        )
+        table = tabulate(self)
+        return bool((table == np.arange(table.size)).all())
 
     def functionally_equal(self, other: "ReversibleCircuit") -> bool:
         """Exhaustive functional comparison with another circuit."""
         if self._num_lines != other._num_lines:
             return False
-        return all(
-            self.simulate(value) == other.simulate(value)
-            for value in range(1 << self._num_lines)
-        )
+        return bool(np.array_equal(tabulate(self), tabulate(other)))
 
     # -- composition and transformation --------------------------------------
     def inverse(self) -> "ReversibleCircuit":

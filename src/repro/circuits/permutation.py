@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.bits import int_to_bits
+from repro.circuits.evaluate import tabulate
 from repro.exceptions import PermutationError
 
 __all__ = ["Permutation"]
@@ -31,7 +34,7 @@ class Permutation:
     """
 
     def __init__(self, mapping: Sequence[int], num_bits: int | None = None) -> None:
-        mapping = list(mapping)
+        mapping = tuple(mapping)
         size = len(mapping)
         if num_bits is None:
             num_bits = size.bit_length() - 1
@@ -43,6 +46,7 @@ class Permutation:
             raise PermutationError("mapping is not a permutation of range(2**n)")
         self._mapping = mapping
         self._num_bits = num_bits
+        self._index_array: np.ndarray | None = None
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -52,12 +56,12 @@ class Permutation:
 
     @classmethod
     def from_circuit(cls, circuit) -> "Permutation":
-        """Exhaustively simulate ``circuit`` into its permutation.
+        """Exhaustively tabulate ``circuit`` into its permutation.
 
         Exponential in the line count; intended for white-box analysis of
         small circuits.
         """
-        return cls(circuit.truth_table(), circuit.num_lines)
+        return cls(tabulate(circuit).tolist(), circuit.num_lines)
 
     @classmethod
     def from_function(cls, function: Callable[[int], int], num_bits: int) -> "Permutation":
@@ -77,8 +81,20 @@ class Permutation:
 
     @property
     def mapping(self) -> tuple[int, ...]:
-        """The raw mapping table as an immutable tuple."""
-        return tuple(self._mapping)
+        """The raw mapping table as an immutable tuple (never copied)."""
+        return self._mapping
+
+    def index_array(self) -> np.ndarray:
+        """The mapping as a read-only ``np.intp`` array, built on first use.
+
+        What state-vector code indexes with; cached so repeated quantum
+        queries against one permutation convert the table once.
+        """
+        if self._index_array is None:
+            array = np.asarray(self._mapping, dtype=np.intp)
+            array.flags.writeable = False
+            self._index_array = array
+        return self._index_array
 
     # -- semantics -----------------------------------------------------------
     def __call__(self, value: int) -> int:
@@ -175,7 +191,7 @@ class Permutation:
         return self._num_bits == other._num_bits and self._mapping == other._mapping
 
     def __hash__(self) -> int:
-        return hash((self._num_bits, tuple(self._mapping)))
+        return hash((self._num_bits, self._mapping))
 
     def __repr__(self) -> str:
-        return f"<Permutation bits={self._num_bits} mapping={self._mapping}>"
+        return f"<Permutation bits={self._num_bits} mapping={list(self._mapping)}>"

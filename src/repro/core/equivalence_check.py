@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import random as _random
 
+import numpy as np
+
 from repro.circuits.circuit import ReversibleCircuit
+from repro.circuits.evaluate import tabulate
 from repro.circuits.random import coerce_rng
 from repro.exceptions import MatchingError
 from repro.oracles.oracle import ReversibleOracle, as_oracle
@@ -53,10 +56,8 @@ def find_distinguishing_input(
     """
     if c1.num_lines != c2.num_lines:
         raise MatchingError("circuits must have the same number of lines")
-    for value in range(1 << c1.num_lines):
-        if c1.simulate(value) != c2.simulate(value):
-            return value
-    return None
+    differing = np.flatnonzero(tabulate(c1) != tabulate(c2))
+    return int(differing[0]) if differing.size else None
 
 
 def random_equivalent(

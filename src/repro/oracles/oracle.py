@@ -18,6 +18,7 @@ from collections.abc import Callable, Iterable
 
 from repro.circuits import bitslice
 from repro.circuits.circuit import ReversibleCircuit
+from repro.circuits.evaluate import tabulate
 from repro.circuits.permutation import Permutation
 from repro.exceptions import (
     InverseUnavailableError,
@@ -129,7 +130,9 @@ class ReversibleOracle(ABC):
         never for matchers (whose complexity is measured in queries).
         Exponential in the line count — fingerprinting routes through
         :meth:`evaluate_many` on a bounded probe set instead wherever the
-        probe scheme applies (the ``peek_table`` cost cliff).
+        probe scheme applies (the ``peek_table`` cost cliff).  Circuit and
+        permutation oracles override it with the numpy tabulation kernel
+        and the stored table.
         """
         return self._evaluate_many(list(range(1 << self._num_lines)))
 
@@ -258,6 +261,9 @@ class CircuitOracle(ReversibleOracle):
         assert self._inverse_circuit is not None
         return self._inverse_circuit.simulate(value)
 
+    def peek_table(self) -> list[int]:
+        return tabulate(self._circuit).tolist()
+
     @staticmethod
     def _compiled_ops(
         circuit: ReversibleCircuit,
@@ -313,6 +319,9 @@ class PermutationOracle(ReversibleOracle):
     def _evaluate_inverse(self, value: int) -> int:
         assert self._inverse is not None
         return self._inverse(value)
+
+    def peek_table(self) -> list[int]:
+        return list(self._permutation.mapping)
 
     def _evaluate_many(self, values: list[int]) -> list[int]:
         mapping = self._permutation.mapping

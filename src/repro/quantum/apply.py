@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits.circuit import ReversibleCircuit
+from repro.circuits.evaluate import tabulate
 from repro.circuits.permutation import Permutation
 from repro.exceptions import QuantumError
 from repro.quantum.statevector import Statevector
@@ -36,15 +37,15 @@ def apply_permutation(permutation: Permutation, state: Statevector) -> Statevect
         )
     old = state.vector
     new = np.empty_like(old)
-    new[np.asarray(permutation.mapping, dtype=np.intp)] = old
+    new[permutation.index_array()] = old
     return Statevector(new, state.num_qubits, validate=False)
 
 
 def apply_circuit(circuit: ReversibleCircuit, state: Statevector) -> Statevector:
     """Run a reversible circuit on a state vector.
 
-    The circuit is evaluated once per basis state (``2**n`` classical
-    simulations) and the amplitudes are permuted accordingly.
+    The circuit's truth table (:func:`repro.circuits.evaluate.tabulate`)
+    is the basis permutation; the amplitudes are permuted accordingly.
     """
     if circuit.num_lines != state.num_qubits:
         raise QuantumError(
@@ -53,12 +54,7 @@ def apply_circuit(circuit: ReversibleCircuit, state: Statevector) -> Statevector
         )
     old = state.vector
     new = np.empty_like(old)
-    images = np.fromiter(
-        (circuit.simulate(source) for source in range(old.shape[0])),
-        dtype=np.intp,
-        count=old.shape[0],
-    )
-    new[images] = old
+    new[tabulate(circuit)] = old
     return Statevector(new, state.num_qubits, validate=False)
 
 

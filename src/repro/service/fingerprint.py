@@ -50,17 +50,12 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 
-from repro.circuits import bitslice
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.permutation import Permutation
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.exceptions import FingerprintError
-from repro.oracles.oracle import (
-    CircuitOracle,
-    PermutationOracle,
-    ReversibleOracle,
-)
+from repro.oracles.oracle import CircuitOracle, ReversibleOracle, as_oracle
 from repro.quantum.oracle import QuantumCircuitOracle
 
 __all__ = [
@@ -179,6 +174,19 @@ def _width(target) -> int | None:
     return None
 
 
+def _white_box(target) -> ReversibleOracle:
+    """An uncharged classical view of a fingerprintable target.
+
+    Circuits and permutations are wrapped, a quantum oracle contributes
+    its hidden permutation, and classical oracles — opaque or not — are
+    used as they are.  Fingerprints only ever call the white-box hatches
+    (``peek_table``, ``evaluate_many``), which charge no queries.
+    """
+    if isinstance(target, QuantumCircuitOracle):
+        target = target.permutation
+    return as_oracle(target)
+
+
 @functools.lru_cache(maxsize=512)
 def _probe_inputs_cached(
     num_lines: int, count: int, salt: str
@@ -251,46 +259,27 @@ class TruthTableFingerprinter(Fingerprinter):
     scheme = "exact"
     cost_rank = 10
 
-    def __init__(
-        self,
-        width_limit: int = FUNCTIONAL_WIDTH_LIMIT,
-        batched: bool = True,
-    ) -> None:
+    def __init__(self, width_limit: int = FUNCTIONAL_WIDTH_LIMIT) -> None:
         if width_limit <= 0:
             raise FingerprintError(
                 f"width limit must be positive, got {width_limit}"
             )
         self.width_limit = width_limit
-        self.batched = batched
 
     def supports(self, target) -> bool:
         width = _width(target)
         return width is not None and width <= self.width_limit
 
     def _table(self, target) -> list[int]:
-        if isinstance(target, Permutation):
-            return list(target.mapping)
-        if isinstance(target, ReversibleCircuit):
-            if self.batched and bitslice.supports(target.gates):
-                return bitslice.simulate_many(
-                    target, range(1 << target.num_lines)
-                )
-            return target.truth_table()
-        if isinstance(target, QuantumCircuitOracle):
-            return list(target.permutation.mapping)
-        # Any classical oracle, opaque or not: white-box tabulation without
-        # charging queries.  evaluate_many keeps circuit-backed oracles on
-        # the bitsliced path; peek_table is the scalar reference.
-        if self.batched:
-            return target.evaluate_many(range(1 << target.num_lines))
-        return target.peek_table()
+        """The full truth table; circuits go through the numpy kernel."""
+        return _white_box(target).peek_table()
 
     def fingerprint(self, target, ctx: FingerprintContext) -> OracleFingerprint:
         table = self._table(target)
         return OracleFingerprint(
             num_lines=_width(target),
             kind="function",
-            digest=_digest("tt:" + ",".join(str(value) for value in table)),
+            digest=_digest("tt:" + ",".join(map(str, table))),
             with_inverse=ctx.with_inverse,
             scheme=self.scheme,
         )
@@ -309,9 +298,8 @@ class SampledProbeFingerprinter(Fingerprinter):
     costs ``probe_count`` evaluations, never a ``2**16``-entry tabulation
     (the ``peek_table`` cost cliff).  The whole probe set is evaluated in
     one batched call — bitsliced for circuit-backed targets — and batching
-    is digest-invariant: ``batched=False`` keeps the scalar reference loop
-    and produces byte-identical digests (the differential fingerprint
-    tests hold the two paths together, so ``v2|`` cache keys never fork).
+    is digest-invariant: the fingerprint tests hold it byte-identical to
+    the scalar reference loop, so ``v2|`` cache keys never fork.
     The probe count bounds the work per fingerprint (the "probe budget");
     distinctness is probabilistic, as documented in ``docs/cache-keys.md``.
     """
@@ -321,10 +309,7 @@ class SampledProbeFingerprinter(Fingerprinter):
     cost_rank = 20
 
     def __init__(
-        self,
-        probe_count: int = DEFAULT_PROBE_COUNT,
-        salt: str = PROBE_SALT,
-        batched: bool = True,
+        self, probe_count: int = DEFAULT_PROBE_COUNT, salt: str = PROBE_SALT
     ) -> None:
         if probe_count <= 0:
             raise FingerprintError(
@@ -332,36 +317,13 @@ class SampledProbeFingerprinter(Fingerprinter):
             )
         self.probe_count = probe_count
         self.salt = salt
-        self.batched = batched
 
     def supports(self, target) -> bool:
         return _width(target) is not None
 
-    def _evaluator(self, target):
-        if isinstance(target, Permutation):
-            return target
-        if isinstance(target, ReversibleCircuit):
-            return target.simulate
-        if isinstance(target, QuantumCircuitOracle):
-            return target.permutation
-        return target.peek
-
     def _outputs(self, target, probes: list[int]) -> list[int]:
-        """The target's responses on the probe set, batched when possible."""
-        if not self.batched:
-            evaluate = self._evaluator(target)
-            return [evaluate(value) for value in probes]
-        if isinstance(target, Permutation):
-            mapping = target.mapping
-            return [mapping[value] for value in probes]
-        if isinstance(target, ReversibleCircuit):
-            if bitslice.supports(target.gates):
-                return bitslice.simulate_many(target, probes)
-            return [target.simulate(value) for value in probes]
-        if isinstance(target, QuantumCircuitOracle):
-            mapping = target.permutation.mapping
-            return [mapping[value] for value in probes]
-        return target.evaluate_many(probes)
+        """The target's responses on the probe set, in one batched call."""
+        return _white_box(target).evaluate_many(probes)
 
     def fingerprint(self, target, ctx: FingerprintContext) -> OracleFingerprint:
         width = _width(target)
@@ -485,7 +447,6 @@ def build_registry(
     probe_count: int = DEFAULT_PROBE_COUNT,
     width_limit: int = FUNCTIONAL_WIDTH_LIMIT,
     salt: str = PROBE_SALT,
-    batched: bool = True,
 ) -> FingerprintRegistry:
     """The standard registry for one of the :data:`FINGERPRINT_SCHEMES`.
 
@@ -495,27 +456,18 @@ def build_registry(
     * ``exact`` — exact up to the limit, structure beyond; opaque wide
       oracles are unfingerprintable (bypass the cache).
     * ``probe`` — sampled probes at every width.
-
-    ``batched=False`` pins every strategy to its scalar reference loop;
-    digests are byte-identical either way (batching is evaluation
-    strategy, not identity, so it is deliberately *not* part of
-    :func:`config_digest`).
     """
     if scheme == "exact":
         strategies: tuple[Fingerprinter, ...] = (
-            TruthTableFingerprinter(width_limit, batched=batched),
+            TruthTableFingerprinter(width_limit),
             StructureFingerprinter(),
         )
     elif scheme == "probe":
-        strategies = (
-            SampledProbeFingerprinter(probe_count, salt, batched=batched),
-        )
+        strategies = (SampledProbeFingerprinter(probe_count, salt),)
     elif scheme == "auto":
-        strategies = (TruthTableFingerprinter(width_limit, batched=batched),)
+        strategies = (TruthTableFingerprinter(width_limit),)
         if probe_count > 0:
-            strategies += (
-                SampledProbeFingerprinter(probe_count, salt, batched=batched),
-            )
+            strategies += (SampledProbeFingerprinter(probe_count, salt),)
         strategies += (StructureFingerprinter(),)
     else:
         raise FingerprintError(

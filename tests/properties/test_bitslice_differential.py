@@ -45,10 +45,20 @@ def _case_rng(sweep: str, batch_size: int, case: int) -> random.Random:
     return random.Random(f"{SEED}:{sweep}:{batch_size}:{case}")
 
 
-def _random_mixed_circuit(rng: random.Random) -> ReversibleCircuit:
-    """A 1-24 line cascade mixing MCT (any polarity), NOT/CNOT and SWAP."""
-    num_lines = rng.randint(1, 24)
-    num_gates = rng.randint(0, 4 * num_lines)
+def _random_mixed_circuit(
+    rng: random.Random,
+    num_lines: int | None = None,
+    max_gates: int | None = None,
+) -> ReversibleCircuit:
+    """A cascade mixing MCT (any polarity), NOT/CNOT and SWAP.
+
+    Draws a width of 1-24 lines unless ``num_lines`` is given, and up to
+    ``4 * num_lines`` gates, capped by ``max_gates``.
+    """
+    if num_lines is None:
+        num_lines = rng.randint(1, 24)
+    limit = 4 * num_lines if max_gates is None else min(4 * num_lines, max_gates)
+    num_gates = rng.randint(0, limit)
     circuit = ReversibleCircuit(num_lines, name="diff")
     for _ in range(num_gates):
         if num_lines >= 2 and rng.random() < 0.2:

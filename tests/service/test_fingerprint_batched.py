@@ -1,12 +1,14 @@
-"""Batched-vs-scalar fingerprint invariance, and the peek_table cliff.
+"""Kernel-vs-scalar fingerprint invariance, and the peek_table cliff.
 
-Batching is an evaluation strategy, never an identity: for every
-registered scheme the digests produced with ``batched=True`` and
-``batched=False`` must be byte-identical on every target — including
-the wide (16-24 line) corpus family, where the probe tier is the only
-functional identity.  The second half pins the ``peek_table`` cost
-cliff fix: sampled-probe fingerprints of an opaque wide oracle touch
-exactly ``probe_count`` inputs, never the exponential table.
+The evaluation kernel is never an identity: for every registered scheme
+the digests the library computes (numpy tabulation for the exact tier,
+bitslicing for probes) must be byte-identical to the ones the scalar
+reference loop of ``tests/scalar_reference.py`` produces on every
+target — including the wide (16-24 line) corpus family, where the probe
+tier is the only functional identity.  The second half pins the
+``peek_table`` cost cliff fix: sampled-probe fingerprints of an opaque
+wide oracle touch exactly ``probe_count`` inputs, never the exponential
+table.
 """
 
 from __future__ import annotations
@@ -19,16 +21,14 @@ from repro.circuits.io import real
 from repro.circuits.random import random_circuit
 from repro.oracles.oracle import CircuitOracle, FunctionOracle, PermutationOracle
 from repro.circuits.permutation import Permutation
+from repro.quantum.oracle import QuantumCircuitOracle
 from repro.service.fingerprint import (
     DEFAULT_PROBE_COUNT,
     FINGERPRINT_SCHEMES,
-    SampledProbeFingerprinter,
-    FingerprintContext,
     build_registry,
-    config_digest,
 )
-from repro.core.engine import MatchingConfig
-from repro.service.workload import CorpusManifest, generate_corpus
+from repro.service.workload import generate_corpus
+from tests.scalar_reference import scalar_registry
 
 CORPUS_SEED = 20240601
 
@@ -51,38 +51,30 @@ def wide_family_circuits(tmp_path_factory):
 class TestBatchedDigestInvariance:
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
     def test_wide_corpus_digests_identical(self, scheme, wide_family_circuits):
-        batched = build_registry(scheme, batched=True)
-        scalar = build_registry(scheme, batched=False)
+        kernel = build_registry(scheme)
+        scalar = scalar_registry(scheme)
         for circuit in wide_family_circuits:
-            fp_batched = batched.fingerprint(circuit)
+            fp_kernel = kernel.fingerprint(circuit)
             fp_scalar = scalar.fingerprint(circuit)
-            assert fp_batched.key == fp_scalar.key
-            assert fp_batched.digest == fp_scalar.digest
+            assert fp_kernel.key == fp_scalar.key
+            assert fp_kernel.digest == fp_scalar.digest
 
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
     def test_narrow_targets_digests_identical(self, scheme, rng):
-        """Below the width limit the exact tier batches too."""
+        """Below the width limit the exact tier tabulates every target."""
         circuit = random_circuit(6, 24, rng)
+        permutation = Permutation(circuit.truth_table())
         targets = [
             circuit,
             CircuitOracle(circuit, with_inverse=True),
-            Permutation(list(circuit.truth_table())),
-            PermutationOracle(Permutation(list(circuit.truth_table()))),
+            permutation,
+            PermutationOracle(permutation),
+            QuantumCircuitOracle(circuit),
         ]
-        batched = build_registry(scheme, batched=True)
-        scalar = build_registry(scheme, batched=False)
+        kernel = build_registry(scheme)
+        scalar = scalar_registry(scheme)
         for target in targets:
-            assert (
-                batched.fingerprint(target).key
-                == scalar.fingerprint(target).key
-            )
-
-    def test_batched_flag_is_not_part_of_the_config_digest(self):
-        """Cache keys never fork on the evaluation strategy."""
-        config = MatchingConfig()
-        assert config_digest(config) == config_digest(config)
-        # The registry knob itself leaves every produced key unchanged
-        # (asserted above), so the config digest has nothing to record.
+            assert kernel.fingerprint(target).key == scalar.fingerprint(target).key
 
 
 class _CountingOracle(FunctionOracle):
@@ -113,12 +105,6 @@ class TestPeekTableCliff:
         assert fp.scheme == "probe"
         assert oracle.evaluations == DEFAULT_PROBE_COUNT
         assert oracle.total_queries == 0  # white-box, never charged
-
-    def test_scalar_reference_path_is_also_bounded(self):
-        oracle = _CountingOracle(16)
-        strategy = SampledProbeFingerprinter(batched=False)
-        strategy.fingerprint(oracle, FingerprintContext())
-        assert oracle.evaluations == DEFAULT_PROBE_COUNT
 
     def test_probe_count_scales_the_cost(self):
         oracle = _CountingOracle(18)
