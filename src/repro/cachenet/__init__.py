@@ -8,8 +8,9 @@ the client-side tier stack — the first worker to match a pair pays the
 oracle queries; every other worker (and every later run) hits cache.
 
 The package depends on :mod:`repro.service` for the cache contract and
-the wire plumbing (:class:`~repro.service.daemon.DaemonClient` frames the
-client side); the service layer only ever imports it lazily, so the
+the wire plumbing (:class:`~repro.service.framed.FramedServer` serves,
+:class:`~repro.service.daemon.DaemonClient` frames the client side); the
+service layer only ever imports it lazily, so the
 dependency stays one-directional.
 """
 

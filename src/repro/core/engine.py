@@ -106,9 +106,6 @@ class BatchEntry:
         error: ``"ExceptionName: message"`` when the matcher failed.
         matcher: name of the registry entry that ran (when resolution
             succeeded).
-        cached: the result was served from a result cache instead of
-            running a matcher (no oracle queries were spent on it in this
-            batch; the query counts are those of the original run).
     """
 
     index: int
@@ -116,7 +113,6 @@ class BatchEntry:
     result: MatchingResult | None
     error: str | None = None
     matcher: str | None = None
-    cached: bool = False
 
     @property
     def matched(self) -> bool:
@@ -131,11 +127,9 @@ class BatchReport:
     Per-pair witnesses live in :attr:`entries`; the properties aggregate the
     classical/quantum query accounting across the batch for
     :mod:`repro.analysis`-style reporting.  Aggregates count the queries
-    *this batch spent*: a pair whose matcher raised (budget exhausted,
+    of matched pairs: a pair whose matcher raised (budget exhausted,
     promise violation) has no :class:`~repro.core.problem.MatchingResult`
-    to read counts from, and a cache-hit entry built no oracles at all —
-    its result still carries the original run's counts per pair, but they
-    are excluded from the batch totals.
+    to read counts from.
 
     Attributes:
         entries: one :class:`BatchEntry` per submitted pair, in order.
@@ -163,36 +157,21 @@ class BatchReport:
         return self.num_pairs - self.num_matched
 
     @property
-    def cache_hits(self) -> int:
-        """Number of pairs served from a result cache."""
-        return sum(1 for entry in self.entries if entry.cached)
-
-    @property
     def classical_queries(self) -> int:
-        """Classical oracle queries spent by this batch (cache hits excluded)."""
-        return sum(
-            entry.result.queries
-            for entry in self.entries
-            if entry.result and not entry.cached
-        )
+        """Classical oracle queries spent by this batch."""
+        return sum(entry.result.queries for entry in self.entries if entry.result)
 
     @property
     def quantum_queries(self) -> int:
-        """Quantum oracle queries spent by this batch (cache hits excluded)."""
+        """Quantum oracle queries spent by this batch."""
         return sum(
-            entry.result.quantum_queries
-            for entry in self.entries
-            if entry.result and not entry.cached
+            entry.result.quantum_queries for entry in self.entries if entry.result
         )
 
     @property
     def swap_tests(self) -> int:
-        """Swap tests performed by this batch (cache hits excluded)."""
-        return sum(
-            entry.result.swap_tests
-            for entry in self.entries
-            if entry.result and not entry.cached
-        )
+        """Swap tests performed by this batch."""
+        return sum(entry.result.swap_tests for entry in self.entries if entry.result)
 
     @property
     def total_queries(self) -> int:
@@ -218,7 +197,7 @@ class BatchReport:
                         entry.index,
                         entry.equivalence.label,
                         entry.matcher or "-",
-                        "cached" if entry.cached else "ok",
+                        "ok",
                         entry.result.queries,
                         entry.result.quantum_queries,
                     )
@@ -249,15 +228,12 @@ class BatchReport:
 
     def summary(self) -> str:
         """One-line aggregate: matched count and query totals."""
-        text = (
+        return (
             f"{self.num_matched}/{self.num_pairs} matched, "
             f"{self.classical_queries} classical + "
             f"{self.quantum_queries} quantum queries "
             f"({self.swap_tests} swap tests)"
         )
-        if self.cache_hits:
-            text += f", {self.cache_hits} from cache"
-        return text
 
 
 class MatchingEngine:
@@ -494,7 +470,6 @@ class MatchingEngine:
         equivalence: EquivalenceType | str | None = None,
         rng: _random.Random | int | None = None,
         stop_on_error: bool = False,
-        result_cache=None,
         on_entry=None,
     ) -> BatchReport:
         """Match a batch of circuit pairs and aggregate query statistics.
@@ -507,17 +482,8 @@ class MatchingEngine:
             rng: randomness shared by the whole batch.
             stop_on_error: re-raise the first matcher failure instead of
                 recording it as a failed entry.
-            result_cache: optional cross-batch result cache.  Any object
-                with ``lookup(circuit1, circuit2, equivalence, config)``
-                returning ``(MatchingResult, matcher_name) | None`` and
-                ``store(circuit1, circuit2, equivalence, config, result,
-                matcher)`` — the engine stays ignorant of keying, which
-                lives with the cache (see
-                :class:`repro.service.cache.EngineCacheAdapter`).  A hit
-                skips dispatch entirely: no oracles are built and no
-                queries are spent; the entry is flagged ``cached``.
             on_entry: optional per-entry callback, invoked with each
-                :class:`BatchEntry` (matched, failed or cached alike) the
+                :class:`BatchEntry` (matched or failed alike) the
                 moment it is settled, so a caller sees results while
                 later pairs are still matching — the core-layer streaming
                 hook for progress reporting over large batches.
@@ -540,13 +506,9 @@ class MatchingEngine:
         def settle(entry: BatchEntry) -> None:
             entries.append(entry)
             if metrics is not None:
-                status = (
-                    "cached"
-                    if entry.cached
-                    else ("ok" if entry.matched else "failed")
-                )
+                status = "ok" if entry.matched else "failed"
                 metrics.counter("repro_engine_pairs_total").inc(status=status)
-                if entry.matched and not entry.cached:
+                if entry.matched:
                     if entry.result.queries:
                         metrics.counter("repro_engine_queries_total").inc(
                             entry.result.queries, kind="classical"
@@ -576,22 +538,6 @@ class MatchingEngine:
                 )
             if isinstance(pair_equivalence, str):
                 pair_equivalence = EquivalenceType.from_label(pair_equivalence)
-            if result_cache is not None:
-                hit = result_cache.lookup(
-                    circuit1, circuit2, pair_equivalence, self._config
-                )
-                if hit is not None:
-                    cached_result, cached_matcher = hit
-                    settle(
-                        BatchEntry(
-                            index=index,
-                            equivalence=pair_equivalence,
-                            result=cached_result,
-                            matcher=cached_matcher,
-                            cached=True,
-                        )
-                    )
-                    continue
             matcher_name: str | None = None
             dispatch_started = time.perf_counter()
             try:
@@ -616,15 +562,6 @@ class MatchingEngine:
                 if metrics is not None:
                     metrics.histogram("repro_engine_match_seconds").observe(
                         time.perf_counter() - dispatch_started
-                    )
-                if result_cache is not None:
-                    result_cache.store(
-                        circuit1,
-                        circuit2,
-                        pair_equivalence,
-                        self._config,
-                        result,
-                        matcher_name,
                     )
                 settle(
                     BatchEntry(

@@ -4,8 +4,8 @@
 links resolve); these rules prove they are *true*, by parsing both sides
 of each documented contract and diffing the sets:
 
-* daemon ``op`` strings          <->  the Operations table in docs/protocol.md
-* cache-server ``op`` strings    <->  the Operations table in docs/remote-cache.md
+* each framed server's ``OPS`` table keys  <->  the Operations table of its
+  doc (daemon: docs/protocol.md; cache server: docs/remote-cache.md)
 * event ``to_dict`` keys         <->  the catalogue table in docs/events.md
 * ``MatchingConfig`` fields      <->  the config_digest section of docs/cache-keys.md
 * CLI subcommands and flags      <->  README.md
@@ -27,7 +27,6 @@ from repro.lint.rules import ModuleContext, ProjectContext, ProjectRule
 
 __all__ = [
     "ProtocolOpsRule",
-    "CacheProtocolOpsRule",
     "EventFieldsRule",
     "ConfigDigestRule",
     "ReadmeFlagsRule",
@@ -55,36 +54,53 @@ def _section_lines(lines: list[str], heading_key: str):
             yield lineno, line
 
 
-class ProtocolOpsRule(ProjectRule):
-    """Daemon ``op`` strings must match the protocol.md Operations table.
+def _dict_literal_keys(module: ModuleContext, name: str) -> dict[str, int]:
+    """String key -> line of every ``<name> = {...}`` dict literal."""
+    keys: dict[str, int] = {}
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Dict):
+            continue
+        if not any(isinstance(target, ast.Name) and target.id == name
+                   for target in node.targets):
+            continue
+        for key in node.value.keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                keys.setdefault(key.value, key.lineno)
+    return keys
 
-    The base of a small family: any server with a ``_dispatch`` method
-    comparing an ``op`` name against string constants gets the same
-    treatment by subclassing and repointing ``_SERVER``/``_DOC``/``_WHAT``
-    (see :class:`CacheProtocolOpsRule`).
-    """
+
+class ProtocolOpsRule(ProjectRule):
+    """Each framed server's ``OPS`` table must match its doc's Operations table."""
 
     rule_id = "drift-protocol-ops"
-    summary = ("daemon dispatch op strings and the docs/protocol.md "
-               "Operations table must list the same operations")
+    summary = ("each socket server's OPS table and the Operations table of "
+               "its protocol doc must list the same operations")
 
-    _SERVER = "repro/service/daemon.py"
-    _DOC = "docs/protocol.md"
-    _WHAT = "daemon"
+    #: (server module, protocol doc) pairs, one per framed server.
+    _SERVERS = (
+        ("repro/service/daemon.py", "docs/protocol.md"),
+        ("repro/cachenet/server.py", "docs/remote-cache.md"),
+    )
 
     def check(self, project: ProjectContext) -> list[Finding]:
-        module = project.module(self._SERVER)
+        findings: list[Finding] = []
+        for server, doc in self._SERVERS:
+            findings.extend(self._check_server(project, server, doc))
+        return findings
+
+    def _check_server(self, project: ProjectContext, server: str,
+                      doc_path: str) -> list[Finding]:
+        module = project.module(server)
         if module is None:
             return []
-        code_ops = self._code_ops(module)
+        code_ops = _dict_literal_keys(module, "OPS")
         if not code_ops:
             return []
-        doc = project.read_doc(self._DOC)
+        doc = project.read_doc(doc_path)
         if doc is None:
             return [self.finding(
-                self._SERVER, 1,
-                f"the {self._WHAT} dispatches ops but {self._DOC} does "
-                "not exist",
+                module.relpath, 1,
+                f"{server} serves ops but {doc_path} does not exist",
             )]
         _, doc_lines = doc
         doc_ops: dict[str, int] = {}
@@ -96,56 +112,16 @@ class ProtocolOpsRule(ProjectRule):
         for op in sorted(set(code_ops) - set(doc_ops)):
             findings.append(self.finding(
                 module.relpath, code_ops[op],
-                f"{self._WHAT} handles op {op!r} but the {self._DOC} "
-                "Operations table does not document it",
+                f"{server} serves op {op!r} but the {doc_path} Operations "
+                "table does not document it",
             ))
         for op in sorted(set(doc_ops) - set(code_ops)):
             findings.append(self.finding(
-                self._DOC, doc_ops[op],
-                f"{self._DOC} documents op {op!r} but the {self._WHAT} "
-                "dispatch does not handle it",
+                doc_path, doc_ops[op],
+                f"{doc_path} documents op {op!r} but the {server} OPS "
+                "table does not handle it",
             ))
         return findings
-
-    @staticmethod
-    def _code_ops(module: ModuleContext) -> dict[str, int]:
-        """Op strings compared against the ``op`` name in ``_dispatch``."""
-        ops: dict[str, int] = {}
-        for func in ast.walk(module.tree):
-            if not isinstance(func, ast.FunctionDef):
-                continue
-            if func.name != "_dispatch":
-                continue
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Compare):
-                    continue
-                sides = [node.left, *node.comparators]
-                if not any(isinstance(side, ast.Name) and side.id == "op"
-                           for side in sides):
-                    continue
-                for side in sides:
-                    if (isinstance(side, ast.Constant)
-                            and isinstance(side.value, str)):
-                        ops.setdefault(side.value, side.lineno)
-                    elif isinstance(side, (ast.Tuple, ast.Set, ast.List)):
-                        for element in side.elts:
-                            if (isinstance(element, ast.Constant)
-                                    and isinstance(element.value, str)):
-                                ops.setdefault(element.value, element.lineno)
-        return ops
-
-
-class CacheProtocolOpsRule(ProtocolOpsRule):
-    """CacheServer ``op`` strings must match docs/remote-cache.md."""
-
-    rule_id = "drift-cache-protocol-ops"
-    summary = ("cache-server dispatch op strings and the "
-               "docs/remote-cache.md Operations table must list the "
-               "same operations")
-
-    _SERVER = "repro/cachenet/server.py"
-    _DOC = "docs/remote-cache.md"
-    _WHAT = "cache server"
 
 
 class EventFieldsRule(ProjectRule):
@@ -335,7 +311,7 @@ class MetricNamesRule(ProjectRule):
         module = project.module(self._METRICS)
         if module is None:
             return []
-        code_names = self._catalog_names(module)
+        code_names = _dict_literal_keys(module, "METRIC_CATALOG")
         if not code_names:
             return []
         doc = project.read_doc(self._DOC)
@@ -372,25 +348,6 @@ class MetricNamesRule(ProjectRule):
                 "does not declare it",
             ))
         return findings
-
-    @staticmethod
-    def _catalog_names(module: ModuleContext) -> dict[str, int]:
-        """Metric name -> line from the METRIC_CATALOG dict literal."""
-        names: dict[str, int] = {}
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            if not any(isinstance(target, ast.Name)
-                       and target.id == "METRIC_CATALOG"
-                       for target in node.targets):
-                continue
-            if not isinstance(node.value, ast.Dict):
-                continue
-            for key in node.value.keys:
-                if (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    names.setdefault(key.value, key.lineno)
-        return names
 
 
 class ReadmeFlagsRule(ProjectRule):

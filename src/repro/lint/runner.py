@@ -25,7 +25,6 @@ from repro.lint.determinism import (
     WallClockRule,
 )
 from repro.lint.drift import (
-    CacheProtocolOpsRule,
     ConfigDigestRule,
     EventFieldsRule,
     MetricNamesRule,
@@ -68,7 +67,6 @@ def default_registry() -> LintRegistry:
         UnguardedAttrRule(),
         ThreadEntryMutationRule(),
         ProtocolOpsRule(),
-        CacheProtocolOpsRule(),
         EventFieldsRule(),
         ConfigDigestRule(),
         ReadmeFlagsRule(),

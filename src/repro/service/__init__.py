@@ -9,8 +9,7 @@ for corpora:
   digests up to a width limit, width-independent sampled-probe digests
   beyond, gate-structure digests as the last resort.
 * :mod:`repro.service.cache` — LRU in-memory and on-disk result caches
-  plus :class:`EngineCacheAdapter`, the bridge into
-  :meth:`MatchingEngine.match_many`'s ``result_cache`` hook.
+  and the :class:`TieredCache` stack over them.
 * :mod:`repro.service.executor` — pluggable execution backends exposing
   the as-completed :meth:`Executor.stream` contract with deterministic
   per-pair seeding (serial / process-pool parallel / overlap, all
@@ -61,7 +60,6 @@ from repro.service.daemon import (
 from repro.service.cache import (
     CacheStats,
     DiskCache,
-    EngineCacheAdapter,
     LRUCache,
     ResultCache,
     TieredCache,
@@ -165,7 +163,6 @@ __all__ = [
     "TieredCache",
     "build_cache",
     "migrate_cache",
-    "EngineCacheAdapter",
     # events
     "ServiceEvent",
     "RunStarted",

@@ -17,7 +17,9 @@ frames; the ``events`` op turns the connection into a subscription that
 replays and then live-streams the run's
 :mod:`repro.service.events` dicts, which is how ``repro watch`` drives
 ordinary :class:`~repro.service.events.Observer` objects against a
-remote run.
+remote run.  The socket plumbing (framing, auth, accept loop) is the
+shared :class:`~repro.service.framed.FramedServer`; the daemon adds its op
+table, handlers and worker thread.
 
 Jobs flow through a bounded queue consumed by a single worker thread —
 one run executes at a time (its executor may itself be a process pool),
@@ -36,10 +38,7 @@ daemon``) are built on.
 
 from __future__ import annotations
 
-import hmac
-import ipaddress
 import json
-import os
 import queue as _queue
 import socket
 import threading
@@ -60,6 +59,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache, TieredCache, build_cache
 from repro.service.events import Observer, event_from_dict
 from repro.service.executor import Executor, OverlapExecutor, SerialExecutor
+from repro.service.framed import FramedServer, Session
 from repro.service.pipeline import MatchingService, ResultStore, parse_shard
 from repro.service.workload import MANIFEST_NAME
 
@@ -94,21 +94,6 @@ _DEFAULT_CACHE = object()
 #: client's reconnect attempt; grows linearly per attempt, capped below.
 EVENTS_RECONNECT_BACKOFF_S = 0.2
 EVENTS_RECONNECT_BACKOFF_MAX_S = 2.0
-
-
-def _is_loopback(host: str) -> bool:
-    """Whether a bind/connect host is loopback-only.
-
-    Hostnames other than ``localhost`` are treated as non-loopback: a
-    daemon asked to bind a *name* may end up on a routable interface, so
-    the auth requirement errs on the side of demanding a token.
-    """
-    if host == "localhost":
-        return True
-    try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        return False
 
 
 class RunState:
@@ -316,7 +301,7 @@ class DaemonJob:
             }
 
 
-class MatchingDaemon:
+class MatchingDaemon(FramedServer):
     """A socket server running matching jobs against shared warm state.
 
     Args:
@@ -326,10 +311,9 @@ class MatchingDaemon:
             policy keeps runs comparable).
         store_dir: directory receiving one ``<run_id>.jsonl`` result
             store per submission (created if missing).
-        socket_path: serve on a Unix socket at this path...
-        host, port: ...or on TCP (``port=0`` picks a free port; the bound
-            address is :attr:`address`).  Exactly one transport must be
-            chosen.
+        socket_path, host, port, insecure: the transport settings of
+            :class:`~repro.service.framed.FramedServer` (Unix socket, or
+            TCP with ``port=0`` picking a free port).
         cache: shared result cache; defaults to
             :func:`~repro.service.cache.build_cache` with the cache
             persisted under ``store_dir/cache``.  Pass ``None`` explicitly
@@ -349,13 +333,9 @@ class MatchingDaemon:
             daemon's own ``auth_token`` and degrades to local-only when
             the server is unreachable.
         auth_token: shared secret clients must present via the ``auth``
-            op before any stateful request.  Required for a TCP bind on
-            a non-loopback address (the daemon refuses to start without
-            one unless ``insecure`` is set); optional elsewhere.  Also
-            presented to the ``remote_cache`` server (one fleet-wide
-            shared secret).
-        insecure: allow a non-loopback TCP bind with no auth token — an
-            explicit opt-out for trusted networks, never the default.
+            op before any stateful request (see
+            :class:`~repro.service.framed.FramedServer`).  Also presented
+            to the ``remote_cache`` server (one fleet-wide shared secret).
         max_queued: bound on jobs waiting to run; a submit beyond it is
             rejected with an error frame instead of queueing unboundedly.
         history_limit: how many *finished* runs keep their event history
@@ -364,6 +344,10 @@ class MatchingDaemon:
             theirs (their status, summary and JSONL store all remain) —
             bounding a long-lived daemon's memory.
     """
+
+    PROTOCOL = PROTOCOL_VERSION
+    SERVER_NAME = "daemon"
+    COMMAND = "repro serve"
 
     def __init__(
         self,
@@ -382,12 +366,13 @@ class MatchingDaemon:
         max_queued: int = 16,
         history_limit: int = 64,
     ) -> None:
-        if (socket_path is None) == (host is None):
-            raise DaemonError(
-                "choose exactly one transport: socket_path=... or host=/port="
-            )
-        if host is not None and port is None:
-            raise DaemonError("a TCP daemon needs a port (0 picks one)")
+        super().__init__(
+            socket_path=socket_path,
+            host=host,
+            port=port,
+            auth_token=auth_token,
+            insecure=insecure,
+        )
         if max_queued <= 0:
             raise DaemonError(f"max_queued must be positive, got {max_queued}")
         if history_limit <= 0:
@@ -398,9 +383,6 @@ class MatchingDaemon:
         self._config = config if config is not None else MatchingConfig()
         self._store_dir = Path(store_dir)
         self._store_dir.mkdir(parents=True, exist_ok=True)
-        self._socket_path = Path(socket_path) if socket_path is not None else None
-        self._host = host
-        self._port = port
         if cache is _DEFAULT_CACHE:
             cache = build_cache(disk_dir=self._store_dir / "cache")
         self._cache = cache
@@ -413,15 +395,13 @@ class MatchingDaemon:
             )
         self._executor = executor
         self._verify = verify
-        self._auth_token = auth_token
-        self._insecure = insecure
         if remote_cache is not None:
             # Fail fast on a garbled address; reachability is checked
             # lazily (an unreachable server degrades, never refuses).
             DaemonClient.from_address(remote_cache)
         self._remote_cache_default = remote_cache
         # One RemoteCache per distinct address, created lazily by the
-        # worker thread (_run_job) and torn down by stop(); the lock
+        # worker thread (_run_job) and torn down by _on_stop(); the lock
         # covers the dict, not the tiers — each RemoteCache serialises
         # its own traffic under its own cache lock.
         self._remote_caches: dict[str, object] = {}
@@ -430,23 +410,9 @@ class MatchingDaemon:
         self._jobs: dict[str, DaemonJob] = {}
         self._jobs_lock = threading.Lock()
         self._run_counter = 0
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
         self._worker_thread: threading.Thread | None = None
-        self._connections: set[socket.socket] = set()
-        self._connections_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._stopped = threading.Event()
-        self._started_at: float | None = None
 
     # -- lifecycle -------------------------------------------------------------
-    @property
-    def address(self) -> str:
-        """The bound address: ``unix:<path>`` or ``tcp:<host>:<port>``."""
-        if self._socket_path is not None:
-            return f"unix:{self._socket_path}"
-        return f"tcp:{self._host}:{self._port}"
-
     @property
     def store_dir(self) -> Path:
         """The directory holding per-run result stores."""
@@ -462,80 +428,18 @@ class MatchingDaemon:
         """The daemon-wide metrics registry (the ``metrics`` op's source)."""
         return self._metrics
 
-    def start(self) -> None:
-        """Bind the socket and start the accept and worker threads."""
-        if self._listener is not None:
-            raise DaemonError("daemon already started")
-        if (
-            self._host is not None
-            and not _is_loopback(self._host)
-            and self._auth_token is None
-            and not self._insecure
-        ):
-            raise DaemonError(
-                f"refusing to serve on non-loopback address {self._host!r} "
-                "without an auth token; pass auth_token=... "
-                "(repro serve --auth-token-file) or insecure=True "
-                "(--insecure) to opt out explicitly"
-            )
-        if self._socket_path is not None:
-            if self._socket_path.exists():
-                # Distinguish a *stale* socket file (previous daemon died;
-                # safe to unlink and bind over) from a *live* one —
-                # silently hijacking a serving daemon's address would
-                # strand it and interleave two daemons' stores.
-                probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                try:
-                    probe.settimeout(1.0)
-                    probe.connect(str(self._socket_path))
-                except OSError:
-                    self._socket_path.unlink()
-                else:
-                    raise DaemonError(
-                        f"a daemon is already serving on {self._socket_path}"
-                    )
-                finally:
-                    probe.close()
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(str(self._socket_path))
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self._host, self._port))
-            self._port = listener.getsockname()[1]
-        listener.listen()
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._started_at = time.monotonic()
+    def _on_start(self) -> None:
         self._worker_thread = threading.Thread(
             target=self._work_loop, name="repro-daemon-worker", daemon=True
         )
         self._worker_thread.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-daemon-accept", daemon=True
-        )
-        self._accept_thread.start()
 
-    def serve_forever(self) -> None:
-        """Start (if needed) and block until the daemon is stopped."""
-        if self._listener is None:
-            self.start()
-        try:
-            self._stopped.wait()
-        except KeyboardInterrupt:
-            self.stop()
+    def _on_stop(self) -> None:
+        """Cancel active and queued runs, then drop the remote tiers.
 
-    def stop(self) -> None:
-        """Shut down: cancel active and queued runs, close every socket.
-
-        Safe to call from a client-handler thread (the ``shutdown`` op
-        does) and idempotent.  Cancelled runs keep every record already
-        flushed to their store, so they resume cleanly on a later daemon.
+        Cancelled runs keep every record already flushed to their store,
+        so they resume cleanly on a later daemon.
         """
-        if self._stopping.is_set():
-            self._stopped.wait()
-            return
-        self._stopping.set()
         with self._jobs_lock:
             jobs = list(self._jobs.values())
         for job in jobs:
@@ -544,184 +448,16 @@ class MatchingDaemon:
         self._pending.put(_EOS)  # wake the worker
         if self._worker_thread is not None:
             self._worker_thread.join()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
-        if self._listener is not None:
-            self._listener.close()
-        if self._socket_path is not None and self._socket_path.exists():
-            self._socket_path.unlink()
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            connection.close()
-        # The worker thread is joined above, so the remote tiers are
-        # quiescent; dropping their connections is pure cleanup.
+        # The worker thread is joined, so the remote tiers are quiescent;
+        # dropping their connections is pure cleanup.
         with self._remote_caches_lock:
             remote_caches = dict(self._remote_caches)
             self._remote_caches.clear()
         for address in sorted(remote_caches):
             remote_caches[address].close()
-        self._stopped.set()
-
-    # -- socket plumbing -------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                connection, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._connections_lock:
-                self._connections.add(connection)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name="repro-daemon-client",
-                daemon=True,
-            ).start()
-
-    def _serve_connection(self, connection: socket.socket) -> None:
-        reader = connection.makefile("r", encoding="utf-8")
-        writer = connection.makefile("w", encoding="utf-8")
-        # Connections start authenticated only when no token is
-        # configured; the `auth` op upgrades the flag for this
-        # connection alone (it rides the dispatch return value, so the
-        # handler thread owns it without any shared state).
-        authenticated = self._auth_token is None
-        try:
-            while not self._stopping.is_set():
-                line = reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    frame = json.loads(line)
-                    if not isinstance(frame, dict):
-                        raise ValueError("frame must be a JSON object")
-                except ValueError as error:
-                    self._send(writer, self._error(f"malformed frame: {error}"))
-                    continue
-                keep_open, authenticated = self._dispatch(
-                    frame, writer, authenticated
-                )
-                if not keep_open:
-                    break
-        except OSError:
-            # Client went away mid-write (or the daemon is closing the
-            # socket under us); nothing to clean up beyond the handles.
-            pass
-        finally:
-            with self._connections_lock:
-                self._connections.discard(connection)
-            for handle in (reader, writer, connection):
-                try:
-                    handle.close()
-                except OSError:
-                    pass
-
-    @staticmethod
-    def _send(writer, frame: dict) -> None:
-        writer.write(json.dumps(frame) + "\n")
-        writer.flush()
-
-    @staticmethod
-    def _error(message: str) -> dict:
-        return {"ok": False, "protocol": PROTOCOL_VERSION, "error": message}
-
-    def _ok(self, **fields) -> dict:
-        frame = {"ok": True, "protocol": PROTOCOL_VERSION}
-        frame.update(fields)
-        return frame
-
-    def _dispatch(
-        self, frame: dict, writer, authenticated: bool = True
-    ) -> tuple[bool, bool]:
-        """Handle one request frame.
-
-        Returns ``(keep_open, authenticated)``: the first element is
-        False to close the connection, the second carries the
-        connection's (possibly just upgraded) auth state back to the
-        read loop.
-        """
-        op = frame.get("op")
-        if op == "ping":
-            # Liveness stays unauthenticated: fleet health probes and
-            # the version handshake must work before the token exchange.
-            self._send(writer, self._ok(op="ping", pid=os.getpid()))
-            return True, authenticated
-        if op == "auth":
-            response, authenticated = self._handle_auth(frame, authenticated)
-            self._send(writer, response)
-            return True, authenticated
-        if not authenticated:
-            self._send(
-                writer,
-                self._error(
-                    "authentication required: send "
-                    '{"op": "auth", "token": ...} first'
-                ),
-            )
-            return True, authenticated
-        if op == "submit":
-            self._send(writer, self._handle_submit(frame))
-            return True, authenticated
-        if op == "status":
-            self._send(writer, self._handle_status(frame))
-            return True, authenticated
-        if op == "stats":
-            self._send(writer, self._handle_stats())
-            return True, authenticated
-        if op == "metrics":
-            self._send(
-                writer, self._ok(op="metrics", metrics=self._metrics.snapshot())
-            )
-            return True, authenticated
-        if op == "cancel":
-            self._send(writer, self._handle_cancel(frame))
-            return True, authenticated
-        if op == "fetch_store":
-            self._send(writer, self._handle_fetch_store(frame))
-            return True, authenticated
-        if op == "events":
-            return self._handle_events(frame, writer), authenticated
-        if op == "shutdown":
-            self._send(writer, self._ok(op="shutdown", shutting_down=True))
-            # Stop from a fresh thread: stop() joins the accept thread and
-            # waits on handler sockets, and this handler must first return
-            # so its own connection can be torn down.
-            threading.Thread(
-                target=self.stop, name="repro-daemon-shutdown", daemon=True
-            ).start()
-            return False, authenticated
-        self._send(writer, self._error(f"unknown op {op!r}"))
-        return True, authenticated
-
-    def _handle_auth(
-        self, frame: dict, authenticated: bool
-    ) -> tuple[dict, bool]:
-        """The shared-secret handshake; constant-time token comparison."""
-        if self._auth_token is None:
-            return self._ok(op="auth", authenticated=True), True
-        token = frame.get("token")
-        if not isinstance(token, str):
-            return self._error("auth needs a string 'token'"), authenticated
-        if not hmac.compare_digest(
-            token.encode("utf-8"), self._auth_token.encode("utf-8")
-        ):
-            # An error frame, not a hang-up: the protocol promise that
-            # errors never close the connection holds for auth too.
-            return self._error("auth failed: bad token"), authenticated
-        return self._ok(op="auth", authenticated=True), True
 
     # -- ops -------------------------------------------------------------------
-    def _handle_submit(self, frame: dict) -> dict:
+    def _handle_submit(self, frame: dict, session: Session) -> dict:
         if self._stopping.is_set():
             return self._error("daemon is shutting down")
         manifest = frame.get("manifest")
@@ -863,7 +599,7 @@ class MatchingDaemon:
             return f"unknown run {run_id!r}"
         return job
 
-    def _handle_status(self, frame: dict) -> dict:
+    def _handle_status(self, frame: dict, session: Session) -> dict:
         if frame.get("run_id") is not None:
             job = self._get_job(frame)
             if isinstance(job, str):
@@ -875,7 +611,7 @@ class MatchingDaemon:
             runs = [job.to_dict() for job in self._jobs.values()]
         return self._ok(op="status", runs=runs)
 
-    def _handle_stats(self) -> dict:
+    def _handle_stats(self, frame: dict, session: Session) -> dict:
         # Counts derive from job states, so stats can never disagree with
         # what a status probe of the individual runs would report.
         with self._jobs_lock:
@@ -918,7 +654,7 @@ class MatchingDaemon:
             cache=cache_stats,
         )
 
-    def _handle_cancel(self, frame: dict) -> dict:
+    def _handle_cancel(self, frame: dict, session: Session) -> dict:
         job = self._get_job(frame)
         if isinstance(job, str):
             return self._error(job)
@@ -926,7 +662,7 @@ class MatchingDaemon:
             job.cancel()
         return self._ok(op="cancel", run_id=job.run_id, state=job.state)
 
-    def _handle_fetch_store(self, frame: dict) -> dict:
+    def _handle_fetch_store(self, frame: dict, session: Session) -> dict:
         """Ship a run's JSONL store to the client, record by record.
 
         Records come back in file order (the store is append-only, so
@@ -966,13 +702,14 @@ class MatchingDaemon:
             torn_lines=torn_lines,
         )
 
-    def _handle_events(self, frame: dict, writer) -> bool:
+    def _handle_events(self, frame: dict, session: Session) -> dict:
+        """Stream a run's events ahead of the returned terminator frame."""
         job = self._get_job(frame)
         if isinstance(job, str):
-            self._send(writer, self._error(job))
-            return True
+            return self._error(job)
         replay = bool(frame.get("replay", True))
         subscription = job.subscribe(replay=replay)
+        writer = session.writer
         self._send(writer, self._ok(op="events", run_id=job.run_id, state=job.state))
         try:
             while True:
@@ -980,22 +717,30 @@ class MatchingDaemon:
                 if event is _EOS:
                     break
                 if event is _DROPPED:
-                    self._send(
-                        writer,
-                        self._error(
-                            "events subscription dropped: client fell more "
-                            f"than {SUBSCRIBER_BUFFER_LIMIT} events behind"
-                        ),
+                    return self._error(
+                        "events subscription dropped: client fell more "
+                        f"than {SUBSCRIBER_BUFFER_LIMIT} events behind"
                     )
-                    return True
                 self._send(writer, event)
-            self._send(
-                writer,
-                self._ok(op="events", done=True, run_id=job.run_id, state=job.state),
-            )
         finally:
             job.unsubscribe(subscription)
-        return True
+        return self._ok(op="events", done=True, run_id=job.run_id, state=job.state)
+
+    def _handle_metrics(self, frame: dict, session: Session) -> dict:
+        return self._ok(op="metrics", metrics=self._metrics.snapshot())
+
+    OPS = {
+        "ping": FramedServer._handle_ping,
+        "auth": FramedServer._handle_auth,
+        "submit": _handle_submit,
+        "status": _handle_status,
+        "stats": _handle_stats,
+        "metrics": _handle_metrics,
+        "cancel": _handle_cancel,
+        "fetch_store": _handle_fetch_store,
+        "events": _handle_events,
+        "shutdown": FramedServer._handle_shutdown,
+    }
 
     # -- the worker ------------------------------------------------------------
     def _work_loop(self) -> None:

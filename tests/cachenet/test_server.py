@@ -1,52 +1,22 @@
-"""CacheServer unit tests: the ``repro-cache/v1`` wire surface.
+"""CacheServer unit tests: the cache-shaped ops of ``repro-cache/v1``.
 
 Everything here talks raw newline-delimited JSON over a socket, so the
 error frames (which a :class:`DaemonClient` would raise as exceptions)
 are asserted verbatim — the protocol promise under test is that errors
-never close the connection.
+never close the connection.  Transport, auth and framing checks shared
+with the daemon live in ``tests/service/test_framed_server.py``.
 """
 
 from __future__ import annotations
 
-import json
-import socket
-import threading
-
 import pytest
 
-from repro.cachenet import CACHE_PROTOCOL_VERSION, CacheServer
+from repro.cachenet import CacheServer
 from repro.cachenet.server import GET_MANY_LIMIT
 from repro.exceptions import DaemonError
 from repro.service import LRUCache
 
-
-class Wire:
-    """A raw-socket client speaking one JSON frame per line."""
-
-    def __init__(self, server: CacheServer) -> None:
-        address = server.address
-        if address.startswith("unix:"):
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(10.0)
-            self._sock.connect(address[len("unix:"):])
-        else:
-            _, _, rest = address.partition(":")
-            host, _, port = rest.rpartition(":")
-            self._sock = socket.create_connection((host, int(port)), timeout=10.0)
-        self._reader = self._sock.makefile("r", encoding="utf-8")
-
-    def send_raw(self, line: str) -> dict:
-        self._sock.sendall((line + "\n").encode("utf-8"))
-        response = self._reader.readline()
-        assert response, "server hung up"
-        return json.loads(response)
-
-    def roundtrip(self, frame: dict) -> dict:
-        return self.send_raw(json.dumps(frame))
-
-    def close(self) -> None:
-        self._reader.close()
-        self._sock.close()
+from tests.wire import Wire
 
 
 @pytest.fixture
@@ -69,64 +39,7 @@ class TestConstruction:
         with pytest.raises(DaemonError, match="backing cache"):
             CacheServer(None, socket_path="cache.sock")
 
-    def test_exactly_one_transport(self, tmp_path):
-        with pytest.raises(DaemonError, match="exactly one transport"):
-            CacheServer(LRUCache())
-        with pytest.raises(DaemonError, match="exactly one transport"):
-            CacheServer(
-                LRUCache(), socket_path=tmp_path / "cache.sock", host="127.0.0.1"
-            )
-
-    def test_tcp_needs_a_port(self):
-        with pytest.raises(DaemonError, match="needs a port"):
-            CacheServer(LRUCache(), host="127.0.0.1")
-
-    def test_non_loopback_bind_without_token_is_refused(self):
-        server = CacheServer(LRUCache(), host="0.0.0.0", port=0)
-        with pytest.raises(DaemonError, match="non-loopback"):
-            server.start()
-
-    def test_loopback_tcp_serves_without_a_token(self):
-        server = CacheServer(LRUCache(), host="127.0.0.1", port=0)
-        server.start()
-        try:
-            assert server.address.startswith("tcp:127.0.0.1:")
-            wire = Wire(server)
-            assert wire.roundtrip({"op": "ping"})["ok"] is True
-            wire.close()
-        finally:
-            server.stop()
-
-
-class TestSocketFileHygiene:
-    def test_stale_socket_file_is_bound_over(self, tmp_path):
-        path = tmp_path / "cache.sock"
-        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        stale.bind(str(path))
-        stale.close()  # no listener behind the file: a dead server's leftovers
-        assert path.exists()
-        server = CacheServer(LRUCache(), socket_path=path)
-        server.start()
-        try:
-            wire = Wire(server)
-            assert wire.roundtrip({"op": "ping"})["ok"] is True
-            wire.close()
-        finally:
-            server.stop()
-
-    def test_live_socket_is_not_hijacked(self, server):
-        second = CacheServer(LRUCache(), socket_path=server._socket_path)
-        with pytest.raises(DaemonError, match="already serving"):
-            second.start()
-
-
 class TestOps:
-    def test_ping_carries_protocol_and_pid(self, wire):
-        response = wire.roundtrip({"op": "ping"})
-        assert response["ok"] is True
-        assert response["protocol"] == CACHE_PROTOCOL_VERSION
-        assert isinstance(response["pid"], int)
-
     def test_get_put_roundtrip(self, server, wire):
         miss = wire.roundtrip({"op": "get", "key": "k1"})
         assert miss["ok"] is True and miss["record"] is None
@@ -172,21 +85,6 @@ class TestOps:
 
 
 class TestErrorModel:
-    def test_malformed_lines_keep_the_connection_open(self, wire):
-        for raw in ("this is not JSON", '["not", "an", "object"]'):
-            response = wire.send_raw(raw)
-            assert response["ok"] is False
-            assert response["error"].startswith("malformed frame: ")
-        assert wire.roundtrip({"op": "ping"})["ok"] is True
-
-    def test_unknown_op(self, wire):
-        response = wire.roundtrip({"op": "bogus"})
-        assert response == {
-            "ok": False,
-            "protocol": CACHE_PROTOCOL_VERSION,
-            "error": "unknown op 'bogus'",
-        }
-
     def test_field_validation(self, wire):
         cases = [
             ({"op": "get"}, "get needs a string 'key'"),
@@ -206,75 +104,7 @@ class TestErrorModel:
         assert wire.roundtrip({"op": "ping"})["ok"] is True
 
 
-class TestAuth:
-    @pytest.fixture
-    def secured(self, tmp_path):
-        server = CacheServer(
-            LRUCache(), socket_path=tmp_path / "cache.sock", auth_token="sesame"
-        )
-        server.start()
-        yield server
-        server.stop()
-
-    def test_only_ping_and_auth_are_unauthenticated(self, secured):
-        wire = Wire(secured)
-        try:
-            assert wire.roundtrip({"op": "ping"})["ok"] is True
-            for frame in (
-                {"op": "get", "key": "k"},
-                {"op": "put", "key": "k", "record": {}},
-                {"op": "get_many", "keys": []},
-                {"op": "stats"},
-                {"op": "shutdown"},
-            ):
-                response = wire.roundtrip(frame)
-                assert response["ok"] is False
-                assert response["error"].startswith("authentication required")
-        finally:
-            wire.close()
-
-    def test_bad_token_is_an_error_frame_not_a_hangup(self, secured):
-        wire = Wire(secured)
-        try:
-            response = wire.roundtrip({"op": "auth", "token": "wrong"})
-            assert response["error"] == "auth failed: bad token"
-            response = wire.roundtrip({"op": "auth", "token": 42})
-            assert response["error"] == "auth needs a string 'token'"
-            # Still unauthenticated, still connected.
-            denied = wire.roundtrip({"op": "stats"})
-            assert denied["error"].startswith("authentication required")
-        finally:
-            wire.close()
-
-    def test_auth_is_per_connection(self, secured):
-        first = Wire(secured)
-        second = Wire(secured)
-        try:
-            granted = first.roundtrip({"op": "auth", "token": "sesame"})
-            assert granted["authenticated"] is True
-            assert first.roundtrip({"op": "stats"})["ok"] is True
-            denied = second.roundtrip({"op": "stats"})
-            assert denied["error"].startswith("authentication required")
-        finally:
-            first.close()
-            second.close()
-
-
 class TestShutdown:
-    def test_shutdown_op_stops_the_server(self, tmp_path):
-        server = CacheServer(LRUCache(), socket_path=tmp_path / "cache.sock")
-        server.start()
-        waiter = threading.Thread(target=server.serve_forever, daemon=True)
-        waiter.start()
-        wire = Wire(server)
-        response = wire.roundtrip({"op": "shutdown"})
-        assert response["shutting_down"] is True
-        wire.close()
-        waiter.join(timeout=10.0)
-        assert not waiter.is_alive(), "serve_forever did not return"
-        assert not (tmp_path / "cache.sock").exists()
-        server.stop()  # idempotent
-
     def test_backing_cache_survives_shutdown(self, tmp_path):
         cache = LRUCache()
         server = CacheServer(cache, socket_path=tmp_path / "cache.sock")

@@ -215,20 +215,6 @@ class TestMatchMany:
         assert [entry.index for entry in seen] == [0, 1]
         assert seen[0].matched and not seen[1].matched
 
-    def test_on_entry_fires_for_cache_hits(self, rng):
-        from repro.service.cache import EngineCacheAdapter, LRUCache
-
-        base = random_circuit(4, 14, rng)
-        c1, c2, _ = make_instance(base, EquivalenceType.I_N, rng)
-        adapter = EngineCacheAdapter(LRUCache())
-        engine = MatchingEngine()
-        engine.match_many([(c1, c2, "I-N")], result_cache=adapter)
-        seen = []
-        engine.match_many(
-            [(c1, c2, "I-N")], result_cache=adapter, on_entry=seen.append
-        )
-        assert len(seen) == 1 and seen[0].cached
-
     def test_oracle_coercion_reused_across_pairs(self, rng):
         base = random_circuit(4, 14, rng)
         template = base

@@ -1,13 +1,18 @@
-"""Fixture cache server: dispatches `evict`, which the doc omits."""
+"""Fixture cache server: serves `evict`, which the doc omits."""
 
 
 class CacheServer:
-    def _dispatch(self, frame):
-        op = frame.get("op")
-        if op == "ping":
-            return {"ok": True}
-        if op == "get":
-            return {"ok": True, "record": None}
-        if op == "evict":
-            return {"ok": True, "evicted": 1}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    def _handle_ping(self, frame, session):
+        return {"ok": True}
+
+    def _handle_get(self, frame, session):
+        return {"ok": True, "record": None}
+
+    def _handle_evict(self, frame, session):
+        return {"ok": True, "evicted": 1}
+
+    OPS = {
+        "ping": _handle_ping,
+        "get": _handle_get,
+        "evict": _handle_evict,
+    }

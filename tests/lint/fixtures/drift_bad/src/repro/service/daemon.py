@@ -1,11 +1,14 @@
-"""Fixture daemon: dispatches `flush`, which the protocol doc omits."""
+"""Fixture daemon: serves `flush`, which the protocol doc omits."""
 
 
 class MatchingDaemon:
-    def _dispatch(self, frame):
-        op = frame.get("op")
-        if op == "ping":
-            return {"ok": True}
-        if op == "flush":
-            return {"ok": True, "flushed": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    def _handle_ping(self, frame, session):
+        return {"ok": True}
+
+    def _handle_flush(self, frame, session):
+        return {"ok": True, "flushed": True}
+
+    OPS = {
+        "ping": _handle_ping,
+        "flush": _handle_flush,
+    }

@@ -1,11 +1,14 @@
-"""Fixture cache server in agreement with its protocol doc."""
+"""Fixture cache server: the op table agrees with its protocol doc."""
 
 
 class CacheServer:
-    def _dispatch(self, frame):
-        op = frame.get("op")
-        if op == "ping":
-            return {"ok": True}
-        if op == "get":
-            return {"ok": True, "record": None}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    def _handle_ping(self, frame, session):
+        return {"ok": True}
+
+    def _handle_get(self, frame, session):
+        return {"ok": True, "record": None}
+
+    OPS = {
+        "ping": _handle_ping,
+        "get": _handle_get,
+    }

@@ -1,11 +1,14 @@
-"""Fixture daemon: dispatch and the protocol doc agree exactly."""
+"""Fixture daemon: the op table and the protocol doc agree exactly."""
 
 
 class MatchingDaemon:
-    def _dispatch(self, frame):
-        op = frame.get("op")
-        if op == "ping":
-            return {"ok": True}
-        if op == "flush":
-            return {"ok": True, "flushed": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    def _handle_ping(self, frame, session):
+        return {"ok": True}
+
+    def _handle_flush(self, frame, session):
+        return {"ok": True, "flushed": True}
+
+    OPS = {
+        "ping": _handle_ping,
+        "flush": _handle_flush,
+    }

@@ -2,9 +2,9 @@
 
 The ``drift_bad`` fixture tree stages every drift direction at once;
 ``drift_good`` is the same tree with the contracts in agreement.  The
-desync tests then take the *real* ``daemon.py`` and a doctored
-``docs/protocol.md`` and prove the rules catch live divergence — the
-acceptance scenario for the whole family.
+desync tests then take the *real* ``daemon.py`` (or cache
+``server.py``) and a doctored protocol doc and prove the rules catch
+live divergence — the acceptance scenario for the whole family.
 """
 
 from __future__ import annotations
@@ -16,33 +16,33 @@ from repro.lint import lint_project
 from tests.lint.conftest import FIXTURES, REPO_ROOT
 
 
-def _drift_findings(root, rule):
+DAEMON_PATHS = {"src/repro/service/daemon.py", "docs/protocol.md"}
+CACHE_PATHS = {"src/repro/cachenet/server.py", "docs/remote-cache.md"}
+
+
+def _drift_findings(root, rule, paths=None):
     report = lint_project(root)
-    return [f for f in report.findings if f.rule == rule]
+    return [f for f in report.findings
+            if f.rule == rule and (paths is None or f.path in paths)]
 
 
 class TestDriftBadTree:
     def test_protocol_ops_both_directions(self):
         findings = _drift_findings(FIXTURES / "drift_bad", "drift-protocol-ops")
-        messages = "\n".join(f.message for f in findings)
-        assert len(findings) == 2
-        assert "'flush'" in messages and "does not document" in messages
-        assert "'halt'" in messages and "does not handle" in messages
-        paths = {f.path for f in findings}
-        assert paths == {"src/repro/service/daemon.py", "docs/protocol.md"}
+        assert len(findings) == 4
+        assert {f.path for f in findings} == DAEMON_PATHS | CACHE_PATHS
+        daemon = "\n".join(f.message for f in findings if f.path in DAEMON_PATHS)
+        assert "'flush'" in daemon and "does not document" in daemon
+        assert "'halt'" in daemon and "does not handle" in daemon
 
     def test_cache_protocol_ops_both_directions(self):
         findings = _drift_findings(
-            FIXTURES / "drift_bad", "drift-cache-protocol-ops"
+            FIXTURES / "drift_bad", "drift-protocol-ops", CACHE_PATHS
         )
         messages = "\n".join(f.message for f in findings)
         assert len(findings) == 2
         assert "'evict'" in messages and "does not document" in messages
         assert "'purge'" in messages and "does not handle" in messages
-        paths = {f.path for f in findings}
-        assert paths == {
-            "src/repro/cachenet/server.py", "docs/remote-cache.md"
-        }
 
     def test_event_fields_all_three_shapes(self):
         findings = _drift_findings(FIXTURES / "drift_bad", "drift-event-fields")
@@ -148,7 +148,7 @@ class TestDeliberateDesyncAgainstRealCode:
         doctored = original.replace("| `stats` |", "| `reboot` |", 1)
         assert doctored != original
         doc.write_text(doctored, encoding="utf-8")
-        findings = _drift_findings(tmp_path, "drift-cache-protocol-ops")
+        findings = _drift_findings(tmp_path, "drift-protocol-ops")
         messages = "\n".join(f.message for f in findings)
         assert "'stats'" in messages and "does not document" in messages
         assert "'reboot'" in messages and "does not handle" in messages
@@ -156,7 +156,7 @@ class TestDeliberateDesyncAgainstRealCode:
     def test_real_cache_server_against_the_real_doc_is_clean(self, tmp_path):
         doc = self._stage_cachenet(tmp_path)
         shutil.copy(REPO_ROOT / "docs" / "remote-cache.md", doc)
-        assert _drift_findings(tmp_path, "drift-cache-protocol-ops") == []
+        assert _drift_findings(tmp_path, "drift-protocol-ops") == []
 
     def test_rules_skip_when_their_module_is_absent(self, tmp_path):
         (tmp_path / "src" / "repro").mkdir(parents=True)

@@ -1,4 +1,4 @@
-"""Unit tests for the result caches and the engine cache adapter."""
+"""Unit tests for the result caches and their pair keys."""
 
 from __future__ import annotations
 
@@ -10,24 +10,28 @@ import pytest
 
 from repro.circuits import library
 from repro.circuits.random import random_circuit
-from repro.core.engine import MatchingConfig, MatchingEngine
+from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
-from repro.core.verify import make_instance
 from repro.exceptions import ServiceError
 from repro.service.cache import (
     DiskCache,
-    EngineCacheAdapter,
     LRUCache,
     TieredCache,
     build_cache,
     migrate_cache,
 )
-from repro.service.fingerprint import build_registry
-from repro.service.serialize import result_to_dict
+from repro.service.fingerprint import pair_key, registry_for_config
 
 
 def _record(tag: str) -> dict:
     return {"matcher": tag, "result": {"queries": 1}}
+
+
+def _key(circuit, equivalence=EquivalenceType.I_I, config=MatchingConfig()):
+    """The v2 cache key of the pair (circuit, circuit) under ``config``."""
+    registry = registry_for_config(config)
+    fingerprint = registry.fingerprint(circuit, with_inverse=config.with_inverse)
+    return pair_key(fingerprint, fingerprint, equivalence, config)
 
 
 class TestLRUCache:
@@ -165,92 +169,12 @@ class TestTieredCache:
         assert stats.hits + stats.misses == stats.lookups == 2
 
 
-class TestEngineCacheAdapter:
-    def test_store_then_lookup_roundtrip(self, rng):
-        base = random_circuit(4, 12, rng)
-        c1, c2, _ = make_instance(base, EquivalenceType.I_P, rng)
-        config = MatchingConfig()
-        engine = MatchingEngine(config)
-        result = engine.match(c1, c2, EquivalenceType.I_P, rng=3)
-
-        adapter = EngineCacheAdapter(LRUCache())
-        assert adapter.lookup(c1, c2, EquivalenceType.I_P, config) is None
-        adapter.store(c1, c2, EquivalenceType.I_P, config, result, "i-p/x")
-        hit = adapter.lookup(c1, c2, EquivalenceType.I_P, config)
-        assert hit is not None
-        cached_result, matcher = hit
-        assert matcher == "i-p/x"
-        assert result_to_dict(cached_result) == result_to_dict(result)
-        # A different policy is a different key.
-        assert (
-            adapter.lookup(c1, c2, EquivalenceType.I_P, MatchingConfig(epsilon=0.5))
-            is None
-        )
-
-    def test_mutation_between_batches_is_not_served_a_stale_key(self, rng):
-        # The lookup->store memo must not outlive one pair: mutating a
-        # circuit in place and looking it up again recomputes the key.
-        circuit = random_circuit(4, 8, rng)
-        adapter = EngineCacheAdapter(LRUCache())
-        config = MatchingConfig()
-        engine = MatchingEngine(config)
-        result = engine.match(circuit, circuit.copy(), EquivalenceType.I_I)
-        adapter.lookup(circuit, circuit, EquivalenceType.I_I, config)
-        key_before = adapter.key_for(circuit, circuit, EquivalenceType.I_I, config)
-        adapter.store(circuit, circuit, EquivalenceType.I_I, config, result)
-
-        mutation = random_circuit(4, 1, rng)
-        circuit.append(mutation.gates[0])
-        assert (
-            adapter.key_for(circuit, circuit, EquivalenceType.I_I, config)
-            != key_before
-        )
-        assert adapter.lookup(circuit, circuit, EquivalenceType.I_I, config) is None
-
-    def test_failure_records_read_as_miss(self, rng):
-        cache = LRUCache()
-        adapter = EngineCacheAdapter(cache)
-        circuit = random_circuit(4, 8, rng)
-        config = MatchingConfig()
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_P, config)
-        cache.put(key, {"matcher": "x", "error": "boom", "result": None})
-        assert adapter.lookup(circuit, circuit, EquivalenceType.I_P, config) is None
-
-    def test_match_many_consults_the_cache(self, rng):
-        base = random_circuit(4, 12, rng)
-        pairs = [
-            make_instance(base, equivalence, rng)[:2] + (equivalence,)
-            for equivalence in (EquivalenceType.I_P, EquivalenceType.P_I)
-        ]
-        engine = MatchingEngine()
-        adapter = EngineCacheAdapter(LRUCache())
-
-        cold = engine.match_many(pairs, rng=5, result_cache=adapter)
-        assert cold.cache_hits == 0 and cold.num_matched == 2
-
-        warm = engine.match_many(pairs, rng=5, result_cache=adapter)
-        assert warm.cache_hits == 2
-        assert all(entry.cached for entry in warm.entries)
-        # Aggregates count queries *spent by this batch*: a fully cached
-        # batch built no oracles, whatever the per-entry results record.
-        assert warm.classical_queries == 0 and warm.quantum_queries == 0
-        assert cold.classical_queries > 0
-        assert [entry.matcher for entry in warm.entries] == [
-            entry.matcher for entry in cold.entries
-        ]
-        assert [result_to_dict(entry.result) for entry in warm.entries] == [
-            result_to_dict(entry.result) for entry in cold.entries
-        ]
-        assert "from cache" in warm.summary()
-        assert "cached" in warm.to_table()
-
+class TestPairKeys:
     def test_wide_pair_is_cacheable_via_probe_fingerprints(self, rng):
         """v1 stranded wide pairs on structural identity; the probe tier
         keys them functionally, so a resynthesised representation hits."""
         circuit = library.increment(16)
-        adapter = EngineCacheAdapter(LRUCache())
-        config = MatchingConfig()
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_I, config)
+        key = _key(circuit)
         assert ":probe:" in key
         # A structurally different but functionally equal representation
         # computes the same key — the hit v1 could never produce.
@@ -258,18 +182,7 @@ class TestEngineCacheAdapter:
         gate = random_circuit(16, 1, rng).gates[0]
         twin.append(gate)
         twin.append(gate)  # self-inverse: applied twice == identity
-        assert (
-            adapter.key_for(twin, twin, EquivalenceType.I_I, config) == key
-        )
-
-    def test_injected_registry_overrides_the_config(self, rng):
-        circuit = random_circuit(4, 8, rng)
-        config = MatchingConfig()  # auto: 4 lines would be exact
-        adapter = EngineCacheAdapter(
-            LRUCache(), registry=build_registry("probe")
-        )
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_I, config)
-        assert ":probe:" in key
+        assert _key(twin) == key
 
 
 class TestSchemeHitCounters:
@@ -277,11 +190,7 @@ class TestSchemeHitCounters:
         cache = LRUCache()
         narrow = random_circuit(4, 8, rng)
         wide = library.increment(16)
-        adapter = EngineCacheAdapter(cache)
-        config = MatchingConfig()
-        exact_key = adapter.key_for(narrow, narrow, EquivalenceType.I_I, config)
-        probe_key = adapter.key_for(wide, wide, EquivalenceType.I_I, config)
-        for key in (exact_key, probe_key):
+        for key in (_key(narrow), _key(wide)):
             cache.put(key, _record("x"))
             cache.get(key)
             cache.get(key)
@@ -312,19 +221,12 @@ class TestMigrateCache:
     def test_v1_entries_are_clean_misses_for_v2_lookups(self, tmp_path, rng):
         disk = DiskCache(tmp_path)
         self._plant_v1(tmp_path)
-        adapter = EngineCacheAdapter(disk)
         circuit = random_circuit(4, 8, rng)
-        assert (
-            adapter.lookup(circuit, circuit, EquivalenceType.I_P, MatchingConfig())
-            is None
-        )
+        assert disk.get(_key(circuit, EquivalenceType.I_P)) is None
 
     def test_migrate_counts_by_version(self, tmp_path, rng):
         disk = DiskCache(tmp_path)
-        adapter = EngineCacheAdapter(disk)
-        circuit = random_circuit(4, 8, rng)
-        config = MatchingConfig()
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_P, config)
+        key = _key(random_circuit(4, 8, rng), EquivalenceType.I_P)
         disk.put(key, _record("v2"))
         self._plant_v1(tmp_path)
         (tmp_path / "junk.json").write_text("{not json")
@@ -334,10 +236,7 @@ class TestMigrateCache:
 
     def test_drop_v1_deletes_only_stale_entries(self, tmp_path, rng):
         disk = DiskCache(tmp_path)
-        adapter = EngineCacheAdapter(disk)
-        circuit = random_circuit(4, 8, rng)
-        config = MatchingConfig()
-        key = adapter.key_for(circuit, circuit, EquivalenceType.I_P, config)
+        key = _key(random_circuit(4, 8, rng), EquivalenceType.I_P)
         disk.put(key, _record("v2"))
         self._plant_v1(tmp_path)
         (tmp_path / "junk.json").write_text("{not json")
