@@ -20,7 +20,11 @@ from repro.service.cache import (
     build_cache,
     migrate_cache,
 )
-from repro.service.fingerprint import pair_key, registry_for_config
+from repro.service.fingerprint import (
+    build_registry,
+    pair_key,
+    registry_for_config,
+)
 
 
 def _record(tag: str) -> dict:
@@ -183,6 +187,33 @@ class TestPairKeys:
         twin.append(gate)
         twin.append(gate)  # self-inverse: applied twice == identity
         assert _key(twin) == key
+
+    def test_a_different_policy_is_a_different_key(self, rng):
+        circuit = random_circuit(4, 12, rng)
+        cache = LRUCache()
+        cache.put(_key(circuit, EquivalenceType.I_P), _record("i-p/x"))
+        loose = _key(circuit, EquivalenceType.I_P, MatchingConfig(epsilon=0.5))
+        assert loose != _key(circuit, EquivalenceType.I_P)
+        assert cache.get(loose) is None
+
+    def test_mutation_in_place_is_not_served_a_stale_key(self, rng):
+        # Nothing memoises a key per circuit object: mutating a circuit in
+        # place and keying it again recomputes the fingerprint.
+        circuit = random_circuit(4, 8, rng)
+        cache = LRUCache()
+        key_before = _key(circuit)
+        cache.put(key_before, _record("x"))
+        circuit.append(random_circuit(4, 1, rng).gates[0])
+        assert _key(circuit) != key_before
+        assert cache.get(_key(circuit)) is None
+
+    def test_injected_registry_overrides_the_config(self, rng):
+        circuit = random_circuit(4, 8, rng)
+        config = MatchingConfig()  # auto: 4 lines would be exact
+        assert ":probe:" not in _key(circuit, config=config)
+        fingerprint = build_registry("probe").fingerprint(circuit)
+        key = pair_key(fingerprint, fingerprint, EquivalenceType.I_I, config)
+        assert ":probe:" in key
 
 
 class TestSchemeHitCounters:

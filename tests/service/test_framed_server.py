@@ -10,6 +10,7 @@ error frames are asserted verbatim.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 
@@ -69,21 +70,27 @@ def wire(started):
 
 
 class TestTransport:
-    def test_exactly_one_transport_and_tcp_needs_a_port(self, make, tmp_path):
+    def test_exactly_one_transport(self, make, tmp_path):
         with pytest.raises(DaemonError, match="exactly one transport"):
             make()
         with pytest.raises(DaemonError, match="exactly one transport"):
             make(socket_path=tmp_path / "s.sock", host="127.0.0.1", port=0)
+
+    def test_tcp_needs_a_port(self, make):
         with pytest.raises(DaemonError, match="needs a port"):
             make(host="127.0.0.1")
 
-    def test_non_loopback_bind_needs_a_token_or_insecure(self, make):
+    def test_non_loopback_bind_without_token_is_refused(self, make):
         refused = make(host="0.0.0.0", port=0)
         with pytest.raises(DaemonError, match="non-loopback") as error:
             refused.start()
         assert f"({refused.COMMAND} --auth-token-file)" in str(error.value)
+
+    def test_non_loopback_bind_starts_with_token_or_insecure(self, make):
         for kwargs in ({"auth_token": "sesame"}, {"insecure": True}):
-            make(host="0.0.0.0", port=0, **kwargs).start()
+            server = make(host="0.0.0.0", port=0, **kwargs)
+            server.start()
+            assert server.address.startswith("tcp:0.0.0.0:")
 
     def test_loopback_tcp_serves_without_a_token(self, make, wire):
         server = make(host="127.0.0.1", port=0)
@@ -113,6 +120,13 @@ class TestSocketFile:
 
 
 class TestErrorModel:
+    def test_ping_carries_protocol_and_pid(self, started, wire):
+        server = started()
+        response = wire(server).roundtrip({"op": "ping"})
+        assert response["ok"] is True and response["op"] == "ping"
+        assert response["protocol"] == server.PROTOCOL
+        assert response["pid"] == os.getpid()
+
     def test_malformed_frames_keep_the_connection_open(self, wire):
         client = wire()
         for raw in ("this is not JSON", '["not", "an", "object"]'):
