@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Batch matching with the MatchingEngine facade.
+"""Batch matching through the MatchingService pipeline.
 
 The paper's matchers answer one pair at a time; production workloads
 (template matching a library against a netlist, regression-checking a
-synthesis flow) ask about *many* pairs.  This example shows the batch API:
+synthesis flow) ask about *many* pairs.  This example shows the batch path:
 
 1. generate one base circuit and scramble it into promised instances of
    several equivalence classes,
-2. build a configured :class:`~repro.core.MatchingEngine` (inverse access
-   granted, so the cheap classical tiers of Table 1 win where they exist),
-3. run :meth:`~repro.core.MatchingEngine.match_many` over the whole batch —
-   oracle coercion is cached, so the shared base circuit is wrapped (and its
-   inverse materialised) once, not once per pair,
-4. print the :class:`~repro.core.BatchReport`: per-pair witnesses plus
+2. run :meth:`~repro.service.MatchingService.match_pairs` over the whole
+   batch with inverse access granted (a
+   :class:`~repro.core.MatchingConfig` knob), so the cheap classical tiers
+   of Table 1 win where they exist; an observer prints each pair the
+   moment it settles,
+3. print the :class:`~repro.service.ServiceReport`: the per-pair table plus
    aggregate classical/quantum query totals,
-5. re-run the batch without inverse access to watch dispatch fall back along
-   the chain exact -> randomised -> quantum.
+4. re-run the batch without inverse access to watch dispatch fall back along
+   the chain exact -> randomised -> quantum, with ``verify=True`` checking
+   every produced witness exhaustively.
 
 Run with:  python examples/engine_batch_matching.py
 """
@@ -25,13 +26,8 @@ from __future__ import annotations
 import random
 
 from repro.circuits.random import random_circuit
-from repro.core import (
-    EquivalenceType,
-    MatchingConfig,
-    MatchingEngine,
-    make_instance,
-    verify_match,
-)
+from repro.core import EquivalenceType, MatchingConfig, make_instance
+from repro.service import MatchingService, TaskCompleted, TaskFailed
 
 LABELS = ["I-N", "I-P", "I-NP", "P-I", "P-N", "N-I", "N-P", "NP-I"]
 
@@ -39,9 +35,8 @@ LABELS = ["I-N", "I-P", "I-NP", "P-I", "P-N", "N-I", "N-P", "NP-I"]
 def build_batch(rng: random.Random):
     """One scrambled pair per tractable equivalence class.
 
-    Every pair shares the *same* base circuit object as C2 — the
-    template-matching shape — so the engine's coercion cache wraps it (and
-    materialises its inverse) once for the whole batch.
+    Every pair shares the *same* base circuit as C2 — the
+    template-matching shape.
     """
     base = random_circuit(4, 16, rng, name="base")
     pairs = []
@@ -52,33 +47,38 @@ def build_batch(rng: random.Random):
     return pairs
 
 
+class SettledPrinter:
+    """Observer: one line per pair as soon as its matcher returns."""
+
+    def notify(self, event) -> None:
+        if isinstance(event, (TaskCompleted, TaskFailed)):
+            record = event.record
+            outcome = "ok" if record["result"] else record["error"].splitlines()[0]
+            print(f"  {record['pair_id']} {record['equivalence']:>4}: {outcome}")
+
+
 def main() -> None:
     rng = random.Random(2024)
     pairs = build_batch(rng)
 
     # -- inverse access granted: the classical O(1)/O(log n) tiers win -------
-    engine = MatchingEngine(MatchingConfig(with_inverse=True), rng=7)
-    report = engine.match_many(pairs)
+    service = MatchingService(MatchingConfig(with_inverse=True))
+    report = service.match_pairs(pairs, seed=7, observers=[SettledPrinter()])
     print(report.to_table(title="with inverse access"))
     print(report.summary())
-    print(f"distinct oracles coerced for the batch: {report.coerced_oracles}")
     print()
 
     # -- no inverses: randomised and quantum tiers take over ------------------
     # (N-P has no known algorithm in this regime and is reported as failed.)
-    blackbox = MatchingEngine(MatchingConfig(with_inverse=False), rng=7)
-    report = blackbox.match_many(pairs)
+    blackbox = MatchingService(MatchingConfig(with_inverse=False), verify=True)
+    report = blackbox.match_pairs(pairs, seed=7)
     print(report.to_table(title="black boxes only"))
     print(report.summary())
     print()
 
     # -- every produced witness reconstructs C1 from C2 -----------------------
-    verified = sum(
-        1
-        for (c1, c2, equivalence), entry in zip(pairs, report.entries)
-        if entry.matched and verify_match(c1, c2, equivalence, entry.result)
-    )
-    print(f"verified witnesses: {verified}/{report.num_matched}")
+    verified = sum(1 for record in report.records if record.get("verified"))
+    print(f"verified witnesses: {verified}/{report.matched}")
 
 
 if __name__ == "__main__":

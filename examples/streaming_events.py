@@ -15,8 +15,9 @@ walks the surface:
    pair id), run each shard separately, then ``merge_stores`` the shard
    stores — and check the merged store is byte-identical to the
    unsharded run's, seeds and query counts included,
-5. stream per-entry results out of the core engine itself with
-   ``match_many(on_entry=...)``.
+5. stream in-memory pairs (no manifest, no files) through
+   ``match_pairs`` with a one-method observer printing each pair as it
+   settles.
 
 Run with:  python examples/streaming_events.py
 """
@@ -27,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 from repro.circuits.random import random_circuit
-from repro.core import EquivalenceType, MatchingEngine
+from repro.core import EquivalenceType
 from repro.core.verify import make_instance
 from repro.service import (
     EventLogObserver,
@@ -96,23 +97,27 @@ def main() -> None:
     print(f"merged {count} records; byte-identical to unsharded run: {identical}")
     assert identical
 
-    # 5. The same streaming idea one level down: the engine's callback.
-    print("\n-- engine on_entry --")
+    # 5. In-memory pairs stream the same events: any object with a
+    #    notify(event) method is an observer.
+    print("\n-- in-memory pairs --")
     import random
+
+    class PrintSettled:
+        def notify(self, event):
+            if isinstance(event, TaskCompleted):
+                record = event.record
+                print(
+                    f"  {record['pair_id']}: {record['matcher']} "
+                    f"({record['result']['queries']} queries)"
+                )
 
     rng = random.Random(3)
     base = random_circuit(4, 12, rng)
     pairs = [
         make_instance(base, EquivalenceType.I_N, rng)[:2] for _ in range(3)
     ]
-    MatchingEngine().match_many(
-        pairs,
-        equivalence="I-N",
-        rng=5,
-        on_entry=lambda entry: print(
-            f"  pair {entry.index}: {entry.matcher} "
-            f"({entry.result.queries} queries)"
-        ),
+    MatchingService().match_pairs(
+        pairs, equivalence="I-N", seed=5, observers=[PrintSettled()]
     )
 
 

@@ -51,7 +51,6 @@ from repro import (
     synthesis,
 )
 from repro.core import (
-    BatchReport,
     EquivalenceType,
     MatchingConfig,
     MatchingEngine,
@@ -74,7 +73,6 @@ __all__ = [
     "MatchingResult",
     "MatchingEngine",
     "MatchingConfig",
-    "BatchReport",
     "match",
     "__version__",
 ]

@@ -200,14 +200,12 @@ class RemoteCache(ResultCache):
         unbatched runs report identical counters.
         """
         with self._lock:
-            wanted: list[str] = []
-            for key in keys:
-                if (
-                    key not in self._buffer
-                    and key not in self._negative
-                    and key not in wanted
-                ):
-                    wanted.append(key)
+            # dict.fromkeys dedups in first-seen order, so chunks are stable.
+            wanted = [
+                key
+                for key in dict.fromkeys(keys)
+                if key not in self._buffer and key not in self._negative
+            ]
             for start in range(0, len(wanted), GET_MANY_LIMIT):
                 chunk = wanted[start:start + GET_MANY_LIMIT]
                 response = self._request({"op": "get_many", "keys": chunk})

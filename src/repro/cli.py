@@ -7,10 +7,10 @@ reaches for most often without writing Python:
   drawing of a circuit file;
 * ``repro match C1.real C2.real --equivalence NP-I`` — run the Boolean
   matcher of a tractable class and print the witnesses;
-* ``repro match-many MANIFEST`` — batch matching over a manifest of circuit
-  pairs through :meth:`~repro.core.MatchingEngine.match_many`, printing the
-  per-pair table and aggregate query totals of the
-  :class:`~repro.core.BatchReport`;
+* ``repro match-many MANIFEST`` — batch matching over a text manifest of
+  circuit pairs through :meth:`~repro.service.MatchingService.match_pairs`
+  (serial, no cache), printing the per-pair table, the aggregate query
+  totals and one ``pair-NNNN: <error>`` line per failed pair;
 * ``repro decide C1.real C2.real --equivalence NP-I`` — the non-promise
   decision (match + validate);
 * ``repro synth --permutation 0,3,1,2 [--output out.real]`` — synthesise an
@@ -73,7 +73,6 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.circuits import drawing, metrics
-from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.io import load_circuit, save_circuit
 from repro.circuits.permutation import Permutation
 from repro.core import (
@@ -149,15 +148,21 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_from_args(args: argparse.Namespace) -> MatchingEngine:
-    """Build a configured engine from the shared matching flags."""
-    return MatchingEngine(
-        MatchingConfig(
-            epsilon=args.epsilon,
-            allow_quantum=not args.no_quantum,
-            with_inverse=getattr(args, "with_inverse", False),
-            max_queries=getattr(args, "budget", None),
-        )
+def _config_from_args(args: argparse.Namespace) -> MatchingConfig:
+    """The :class:`MatchingConfig` the shared matching flags describe.
+
+    A flag the sub-command lacks falls back to the config default.
+    """
+    default = MatchingConfig()
+    return MatchingConfig(
+        epsilon=args.epsilon,
+        allow_quantum=not args.no_quantum,
+        with_inverse=getattr(args, "with_inverse", default.with_inverse),
+        max_queries=getattr(args, "budget", default.max_queries),
+        fingerprint_scheme=getattr(
+            args, "fingerprint", default.fingerprint_scheme
+        ),
+        probe_count=getattr(args, "probe_count", default.probe_count),
     )
 
 
@@ -165,7 +170,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     c1 = load_circuit(args.circuit1)
     c2 = load_circuit(args.circuit2)
     equivalence = EquivalenceType.from_label(args.equivalence)
-    engine = _engine_from_args(args)
+    engine = MatchingEngine(_config_from_args(args))
     result = engine.match(c1, c2, equivalence, rng=args.seed)
     print(f"equivalence : {equivalence.label}")
     print(_format_witnesses(result))
@@ -212,22 +217,23 @@ def _read_manifest(
 
 def _cmd_match_many(args: argparse.Namespace) -> int:
     rows = _read_manifest(args.manifest, args.equivalence)
-    # Load each distinct file once so the engine's coercion cache (keyed by
-    # object identity) is shared across every pair the circuit appears in.
-    circuits: dict[str, ReversibleCircuit] = {}
-    for path1, path2, _ in rows:
-        for path in (path1, path2):
-            if path not in circuits:
-                circuits[path] = load_circuit(path)
+    # Load each distinct file once, however many pairs name it.
+    circuits = {
+        path: load_circuit(path)
+        for path in dict.fromkeys(path for row in rows for path in row[:2])
+    }
     pairs = [
         (circuits[path1], circuits[path2], label) for path1, path2, label in rows
     ]
-    engine = _engine_from_args(args)
-    report = engine.match_many(pairs, rng=args.seed)
-    print(report.to_table(title=f"batch of {report.num_pairs} pairs"))
+    service = MatchingService(_config_from_args(args))
+    report = service.match_pairs(pairs, seed=args.seed)
+    print(report.to_table(title=f"batch of {report.total} pairs"))
     print()
     print(report.summary())
-    return 0 if report.num_failed == 0 else 1
+    for record in report.records:
+        if not record.get("result"):
+            print(f"{record['pair_id']}: {record['error'].splitlines()[0]}")
+    return 0 if report.failed == 0 else 1
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
@@ -340,14 +346,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     shard = parse_shard(args.shard) if args.shard is not None else None
     observers, event_log = _watch_observers(args)
     service = MatchingService(
-        MatchingConfig(
-            epsilon=args.epsilon,
-            allow_quantum=not args.no_quantum,
-            with_inverse=args.with_inverse,
-            max_queries=args.budget,
-            fingerprint_scheme=args.fingerprint,
-            probe_count=args.probe_count,
-        ),
+        _config_from_args(args),
         executor=executor,
         cache=cache,
         verify=args.verify,
@@ -528,14 +527,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.auth_token_file is not None:
         token = _read_token_file(args.auth_token_file)
     daemon = MatchingDaemon(
-        MatchingConfig(
-            epsilon=args.epsilon,
-            allow_quantum=not args.no_quantum,
-            with_inverse=args.with_inverse,
-            max_queries=args.budget,
-            fingerprint_scheme=args.fingerprint,
-            probe_count=args.probe_count,
-        ),
+        _config_from_args(args),
         store_dir=args.store_dir,
         socket_path=args.socket,
         host=args.host,
@@ -746,14 +738,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
-    config = MatchingConfig(
-        epsilon=args.epsilon,
-        allow_quantum=not args.no_quantum,
-        with_inverse=args.with_inverse,
-        max_queries=args.budget,
-        fingerprint_scheme=args.fingerprint,
-        probe_count=args.probe_count,
-    )
+    config = _config_from_args(args)
     registry = registry_for_config(config)
     paths = [args.circuit1] + ([args.circuit2] if args.circuit2 else [])
     fingerprints = []
@@ -886,8 +871,11 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Each manifest line names 'C1 C2 [EQUIVALENCE]'; blank lines and "
             "# comments are skipped.  Pairs without an explicit class use "
-            "--equivalence.  Prints the per-pair BatchReport table plus "
-            "aggregate classical/quantum query totals."
+            "--equivalence.  The pairs run through the MatchingService "
+            "pipeline (serial, no cache); prints the per-pair table, the "
+            "aggregate classical/quantum query totals and the first line "
+            "of each failed pair's error.  Exit code 1 when any pair "
+            "failed to match."
         ),
     )
     many.add_argument("manifest", help="path to the circuit-pair manifest")

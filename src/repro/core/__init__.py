@@ -14,19 +14,19 @@ mirrors it with a declarative dispatch layer:
 * :mod:`repro.core.engine` — the :class:`MatchingEngine` facade holding a
   :class:`MatchingConfig`, with ``engine.match`` (one pair),
   ``engine.solve`` (a :class:`MatchingProblem`) and ``engine.match_many``
-  (batch matching with cached oracle coercion and a :class:`BatchReport` of
-  per-pair witnesses plus aggregate query statistics).
+  (the guarded per-pair dispatch: failures become entries, not exceptions).
+  Many-pair runs go through :meth:`repro.service.MatchingService.match_pairs`.
 * :func:`match` — the historical entry point, kept as a thin wrapper over a
   shared default engine.
 
 Public surface:
 
 * :class:`EquivalenceType`, :class:`Hardness`, :func:`classify`,
-  :func:`dominates`, :func:`domination_lattice` — the 16 X-Y equivalence
+  :func:`dominates`, :func:`domination_edges` — the 16 X-Y equivalence
   classes and the Fig. 1 lattice/classification.
 * :func:`match` — dispatch to the Section 4 algorithm for a promised class.
-* :class:`MatchingEngine`, :class:`MatchingConfig`, :class:`BatchReport` —
-  the configured facade and its batch API.
+* :class:`MatchingEngine`, :class:`MatchingConfig`, :class:`BatchEntry` —
+  the configured facade and its per-pair outcome.
 * :class:`Capability`, :class:`MatcherKind`, :func:`register_matcher`,
   :func:`default_registry` — the extensible dispatch layer.
 * :class:`MatchingResult`, :class:`MatchingProblem`, :class:`MatchContext`
@@ -44,7 +44,6 @@ from repro.core.decision import DecisionOutcome, decide
 from repro.core.dispatcher import match
 from repro.core.engine import (
     BatchEntry,
-    BatchReport,
     MatchingConfig,
     MatchingEngine,
     get_default_engine,
@@ -58,7 +57,6 @@ from repro.core.equivalence import (
     classify,
     dominates,
     domination_edges,
-    domination_lattice,
 )
 from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
 from repro.core.registry import (
@@ -83,7 +81,6 @@ __all__ = [
     "Hardness",
     "classify",
     "dominates",
-    "domination_lattice",
     "domination_edges",
     "Table1Row",
     "TABLE1_ROWS",
@@ -97,7 +94,6 @@ __all__ = [
     "MatchingEngine",
     "MatchingConfig",
     "BatchEntry",
-    "BatchReport",
     "get_default_engine",
     "Capability",
     "MatcherKind",

@@ -9,17 +9,15 @@ A configured front door to the capability-based matcher registry:
   and exposes :meth:`~MatchingEngine.match` (one pair),
   :meth:`~MatchingEngine.solve` (a declarative
   :class:`~repro.core.problem.MatchingProblem`), and
-  :meth:`~MatchingEngine.match_many` — the batch API;
-* :class:`BatchReport` / :class:`BatchEntry` — per-pair witnesses plus
-  aggregate classical/quantum query accounting, rendered through
-  :mod:`repro.analysis.report` so batch output and the benchmark harness
-  share one format.
+  :meth:`~MatchingEngine.match_many` — the guarded per-pair dispatch the
+  service executors run, one :class:`BatchEntry` per pair.
 
-Oracle coercion happens in exactly one place (:meth:`MatchingEngine._coerce`).
-Within a :meth:`~MatchingEngine.match_many` call the coercions are cached,
-so matching one circuit against many partners — the template-matching
-workload — materialises its inverse once instead of once per pair; the
-cache dies with the batch, so mutating a circuit between calls can never
+Many-pair workloads (aggregates, tables, caching, stores) go through
+:meth:`repro.service.MatchingService.match_pairs`, which reaches the
+engine one pair at a time through :meth:`~MatchingEngine.match_many`.
+
+Oracle coercion happens in exactly one place (:meth:`MatchingEngine._coerce`)
+and is fresh for every pair, so mutating a circuit between calls can never
 leak a stale oracle.  The module-level :func:`repro.core.match` wrapper in
 :mod:`repro.core.dispatcher` delegates to a shared default engine.
 """
@@ -28,10 +26,9 @@ from __future__ import annotations
 
 import random as _random
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from repro.analysis.report import format_table
 from repro.core.equivalence import EquivalenceType
 from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
 from repro.core.registry import (
@@ -53,7 +50,6 @@ __all__ = [
     "MatchingConfig",
     "MatchingEngine",
     "BatchEntry",
-    "BatchReport",
     "get_default_engine",
 ]
 
@@ -72,10 +68,9 @@ class MatchingConfig:
             setting, exactly like :func:`repro.oracles.oracle.as_oracle`).
         max_queries: optional query budget applied to each oracle the
             engine builds; exceeding it raises
-            :class:`~repro.exceptions.QueryBudgetExceededError`.  The
-            budget is per matched pair: with a budget set, batch matching
-            coerces fresh oracles for every pair instead of reusing them,
-            so one pair's spending cannot starve another.
+            :class:`~repro.exceptions.QueryBudgetExceededError`.  Every
+            pair gets freshly coerced oracles, so the budget is per
+            matched pair and one pair's spending cannot starve another.
         fingerprint_scheme: which oracle-identity scheme the service
             layer's caches key on — ``"auto"`` (exact truth tables up to
             the width limit, sampled probes beyond), ``"exact"`` or
@@ -97,10 +92,10 @@ class MatchingConfig:
 
 @dataclass(frozen=True)
 class BatchEntry:
-    """One pair's outcome inside a :class:`BatchReport`.
+    """One pair's outcome from :meth:`MatchingEngine.match_many`.
 
     Attributes:
-        index: position of the pair in the submitted batch.
+        index: position of the pair in the submitted sequence.
         equivalence: the promised class for this pair.
         result: the witnesses, or ``None`` when the matcher failed.
         error: ``"ExceptionName: message"`` when the matcher failed.
@@ -120,124 +115,8 @@ class BatchEntry:
         return self.result is not None
 
 
-@dataclass(frozen=True)
-class BatchReport:
-    """Aggregated outcome of :meth:`MatchingEngine.match_many`.
-
-    Per-pair witnesses live in :attr:`entries`; the properties aggregate the
-    classical/quantum query accounting across the batch for
-    :mod:`repro.analysis`-style reporting.  Aggregates count the queries
-    of matched pairs: a pair whose matcher raised (budget exhausted,
-    promise violation) has no :class:`~repro.core.problem.MatchingResult`
-    to read counts from.
-
-    Attributes:
-        entries: one :class:`BatchEntry` per submitted pair, in order.
-        coerced_oracles: how many distinct oracles the batch coerced and
-            shared across pairs; 0 when a query budget disabled sharing.
-    """
-
-    entries: tuple[BatchEntry, ...]
-    coerced_oracles: int = 0
-
-    # -- aggregates ------------------------------------------------------------
-    @property
-    def num_pairs(self) -> int:
-        """Number of pairs submitted."""
-        return len(self.entries)
-
-    @property
-    def num_matched(self) -> int:
-        """Number of pairs for which witnesses were produced."""
-        return sum(1 for entry in self.entries if entry.matched)
-
-    @property
-    def num_failed(self) -> int:
-        """Number of pairs that raised instead of matching."""
-        return self.num_pairs - self.num_matched
-
-    @property
-    def classical_queries(self) -> int:
-        """Classical oracle queries spent by this batch."""
-        return sum(entry.result.queries for entry in self.entries if entry.result)
-
-    @property
-    def quantum_queries(self) -> int:
-        """Quantum oracle queries spent by this batch."""
-        return sum(
-            entry.result.quantum_queries for entry in self.entries if entry.result
-        )
-
-    @property
-    def swap_tests(self) -> int:
-        """Swap tests performed by this batch."""
-        return sum(entry.result.swap_tests for entry in self.entries if entry.result)
-
-    @property
-    def total_queries(self) -> int:
-        """Classical plus quantum queries across the batch."""
-        return self.classical_queries + self.quantum_queries
-
-    # -- accessors -------------------------------------------------------------
-    def results(self) -> list[MatchingResult]:
-        """The per-pair witnesses of the successfully matched pairs."""
-        return [entry.result for entry in self.entries if entry.result is not None]
-
-    def failures(self) -> list[BatchEntry]:
-        """The entries that failed to match."""
-        return [entry for entry in self.entries if not entry.matched]
-
-    def as_rows(self) -> list[tuple[object, ...]]:
-        """Table rows (index, class, matcher, status, queries, quantum)."""
-        rows: list[tuple[object, ...]] = []
-        for entry in self.entries:
-            if entry.result is not None:
-                rows.append(
-                    (
-                        entry.index,
-                        entry.equivalence.label,
-                        entry.matcher or "-",
-                        "ok",
-                        entry.result.queries,
-                        entry.result.quantum_queries,
-                    )
-                )
-            else:
-                # Registry-generated messages are multi-line; keep the table
-                # rectangular and leave the full text on entry.error.
-                status = (entry.error or "failed").splitlines()[0]
-                rows.append(
-                    (
-                        entry.index,
-                        entry.equivalence.label,
-                        entry.matcher or "-",
-                        status,
-                        0,
-                        0,
-                    )
-                )
-        return rows
-
-    def to_table(self, title: str | None = None) -> str:
-        """Render the batch through :func:`repro.analysis.report.format_table`."""
-        return format_table(
-            ["#", "class", "matcher", "status", "queries", "quantum"],
-            self.as_rows(),
-            title=title,
-        )
-
-    def summary(self) -> str:
-        """One-line aggregate: matched count and query totals."""
-        return (
-            f"{self.num_matched}/{self.num_pairs} matched, "
-            f"{self.classical_queries} classical + "
-            f"{self.quantum_queries} quantum queries "
-            f"({self.swap_tests} swap tests)"
-        )
-
-
 class MatchingEngine:
-    """Facade over the matcher registry for single and batch matching.
+    """Facade over the matcher registry: configured per-pair matching.
 
     Args:
         config: the :class:`MatchingConfig` policy; defaults are the
@@ -283,35 +162,20 @@ class MatchingEngine:
         return self._registry
 
     # -- coercion (the single place dispatch builds oracles) -------------------
-    def _coerce(self, target, with_inverse: bool, cache: dict | None):
+    def _coerce(self, target, with_inverse: bool):
         """Coerce one matcher argument — the only coercion site on dispatch.
 
         Pre-built classical or quantum oracles pass through untouched (their
         own inverse/budget settings win).  Circuits and permutations are
-        wrapped; when a batch-scoped ``cache`` is supplied the wrapper is
-        reused per ``(object, with_inverse)`` so a circuit appearing in many
-        pairs materialises its inverse once.  The cache keeps the original
-        object alive, pinning its id against recycling, and dies with the
-        batch.  A configured query budget disables reuse — the budget is
-        per-oracle, so sharing one oracle across pairs would let early
-        pairs starve later ones.
+        wrapped fresh, carrying the configured query budget.
         """
         if isinstance(target, (ReversibleOracle, QuantumCircuitOracle)):
             return target
-        reusable = cache is not None and self._config.max_queries is None
-        key = (id(target), with_inverse)
-        if reusable:
-            cached = cache.get(key)
-            if cached is not None:
-                return cached[1]
-        oracle = as_oracle(
+        return as_oracle(
             target,
             with_inverse=with_inverse,
             max_queries=self._config.max_queries,
         )
-        if reusable:
-            cache[key] = (target, oracle)
-        return oracle
 
     def _context(
         self,
@@ -344,7 +208,6 @@ class MatchingEngine:
         circuit1,
         circuit2,
         equivalence: EquivalenceType | str,
-        cache: dict | None,
         *,
         epsilon: float | None = None,
         rng: _random.Random | int | None = None,
@@ -361,8 +224,8 @@ class MatchingEngine:
         if isinstance(equivalence, str):
             equivalence = EquivalenceType.from_label(equivalence)
         grant = self._config.with_inverse if with_inverse is None else with_inverse
-        oracle1 = self._coerce(circuit1, grant, cache)
-        oracle2 = self._coerce(circuit2, grant, cache)
+        oracle1 = self._coerce(circuit1, grant)
+        oracle2 = self._coerce(circuit2, grant)
         ctx = self._context(
             epsilon=epsilon,
             rng=rng,
@@ -395,7 +258,6 @@ class MatchingEngine:
             circuit1,
             circuit2,
             equivalence,
-            None,
             with_inverse=with_inverse,
             allow_quantum=allow_quantum,
             allow_brute_force=allow_brute_force,
@@ -419,9 +281,7 @@ class MatchingEngine:
         """Match one pair under a promised equivalence class.
 
         Keyword overrides fall back to the engine's config; semantics are
-        those of :func:`repro.core.match`.  Oracles are coerced fresh for
-        every call (no caching outside :meth:`match_many`), so mutating a
-        circuit between calls is always safe.
+        those of :func:`repro.core.match`.
 
         Raises:
             UnsupportedEquivalenceError: when no registered matcher is
@@ -431,7 +291,6 @@ class MatchingEngine:
             circuit1,
             circuit2,
             equivalence,
-            None,
             epsilon=epsilon,
             rng=rng,
             allow_quantum=allow_quantum,
@@ -465,113 +324,64 @@ class MatchingEngine:
 
     def match_many(
         self,
-        pairs: Iterable[Sequence],
+        pairs: Iterable[tuple],
         *,
-        equivalence: EquivalenceType | str | None = None,
         rng: _random.Random | int | None = None,
-        stop_on_error: bool = False,
-        on_entry=None,
-    ) -> BatchReport:
-        """Match a batch of circuit pairs and aggregate query statistics.
+    ) -> list[BatchEntry]:
+        """Match ``(circuit1, circuit2, equivalence)`` triples, one entry each.
 
-        Args:
-            pairs: an iterable of ``(circuit1, circuit2)`` or
-                ``(circuit1, circuit2, equivalence)`` tuples; the per-pair
-                equivalence wins over the batch-wide one.
-            equivalence: batch-wide default class for 2-tuples.
-            rng: randomness shared by the whole batch.
-            stop_on_error: re-raise the first matcher failure instead of
-                recording it as a failed entry.
-            on_entry: optional per-entry callback, invoked with each
-                :class:`BatchEntry` (matched or failed alike) the
-                moment it is settled, so a caller sees results while
-                later pairs are still matching — the core-layer streaming
-                hook for progress reporting over large batches.
-
-        Returns:
-            A :class:`BatchReport` with one :class:`BatchEntry` per pair
-            plus aggregate classical/quantum query totals over the matched
-            pairs.  Oracle coercion is cached for the duration of the call,
-            so a circuit appearing in many pairs is wrapped (and its
-            inverse materialised) only once — unless a query budget is
-            configured, in which case every pair gets fresh oracles so the
-            budget applies per pair.
+        The guarded per-pair dispatch the service executors run: a
+        :class:`~repro.exceptions.ReproError` (no eligible matcher, budget
+        exhausted, promise violation) becomes a failed :class:`BatchEntry`
+        instead of propagating, and every settled pair feeds the
+        ``repro_engine_*`` metrics.  ``rng`` is shared by all the pairs.
         """
-        if isinstance(equivalence, str):
-            equivalence = EquivalenceType.from_label(equivalence)
-        cache: dict = {}
-        entries: list[BatchEntry] = []
         metrics = self._metrics
-
-        def settle(entry: BatchEntry) -> None:
-            entries.append(entry)
-            if metrics is not None:
-                status = "ok" if entry.matched else "failed"
-                metrics.counter("repro_engine_pairs_total").inc(status=status)
-                if entry.matched:
-                    if entry.result.queries:
-                        metrics.counter("repro_engine_queries_total").inc(
-                            entry.result.queries, kind="classical"
-                        )
-                    if entry.result.quantum_queries:
-                        metrics.counter("repro_engine_queries_total").inc(
-                            entry.result.quantum_queries, kind="quantum"
-                        )
-            if on_entry is not None:
-                on_entry(entry)
-
-        for index, pair in enumerate(pairs):
-            if len(pair) == 3:
-                circuit1, circuit2, pair_equivalence = pair
-            elif len(pair) == 2:
-                circuit1, circuit2 = pair
-                pair_equivalence = equivalence
-            else:
-                raise ValueError(
-                    f"pair #{index} has {len(pair)} elements; expected "
-                    "(c1, c2) or (c1, c2, equivalence)"
-                )
-            if pair_equivalence is None:
-                raise ValueError(
-                    f"pair #{index} names no equivalence class and no "
-                    "batch-wide default was given"
-                )
-            if isinstance(pair_equivalence, str):
-                pair_equivalence = EquivalenceType.from_label(pair_equivalence)
+        entries: list[BatchEntry] = []
+        for index, (circuit1, circuit2, equivalence) in enumerate(pairs):
+            if isinstance(equivalence, str):
+                equivalence = EquivalenceType.from_label(equivalence)
             matcher_name: str | None = None
             dispatch_started = time.perf_counter()
             try:
                 spec, oracle1, oracle2, problem, ctx = self._prepare(
-                    circuit1, circuit2, pair_equivalence, cache, rng=rng
+                    circuit1, circuit2, equivalence, rng=rng
                 )
                 matcher_name = spec.name
                 result = spec(oracle1, oracle2, problem, ctx)
             except ReproError as error:
-                if stop_on_error:
-                    raise
-                settle(
-                    BatchEntry(
-                        index=index,
-                        equivalence=pair_equivalence,
-                        result=None,
-                        error=f"{type(error).__name__}: {error}",
-                        matcher=matcher_name,
-                    )
+                entry = BatchEntry(
+                    index=index,
+                    equivalence=equivalence,
+                    result=None,
+                    error=f"{type(error).__name__}: {error}",
+                    matcher=matcher_name,
                 )
             else:
+                entry = BatchEntry(
+                    index=index,
+                    equivalence=equivalence,
+                    result=result,
+                    matcher=matcher_name,
+                )
                 if metrics is not None:
                     metrics.histogram("repro_engine_match_seconds").observe(
                         time.perf_counter() - dispatch_started
                     )
-                settle(
-                    BatchEntry(
-                        index=index,
-                        equivalence=pair_equivalence,
-                        result=result,
-                        matcher=matcher_name,
-                    )
+                    for kind, count in (
+                        ("classical", result.queries),
+                        ("quantum", result.quantum_queries),
+                    ):
+                        if count:
+                            metrics.counter("repro_engine_queries_total").inc(
+                                count, kind=kind
+                            )
+            if metrics is not None:
+                metrics.counter("repro_engine_pairs_total").inc(
+                    status="ok" if entry.matched else "failed"
                 )
-        return BatchReport(entries=tuple(entries), coerced_oracles=len(cache))
+            entries.append(entry)
+        return entries
 
     # -- reconfiguration -------------------------------------------------------
     def with_config(self, **changes) -> "MatchingEngine":

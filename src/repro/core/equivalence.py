@@ -13,8 +13,8 @@ This module provides:
 
 * :class:`SideCondition` and :class:`EquivalenceType` — the conditions and
   the 16 classes with convenient accessors;
-* :func:`domination_lattice` — the Fig. 1 domination DAG (as a networkx
-  graph), and :func:`dominates`;
+* :func:`dominates` and :func:`domination_edges` — the Fig. 1 domination
+  relation, in full or reduced to its Hasse diagram;
 * :class:`Hardness` and :func:`classify` — the complexity classification of
   Fig. 1 (classically easy, quantum easy, conditionally easy, UNIQUE-SAT
   hard);
@@ -29,15 +29,12 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import networkx as nx
-
 __all__ = [
     "SideCondition",
     "EquivalenceType",
     "Hardness",
     "classify",
     "dominates",
-    "domination_lattice",
     "domination_edges",
     "Table1Row",
     "TABLE1_ROWS",
@@ -178,31 +175,31 @@ def dominates(upper: EquivalenceType, lower: EquivalenceType) -> bool:
     ) and upper.output_condition.subsumes(lower.output_condition)
 
 
-def domination_lattice() -> nx.DiGraph:
-    """The full domination relation of the 16 classes as a directed graph.
+def domination_edges(hasse: bool = True) -> list[tuple[EquivalenceType, EquivalenceType]]:
+    """The domination edges, optionally reduced to the Hasse diagram of Fig. 1.
 
     Edges point from the dominating (more general) class to the dominated
-    (more specific) one, matching Fig. 1.  Self-loops are omitted.  Node
-    attributes carry the :class:`Hardness` classification.
+    (more specific) one, matching Fig. 1; self-loops are omitted.  With
+    ``hasse`` an edge ``(u, w)`` is dropped when some ``v`` has ``u -> v``
+    and ``v -> w`` (domination is transitive, so this is the transitive
+    reduction).
     """
-    graph = nx.DiGraph()
-    for equivalence in EquivalenceType:
-        graph.add_node(equivalence, hardness=classify(equivalence))
-    for upper in EquivalenceType:
-        for lower in EquivalenceType:
-            if upper is lower:
-                continue
-            if dominates(upper, lower):
-                graph.add_edge(upper, lower)
-    return graph
-
-
-def domination_edges(hasse: bool = True) -> list[tuple[EquivalenceType, EquivalenceType]]:
-    """The domination edges, optionally reduced to the Hasse diagram of Fig. 1."""
-    graph = domination_lattice()
+    edges = {
+        (upper, lower)
+        for upper in EquivalenceType
+        for lower in EquivalenceType
+        if upper is not lower and dominates(upper, lower)
+    }
     if hasse:
-        graph = nx.transitive_reduction(graph)
-    return sorted(graph.edges(), key=lambda edge: (edge[0].label, edge[1].label))
+        edges = {
+            (upper, lower)
+            for upper, lower in edges
+            if not any(
+                (upper, middle) in edges and (middle, lower) in edges
+                for middle in EquivalenceType
+            )
+        }
+    return sorted(edges, key=lambda edge: (edge[0].label, edge[1].label))
 
 
 # ---------------------------------------------------------------------------

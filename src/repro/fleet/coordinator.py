@@ -50,7 +50,7 @@ from repro.service.events import (
     RunStarted,
     event_from_dict,
 )
-from repro.service.pipeline import merge_stores
+from repro.service.pipeline import ResultStore, merge_stores
 from repro.service.workload import MANIFEST_NAME, CorpusManifest
 
 __all__ = [
@@ -408,17 +408,9 @@ class FleetCoordinator:
         merged_records = merge_stores(
             output_path, [shard.store_path for shard in shards]
         )
-        matched = 0
-        failed = 0
-        with open(output_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record.get("result"):
-                    matched += 1
-                else:
-                    failed += 1
+        merged = ResultStore(output_path).read_records()
+        matched = sum(1 for record in merged if record.get("result"))
+        failed = len(merged) - matched
         elapsed = self._finish_run("completed", started)
         with self._lock:
             executed = self._executed

@@ -68,7 +68,7 @@ METRIC_CATALOG = {
     },
     "repro_engine_pairs_total": {
         "type": "counter",
-        "help": "Pairs settled by MatchingEngine.match_many, by status.",
+        "help": "Pairs settled by the engine, by status.",
     },
     "repro_engine_queries_total": {
         "type": "counter",

@@ -59,7 +59,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache, TieredCache, build_cache
 from repro.service.events import Observer, event_from_dict
 from repro.service.executor import Executor, OverlapExecutor, SerialExecutor
-from repro.service.framed import FramedServer, Session
+from repro.service.framed import MAX_FRAME_CHARS, FramedServer, Session
 from repro.service.pipeline import MatchingService, ResultStore, parse_shard
 from repro.service.workload import MANIFEST_NAME
 
@@ -666,8 +666,8 @@ class MatchingDaemon(FramedServer):
         """Ship a run's JSONL store to the client, record by record.
 
         Records come back in file order (the store is append-only, so
-        that is completion order); torn lines are skipped and counted,
-        exactly like :meth:`ResultStore.load` would on resume.  The op
+        that is completion order), read by :meth:`ResultStore.read_records`,
+        so torn lines are skipped and counted exactly as on resume.  The op
         works in any run state — a cancelled or failed run's partial
         store is precisely what the fleet coordinator needs to reassign
         its shard without re-querying settled pairs.
@@ -675,31 +675,15 @@ class MatchingDaemon(FramedServer):
         job = self._get_job(frame)
         if isinstance(job, str):
             return self._error(job)
-        records: list[dict] = []
-        torn_lines = 0
-        path = Path(job.store)
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        torn_lines += 1
-                        continue
-                    if isinstance(record, dict):
-                        records.append(record)
-                    else:
-                        torn_lines += 1
+        store = ResultStore(job.store)
+        records = store.read_records()
         return self._ok(
             op="fetch_store",
             run_id=job.run_id,
             state=job.state,
             store=job.store,
             records=records,
-            torn_lines=torn_lines,
+            torn_lines=store.torn_lines,
         )
 
     def _handle_events(self, frame: dict, session: Session) -> dict:
@@ -997,7 +981,7 @@ class DaemonClient:
     # -- framing ---------------------------------------------------------------
     def _read_frame(self) -> dict:
         try:
-            line = self._reader.readline()
+            line = self._reader.readline(MAX_FRAME_CHARS + 1)
         except TimeoutError:
             # The connection is up but quiet — distinct from a loss, so
             # heartbeat-style callers (the fleet coordinator) can probe
@@ -1011,6 +995,14 @@ class DaemonClient:
             ) from None
         if not line:
             raise DaemonConnectionError("daemon closed the connection")
+        if len(line) > MAX_FRAME_CHARS and not line.endswith("\n"):
+            # The rest of the line is still in flight and there is no frame
+            # boundary to resynchronise on: drop the connection.
+            self.close()
+            raise DaemonError(
+                f"frame too large: response lines are capped at "
+                f"{MAX_FRAME_CHARS} characters"
+            )
         try:
             frame = json.loads(line)
         except json.JSONDecodeError as error:

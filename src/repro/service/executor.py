@@ -127,13 +127,12 @@ def derive_seed(base_seed: int | None, index: int) -> int | None:
 
 
 def _execute_task(engine: MatchingEngine, task: PairTask) -> TaskOutcome:
-    """Run one task through the engine's batch path (shared error format)."""
+    """Run one task through the engine's guarded dispatch (shared error format)."""
     started = time.perf_counter()
-    report = engine.match_many(
+    [entry] = engine.match_many(
         [(task.circuit1, task.circuit2, task.equivalence)], rng=task.seed
     )
     duration_s = time.perf_counter() - started
-    entry = report.entries[0]
     return TaskOutcome(
         index=task.index,
         pair_id=task.pair_id,

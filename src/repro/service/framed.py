@@ -40,7 +40,8 @@ __all__ = ["MAX_FRAME_CHARS", "FramedServer", "Session"]
 #: the largest frame any repro client sends (a fleet ``records``
 #: pre-seed submit); a longer line gets one ``frame too large`` error frame
 #: and the connection is closed, since there is no frame boundary to
-#: resynchronise on mid-line.
+#: resynchronise on mid-line.  ``DaemonClient`` bounds response lines the
+#: same way.
 MAX_FRAME_CHARS = 64 * 2**20
 
 #: Ops served before the ``auth`` handshake: liveness and the version

@@ -124,15 +124,15 @@ _NULL_TRACER = _NullTracer()
 class ResultStore:
     """Append-only JSONL store of per-pair run records, keyed by pair id.
 
-    One JSON object per line; :meth:`load` tolerates a torn final line (a
+    One JSON object per line; the readers tolerate a torn final line (a
     crash mid-append) by skipping, with a warning, anything that does not
-    parse — which is exactly what resume needs: the half-written pair is
-    simply re-run.
+    parse as an object — which is exactly what resume needs: the
+    half-written pair is simply re-run.
     """
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
-        #: Unparseable lines skipped by the most recent :meth:`load` —
+        #: Torn lines skipped by the most recent read —
         #: surfaced as the ``repro_store_torn_lines`` gauge and in
         #: ``repro report``, so silent corruption stays visible.
         self.torn_lines = 0
@@ -147,15 +147,16 @@ class ResultStore:
         """Whether the store file exists on disk."""
         return self._path.exists()
 
-    def load(self) -> dict[str, dict]:
-        """Read all complete records, newest occurrence of each pair winning.
+    def read_records(self) -> list[dict]:
+        """Every record in file order (append order, duplicates included).
 
-        Unparseable lines (a crash mid-append leaves at most one, at the
-        end) are skipped with a :class:`UserWarning` naming the line, so a
-        resume both survives the torn record and tells the operator it
-        happened; :attr:`torn_lines` counts them for this load.
+        A line that does not parse as a JSON object — a crash mid-append
+        leaves at most one, at the end — is torn: it is skipped with a
+        :class:`UserWarning` naming the line and counted in
+        :attr:`torn_lines`, so a resume both survives the torn record and
+        tells the operator it happened.
         """
-        records: dict[str, dict] = {}
+        records: list[dict] = []
         self.torn_lines = 0
         if not self.exists:
             return records
@@ -167,17 +168,29 @@ class ResultStore:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
+                    record = None
+                if not isinstance(record, dict):
                     self.torn_lines += 1
                     warnings.warn(
                         f"{self._path}:{lineno}: skipping truncated or "
                         "malformed record (crash mid-append?); the pair "
                         "will be re-run on resume",
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                     continue
-                pair_id = record.get("pair_id")
-                if isinstance(pair_id, str):
-                    records[pair_id] = record
+                records.append(record)
+        return records
+
+    def load(self) -> dict[str, dict]:
+        """All complete records by pair id, newest occurrence winning.
+
+        Torn lines are skipped and counted as by :meth:`read_records`.
+        """
+        records: dict[str, dict] = {}
+        for record in self.read_records():
+            pair_id = record.get("pair_id")
+            if isinstance(pair_id, str):
+                records[pair_id] = record
         return records
 
     def touch(self) -> None:
@@ -1014,7 +1027,7 @@ class MatchingService:
         *,
         with_digests: bool = False,
     ) -> list[_Unit]:
-        """Normalise match-many-shaped pairs into positioned units.
+        """Normalise ``(c1, c2[, equivalence])`` pairs into positioned units.
 
         Ad-hoc pairs get deterministic ``pair-NNNN`` ids from their batch
         position, so a pair stream attached to a result store is resumable
@@ -1066,8 +1079,8 @@ class MatchingService:
         """Execute in-memory pairs as a stream of lifecycle events.
 
         The pair-list counterpart of :meth:`stream`: accepts ``(circuit1,
-        circuit2)`` or ``(circuit1, circuit2, equivalence)`` tuples exactly
-        like :meth:`repro.core.engine.MatchingEngine.match_many`.  Each
+        circuit2)`` tuples, which take the ``equivalence`` default, or
+        ``(circuit1, circuit2, equivalence)`` tuples.  Each
         pair is assigned the deterministic id ``pair-NNNN`` from its batch
         position, so attaching a ``store_path`` makes ad-hoc submissions
         resumable (``resume=True`` skips ids the store already answered) —
@@ -1111,7 +1124,7 @@ class MatchingService:
         seed: int | None = None,
         observers: Sequence[Observer] | None = None,
     ) -> ServiceReport:
-        """Run in-memory pairs (the :meth:`match_many` shape) as a pipeline.
+        """Run in-memory pairs (the :meth:`stream_pairs` shape) as a pipeline.
 
         A thin consumer of :meth:`stream_pairs` with the service's cache,
         executor and observers in the loop.  No store is involved — pass

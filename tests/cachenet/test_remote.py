@@ -10,13 +10,20 @@ hit or miss, one answered locally is not.
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 import repro.cachenet.remote as remote_module
+import repro.service.daemon as daemon_module
 from repro.cachenet import CacheServer, RemoteCache
 from repro.exceptions import DaemonError
 from repro.obs.metrics import MetricsRegistry
-from repro.service import LRUCache, TieredCache, build_cache
+from repro.circuits.random import random_circuit
+from repro.core import EquivalenceType, make_instance
+from repro.service import LRUCache, MatchingService, TieredCache, build_cache
+from tests.wire import ReplyServer
 
 
 @pytest.fixture
@@ -131,6 +138,21 @@ class TestPrefetch:
         assert remote.get("k3") == {"v": 3}
 
 
+    def test_prefetch_sends_each_repeated_key_once(self, server, monkeypatch):
+        monkeypatch.setattr(remote_module, "GET_MANY_LIMIT", 2)
+        remote = RemoteCache.from_address(server.address)
+        metrics = MetricsRegistry()
+        remote.bind_metrics(metrics)
+        try:
+            remote.prefetch(["a", "b", "a", "c", "b", "a"])
+            # a, b and c in first-seen order: chunks [a, b] and [c].
+            assert server.cache.stats.lookups == 3
+            requests = metrics.counter("repro_cachenet_requests_total")
+            assert requests.value(op="get_many") == 2
+        finally:
+            remote.close()
+
+
 class TestDegradation:
     def test_dead_server_degrades_after_one_reconnect(self, server):
         remote = RemoteCache.from_address(server.address)
@@ -185,6 +207,30 @@ class TestDegradation:
             assert requests.value(op="get_many") == 1
         finally:
             remote.close()
+
+
+    def test_over_limit_responses_degrade_instead_of_failing_the_run(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(daemon_module, "MAX_FRAME_CHARS", 64)
+        server = ReplyServer(json.dumps({"ok": True, "pad": "x" * 200}))
+        try:
+            remote = RemoteCache.from_address(server.address)
+            assert remote.get("k") is None
+            assert remote.degraded is True
+            assert remote.errors == 2  # the oversized frame and the retry
+            assert server.connections == 2
+            # A run over a stack with this tier behind it still succeeds.
+            rng = random.Random(5)
+            base = random_circuit(4, 10, rng)
+            pairs = [make_instance(base, EquivalenceType.I_N, rng)[:2]]
+            service = MatchingService(
+                cache=TieredCache(LRUCache(), RemoteCache.from_address(server.address))
+            )
+            report = service.match_pairs(pairs, equivalence="I-N", seed=1)
+            assert report.matched == 1 and report.failed == 0
+        finally:
+            server.close()
 
 
 class TestTiering:

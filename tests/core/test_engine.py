@@ -1,6 +1,8 @@
-"""Unit tests for the MatchingEngine facade and the batch API."""
+"""Unit tests for the MatchingEngine facade and its per-pair dispatch."""
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -13,7 +15,7 @@ from repro.core import (
     make_instance,
     verify_match,
 )
-from repro.core.engine import BatchReport, get_default_engine
+from repro.core.engine import BatchEntry, get_default_engine
 from repro.exceptions import (
     QueryBudgetExceededError,
     UnsupportedEquivalenceError,
@@ -128,6 +130,8 @@ class TestEngineSolve:
 
 
 class TestMatchMany:
+    """The guarded per-pair dispatch the service executors run."""
+
     def _pairs(self, rng, labels):
         base = random_circuit(4, 14, rng)
         pairs = []
@@ -137,122 +141,84 @@ class TestMatchMany:
             pairs.append((c1, c2, equivalence))
         return pairs
 
-    def test_aggregates_query_totals(self, rng):
+    def test_one_entry_per_triple_in_order(self, rng):
         pairs = self._pairs(rng, ["I-N", "I-P", "P-I", "N-I"])
-        engine = MatchingEngine()
-        report = engine.match_many(pairs, rng=rng)
-        assert isinstance(report, BatchReport)
-        assert report.num_pairs == 4
-        assert report.num_matched == 4
-        assert report.num_failed == 0
-        assert report.classical_queries == sum(
-            entry.result.queries for entry in report.entries
-        )
-        assert report.quantum_queries == sum(
-            entry.result.quantum_queries for entry in report.entries
-        )
-        assert report.total_queries == (
-            report.classical_queries + report.quantum_queries
-        )
+        entries = MatchingEngine().match_many(pairs, rng=rng)
+        assert all(isinstance(entry, BatchEntry) for entry in entries)
+        assert [entry.index for entry in entries] == [0, 1, 2, 3]
+        assert all(entry.matched and entry.error is None for entry in entries)
         # N-I without an inverse runs on the quantum tier.
-        assert report.quantum_queries > 0
-        assert report.swap_tests > 0
+        assert entries[3].result.quantum_queries > 0
+        assert entries[3].matcher == "n-i/swap-test"
 
     def test_per_pair_witnesses_verify(self, rng):
         pairs = self._pairs(rng, ["I-N", "P-I", "I-NP"])
-        report = MatchingEngine().match_many(pairs, rng=rng)
-        for (c1, c2, equivalence), entry in zip(pairs, report.entries):
+        entries = MatchingEngine().match_many(pairs, rng=rng)
+        for (c1, c2, equivalence), entry in zip(pairs, entries):
             assert entry.matched
             assert entry.equivalence is equivalence
             assert verify_match(c1, c2, equivalence, entry.result)
-
-    def test_batch_default_equivalence_applies_to_two_tuples(self, rng):
-        base = random_circuit(4, 14, rng)
-        c1, c2, _ = make_instance(base, EquivalenceType.I_N, rng)
-        report = MatchingEngine().match_many([(c1, c2)], equivalence="I-N")
-        assert report.num_matched == 1
 
     def test_failures_are_recorded_not_raised(self, rng):
         base = random_circuit(3, 8, rng)
         good1, good2, _ = make_instance(base, EquivalenceType.I_N, rng)
         hard1, hard2, _ = make_instance(base, EquivalenceType.P_P, rng)
-        report = MatchingEngine().match_many(
+        good, hard = MatchingEngine().match_many(
             [
                 (good1, good2, EquivalenceType.I_N),
                 (hard1, hard2, EquivalenceType.P_P),
             ]
         )
-        assert report.num_matched == 1
-        assert report.num_failed == 1
-        failure = report.failures()[0]
-        assert failure.error is not None
-        assert "UnsupportedEquivalenceError" in failure.error
-        assert report.classical_queries == report.entries[0].result.queries
-
-    def test_stop_on_error_reraises(self, rng):
-        base = random_circuit(3, 8, rng)
-        hard1, hard2, _ = make_instance(base, EquivalenceType.P_P, rng)
-        with pytest.raises(UnsupportedEquivalenceError):
-            MatchingEngine().match_many(
-                [(hard1, hard2, EquivalenceType.P_P)], stop_on_error=True
-            )
-
-    def test_on_entry_streams_results_as_they_settle(self, rng):
-        """The per-entry callback sees every entry — matched and failed —
-        in batch order, each before the next pair is dispatched."""
-        base = random_circuit(3, 8, rng)
-        good1, good2, _ = make_instance(base, EquivalenceType.I_N, rng)
-        hard1, hard2, _ = make_instance(base, EquivalenceType.P_P, rng)
-        seen = []
-        report = MatchingEngine().match_many(
-            [
-                (good1, good2, EquivalenceType.I_N),
-                (hard1, hard2, EquivalenceType.P_P),
-            ],
-            on_entry=seen.append,
-        )
-        assert seen == list(report.entries)
-        assert [entry.index for entry in seen] == [0, 1]
-        assert seen[0].matched and not seen[1].matched
-
-    def test_oracle_coercion_reused_across_pairs(self, rng):
-        base = random_circuit(4, 14, rng)
-        template = base
-        partners = []
-        for _ in range(3):
-            c1, _, _ = make_instance(template, EquivalenceType.I_N, rng)
-            partners.append(c1)
-        engine = MatchingEngine(MatchingConfig(with_inverse=True))
-        report = engine.match_many(
-            [(partner, template) for partner in partners],
-            equivalence=EquivalenceType.I_N,
-        )
-        assert report.num_matched == 3
-        # 3 distinct partners + 1 shared template, coerced once each.
-        assert report.coerced_oracles == 4
+        assert good.matched
+        assert not hard.matched and hard.result is None
+        assert "UnsupportedEquivalenceError" in hard.error
+        assert hard.matcher is None  # resolution itself failed
 
     def test_budget_failures_recorded_per_pair(self, rng):
         base = random_circuit(4, 14, rng)
         c1, c2, _ = make_instance(base, EquivalenceType.I_P, rng)
         engine = MatchingEngine(MatchingConfig(max_queries=1))
-        report = engine.match_many([(c1, c2, EquivalenceType.I_P)], rng=rng)
-        assert report.num_failed == 1
-        assert "QueryBudgetExceededError" in report.failures()[0].error
+        [entry] = engine.match_many([(c1, c2, EquivalenceType.I_P)], rng=rng)
+        assert not entry.matched
+        assert "QueryBudgetExceededError" in entry.error
+        assert entry.matcher is not None  # resolved, then ran out of budget
 
     def test_budget_applies_per_pair_not_across_batch(self, rng):
-        # A shared circuit must not let early pairs starve later ones: with
-        # a budget the engine coerces fresh oracles per pair.
+        # A shared circuit must not let early pairs starve later ones:
+        # every pair gets freshly coerced oracles.
         base = random_circuit(4, 14, rng)
         partners = [
             make_instance(base, EquivalenceType.I_N, rng)[0] for _ in range(3)
         ]
         engine = MatchingEngine(MatchingConfig(max_queries=2))
-        report = engine.match_many(
-            [(partner, base) for partner in partners],
-            equivalence=EquivalenceType.I_N,
+        entries = engine.match_many(
+            [(partner, base, EquivalenceType.I_N) for partner in partners]
         )
-        assert report.num_matched == 3  # I-N costs 2 queries per pair
-        assert report.coerced_oracles == 0  # sharing disabled under budget
+        assert all(entry.matched for entry in entries)  # I-N costs 2 each
+
+    def test_metrics_count_every_settled_pair(self, rng):
+        from repro.obs.metrics import MetricsRegistry
+
+        base = random_circuit(3, 8, rng)
+        good1, good2, _ = make_instance(base, EquivalenceType.I_N, rng)
+        hard1, hard2, _ = make_instance(base, EquivalenceType.P_P, rng)
+        metrics = MetricsRegistry()
+        [good, _] = MatchingEngine(metrics=metrics).match_many(
+            [
+                (good1, good2, EquivalenceType.I_N),
+                (hard1, hard2, EquivalenceType.P_P),
+            ]
+        )
+        pairs = metrics.counter("repro_engine_pairs_total")
+        assert pairs.value(status="ok") == 1
+        assert pairs.value(status="failed") == 1
+        queries = metrics.counter("repro_engine_queries_total")
+        assert queries.value(kind="classical") == good.result.queries
+        assert metrics.histogram("repro_engine_match_seconds").count() == 1
+
+    def test_rng_is_the_only_option(self):
+        parameters = inspect.signature(MatchingEngine.match_many).parameters
+        assert list(parameters) == ["self", "pairs", "rng"]
 
     def test_malformed_pairs_raise_value_error(self, rng):
         base = random_circuit(3, 8, rng)
@@ -260,17 +226,7 @@ class TestMatchMany:
         with pytest.raises(ValueError):
             engine.match_many([(base,)])
         with pytest.raises(ValueError):
-            engine.match_many([(base, base)])  # no class anywhere
-
-    def test_report_renders_through_analysis_table(self, rng):
-        pairs = self._pairs(rng, ["I-N", "P-I"])
-        report = MatchingEngine().match_many(pairs, rng=rng)
-        table = report.to_table(title="demo")
-        assert "demo" in table
-        assert "matcher" in table
-        assert "i-n/zero-probe" in table
-        summary = report.summary()
-        assert "2/2 matched" in summary
+            engine.match_many([(base, base)])  # no class
 
 
 class TestDefaultEngine:

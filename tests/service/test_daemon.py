@@ -15,6 +15,7 @@ from collections.abc import Iterable, Iterator
 
 import pytest
 
+import repro.service.daemon as daemon_module
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.exceptions import DaemonError
@@ -29,6 +30,7 @@ from repro.service import (
 )
 from repro.service.executor import PairTask, TaskOutcome
 from repro.service.pipeline import ResultStore
+from tests.wire import ReplyServer
 
 TIMEOUT = 30.0
 
@@ -662,9 +664,58 @@ class TestFetchStore:
             assert client.watch(ack["run_id"]) == RunState.COMPLETED
             with open(ack["store"], "a", encoding="utf-8") as handle:
                 handle.write('{"pair_id": "torn')
-            response = client.fetch_store(ack["run_id"])
+            with pytest.warns(UserWarning, match=":3: skipping"):
+                response = client.fetch_store(ack["run_id"])
             assert response["torn_lines"] == 1
             assert len(response["records"]) == 2
+
+    def test_non_object_line_is_skipped_and_counted(self, daemon, corpus):
+        with client_for(daemon) as client:
+            ack = client.submit(str(corpus), seed=7)
+            assert client.watch(ack["run_id"]) == RunState.COMPLETED
+            with open(ack["store"], "a", encoding="utf-8") as handle:
+                handle.write("[1, 2]\n")
+            with pytest.warns(UserWarning, match=":3: skipping"):
+                response = client.fetch_store(ack["run_id"])
+            assert response["torn_lines"] == 1
+            assert len(response["records"]) == 2
+            assert all(isinstance(r, dict) for r in response["records"])
+
+
+class TestClientFrameLimit:
+    """DaemonClient bounds response lines by the servers' MAX_FRAME_CHARS."""
+
+    @pytest.fixture
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "MAX_FRAME_CHARS", 64)
+
+    def test_over_limit_response_raises_and_closes(self, small_limit):
+        server = ReplyServer(json.dumps({"ok": True, "pad": "x" * 200}))
+        client = DaemonClient.from_address(server.address, timeout=TIMEOUT)
+        try:
+            with pytest.raises(DaemonError, match="frame too large"):
+                client.ping()
+            # The connection was dropped: the next request dials afresh.
+            with pytest.raises(DaemonError, match="frame too large"):
+                client.ping()
+            assert server.connections == 2
+        finally:
+            client.close()
+            server.close()
+
+    def test_response_at_the_limit_is_read(self, small_limit):
+        reply = json.dumps({"ok": True, "pad": ""})
+        reply = json.dumps({"ok": True, "pad": "x" * (64 - len(reply))})
+        assert len(reply) == 64
+        server = ReplyServer(reply)
+        client = DaemonClient.from_address(server.address, timeout=TIMEOUT)
+        try:
+            assert client.ping() == json.loads(reply)
+            assert client.ping()["ok"] is True  # same connection, still framed
+            assert server.connections == 1
+        finally:
+            client.close()
+            server.close()
 
 
 class TestShardSubmit:

@@ -21,7 +21,7 @@ from repro.exceptions import ServiceError
 from repro.oracles.oracle import ReversibleOracle
 from repro.quantum.oracle import QuantumCircuitOracle
 from repro.service.cache import LRUCache, build_cache
-from repro.service.events import RunCompleted
+from repro.service.events import RunCompleted, TaskCompleted, TaskFailed
 from repro.service.executor import OverlapExecutor, ParallelExecutor, SerialExecutor
 from repro.service.pipeline import (
     MatchingService,
@@ -59,6 +59,28 @@ class TestResultStore:
         with pytest.warns(UserWarning, match="truncated or malformed"):
             loaded = store.load()
         assert set(loaded) == {"a"}
+
+    def test_non_object_line_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        store.append({"pair_id": "a", "status": "ok"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[1, 2]\n")  # valid JSON, but not a record
+        store.append({"pair_id": "b", "status": "ok"})
+        with pytest.warns(UserWarning, match=r":2: skipping"):
+            loaded = store.load()
+        assert set(loaded) == {"a", "b"}
+        assert store.torn_lines == 1
+
+    def test_read_records_keeps_file_order_and_duplicates(self, tmp_path):
+        store = ResultStore(tmp_path / "results.jsonl")
+        assert store.read_records() == [] and store.torn_lines == 0
+        store.append({"pair_id": "b", "status": "failed"})
+        store.append({"pair_id": "a", "status": "ok"})
+        store.append({"pair_id": "b", "status": "ok"})
+        assert [(r["pair_id"], r["status"]) for r in store.read_records()] == [
+            ("b", "failed"), ("a", "ok"), ("b", "ok"),
+        ]
 
     def test_clean_store_loads_without_warnings(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")
@@ -141,8 +163,6 @@ class TestStreamingRuns:
     def test_stopping_the_stream_keeps_streamed_records(self, corpus, tmp_path):
         """Records persist before their event is yielded, so breaking out
         of the stream never loses a pair the consumer already saw."""
-        from repro.service.events import TaskCompleted, TaskFailed
-
         store_path = tmp_path / "partial.jsonl"
         seen = []
         stream = MatchingService().stream(corpus, store_path=store_path, seed=5)
@@ -240,6 +260,18 @@ class TestMergeStores:
         assert merge_stores(out, [empty.path, full.path]) == 2
         ordered = [json.loads(line) for line in out.read_text().splitlines()]
         assert [record["pair_id"] for record in ordered] == ["b", "a"]
+
+    def test_merge_skips_non_object_lines(self, tmp_path):
+        path = tmp_path / "shard.jsonl"
+        store = ResultStore(path)
+        store.append({"pair_id": "a", "index": 0, "status": "ok"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('"just a string"\n')
+        store.append({"pair_id": "b", "index": 1, "status": "ok"})
+        out = tmp_path / "out.jsonl"
+        with pytest.warns(UserWarning, match=r"shard\.jsonl:2: skipping"):
+            assert merge_stores(out, [path]) == 2
+        assert [json.loads(line)["pair_id"] for line in out.read_text().splitlines()] == ["a", "b"]
 
     def test_merge_rejects_conflicting_records(self, tmp_path):
         one = ResultStore(tmp_path / "one.jsonl")
@@ -418,6 +450,78 @@ class TestMatchPairs:
         report = service.match_pairs([(c1, c2, "P-I")], seed=2)
         assert report.failed == 1
         assert "QueryBudgetExceededError" in report.records[0]["error"]
+
+    def test_budget_applies_per_pair_not_across_the_run(self, rng):
+        # Three pairs share one circuit object; a shared oracle would let
+        # early pairs starve later ones of the 2-query budget.
+        base = random_circuit(4, 14, rng)
+        partners = [
+            make_instance(base, EquivalenceType.I_N, rng)[0] for _ in range(3)
+        ]
+        service = MatchingService(MatchingConfig(max_queries=2))
+        report = service.match_pairs(
+            [(partner, base) for partner in partners], equivalence="I-N"
+        )
+        assert report.matched == 3  # I-N costs 2 queries per pair
+
+    def _pairs(self, rng, labels):
+        base = random_circuit(4, 14, rng)
+        return [
+            make_instance(base, EquivalenceType.from_label(label), rng)[:2]
+            + (label,)
+            for label in labels
+        ]
+
+    def test_aggregates_sum_the_per_pair_queries(self, rng):
+        report = MatchingService().match_pairs(
+            self._pairs(rng, ["I-N", "I-P", "P-I", "N-I"]), seed=3
+        )
+        assert (report.total, report.matched, report.failed) == (4, 4, 0)
+        results = [record["result"] for record in report.records]
+        assert report.classical_queries == sum(r["queries"] for r in results)
+        assert report.quantum_queries == sum(r["quantum_queries"] for r in results)
+        # N-I without an inverse runs on the quantum tier.
+        assert report.quantum_queries > 0
+
+    def test_failures_are_recorded_not_raised(self, rng):
+        base = random_circuit(3, 8, rng)
+        good = make_instance(base, EquivalenceType.I_N, rng)[:2] + ("I-N",)
+        hard = make_instance(base, EquivalenceType.P_P, rng)[:2] + ("P-P",)
+        report = MatchingService().match_pairs([good, hard])
+        assert (report.matched, report.failed) == (1, 1)
+        ok, failed = report.records
+        assert failed["status"] == "failed" and failed["result"] is None
+        assert "UnsupportedEquivalenceError" in failed["error"]
+        assert report.classical_queries == ok["result"]["queries"]
+
+    def test_report_renders_through_analysis_table(self, rng):
+        report = MatchingService().match_pairs(
+            self._pairs(rng, ["I-N", "P-I"]), seed=3
+        )
+        table = report.to_table(title="demo")
+        assert "demo" in table
+        assert "matcher" in table
+        assert "i-n/zero-probe" in table
+        assert "pair-0001" in table
+        assert report.summary().startswith("2/2 matched (0 failed)")
+
+    def test_observers_see_each_pair_as_it_settles(self, rng):
+        base = random_circuit(3, 8, rng)
+        good = make_instance(base, EquivalenceType.I_N, rng)[:2] + ("I-N",)
+        hard = make_instance(base, EquivalenceType.P_P, rng)[:2] + ("P-P",)
+
+        class Settled:
+            def __init__(self):
+                self.events = []
+
+            def notify(self, event):
+                if isinstance(event, (TaskCompleted, TaskFailed)):
+                    self.events.append(event)
+
+        settled = Settled()
+        report = MatchingService().match_pairs([good, hard], observers=[settled])
+        assert [type(e) for e in settled.events] == [TaskCompleted, TaskFailed]
+        assert [e.record for e in settled.events] == report.records
 
 
 class TestStreamPairs:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from repro.circuits.transforms import transformed_circuit
 from repro.cli import build_parser, main
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import make_instance
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -26,6 +32,21 @@ def circuit_files(tmp_path, rng):
     io.write_real(base, base_path)
     io.write_real(scrambled, scrambled_path)
     return str(scrambled_path), str(base_path)
+
+
+class TestImport:
+    def test_cli_imports_without_networkx(self):
+        """networkx is a test-only reference, never a runtime import."""
+        code = (
+            "import sys; sys.modules['networkx'] = None; "
+            "import repro.cli, repro"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [SRC, os.environ.get("PYTHONPATH")])
+            ),
+        })
 
 
 class TestParser:
@@ -456,6 +477,18 @@ class TestRunStreaming:
         )
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_merge_skips_a_non_object_line(self, tmp_path, capsys):
+        store = tmp_path / "shard.jsonl"
+        store.write_text(
+            '{"pair_id": "pair-a", "index": 0, "status": "ok"}\n[1, 2]\n',
+            encoding="utf-8",
+        )
+        merged = tmp_path / "merged.jsonl"
+        with pytest.warns(UserWarning, match="skipping"):
+            code = main(["merge", str(store), "--output", str(merged)])
+        assert code == 0
+        assert "merged 1 records" in capsys.readouterr().out
 
 
 class TestDecide:
