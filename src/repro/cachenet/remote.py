@@ -72,8 +72,6 @@ class RemoteCache(ResultCache):
         self._negative: OrderedDict[str, None] = OrderedDict()
         self._buffer: OrderedDict[str, dict] = OrderedDict()
         self._degraded = False
-        self._errors = 0
-        self._reconnects = 0
 
     @classmethod
     def from_address(
@@ -109,26 +107,23 @@ class RemoteCache(ResultCache):
 
     @property
     def errors(self) -> int:
-        """Wire failures seen so far (also ``repro_cachenet_errors``)."""
+        """Wire failures seen so far, read from ``repro_cachenet_errors``."""
         with self._lock:
-            return self._errors
+            samples = self._metrics.samples("repro_cachenet_errors")
+        return sum(sample["value"] for sample in samples)
 
     def close(self) -> None:
         """Drop the connection (reopened lazily unless degraded)."""
         self._client.close()
 
     # -- wire ------------------------------------------------------------------
-    def _count(self, name: str, **labels) -> None:
-        """Mirror a cachenet counter into the bound metrics registry."""
-        if self._metrics is not None:
-            self._metrics.counter(name).inc(**labels)
-
     def _request(self, frame: dict) -> dict | None:
         """One request with single-reconnect retry; ``None`` once degraded.
 
         Called with the cache lock held (all callers are ``_get``/``_put``
-        hooks or :meth:`prefetch`), so the degradation flip and the error
-        counters stay consistent with the stats the same lock guards.
+        hooks or :meth:`prefetch`), so the degradation flip and the
+        ``repro_cachenet_*`` counts stay consistent with the cache counts
+        the same lock guards.
         """
         if self._degraded:
             return None
@@ -138,20 +133,17 @@ class RemoteCache(ResultCache):
             # Covers connection loss, timeouts and server error frames
             # alike: whatever went wrong, the answer is "no cache today",
             # never a failed run.
-            self._errors += 1
-            self._count("repro_cachenet_errors")
+            self._metrics.counter("repro_cachenet_errors").inc()
             self._client.close()
             try:
-                self._reconnects += 1
-                self._count("repro_cachenet_reconnects_total")
+                self._metrics.counter("repro_cachenet_reconnects_total").inc()
                 response = self._client.request(frame)
             except DaemonError:
-                self._errors += 1
-                self._count("repro_cachenet_errors")
+                self._metrics.counter("repro_cachenet_errors").inc()
                 self._degraded = True
                 self._client.close()
                 return None
-        self._count("repro_cachenet_requests_total", op=frame["op"])
+        self._metrics.counter("repro_cachenet_requests_total").inc(op=frame["op"])
         return response
 
     # -- bounded key sets ------------------------------------------------------

@@ -516,10 +516,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             memory_size=args.cache_size,
             disk_dir=args.cache_dir,
         )
-    inner = (
-        ParallelExecutor(workers=args.workers)
+    # A serial daemon builds its own default executor, which threads the
+    # daemon's metrics registry into the engine (repro_engine_* series).
+    executor = (
+        OverlapExecutor(ParallelExecutor(workers=args.workers))
         if args.workers > 1
-        else SerialExecutor(persistent_engine=True)
+        else None
     )
     if args.socket is None and args.host is None:
         args.socket = str(Path(args.store_dir) / "daemon.sock")
@@ -533,7 +535,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache=cache,
-        executor=OverlapExecutor(inner),
+        executor=executor,
         verify=args.verify,
         max_queued=args.max_queued,
         auth_token=token,

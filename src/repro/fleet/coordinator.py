@@ -50,7 +50,7 @@ from repro.service.events import (
     RunStarted,
     event_from_dict,
 )
-from repro.service.pipeline import ResultStore, merge_stores
+from repro.service.pipeline import ResultStore, merge_stores, status_counts
 from repro.service.workload import MANIFEST_NAME, CorpusManifest
 
 __all__ = [
@@ -265,11 +265,6 @@ class FleetCoordinator:
         self._remote_cache = remote_cache
         self._counter = FleetRunIdCounter(self._work_dir / "fleet-run-id")
         self._lock = threading.Lock()
-        # Fleet-level pair counters, maintained under the lock by the
-        # shard watcher threads (mirrors StatsObserver semantics).
-        self._executed = 0
-        self._cache_hits = 0
-        self._resumed = 0
 
     @property
     def peers(self) -> list[FleetPeer]:
@@ -367,10 +362,6 @@ class FleetCoordinator:
                 + ", ".join(peer.address for peer in self._peers)
             )
         count = len(healthy)
-        with self._lock:
-            self._executed = 0
-            self._cache_hits = 0
-            self._resumed = 0
         self._notify(RunStarted(
             total=total,
             executor=f"fleet[{count}]",
@@ -412,19 +403,16 @@ class FleetCoordinator:
         matched = sum(1 for record in merged if record.get("result"))
         failed = len(merged) - matched
         elapsed = self._finish_run("completed", started)
-        with self._lock:
-            executed = self._executed
-            cache_hits = self._cache_hits
-            resumed = self._resumed
+        counts = status_counts(
+            record for shard in shards for record in shard.settled.values()
+        )
         self._notify(RunCompleted(report=ReportSummary(
             total=merged_records,
             matched=matched,
             failed=failed,
-            resumed=resumed,
-            cache_hits=cache_hits,
-            executed=executed,
             elapsed=elapsed,
             executor=f"fleet[{count}]",
+            **counts,
         )))
         return FleetReport(
             run_id,
@@ -433,12 +421,10 @@ class FleetCoordinator:
             merged_records=merged_records,
             matched=matched,
             failed=failed,
-            executed=executed,
-            cache_hits=cache_hits,
-            resumed=resumed,
             elapsed=elapsed,
             shards=shards,
             peers=list(self._peers),
+            **counts,
         )
 
     def _finish_run(self, state: str, started: float) -> float:
@@ -608,7 +594,7 @@ class FleetCoordinator:
             pass
 
     def _ingest(self, shard: ShardOutcome, frame: dict) -> None:
-        """Fan one raw event frame in: dedup, mirror, forward, count.
+        """Fan one raw event frame in: dedup, mirror, forward.
 
         Per-shard ``RunStarted``/``RunCompleted``/``StoreFlushed`` frames
         are swallowed — the coordinator synthesises one fleet-level pair
@@ -636,13 +622,6 @@ class FleetCoordinator:
             if pair_id in shard.settled:
                 return
             shard.settled[pair_id] = record
-            if kind == "CacheHit":
-                if frame.get("source") == "store":
-                    self._resumed += 1
-                else:
-                    self._cache_hits += 1
-            else:
-                self._executed += 1
             observers = list(self._observers)
         event = event_from_dict(frame)
         for observer in observers:

@@ -10,9 +10,11 @@ This package is the telemetry substrate under the matching system:
 * :mod:`repro.obs.report` — the ``repro report`` scanner: per-run
   summaries and cross-run trends over a tree of JSONL result stores.
 
-Layering: ``repro.core`` and ``repro.service`` accept registries and
-tracers *duck-typed* and never import this package; the daemon, the CLI
-and the report scanner import it explicitly.  See
+Layering: :mod:`~repro.obs.metrics` and :mod:`~repro.obs.trace` import
+only the standard library, so every layer may use them — the result
+caches keep their counters in a registry and the pipeline traces into
+:data:`~repro.obs.trace.NULL_TRACER` when no tracer is given.
+``repro.core`` still takes its registry duck-typed.  See
 ``docs/observability.md`` for the metric name catalog and span schema.
 """
 

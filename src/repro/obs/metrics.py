@@ -14,9 +14,10 @@ directions).  Asking the registry for a name outside the catalogue is a
 programming error and raises immediately, so a typo cannot silently mint
 a new time series.
 
-The module sits below every other layer (it imports only the standard
-library); engine, cache and pipeline accept a registry duck-typed, so
-``repro.core`` and ``repro.service`` never import ``repro.obs``.
+The module sits below every other layer: it imports only the standard
+library, so any layer may import it without a cycle.  The result caches
+in ``repro.service.cache`` keep their counters here and nowhere else;
+engine and pipeline accept a registry duck-typed (``None`` for "off").
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ DEFAULT_BUCKETS = (
 METRIC_CATALOG = {
     "repro_cache_hits_total": {
         "type": "counter",
-        "help": "Result-cache lookups answered from the cache, by tier.",
+        "help": "Result-cache lookups answered by a leaf tier, by tier and key scheme.",
     },
     "repro_cache_misses_total": {
         "type": "counter",
@@ -305,6 +306,12 @@ class MetricsRegistry:
 
     def histogram(self, name: str, buckets=None) -> Histogram:
         return self._metric(name, "histogram", buckets=buckets)
+
+    def samples(self, name: str) -> list[dict]:
+        """One metric's snapshot samples; ``[]`` if it was never touched."""
+        with self._lock:
+            metric = self._metrics.get(name)
+            return [] if metric is None else metric.snapshot_samples()
 
     def _metric(self, name: str, kind: str, buckets=None):
         with self._lock:

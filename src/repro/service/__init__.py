@@ -28,7 +28,7 @@ for corpora:
 * :mod:`repro.service.serialize` — the JSON form of matching results
   shared by cache, store and executor.
 * :mod:`repro.service.daemon` — the long-lived front end:
-  :class:`MatchingDaemon` keeps one warm engine and one shared cache
+  :class:`MatchingDaemon` keeps one executor and one shared cache
   alive across many submissions behind a newline-delimited JSON socket
   protocol (``repro-daemon/v1``), with :class:`DaemonClient` as the
   Python/CLI counterpart; every submission streams into its own JSONL

@@ -16,11 +16,12 @@ import os
 import threading
 import warnings
 from abc import ABC, abstractmethod
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import ServiceError
+from repro.obs.metrics import MetricsRegistry
 from repro.service.fingerprint import KEY_PREFIX, scheme_label
 
 __all__ = [
@@ -34,9 +35,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss/store counters for one cache tier.
+    """Hit/miss/store counters of one cache: an immutable read-out that
+    :attr:`ResultCache.stats` builds from the registry on every read.
 
     Attributes:
         scheme_hits: hits broken down by the fingerprint scheme(s) of the
@@ -51,6 +53,26 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     scheme_hits: dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def from_registry(cls, registry: MetricsRegistry, tier: str) -> "CacheStats":
+        """The ``repro_cache_*_total`` series of one ``tier`` label."""
+
+        def by_scheme(event: str) -> Counter:
+            counts = Counter()
+            for sample in registry.samples(f"repro_cache_{event}_total"):
+                if sample["labels"]["tier"] == tier:
+                    counts[sample["labels"].get("scheme")] += sample["value"]
+            return counts
+
+        hits = by_scheme("hits")
+        return cls(
+            hits=hits.total(),
+            misses=by_scheme("misses").total(),
+            stores=by_scheme("stores").total(),
+            evictions=by_scheme("evictions").total(),
+            scheme_hits=dict(hits),
+        )
 
     @property
     def lookups(self) -> int:
@@ -82,30 +104,55 @@ class ResultCache(ABC):
     Thread-safe at the public surface: the daemon shares one cache
     between its worker thread (which reads and writes entries) and its
     handler threads (whose ``stats`` op reads the counters), so ``get``
-    and ``put`` serialise entry access *and* stats updates under one
+    and ``put`` serialise entry access *and* counting under one
     re-entrant lock.  Subclass hooks (``_get``/``_put``) always run with
     the lock held and must not take it themselves.
 
-    :meth:`bind_metrics` optionally mirrors the counters into a
-    duck-typed metrics registry (``repro_cache_*_total`` with a ``tier``
-    label, see ``docs/observability.md``); increments happen inside the
-    same lock as the :class:`CacheStats` updates, so the two views always
-    reconcile exactly.
+    Counts live only in a :class:`~repro.obs.metrics.MetricsRegistry`
+    as ``repro_cache_*_total{tier}`` series (hits also by key ``scheme``,
+    see ``docs/observability.md``): a private registry until
+    :meth:`bind_metrics` swaps in a shared one.  :attr:`stats` reads
+    them back, so caches sharing a registry and a tier label share counts.
     """
 
     metrics_tier = "cache"
 
     def __init__(self) -> None:
-        self.stats = CacheStats()
         self._lock = threading.RLock()
-        self._metrics = None
+        self._metrics = MetricsRegistry()
+        self._metrics_private = True
 
-    def bind_metrics(self, registry, tier: str | None = None) -> None:
-        """Mirror this tier's counters into ``registry`` from now on."""
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
+        """Count into ``registry`` from now on.
+
+        Counts made while the cache still had its private registry move
+        into ``registry``, so binding a used cache neither loses nor
+        double-counts; binding the bound registry again is a no-op.
+        """
         with self._lock:
+            if registry is self._metrics:
+                return
+            if self._metrics_private:
+                snapshot = self._metrics.snapshot()["metrics"]
+                for name, metric in sorted(snapshot.items()):
+                    for sample in metric["samples"]:
+                        registry.counter(name).inc(
+                            sample["value"], **sample["labels"]
+                        )
             self._metrics = registry
-            if tier is not None:
-                self.metrics_tier = tier
+            self._metrics_private = False
+
+    @property
+    def stats(self) -> CacheStats:
+        """This tier's counters, read out of its bound registry."""
+        with self._lock:
+            return CacheStats.from_registry(self._metrics, self.metrics_tier)
+
+    def _inc(self, event: str, **labels) -> None:
+        """Count one ``repro_cache_<event>_total`` under this tier's label."""
+        self._metrics.counter(f"repro_cache_{event}_total").inc(
+            tier=self.metrics_tier, **labels
+        )
 
     @abstractmethod
     def _get(self, key: str) -> dict | None:
@@ -120,36 +167,20 @@ class ResultCache(ABC):
         """Number of records currently stored."""
 
     def get(self, key: str) -> dict | None:
-        """Look up ``key``, updating the hit/miss (and per-scheme) statistics."""
+        """Look up ``key``, counting a hit (by key scheme) or a miss."""
         with self._lock:
             record = self._get(key)
             if record is None:
-                self.stats.misses += 1
-                if self._metrics is not None:
-                    self._metrics.counter("repro_cache_misses_total").inc(
-                        tier=self.metrics_tier
-                    )
+                self._inc("misses")
             else:
-                self.stats.hits += 1
-                label = scheme_label(key)
-                self.stats.scheme_hits[label] = (
-                    self.stats.scheme_hits.get(label, 0) + 1
-                )
-                if self._metrics is not None:
-                    self._metrics.counter("repro_cache_hits_total").inc(
-                        tier=self.metrics_tier
-                    )
+                self._inc("hits", scheme=scheme_label(key))
             return record
 
     def put(self, key: str, record: dict) -> None:
-        """Store ``record`` under ``key``, updating the store counter."""
+        """Store ``record`` under ``key``, counting the store."""
         with self._lock:
             self._put(key, record)
-            self.stats.stores += 1
-            if self._metrics is not None:
-                self._metrics.counter("repro_cache_stores_total").inc(
-                    tier=self.metrics_tier
-                )
+            self._inc("stores")
 
 
 class LRUCache(ResultCache):
@@ -180,11 +211,7 @@ class LRUCache(ResultCache):
         self._entries.move_to_end(key)
         while len(self._entries) > self._maxsize:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            if self._metrics is not None:
-                self._metrics.counter("repro_cache_evictions_total").inc(
-                    tier=self.metrics_tier
-                )
+            self._inc("evictions")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -273,23 +300,42 @@ class TieredCache(ResultCache):
 
     Hits in the slow tier are promoted into the fast tier; every store goes
     to both, so the slow tier is the authoritative record set.
-    """
 
-    metrics_tier = "tiered"
+    The stack counts nothing itself; :attr:`stats` is read out of its
+    members: fast + slow hits, the slow member's misses and stores (every
+    stack miss and store reaches it exactly once), evictions and
+    per-scheme hits summed.  Nested stacks recurse through the same rule.
+    """
 
     def __init__(self, fast: ResultCache, slow: ResultCache) -> None:
         super().__init__()
         self._fast = fast
         self._slow = slow
 
-    def bind_metrics(self, registry, tier: str | None = None) -> None:
-        """Bind this tier and both member tiers (each keeps its own label)."""
-        super().bind_metrics(registry, tier=tier)
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
+        """Bind both member tiers (each counts under its own label)."""
         # Outside our own lock: each member tier serialises the assignment
         # under its own lock, and nesting their locks inside ours would
         # invert the get/put ordering.
         self._fast.bind_metrics(registry)
         self._slow.bind_metrics(registry)
+
+    @property
+    def stats(self) -> CacheStats:
+        with self._lock:
+            fast, slow = self._fast.stats, self._slow.stats
+        return CacheStats(
+            hits=fast.hits + slow.hits,
+            misses=slow.misses,
+            stores=slow.stores,
+            evictions=fast.evictions + slow.evictions,
+            scheme_hits=dict(
+                Counter(fast.scheme_hits) + Counter(slow.scheme_hits)
+            ),
+        )
+
+    def _inc(self, event: str, **labels) -> None:
+        """Nothing: the member tiers count what they serve."""
 
     @property
     def fast(self) -> ResultCache:

@@ -1,9 +1,8 @@
-"""The long-lived matching daemon: one warm engine and cache, many runs.
+"""The long-lived matching daemon: one warm cache and executor, many runs.
 
 Every ``repro run`` so far has been a one-shot process — import, build an
 engine, fill a cache, exit, repeat.  :class:`MatchingDaemon` keeps all of
-that alive: a single server process owns one warm
-:class:`~repro.core.engine.MatchingEngine` (via a persistent
+that alive: a single server process owns one executor (by default a
 :class:`~repro.service.executor.SerialExecutor` inside an
 :class:`~repro.service.executor.OverlapExecutor`) and one shared
 :class:`~repro.service.cache.ResultCache` across arbitrarily many
@@ -320,9 +319,9 @@ class MatchingDaemon(FramedServer):
             to run without a result cache.
         executor: execution backend; defaults to an
             :class:`~repro.service.executor.OverlapExecutor` around a
-            persistent-engine :class:`~repro.service.executor.SerialExecutor`,
-            so store writes overlap execution and the engine stays warm
-            across submissions.
+            :class:`~repro.service.executor.SerialExecutor` that counts
+            ``repro_engine_*`` metrics on the daemon's registry, so store
+            writes overlap execution.
         verify: exhaustively verify witnesses of freshly executed pairs.
         remote_cache: a ``repro-cache/v1`` cache-server address
             (``unix:<path>`` / ``tcp:<host>:<port>``, see
@@ -390,9 +389,7 @@ class MatchingDaemon(FramedServer):
         if self._cache is not None:
             self._cache.bind_metrics(self._metrics)
         if executor is None:
-            executor = OverlapExecutor(
-                SerialExecutor(persistent_engine=True, metrics=self._metrics)
-            )
+            executor = OverlapExecutor(SerialExecutor(metrics=self._metrics))
         self._executor = executor
         self._verify = verify
         if remote_cache is not None:
@@ -794,10 +791,10 @@ class MatchingDaemon(FramedServer):
         remote = self._remote_for(address)
         if self._cache is None:
             return remote
-        # A per-run wrapper; member tiers keep their own metrics
-        # bindings, and the wrapper's throwaway stats stay unbound so
-        # nothing double-counts.  Local tier in front: remote hits are
-        # promoted locally, local misses written through to the pool.
+        # A per-run wrapper; it counts nothing itself (its member tiers
+        # already count into the daemon's registry).  Local tier in
+        # front: remote hits are promoted locally, local misses written
+        # through to the pool.
         return TieredCache(self._cache, remote)
 
     def _run_job(self, job: DaemonJob) -> None:

@@ -178,13 +178,10 @@ class SerialExecutor(Executor):
     and its outcome yielded before the next task is even looked at, so a
     generator of tasks interleaves perfectly with the outcome stream.
 
+    Each :meth:`stream` call builds its own :class:`MatchingEngine`; an
+    engine holds no state between runs, so there is nothing to keep warm.
+
     Args:
-        persistent_engine: keep one :class:`MatchingEngine` per
-            :class:`MatchingConfig` alive across :meth:`stream` calls
-            instead of building a fresh one per run.  What a long-lived
-            process (the matching daemon) wants: the engine — registry
-            resolution and all — stays warm between submissions.  Off by
-            default so one-shot runs keep their no-shared-state property.
         metrics: optional metrics registry (duck-typed
             :class:`repro.obs.metrics.MetricsRegistry`) handed to every
             engine this executor builds, so engine-level counters
@@ -196,25 +193,13 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def __init__(self, *, persistent_engine: bool = False, metrics=None) -> None:
-        self._persistent = persistent_engine
+    def __init__(self, *, metrics=None) -> None:
         self._metrics = metrics
-        self._engines: dict[MatchingConfig, MatchingEngine] = {}
-
-    def _engine(self, config: MatchingConfig) -> MatchingEngine:
-        if not self._persistent:
-            return MatchingEngine(config, metrics=self._metrics)
-        engine = self._engines.get(config)
-        if engine is None:
-            engine = self._engines[config] = MatchingEngine(
-                config, metrics=self._metrics
-            )
-        return engine
 
     def stream(
         self, tasks: Iterable[PairTask], config: MatchingConfig
     ) -> Iterator[TaskOutcome]:
-        engine = self._engine(config)
+        engine = MatchingEngine(config, metrics=self._metrics)
         for task in tasks:
             yield _execute_task(engine, task)
 

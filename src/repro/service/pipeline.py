@@ -28,13 +28,12 @@ write interchangeable stores.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import time
 import warnings
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import verify_match
 from repro.exceptions import FingerprintError, ServiceError
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.service import serialize
 from repro.service.cache import ResultCache
 from repro.service.events import (
@@ -82,43 +82,11 @@ __all__ = [
     "parse_shard",
     "shard_index",
     "merge_stores",
+    "status_counts",
 ]
 
 #: Format tag of the per-run ``<store>.meta.json`` timing sidecar.
 RUN_META_FORMAT = "repro-run-meta/v1"
-
-
-class _NullSpan:
-    """Placeholder span when tracing is off."""
-
-    __slots__ = ()
-    span_id = None
-
-    def end(self) -> None:
-        return None
-
-
-class _NullTracer:
-    """Do-nothing tracer, so the pipeline never branches on tracing.
-
-    The service takes tracers duck-typed (``repro.service`` never imports
-    ``repro.obs``); pass a :class:`repro.obs.trace.Tracer` to get a real
-    span log with the same call sites.
-    """
-
-    def start(self, name, parent=None, **attrs):
-        return _NULL_SPAN
-
-    @contextlib.contextmanager
-    def span(self, name, parent=None, **attrs):
-        yield _NULL_SPAN
-
-    def record(self, name, duration_s, parent=None, **attrs):
-        return _NULL_SPAN
-
-
-_NULL_SPAN = _NullSpan()
-_NULL_TRACER = _NullTracer()
 
 
 class ResultStore:
@@ -341,17 +309,31 @@ def _write_run_meta(store: ResultStore, report: "ServiceReport", seed) -> None:
     os.replace(tmp, path)
 
 
+def status_counts(records: Iterable[dict]) -> dict[str, int]:
+    """``resumed``/``cache_hits``/``executed`` read off record statuses.
+
+    A pair reads ``resumed`` when the store already had it, ``cached``
+    when the result cache answered it, and ``ok``/``failed`` when an
+    executor ran it.  Local runs and fleet runs both count this way.
+    """
+    statuses = Counter(record.get("status") for record in records)
+    return {
+        "resumed": statuses["resumed"],
+        "cache_hits": statuses["cached"],
+        "executed": statuses["ok"] + statuses["failed"],
+    }
+
+
 class ServiceReport:
     """Outcome of one service run: per-pair records plus throughput stats.
 
     Attributes:
         records: one JSON record per pair, in manifest order.  Statuses:
             ``ok`` (freshly executed), ``failed`` (matcher raised),
-            ``cached`` (served by the result cache) and whatever a resumed
-            record carried when it was first written.
-        resumed: how many pairs were skipped because the store already had
-            them.
-        executed: how many pairs actually went through an executor.
+            ``cached`` (served by the result cache) and ``resumed``
+            (already in the store).  The ``resumed``/``cache_hits``/
+            ``executed`` counts are read off these statuses
+            (:func:`status_counts`).
         elapsed: wall-clock seconds for the run.
         shard: the ``(index, count)`` shard this run covered, if any.
     """
@@ -360,18 +342,12 @@ class ServiceReport:
         self,
         records: list[dict],
         *,
-        resumed: int,
-        cache_hits: int,
-        executed: int,
         elapsed: float,
         executor: str,
         store_path: Path | None = None,
         shard: tuple[int, int] | None = None,
     ) -> None:
         self.records = records
-        self.resumed = resumed
-        self.cache_hits = cache_hits
-        self.executed = executed
         self.elapsed = elapsed
         self.executor = executor
         self.store_path = store_path
@@ -382,6 +358,21 @@ class ServiceReport:
     def total(self) -> int:
         """Number of pairs this run accounted for."""
         return len(self.records)
+
+    @property
+    def resumed(self) -> int:
+        """Pairs skipped because the store already had them."""
+        return status_counts(self.records)["resumed"]
+
+    @property
+    def cache_hits(self) -> int:
+        """Pairs the result cache answered."""
+        return status_counts(self.records)["cache_hits"]
+
+    @property
+    def executed(self) -> int:
+        """Pairs that actually went through an executor."""
+        return status_counts(self.records)["executed"]
 
     @property
     def matched(self) -> int:
@@ -499,15 +490,16 @@ class MatchingService:
             keys and pair digests are computed with; defaults to the one
             the config's ``fingerprint_scheme``/``probe_count`` knobs
             describe.
-        metrics: optional metrics registry (duck-typed
-            :class:`repro.obs.metrics.MetricsRegistry`): runs, per-pair
-            outcomes, task/run latency histograms and store flushes are
-            counted on it.  Bind the same registry to the cache
-            (``cache.bind_metrics``) for per-tier hit/miss counters.
-        tracer: optional span tracer (duck-typed
-            :class:`repro.obs.trace.Tracer`): each pair gets a root
-            ``pair`` span with ``fingerprint`` / ``cache_probe`` /
-            ``match`` / ``store_append`` children.
+        metrics: optional :class:`repro.obs.metrics.MetricsRegistry`:
+            runs, per-pair outcomes, task/run latency histograms and
+            store flushes are counted on it.  Bind the same registry to
+            the cache (``cache.bind_metrics``) to export its per-tier
+            hit/miss counters alongside.
+        tracer: optional :class:`repro.obs.trace.Tracer`: each pair gets
+            a root ``pair`` span with ``fingerprint`` / ``cache_probe`` /
+            ``match`` / ``store_append`` children.  Without one the
+            pipeline traces into :data:`repro.obs.trace.NULL_TRACER`, so
+            it never branches on tracing.
     """
 
     def __init__(
@@ -533,7 +525,7 @@ class MatchingService:
             else registry_for_config(self._config)
         )
         self._metrics = metrics
-        self._tracer = tracer if tracer is not None else _NULL_TRACER
+        self._tracer = tracer if tracer is not None else NULL_TRACER
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -646,8 +638,6 @@ class MatchingService:
                 metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
 
         records: dict[int, dict] = {}
-        resumed = 0
-        cache_hits = 0
         flushed = 0
         pending: list[_Unit] = []
         pair_spans: dict[int, object] = {}
@@ -692,7 +682,6 @@ class MatchingService:
                 record = dict(done[unit.pair_id])
                 record["status"] = "resumed"
                 records[unit.position] = record
-                resumed += 1
                 settled("resumed")
                 yield CacheHit(
                     index=unit.position,
@@ -720,7 +709,6 @@ class MatchingService:
                         result=cached.get("result"),
                     )
                     records[unit.position] = record
-                    cache_hits += 1
                     settled("cached")
                     # Persist before yielding: a consumer that stops at
                     # this event must still find the record in the store.
@@ -766,7 +754,6 @@ class MatchingService:
                     pair_id=unit.pair_id,
                 )
 
-        executed = 0
         for outcome in self._executor.stream(tasks(), self._config):
             while submitted:
                 yield submitted.popleft()
@@ -799,8 +786,7 @@ class MatchingService:
                     },
                 )
             records[outcome.index] = record
-            executed += 1
-            pair_span = pair_spans.pop(outcome.index, _NULL_SPAN)
+            pair_span = pair_spans.pop(outcome.index, NULL_SPAN)
             if outcome.duration_s is not None:
                 # The executor measured the matcher dispatch (possibly in
                 # a worker process); log it as a completed child span.
@@ -836,9 +822,6 @@ class MatchingService:
 
         report = ServiceReport(
             records=[records[position] for position in sorted(records)],
-            resumed=resumed,
-            cache_hits=cache_hits,
-            executed=executed,
             elapsed=time.perf_counter() - start,
             executor=self._executor.name,
             store_path=store.path if store is not None else None,

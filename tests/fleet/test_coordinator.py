@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.fleet import FleetCoordinator, FleetPeer, normalize_peer
 from repro.obs.metrics import MetricsRegistry
 from repro.service import MatchingDaemon, StatsObserver, generate_corpus
 from repro.service.events import RunCompleted, RunStarted
+from repro.service.pipeline import ResultStore
 
 from repro.core.equivalence import EquivalenceType
 
@@ -213,6 +215,32 @@ class TestRun:
             for line in report.output.read_text().splitlines()
         ]
         assert [record["index"] for record in merged] == [0, 1, 2, 3]
+
+    def test_pair_counts_equal_the_merged_store_statuses(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        make_corpus(corpus, pairs_per_class=2)  # 4 pairs
+        # A worker with its default cache, so the rerun is all hits.
+        worker = MatchingDaemon(
+            store_dir=tmp_path / "worker", host="127.0.0.1", port=0
+        )
+        worker.start()
+        try:
+            coordinator = FleetCoordinator(
+                [worker.address], work_dir=tmp_path / "fleet", timeout=10.0
+            )
+            cold = coordinator.run(corpus, seed=7)
+            warm = coordinator.run(corpus, seed=7)
+        finally:
+            worker.stop()
+        assert (cold.executed, warm.cache_hits) == (4, 4)
+        for report in (cold, warm):
+            statuses = Counter(
+                record["status"]
+                for record in ResultStore(report.output).read_records()
+            )
+            assert report.executed == statuses["ok"] + statuses["failed"]
+            assert report.cache_hits == statuses["cached"]
+            assert report.resumed == statuses["resumed"] == 0
 
     def test_run_ids_advance_across_runs(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -13,6 +13,7 @@ from repro.circuits.random import random_circuit
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.exceptions import ServiceError
+from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import (
     DiskCache,
     LRUCache,
@@ -171,6 +172,74 @@ class TestTieredCache:
         stats = tiered.stats
         assert stats.hits == 2 and stats.misses == 0
         assert stats.hits + stats.misses == stats.lookups == 2
+
+
+def _tier_counts(registry: MetricsRegistry, event: str) -> dict[str, int]:
+    """``{tier: count}`` of one ``repro_cache_<event>_total`` series."""
+    metric = registry.snapshot()["metrics"].get(f"repro_cache_{event}_total")
+    counts: dict[str, int] = {}
+    for sample in metric["samples"] if metric else ():
+        tier = sample["labels"]["tier"]
+        counts[tier] = counts.get(tier, 0) + sample["value"]
+    return counts
+
+
+class TestCountersLiveInTheRegistry:
+    def test_nested_stack_counts_once_per_leaf_tier(self, tmp_path):
+        # Memory and disk in front of an unreachable remote tier: what
+        # `repro run --cache-dir D --remote-cache A --metrics M` builds.
+        cache = build_cache(
+            disk_dir=tmp_path / "disk",
+            remote=f"unix:{tmp_path / 'nobody.sock'}",
+        )
+        metrics = MetricsRegistry()
+        cache.bind_metrics(metrics)
+        cache.put("key", _record("a"))
+        assert cache.get("key") == _record("a")
+        assert cache.get("other") is None
+
+        assert _tier_counts(metrics, "hits") == {"memory": 1}
+        assert _tier_counts(metrics, "misses") == {
+            "memory": 1, "disk": 1, "remote": 1,
+        }
+        assert _tier_counts(metrics, "stores") == {
+            "memory": 1, "disk": 1, "remote": 1,
+        }
+        assert cache.stats.as_dict() == {
+            "hits": 1, "misses": 1, "stores": 1, "evictions": 0,
+            "scheme_hits": {"unversioned": 1},
+        }
+
+    def test_binding_a_used_cache_keeps_its_counts(self, tmp_path):
+        cache = build_cache(memory_size=1, disk_dir=tmp_path)
+        cache.put("a", _record("a"))
+        cache.put("b", _record("b"))  # evicts a from memory
+        cache.get("a")  # memory miss, disk hit, promoted (evicts b)
+        cache.get("nowhere")
+        before = cache.stats
+        assert before.as_dict() == {
+            "hits": 1, "misses": 1, "stores": 2, "evictions": 2,
+            "scheme_hits": {"unversioned": 1},
+        }
+
+        metrics = MetricsRegistry()
+        cache.bind_metrics(metrics)
+        cache.bind_metrics(metrics)  # binding again moves nothing twice
+        assert cache.stats == before
+        assert _tier_counts(metrics, "stores") == {"memory": 3, "disk": 2}
+        assert _tier_counts(metrics, "evictions") == {"memory": 2}
+
+        cache.get("a")
+        assert cache.stats.hits == before.hits + 1
+        assert _tier_counts(metrics, "hits") == {"memory": 1, "disk": 1}
+
+    def test_stats_are_an_immutable_read_out(self):
+        cache = LRUCache()
+        stats = cache.stats
+        with pytest.raises(AttributeError):
+            stats.hits += 1
+        cache.get("key")
+        assert stats.misses == 0 and cache.stats.misses == 1
 
 
 class TestPairKeys:

@@ -595,6 +595,16 @@ class TestDaemonCommands:
         assert stats["cache"]["hits"] >= 2
         assert stats["runs"]["completed"] == 2
 
+    def test_served_daemon_exports_engine_metrics(self, served, corpus, capsys):
+        # `repro serve` must leave the daemon its default executor, whose
+        # engine counts into the registry the `metrics` op serialises.
+        assert main(["submit", str(corpus), "--seed", "5", "--wait", *served]) == 0
+        capsys.readouterr()
+        assert main(["daemon", "metrics", *served]) == 0
+        snapshot = json.loads(capsys.readouterr().out)["metrics"]
+        samples = snapshot["metrics"]["repro_engine_pairs_total"]["samples"]
+        assert sum(sample["value"] for sample in samples) >= 2
+
     def test_submit_pair_and_event_log(self, served, corpus, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
         code = main(
