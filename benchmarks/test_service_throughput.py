@@ -199,7 +199,7 @@ def test_cached_throughput(benchmark, corpus):
         lambda: service.run_manifest(corpus, seed=RUN_SEED), rounds=3, iterations=1
     )
     assert report.cache_hits == report.total and report.executed == 0
-    assert report.classical_queries == 0 and report.quantum_queries == 0
+    assert report.queries == 0 and report.quantum_queries == 0
     _report_throughput(
         "service throughput: warm cache",
         [("cold", cold), ("cached", report)],
@@ -264,7 +264,7 @@ def test_wide_probe_cached_vs_cold(benchmark, wide_corpus, tmp_path_factory):
         iterations=1,
     )
     assert report.cache_hits == report.total and report.executed == 0
-    assert report.classical_queries == 0 and report.quantum_queries == 0
+    assert report.queries == 0 and report.quantum_queries == 0
     # Every warm hit was keyed by a sampled-probe fingerprint.
     assert set(cache.stats.scheme_hits) == {"probe"}
 

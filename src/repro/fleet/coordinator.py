@@ -33,6 +33,7 @@ import json
 import threading
 import time
 from collections.abc import Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exceptions import (
@@ -45,12 +46,12 @@ from repro.fleet.runid import FleetRunIdCounter
 from repro.service.daemon import DaemonClient, RunState
 from repro.service.events import (
     Observer,
-    ReportSummary,
     RunCompleted,
     RunStarted,
+    RunTotals,
     event_from_dict,
 )
-from repro.service.pipeline import ResultStore, merge_stores, status_counts
+from repro.service.pipeline import merge_stores
 from repro.service.workload import MANIFEST_NAME, CorpusManifest
 
 __all__ = [
@@ -131,37 +132,20 @@ class ShardOutcome:
         }
 
 
-class FleetReport:
-    """Outcome of one fleet run: merged store plus per-shard accounting."""
+@dataclass(frozen=True, kw_only=True)
+class FleetReport(RunTotals):
+    """Outcome of one fleet run: merged store plus per-shard accounting.
 
-    def __init__(
-        self,
-        run_id: str,
-        *,
-        output: Path,
-        total: int,
-        merged_records: int,
-        matched: int,
-        failed: int,
-        executed: int,
-        cache_hits: int,
-        resumed: int,
-        elapsed: float,
-        shards: list[ShardOutcome],
-        peers: list[FleetPeer],
-    ) -> None:
-        self.run_id = run_id
-        self.output = output
-        self.total = total
-        self.merged_records = merged_records
-        self.matched = matched
-        self.failed = failed
-        self.executed = executed
-        self.cache_hits = cache_hits
-        self.resumed = resumed
-        self.elapsed = elapsed
-        self.shards = shards
-        self.peers = peers
+    The counters are the :class:`~repro.service.events.RunTotals` of the
+    records the shards' event streams settled, so a pair a reassigned
+    shard replayed from its pre-seeded store reads ``resumed``.
+    """
+
+    run_id: str
+    output: Path
+    merged_records: int
+    shards: list[ShardOutcome]
+    peers: list[FleetPeer]
 
     @property
     def reassignments(self) -> int:
@@ -399,33 +383,18 @@ class FleetCoordinator:
         merged_records = merge_stores(
             output_path, [shard.store_path for shard in shards]
         )
-        merged = ResultStore(output_path).read_records()
-        matched = sum(1 for record in merged if record.get("result"))
-        failed = len(merged) - matched
-        elapsed = self._finish_run("completed", started)
-        counts = status_counts(
-            record for shard in shards for record in shard.settled.values()
-        )
-        self._notify(RunCompleted(report=ReportSummary(
-            total=merged_records,
-            matched=matched,
-            failed=failed,
-            elapsed=elapsed,
+        report = FleetReport.from_records(
+            (record for shard in shards for record in shard.settled.values()),
+            elapsed=self._finish_run("completed", started),
             executor=f"fleet[{count}]",
-            **counts,
-        )))
-        return FleetReport(
-            run_id,
+            run_id=run_id,
             output=output_path,
-            total=total,
             merged_records=merged_records,
-            matched=matched,
-            failed=failed,
-            elapsed=elapsed,
             shards=shards,
             peers=list(self._peers),
-            **counts,
         )
+        self._notify(RunCompleted(report=report))
+        return report
 
     def _finish_run(self, state: str, started: float) -> float:
         elapsed = time.monotonic() - started

@@ -10,19 +10,22 @@ Scanning is incremental: summaries are cached per store in
 ``.repro-report-cache.json`` at the results root, keyed by
 ``(mtime_ns, size)``, so re-reporting over a large tree only re-reads the
 stores that changed.  Files that merely look like stores (event logs,
-span logs) are recognised by their lines and skipped.
+span logs) are recognised by their records and skipped.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.analysis.report import format_table
 from repro.exceptions import ServiceError
+from repro.service.events import RunTotals
 from repro.service.fingerprint import scheme_label
+from repro.service.pipeline import ResultStore
 
 __all__ = [
     "REPORT_FORMAT",
@@ -39,146 +42,114 @@ REPORT_FORMAT = "repro-report/v1"
 CACHE_FILENAME = ".repro-report-cache.json"
 
 
-@dataclass
-class RunSummary:
+@dataclass(frozen=True, kw_only=True)
+class RunSummary(RunTotals):
     """What one run store contributed: mix, hit rates, spend, wall clock.
 
-    Pairs are deduplicated by ``pair_id`` (latest record wins), matching
-    :meth:`repro.service.pipeline.ResultStore.load` — a store appended to
-    by a resumed or repeated run still counts each pair once.
+    The counters are the :class:`~repro.service.events.RunTotals` of the
+    store's records, one per pair by
+    :meth:`repro.service.pipeline.ResultStore.newest` — a store appended
+    to by a resumed or repeated run still counts each pair once.  Store
+    records keep their original status (resume relabels a pair
+    ``resumed`` only in its run's report).  ``elapsed`` and ``executor``
+    come from the meta sidecar (``None`` without one).
 
     Attributes:
         name: store path relative to the scanned root.
-        pairs: distinct pairs recorded.
-        statuses: records per final status (``ok``/``cached``/``failed``).
-        classes: pairs per promised equivalence class.
         scheme_hits: cached pairs per fingerprint scheme of their key.
-        queries: classical queries spent by freshly executed pairs.
-        quantum_queries: quantum queries spent by freshly executed pairs.
-        torn_lines: truncated/corrupt JSONL lines skipped.
-        elapsed: run wall clock from the meta sidecar (``None`` without one).
-        executor: executor description from the meta sidecar.
+        torn_lines: lines of the file that are not JSON objects.
     """
 
     name: str
-    pairs: int = 0
-    statuses: dict[str, int] = field(default_factory=dict)
-    classes: dict[str, int] = field(default_factory=dict)
     scheme_hits: dict[str, int] = field(default_factory=dict)
-    queries: int = 0
-    quantum_queries: int = 0
     torn_lines: int = 0
-    elapsed: float | None = None
-    executor: str | None = None
-
-    @property
-    def cache_hits(self) -> int:
-        """Pairs served from the result cache."""
-        return self.statuses.get("cached", 0)
 
     @property
     def hit_rate(self) -> float:
         """Fraction of pairs served from cache (0.0 for an empty store)."""
-        return self.cache_hits / self.pairs if self.pairs else 0.0
+        return self.cache_hits / self.total if self.total else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-ready summary with deterministically sorted breakdowns."""
-        return {
-            "name": self.name,
-            "pairs": self.pairs,
-            "statuses": _sorted_counts(self.statuses),
-            "classes": _sorted_counts(self.classes),
-            "scheme_hits": _sorted_counts(self.scheme_hits),
-            "hit_rate": self.hit_rate,
-            "queries": self.queries,
-            "quantum_queries": self.quantum_queries,
-            "torn_lines": self.torn_lines,
-            "elapsed": self.elapsed,
-            "executor": self.executor,
-        }
+        """Every field, JSON-ready (the incremental scan cache's form)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSummary":
         """Rebuild a summary from :meth:`as_dict` output (cache reload)."""
-        return cls(
-            name=data["name"],
-            pairs=data.get("pairs", 0),
-            statuses=dict(data.get("statuses", {})),
-            classes=dict(data.get("classes", {})),
-            scheme_hits=dict(data.get("scheme_hits", {})),
-            queries=data.get("queries", 0),
-            quantum_queries=data.get("quantum_queries", 0),
-            torn_lines=data.get("torn_lines", 0),
-            elapsed=data.get("elapsed"),
-            executor=data.get("executor"),
-        )
+        return cls(**data)
 
 
-def _sorted_counts(counts: dict[str, int]) -> dict[str, int]:
-    return {key: counts[key] for key in sorted(counts)}
+def _run_entry(summary: RunSummary) -> dict:
+    """One run of the ``repro-report/v1`` document."""
+    return {
+        "name": summary.name,
+        "pairs": summary.total,
+        "statuses": summary.statuses,
+        "classes": summary.classes,
+        "scheme_hits": summary.scheme_hits,
+        "hit_rate": summary.hit_rate,
+        "queries": summary.queries,
+        "quantum_queries": summary.quantum_queries,
+        "torn_lines": summary.torn_lines,
+        "elapsed": summary.elapsed,
+        "executor": summary.executor,
+    }
+
+
+def _is_store(records: list[dict]) -> bool:
+    """Whether a file's records make it a run store.
+
+    A store has at least one record, every record carries ``pair_id``
+    and ``status``, and none is a service event (an ``event`` key) or a
+    trace span (a ``span_id`` key) — the other JSONL files a results
+    tree holds.
+    """
+    return bool(records) and all(
+        "pair_id" in record
+        and "status" in record
+        and "event" not in record
+        and "span_id" not in record
+        for record in records
+    )
 
 
 def summarize_store(path: str | os.PathLike, name: str | None = None):
     """Summarise one JSONL run store; ``None`` when the file is not one.
 
-    A store line is a JSON object carrying ``pair_id`` and ``status``
-    keys; files whose lines are service events (an ``event`` key) or
-    trace spans (a ``span_id`` key), or that yield no store record at
-    all, are not stores.  Unparseable lines count as torn, exactly as
-    :meth:`~repro.service.pipeline.ResultStore.load` treats them.
+    The file is read by :meth:`~repro.service.pipeline.ResultStore.read_records`,
+    so a line that is not a JSON object is a torn line, exactly as for
+    resume and merge; :func:`_is_store` then decides over the records.
     """
     path = Path(path)
-    if name is None:
-        name = path.name
-    records: dict[object, dict] = {}
-    torn = 0
+    store = ResultStore(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    torn += 1
-                    continue
-                if not isinstance(record, dict):
-                    return None
-                if "event" in record or "span_id" in record:
-                    return None
-                if "pair_id" not in record or "status" not in record:
-                    return None
-                pair_id = record["pair_id"]
-                key = pair_id if isinstance(pair_id, str) else f"@line{lineno}"
-                records[key] = record
+        with warnings.catch_warnings():
+            # Torn lines are reported as a count; the resume warning
+            # read_records gives for each one does not apply here.
+            warnings.simplefilter("ignore")
+            records = store.read_records()
     except OSError:
         return None
-    if not records:
+    if not _is_store(records):
         return None
-    summary = RunSummary(name=name, pairs=len(records), torn_lines=torn)
-    for record in records.values():
-        status = record.get("status") or "?"
-        summary.statuses[status] = summary.statuses.get(status, 0) + 1
-        label = record.get("equivalence") or "?"
-        summary.classes[label] = summary.classes.get(label, 0) + 1
-        if status == "cached":
+    pairs = ResultStore.newest(records).values()
+    scheme_hits: dict[str, int] = {}
+    for record in pairs:
+        if record.get("status") == "cached":
             key = record.get("cache_key")
             scheme = scheme_label(key) if isinstance(key, str) else "unkeyed"
-            summary.scheme_hits[scheme] = summary.scheme_hits.get(scheme, 0) + 1
-        elif status == "ok":
-            result = record.get("result") or {}
-            summary.queries += result.get("queries", 0)
-            summary.quantum_queries += result.get("quantum_queries", 0)
-    meta = _read_meta(path)
-    if meta is not None:
-        elapsed = meta.get("elapsed")
-        if isinstance(elapsed, (int, float)):
-            summary.elapsed = float(elapsed)
-        executor = meta.get("executor")
-        if isinstance(executor, str):
-            summary.executor = executor
-    return summary
+            scheme_hits[scheme] = scheme_hits.get(scheme, 0) + 1
+    meta = _read_meta(path) or {}
+    elapsed = meta.get("elapsed")
+    executor = meta.get("executor")
+    return RunSummary.from_records(
+        pairs,
+        elapsed=float(elapsed) if isinstance(elapsed, (int, float)) else None,
+        executor=executor if isinstance(executor, str) else None,
+        name=name if name is not None else path.name,
+        scheme_hits=scheme_hits,
+        torn_lines=store.torn_lines,
+    )
 
 
 def _read_meta(store_path: Path) -> dict | None:
@@ -231,18 +202,23 @@ def scan_results(
             continue
         stamp = {"mtime_ns": stat.st_mtime_ns, "size": stat.st_size}
         entry = cached_entries.get(relpath)
+        reread = True
         if (
             entry is not None
             and entry.get("mtime_ns") == stamp["mtime_ns"]
             and entry.get("size") == stamp["size"]
         ):
             summary_data = entry.get("summary")
-            summary = (
-                RunSummary.from_dict(summary_data)
-                if isinstance(summary_data, dict)
-                else None
-            )
-        else:
+            try:
+                summary = (
+                    RunSummary.from_dict(summary_data)
+                    if summary_data is not None
+                    else None
+                )
+                reread = False
+            except TypeError:
+                pass  # not this version's summary fields: read the store
+        if reread:
             summary = summarize_store(path, name=relpath)
         fresh_entries[relpath] = {
             **stamp,
@@ -269,7 +245,7 @@ def _write_cache(path: Path, entries: dict[str, dict]) -> None:
 
 
 def _totals(summaries: list[RunSummary]) -> dict:
-    pairs = sum(s.pairs for s in summaries)
+    pairs = sum(s.total for s in summaries)
     hits = sum(s.cache_hits for s in summaries)
     return {
         "runs": len(summaries),
@@ -301,7 +277,7 @@ def render_report(summaries: list[RunSummary]) -> str:
         rows.append(
             (
                 s.name,
-                s.pairs,
+                s.total,
                 s.statuses.get("ok", 0),
                 s.cache_hits,
                 s.statuses.get("failed", 0),
@@ -346,7 +322,7 @@ def render_report(summaries: list[RunSummary]) -> str:
             trend_rows.append(
                 (
                     s.name,
-                    s.pairs,
+                    s.total,
                     _percent(s.hit_rate),
                     delta_rate,
                     s.queries,
@@ -375,6 +351,6 @@ def report_to_json(summaries: list[RunSummary]) -> dict:
     """The machine-readable report: per-run summaries plus totals."""
     return {
         "format": REPORT_FORMAT,
-        "runs": [s.as_dict() for s in summaries],
+        "runs": [_run_entry(s) for s in summaries],
         "totals": _totals(summaries),
     }

@@ -71,9 +71,9 @@ from repro.service.events import (
     EventLogObserver,
     Observer,
     ProgressObserver,
-    ReportSummary,
     RunCompleted,
     RunStarted,
+    RunTotals,
     ServiceEvent,
     StatsObserver,
     StoreFlushed,
@@ -172,7 +172,7 @@ __all__ = [
     "TaskFailed",
     "StoreFlushed",
     "RunCompleted",
-    "ReportSummary",
+    "RunTotals",
     "event_from_dict",
     "Observer",
     "ProgressObserver",

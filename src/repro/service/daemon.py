@@ -56,7 +56,7 @@ from repro.exceptions import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache, TieredCache, build_cache
-from repro.service.events import Observer, event_from_dict
+from repro.service.events import Observer, event_from_dict, matched
 from repro.service.executor import Executor, OverlapExecutor, SerialExecutor
 from repro.service.framed import MAX_FRAME_CHARS, FramedServer, Session
 from repro.service.pipeline import MatchingService, ResultStore, parse_shard
@@ -170,7 +170,9 @@ class DaemonJob:
                 self.total = event.get("total", 0)
             elif kind in ("TaskCompleted", "TaskFailed", "CacheHit"):
                 self.done += 1
-                if kind == "TaskFailed":
+                # Every settled pair without a result, however it was
+                # answered, so a finished run's count is summary.failed.
+                if not matched(event.get("record") or {}):
                     self.failed += 1
             elif kind == "RunCompleted":
                 # Captured here, not by the worker loop: ``to_dict()``

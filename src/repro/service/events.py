@@ -30,7 +30,7 @@ typed events on the client, so the same ``ProgressObserver`` works
 against an in-process run and a remote one.  The one asymmetry is
 :class:`RunCompleted`, whose wire form carries only the report's
 aggregate counters; :func:`event_from_dict` rebuilds it around a
-:class:`ReportSummary` rather than a full
+:class:`RunTotals` rather than a full
 :class:`~repro.service.pipeline.ServiceReport`.
 """
 
@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Protocol, runtime_checkable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline -> events)
-    from repro.service.pipeline import ServiceReport
+from collections import Counter
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from typing import IO, Protocol, runtime_checkable
 
 __all__ = [
     "ServiceEvent",
@@ -53,7 +52,8 @@ __all__ = [
     "TaskFailed",
     "StoreFlushed",
     "RunCompleted",
-    "ReportSummary",
+    "RunTotals",
+    "matched",
     "event_from_dict",
     "Observer",
     "ProgressObserver",
@@ -225,11 +225,105 @@ class StoreFlushed(ServiceEvent):
         }
 
 
+def matched(record: dict) -> bool:
+    """Whether a run record answered its pair: it carries a ``result``.
+
+    The one rule every run view counts ``matched``/``failed`` by, so a
+    failed pair stays failed whether it was executed, served from the
+    cache or resumed from the store.
+    """
+    return bool(record.get("result"))
+
+
+@dataclass(frozen=True)
+class RunTotals:
+    """A run's outcomes and oracle-query spend, counted off its records.
+
+    The one run summary: the service report, the fleet report and
+    ``repro report``'s store summary extend it, each built by
+    :meth:`from_records`, so views given the same records agree.  A
+    :class:`RunCompleted` round trip keeps the eight counters of its wire
+    form; per-pair records stay on the producing side.
+
+    Attributes:
+        total: pairs accounted for.
+        matched, failed: pairs with and without a result (:func:`matched`).
+        resumed, cache_hits, executed: pairs whose status is ``resumed``,
+            ``cached``, and ``ok`` or ``failed``.
+        queries, quantum_queries: oracle queries spent by freshly
+            executed (``ok``) pairs.
+        statuses: pairs per status; classes: pairs per equivalence class.
+        elapsed: wall-clock seconds of the run.
+        executor: the execution backend's name.
+    """
+
+    total: int = 0
+    matched: int = 0
+    failed: int = 0
+    resumed: int = 0
+    cache_hits: int = 0
+    executed: int = 0
+    queries: int = 0
+    quantum_queries: int = 0
+    statuses: dict[str, int] = field(default_factory=dict)
+    classes: dict[str, int] = field(default_factory=dict)
+    elapsed: float | None = 0.0
+    executor: str | None = "?"
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[dict], /, *, elapsed, executor, **fields
+    ):
+        """Count ``records`` in one pass; ``fields`` fill a subclass's own.
+
+        A record without a status or class counts under ``"?"``.
+        """
+        statuses: Counter[str] = Counter()
+        classes: Counter[str] = Counter()
+        answered = queries = quantum_queries = 0
+        for record in records:
+            status = record.get("status") or "?"
+            statuses[status] += 1
+            classes[record.get("equivalence") or "?"] += 1
+            if matched(record):
+                answered += 1
+            if status == "ok":
+                result = record.get("result") or {}
+                queries += result.get("queries", 0)
+                quantum_queries += result.get("quantum_queries", 0)
+        total = statuses.total()
+        return cls(
+            total=total,
+            matched=answered,
+            failed=total - answered,
+            resumed=statuses["resumed"],
+            cache_hits=statuses["cached"],
+            executed=statuses["ok"] + statuses["failed"],
+            queries=queries,
+            quantum_queries=quantum_queries,
+            statuses=dict(statuses),
+            classes=dict(classes),
+            elapsed=elapsed,
+            executor=executor,
+            **fields,
+        )
+
+    def summary(self) -> str:
+        """One-line aggregate: outcomes, answer sources, wall clock."""
+        return (
+            f"{self.matched}/{self.total} matched ({self.failed} failed), "
+            f"{self.cache_hits} cached, {self.resumed} resumed, "
+            f"{self.executed} executed via {self.executor} in "
+            f"{self.elapsed:.2f}s"
+        )
+
+
 @dataclass(frozen=True)
 class RunCompleted(ServiceEvent):
-    """The run finished; carries the full :class:`ServiceReport`."""
+    """The run finished; carries its :class:`RunTotals` (the full
+    :class:`~repro.service.pipeline.ServiceReport` in process)."""
 
-    report: "ServiceReport"
+    report: RunTotals
 
     def to_dict(self) -> dict:
         report = self.report
@@ -246,42 +340,12 @@ class RunCompleted(ServiceEvent):
         }
 
 
-@dataclass(frozen=True)
-class ReportSummary:
-    """The aggregate counters of a :class:`~repro.service.pipeline.ServiceReport`.
-
-    What survives a :class:`RunCompleted` round trip through
-    :meth:`~ServiceEvent.to_dict` / :func:`event_from_dict` — per-pair
-    records stay on the producing side (they were already streamed as
-    individual events and persisted to the run's result store), the
-    counters cross the wire.
-    """
-
-    total: int = 0
-    matched: int = 0
-    failed: int = 0
-    resumed: int = 0
-    cache_hits: int = 0
-    executed: int = 0
-    elapsed: float = 0.0
-    executor: str = "?"
-
-    def summary(self) -> str:
-        """One-line aggregate, mirroring :meth:`ServiceReport.summary`."""
-        return (
-            f"{self.matched}/{self.total} matched ({self.failed} failed), "
-            f"{self.cache_hits} cached, {self.resumed} resumed, "
-            f"{self.executed} executed via {self.executor} in "
-            f"{self.elapsed:.2f}s"
-        )
-
-
 def event_from_dict(data: dict) -> ServiceEvent:
     """Rebuild a typed event from :meth:`ServiceEvent.to_dict` output.
 
     The inverse that lets observers watch a run they did not produce —
     an event log replay, or a daemon's wire frames.  ``RunCompleted``
-    comes back with a :class:`ReportSummary` as its report (the wire form
+    comes back with a :class:`RunTotals` as its report (the wire form
     only carries aggregates).  Raises :class:`ValueError` on an unknown
     or missing ``"event"`` kind.
     """
@@ -324,7 +388,7 @@ def event_from_dict(data: dict) -> ServiceEvent:
         )
     if kind == "RunCompleted":
         return RunCompleted(
-            report=ReportSummary(
+            report=RunTotals(
                 total=data.get("total", 0),
                 matched=data.get("matched", 0),
                 failed=data.get("failed", 0),
@@ -352,7 +416,8 @@ class ProgressObserver:
     A pair counts as finished when its :class:`TaskCompleted`,
     :class:`TaskFailed` or :class:`CacheHit` arrives; the final tally is
     always printed at :class:`RunCompleted`, so short runs are never
-    silent.
+    silent.  Its failed count is the run report's, which includes pairs
+    whose failure the cache or the store answered.
 
     Args:
         stream: output text stream; defaults to ``sys.stderr`` so progress
@@ -367,7 +432,6 @@ class ProgressObserver:
         self._every = every
         self._total = 0
         self._done = 0
-        self._failed = 0
 
     def _out(self) -> IO[str]:
         return self._stream if self._stream is not None else sys.stderr
@@ -376,7 +440,6 @@ class ProgressObserver:
         if isinstance(event, RunStarted):
             self._total = event.total
             self._done = 0
-            self._failed = 0
             print(
                 f"run started: {event.total} pairs via {event.executor}",
                 file=self._out(),
@@ -384,8 +447,6 @@ class ProgressObserver:
             return
         if isinstance(event, (TaskCompleted, TaskFailed, CacheHit)):
             self._done += 1
-            if isinstance(event, TaskFailed):
-                self._failed += 1
             if self._done % self._every == 0:
                 label = event.pair_id if event.pair_id is not None else event.index
                 print(
@@ -397,7 +458,7 @@ class ProgressObserver:
         if isinstance(event, RunCompleted):
             print(
                 f"run completed: {self._done}/{self._total} pairs, "
-                f"{self._failed} failed",
+                f"{event.report.failed} failed",
                 file=self._out(),
             )
 

@@ -195,7 +195,6 @@ class FramedServer:
             listener.bind((self._host, self._port))
             self._port = listener.getsockname()[1]
         listener.listen()
-        listener.settimeout(0.2)
         self._listener = listener
         self._started_at = time.monotonic()
         self._on_start()
@@ -226,6 +225,9 @@ class FramedServer:
             return
         self._stopping.set()
         self._on_stop()
+        if self._listener is not None:
+            # Wakes the accept loop's blocking accept() with an OSError.
+            self._listener.shutdown(socket.SHUT_RDWR)
         if self._accept_thread is not None:
             self._accept_thread.join()
         if self._listener is not None:
@@ -255,8 +257,6 @@ class FramedServer:
         while not self._stopping.is_set():
             try:
                 connection, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 break
             with self._connections_lock:

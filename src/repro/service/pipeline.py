@@ -33,8 +33,9 @@ import json
 import os
 import time
 import warnings
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.report import format_table
@@ -50,6 +51,7 @@ from repro.service.events import (
     Observer,
     RunCompleted,
     RunStarted,
+    RunTotals,
     ServiceEvent,
     StoreFlushed,
     TaskCompleted,
@@ -82,7 +84,6 @@ __all__ = [
     "parse_shard",
     "shard_index",
     "merge_stores",
-    "status_counts",
 ]
 
 #: Format tag of the per-run ``<store>.meta.json`` timing sidecar.
@@ -154,12 +155,21 @@ class ResultStore:
 
         Torn lines are skipped and counted as by :meth:`read_records`.
         """
-        records: dict[str, dict] = {}
-        for record in self.read_records():
+        return self.newest(self.read_records())
+
+    @staticmethod
+    def newest(records: Iterable[dict]) -> dict[str, dict]:
+        """One record per string pair id, the newest occurrence winning.
+
+        The dedup rule of :meth:`load`: a store appended to by a resumed
+        or repeated run still holds each pair once.
+        """
+        latest: dict[str, dict] = {}
+        for record in records:
             pair_id = record.get("pair_id")
             if isinstance(pair_id, str):
-                records[pair_id] = record
-        return records
+                latest[pair_id] = record
+        return latest
 
     def touch(self) -> None:
         """Materialise the (possibly empty) store file on disk.
@@ -275,30 +285,26 @@ def merge_stores(
     return len(records)
 
 
-def _write_run_meta(store: ResultStore, report: "ServiceReport", seed) -> None:
+def _write_run_meta(store: ResultStore, completed: RunCompleted, seed) -> None:
     """Publish the run's ``<store>.meta.json`` timing sidecar atomically.
 
     Store records are byte-identical across serial, parallel and sharded
     runs, so wall-clock facts must never enter them; this sidecar carries
-    the run's aggregate timing instead, and ``repro report`` merges it
-    back into the per-store summary.  Written via tmp + rename so a crash
-    mid-write cannot leave a torn sidecar.
+    the run's aggregate timing instead — the counters of the run's
+    :class:`~repro.service.events.RunCompleted` wire form — and ``repro
+    report`` merges it back into the per-store summary.  Written via
+    tmp + rename so a crash mid-write cannot leave a torn sidecar.
     """
-    meta = {
-        "format": RUN_META_FORMAT,
-        "store": store.path.name,
-        "executor": report.executor,
-        "seed": seed,
-        "elapsed": report.elapsed,
-        "total": report.total,
-        "matched": report.matched,
-        "failed": report.failed,
-        "resumed": report.resumed,
-        "cache_hits": report.cache_hits,
-        "executed": report.executed,
-        "torn_lines": store.torn_lines,
-        "shard": list(report.shard) if report.shard is not None else None,
-    }
+    shard = completed.report.shard
+    meta = completed.to_dict()
+    del meta["event"]
+    meta.update(
+        format=RUN_META_FORMAT,
+        store=store.path.name,
+        seed=seed,
+        torn_lines=store.torn_lines,
+        shard=list(shard) if shard is not None else None,
+    )
     path = store.path.with_name(store.path.name + ".meta.json")
     tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
@@ -309,98 +315,26 @@ def _write_run_meta(store: ResultStore, report: "ServiceReport", seed) -> None:
     os.replace(tmp, path)
 
 
-def status_counts(records: Iterable[dict]) -> dict[str, int]:
-    """``resumed``/``cache_hits``/``executed`` read off record statuses.
-
-    A pair reads ``resumed`` when the store already had it, ``cached``
-    when the result cache answered it, and ``ok``/``failed`` when an
-    executor ran it.  Local runs and fleet runs both count this way.
-    """
-    statuses = Counter(record.get("status") for record in records)
-    return {
-        "resumed": statuses["resumed"],
-        "cache_hits": statuses["cached"],
-        "executed": statuses["ok"] + statuses["failed"],
-    }
-
-
-class ServiceReport:
+@dataclass(frozen=True, kw_only=True)
+class ServiceReport(RunTotals):
     """Outcome of one service run: per-pair records plus throughput stats.
+
+    The counters are the :class:`~repro.service.events.RunTotals` of
+    :attr:`records`.
 
     Attributes:
         records: one JSON record per pair, in manifest order.  Statuses:
             ``ok`` (freshly executed), ``failed`` (matcher raised),
             ``cached`` (served by the result cache) and ``resumed``
-            (already in the store).  The ``resumed``/``cache_hits``/
-            ``executed`` counts are read off these statuses
-            (:func:`status_counts`).
-        elapsed: wall-clock seconds for the run.
+            (already in the store; the store keeps the original status,
+            and its historical queries are excluded from the spend).
+        store_path: the run's JSONL result store, if one was attached.
         shard: the ``(index, count)`` shard this run covered, if any.
     """
 
-    def __init__(
-        self,
-        records: list[dict],
-        *,
-        elapsed: float,
-        executor: str,
-        store_path: Path | None = None,
-        shard: tuple[int, int] | None = None,
-    ) -> None:
-        self.records = records
-        self.elapsed = elapsed
-        self.executor = executor
-        self.store_path = store_path
-        self.shard = shard
-
-    # -- aggregates ------------------------------------------------------------
-    @property
-    def total(self) -> int:
-        """Number of pairs this run accounted for."""
-        return len(self.records)
-
-    @property
-    def resumed(self) -> int:
-        """Pairs skipped because the store already had them."""
-        return status_counts(self.records)["resumed"]
-
-    @property
-    def cache_hits(self) -> int:
-        """Pairs the result cache answered."""
-        return status_counts(self.records)["cache_hits"]
-
-    @property
-    def executed(self) -> int:
-        """Pairs that actually went through an executor."""
-        return status_counts(self.records)["executed"]
-
-    @property
-    def matched(self) -> int:
-        """Pairs with witnesses (fresh, cached or resumed)."""
-        return sum(1 for record in self.records if record.get("result"))
-
-    @property
-    def failed(self) -> int:
-        """Pairs whose matcher raised (fresh, cached or resumed)."""
-        return self.total - self.matched
-
-    @property
-    def classical_queries(self) -> int:
-        """Classical oracle queries spent on freshly executed pairs."""
-        return sum(
-            record["result"]["queries"]
-            for record in self.records
-            if record.get("status") == "ok" and record.get("result")
-        )
-
-    @property
-    def quantum_queries(self) -> int:
-        """Quantum oracle queries spent on freshly executed pairs."""
-        return sum(
-            record["result"]["quantum_queries"]
-            for record in self.records
-            if record.get("status") == "ok" and record.get("result")
-        )
+    records: list[dict] = field(default_factory=list, repr=False)
+    store_path: Path | None = None
+    shard: tuple[int, int] | None = None
 
     @property
     def pairs_per_second(self) -> float:
@@ -443,11 +377,9 @@ class ServiceReport:
         if self.shard is not None:
             prefix = f"shard {self.shard[0]}/{self.shard[1]}: "
         return (
-            f"{prefix}{self.matched}/{self.total} matched ({self.failed} failed), "
-            f"{self.cache_hits} cached, {self.resumed} resumed, "
-            f"{self.executed} executed via {self.executor} in "
-            f"{self.elapsed:.2f}s ({self.pairs_per_second:.1f} pairs/s); "
-            f"{self.classical_queries} classical + "
+            f"{prefix}{super().summary()} "
+            f"({self.pairs_per_second:.1f} pairs/s); "
+            f"{self.queries} classical + "
             f"{self.quantum_queries} quantum queries spent"
         )
 
@@ -820,13 +752,16 @@ class MatchingService:
         while submitted:  # pragma: no cover - an executor that over-pulls
             yield submitted.popleft()
 
-        report = ServiceReport(
-            records=[records[position] for position in sorted(records)],
+        ordered = [records[position] for position in sorted(records)]
+        report = ServiceReport.from_records(
+            ordered,
             elapsed=time.perf_counter() - start,
             executor=self._executor.name,
+            records=ordered,
             store_path=store.path if store is not None else None,
             shard=shard,
         )
+        completed = RunCompleted(report=report)
         if metrics is not None:
             metrics.histogram("repro_run_seconds").observe(report.elapsed)
             if store is not None:
@@ -835,8 +770,8 @@ class MatchingService:
             # Durations never enter the records (stores stay byte-identical
             # across serial/parallel/shard runs); the run's wall clock goes
             # in an atomic sidecar that `repro report` merges back in.
-            _write_run_meta(store, report, seed)
-        yield RunCompleted(report=report)
+            _write_run_meta(store, completed, seed)
+        yield completed
 
     def _consume(
         self,

@@ -54,7 +54,7 @@ class TestSummarizeStore:
             _record("d", status="cached", cache_key=None),
         ])
         summary = summarize_store(store)
-        assert summary.pairs == 4
+        assert summary.total == 4
         assert summary.statuses == {"ok": 1, "failed": 1, "cached": 2}
         assert summary.classes == {"I-I": 4}
         assert summary.queries == 4 and summary.quantum_queries == 1
@@ -70,7 +70,7 @@ class TestSummarizeStore:
             _record("a", status="ok"),  # the re-run after a resume
         ])
         summary = summarize_store(store)
-        assert summary.pairs == 1
+        assert summary.total == 1
         assert summary.statuses == {"ok": 1}
 
     def test_torn_lines_counted_not_fatal(self, tmp_path):
@@ -81,7 +81,15 @@ class TestSummarizeStore:
             "",
         ])
         summary = summarize_store(store)
-        assert summary.pairs == 1 and summary.torn_lines == 1
+        assert summary.total == 1 and summary.torn_lines == 1
+
+    def test_non_object_line_is_torn_not_fatal(self, tmp_path):
+        """A JSON line that is not an object is torn, as for resume and
+        merge: the store still reports, with the line counted."""
+        store = tmp_path / "run.jsonl"
+        _write_store(store, [_record("a"), "[1, 2]", _record("b"), _record("c")])
+        summary = summarize_store(store)
+        assert summary.total == 3 and summary.torn_lines == 1
 
     def test_rejects_event_logs_span_logs_and_garbage(self, tmp_path):
         events = tmp_path / "events.jsonl"
@@ -154,17 +162,17 @@ class TestScanResults:
 
         # Poison the cached summary: an unchanged store must come back
         # from the cache (proving reuse), a touched one must be re-read.
-        cached["entries"]["runs/a.jsonl"]["summary"]["pairs"] = 99
+        cached["entries"]["runs/a.jsonl"]["summary"]["total"] = 99
         cache_path.write_text(json.dumps(cached))
         reused = scan_results(root)
-        assert [s.pairs for s in reused] == [99, 2]
+        assert [s.total for s in reused] == [99, 2]
 
         store_b = root / "runs" / "b.jsonl"
         _write_store(store_b, [_record("only")])
         rescanned = {s.name: s for s in scan_results(root)}
-        assert rescanned["runs/b.jsonl"].pairs == 1
-        assert rescanned["runs/a.jsonl"].pairs == 99  # still from cache
-        assert scan_results(root, use_cache=False)[0].pairs == first[0].pairs
+        assert rescanned["runs/b.jsonl"].total == 1
+        assert rescanned["runs/a.jsonl"].total == 99  # still from cache
+        assert scan_results(root, use_cache=False)[0].total == first[0].total
 
     def test_no_cache_file_written_when_disabled(self, tmp_path):
         root = self._tree(tmp_path)
@@ -175,11 +183,11 @@ class TestScanResults:
 class TestRendering:
     def _summaries(self):
         return [
-            RunSummary(name="cold.jsonl", pairs=4,
+            RunSummary(name="cold.jsonl", total=4,
                        statuses={"ok": 4}, classes={"I-I": 4},
                        queries=40, quantum_queries=8, elapsed=2.0,
                        executor="serial"),
-            RunSummary(name="warm.jsonl", pairs=4,
+            RunSummary(name="warm.jsonl", total=4, cache_hits=4,
                        statuses={"cached": 4}, classes={"I-I": 4},
                        scheme_hits={"probe": 4}, elapsed=0.1,
                        executor="serial"),

@@ -20,7 +20,7 @@ from repro.service.events import (
     EventLogObserver,
     Observer,
     ProgressObserver,
-    ReportSummary,
+    RunTotals,
     RunCompleted,
     RunStarted,
     StatsObserver,
@@ -191,7 +191,7 @@ class TestProgressObserver:
                                    record={"status": "failed"}))
         observer.notify(CacheHit(index=2, pair_id=None, source="cache",
                                  record={}))
-        observer.notify(RunCompleted(report=ReportSummary(
+        observer.notify(RunCompleted(report=RunTotals(
             total=3, matched=1, failed=1, resumed=0, cache_hits=1,
             executed=2, elapsed=0.5, executor="serial",
         )))
@@ -211,7 +211,7 @@ class TestProgressObserver:
         for index in range(4):
             observer.notify(CacheHit(index=index, pair_id=None,
                                      source="cache", record={}))
-        observer.notify(RunCompleted(report=ReportSummary(
+        observer.notify(RunCompleted(report=RunTotals(
             total=4, matched=0, failed=0, resumed=0, cache_hits=4,
             executed=0, elapsed=0.1, executor="serial",
         )))
@@ -291,7 +291,7 @@ class TestEventRoundTrip:
         rebuilt = event_from_dict(completed.to_dict())
         assert isinstance(rebuilt, RunCompleted)
         summary = rebuilt.report
-        assert isinstance(summary, ReportSummary)
+        assert isinstance(summary, RunTotals)
         assert summary.total == completed.report.total
         assert summary.matched == completed.report.matched
         assert summary.executed == completed.report.executed

@@ -13,6 +13,7 @@ import json
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -208,3 +209,24 @@ def test_shutdown_op_stops_the_server(started, wire, tmp_path):
     assert not waiter.is_alive(), "serve_forever did not return"
     assert not (tmp_path / "s.sock").exists()
     server.stop()  # idempotent
+
+
+@pytest.mark.parametrize("transport", ["unix", "tcp"])
+def test_stop_wakes_the_accept_loop(make, tmp_path, transport):
+    """stop() interrupts the blocked accept() rather than waiting it out.
+
+    Best of three, so one descheduled run on a busy machine does not
+    fail the bound; a poll-based accept loop misses it every time.
+    """
+    elapsed = []
+    for attempt in range(3):
+        if transport == "unix":
+            server = make(socket_path=tmp_path / f"s{attempt}.sock")
+        else:
+            server = make(host="127.0.0.1", port=0)
+        server.start()
+        time.sleep(0.05)  # the accept thread is now blocked in accept()
+        began = time.perf_counter()
+        server.stop()
+        elapsed.append(time.perf_counter() - began)
+    assert min(elapsed) < 0.05, elapsed

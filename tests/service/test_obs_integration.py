@@ -102,7 +102,7 @@ class TestMetricsReconcile:
         ) == cold.total
         assert _counter_value(
             snapshot, "repro_engine_queries_total", kind="classical"
-        ) == cold.classical_queries
+        ) == cold.queries
         task_seconds = snapshot["metrics"]["repro_task_seconds"]["samples"][0]
         assert task_seconds["count"] == cold.total
         run_seconds = snapshot["metrics"]["repro_run_seconds"]["samples"][0]

@@ -183,7 +183,7 @@ class TestStreamingRuns:
         warm = service.run_manifest(corpus, seed=5)
         assert cold.executed == cold.total
         assert warm.executed == 0 and warm.cache_hits == warm.total
-        assert warm.classical_queries == 0 and warm.quantum_queries == 0
+        assert warm.queries == 0 and warm.quantum_queries == 0
 
 
 class TestSharding:
@@ -370,7 +370,7 @@ class TestWarmCache:
         monkeypatch.setattr(QuantumCircuitOracle, "query_basis", forbidden)
         warm = service.run_manifest(corpus, seed=5)
         assert warm.cache_hits == 24
-        assert warm.classical_queries == 0 and warm.quantum_queries == 0
+        assert warm.queries == 0 and warm.quantum_queries == 0
 
     def test_disk_cache_survives_service_restart(self, corpus, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -478,7 +478,7 @@ class TestMatchPairs:
         )
         assert (report.total, report.matched, report.failed) == (4, 4, 0)
         results = [record["result"] for record in report.records]
-        assert report.classical_queries == sum(r["queries"] for r in results)
+        assert report.queries == sum(r["queries"] for r in results)
         assert report.quantum_queries == sum(r["quantum_queries"] for r in results)
         # N-I without an inverse runs on the quantum tier.
         assert report.quantum_queries > 0
@@ -492,7 +492,7 @@ class TestMatchPairs:
         ok, failed = report.records
         assert failed["status"] == "failed" and failed["result"] is None
         assert "UnsupportedEquivalenceError" in failed["error"]
-        assert report.classical_queries == ok["result"]["queries"]
+        assert report.queries == ok["result"]["queries"]
 
     def test_report_renders_through_analysis_table(self, rng):
         report = MatchingService().match_pairs(
@@ -597,7 +597,7 @@ class TestWideWarmCache:
         # so the hits are earned by probe identity, not object identity.
         warm = MatchingService(cache=cache).run_manifest(wide_corpus, seed=5)
         assert warm.executed == 0 and warm.cache_hits == warm.total
-        assert warm.classical_queries == 0 and warm.quantum_queries == 0
+        assert warm.queries == 0 and warm.quantum_queries == 0
         assert set(cache.stats.scheme_hits) == {"probe"}
 
     def test_wide_records_key_on_probe_scheme(self, wide_corpus):
