@@ -45,6 +45,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.report import format_table
+from repro.circuits.io import real
 from repro.core.engine import MatchingConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import build_cache
@@ -55,6 +56,7 @@ from repro.service.executor import (
     SerialExecutor,
     derive_seed,
 )
+from repro.service.fingerprint import FingerprintRegistry, content_memo_clear
 from repro.service.pipeline import MatchingService
 from repro.service.workload import (
     CorpusManifest,
@@ -225,15 +227,19 @@ def _counter_value(snapshot: dict, name: str, **labels) -> int:
     )
 
 
-def test_wide_probe_cached_vs_cold(benchmark, wide_corpus, tmp_path_factory):
+def test_wide_probe_cached_vs_cold(
+    benchmark, wide_corpus, tmp_path_factory, monkeypatch
+):
     """CI gate: a warm wide-corpus rerun performs zero oracle queries.
 
-    The warm run uses a *fresh* service over the shared cache, so every
-    circuit is a different Python object than the cold run loaded —
-    the hits are earned by probe fingerprints, not object identity.
-    Also writes the per-scheme cache hit-rate JSON and the metrics
-    snapshot CI uploads, plus the cold/warm stores `repro report` gates
-    over.
+    The warm run uses a *fresh* service over the shared cache, and the
+    process-wide content memo is cleared before every benchmarked round,
+    so every circuit is freshly parsed into a different Python object than
+    the cold run loaded — the hits are earned by probe fingerprints, not
+    object identity or file bytes.  One more warm run with the memo left
+    warm must then parse and fingerprint nothing.  Also writes the
+    per-scheme cache hit-rate JSON and the metrics snapshot CI uploads,
+    plus the cold/warm stores `repro report` gates over.
     """
     manifest = CorpusManifest.load(wide_corpus / "manifest.json")
     assert all(entry.num_lines >= 16 for entry in manifest.entries)
@@ -260,6 +266,7 @@ def test_wide_probe_cached_vs_cold(benchmark, wide_corpus, tmp_path_factory):
             wide_corpus, seed=RUN_SEED,
             store_path=store_dir / "wide-warm.jsonl",
         ),
+        setup=content_memo_clear,
         rounds=3,
         iterations=1,
     )
@@ -311,6 +318,18 @@ def test_wide_probe_cached_vs_cold(benchmark, wide_corpus, tmp_path_factory):
         "service throughput: wide corpus, probe-keyed cache",
         [("cold", cold), ("cached", report)],
     )
+
+    # With the memo left warm, a rerun is answered by file bytes alone.
+    calls = []
+    monkeypatch.setattr(real, "read_real", lambda *args: calls.append("parse"))
+    monkeypatch.setattr(
+        FingerprintRegistry, "fingerprint",
+        lambda *args, **kwargs: calls.append("fingerprint"),
+    )
+    memo_warm = MatchingService(cache=cache).run_manifest(
+        wide_corpus, seed=RUN_SEED
+    )
+    assert memo_warm.cache_hits == memo_warm.total and calls == []
 
 
 #: CI gate: bitsliced probe digests must be at least this much faster

@@ -47,7 +47,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
+import threading
 from abc import ABC, abstractmethod
+from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from repro.circuits.circuit import ReversibleCircuit
@@ -66,6 +70,7 @@ __all__ = [
     "KEY_VERSION",
     "KEY_PREFIX",
     "FINGERPRINT_SCHEMES",
+    "CONTENT_MEMO_SIZE",
     "OracleFingerprint",
     "FingerprintContext",
     "Fingerprinter",
@@ -77,6 +82,10 @@ __all__ = [
     "registry_for_config",
     "default_registry",
     "probe_inputs",
+    "effective_inverse",
+    "content_digest",
+    "content_memo_clear",
+    "content_memo_size",
     "fingerprint",
     "config_digest",
     "pair_key",
@@ -106,6 +115,11 @@ KEY_PREFIX = KEY_VERSION + "|"
 
 #: The registry modes ``build_registry`` accepts (and the CLI exposes).
 FINGERPRINT_SCHEMES = ("auto", "exact", "probe")
+
+#: Most entries the process-wide content memo
+#: (:meth:`FingerprintRegistry.fingerprint_content`) holds; beyond it the
+#: least recently used entry is evicted.
+CONTENT_MEMO_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -218,6 +232,48 @@ def probe_inputs(
     if count <= 0:
         raise FingerprintError(f"probe count must be positive, got {count}")
     return list(_probe_inputs_cached(num_lines, count, salt))
+
+
+def effective_inverse(target, with_inverse: bool) -> bool:
+    """The inverse access a fingerprint of ``target`` records.
+
+    Pre-built oracles contribute their own availability; raw circuits and
+    permutations take ``with_inverse`` (mirroring how the engine coerces
+    them).  Quantum oracles have no inverse access by construction.
+    """
+    if isinstance(target, ReversibleOracle):
+        return target.has_inverse
+    if isinstance(target, QuantumCircuitOracle):
+        return False
+    return with_inverse
+
+
+# ---------------------------------------------------------------------------
+# Content memo
+# ---------------------------------------------------------------------------
+#: ``(content digest, registry spec, with_inverse)`` -> fingerprint, in
+#: least-recently-used order.  Process-wide, so every service in the
+#: process — each daemon job, each benchmark pass — shares it.
+_content_memo: OrderedDict[tuple, "OracleFingerprint"] = OrderedDict()
+_content_memo_lock = threading.Lock()
+
+
+def content_digest(path: str | os.PathLike) -> str:
+    """The hex SHA-256 of a circuit file's bytes: its content-memo identity."""
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def content_memo_clear() -> None:
+    """Forget every memoised file fingerprint (tests and benchmarks)."""
+    with _content_memo_lock:
+        _content_memo.clear()
+
+
+def content_memo_size() -> int:
+    """The number of fingerprints the content memo holds right now."""
+    with _content_memo_lock:
+        return len(_content_memo)
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +438,44 @@ class FingerprintRegistry:
     :meth:`~Fingerprinter.supports` accepts the target — the same
     capability-registry shape :class:`repro.core.registry.MatcherRegistry`
     gave matcher dispatch.
+
+    Args:
+        fingerprinters: the initial strategies.
+        spec: the ``(scheme, probe_count, width_limit, salt)`` arguments
+            of :func:`build_registry` that produced exactly these
+            strategies — the registry's share of a content-memo key.
+            ``None`` (a hand-built registry, or any registry after
+            :meth:`register`) bypasses the memo.
     """
 
-    def __init__(self, fingerprinters: tuple[Fingerprinter, ...] = ()) -> None:
+    def __init__(
+        self, fingerprinters: tuple[Fingerprinter, ...] = (), *, spec: tuple | None = None
+    ) -> None:
         self._fingerprinters: list[Fingerprinter] = []
         for fingerprinter in fingerprinters:
             self.register(fingerprinter)
+        self._spec = spec
 
     def register(self, fingerprinter: Fingerprinter) -> Fingerprinter:
-        """Add a strategy, keeping the collection sorted by cost rank."""
+        """Add a strategy, keeping the collection sorted by cost rank.
+
+        The registry no longer matches its :attr:`spec`, so it stops
+        using the content memo.
+        """
         self._fingerprinters.append(fingerprinter)
         self._fingerprinters.sort(key=lambda entry: entry.cost_rank)
+        self._spec = None
         return fingerprinter
 
     @property
     def fingerprinters(self) -> tuple[Fingerprinter, ...]:
         """The registered strategies in resolution order."""
         return tuple(self._fingerprinters)
+
+    @property
+    def spec(self) -> tuple | None:
+        """The :func:`build_registry` arguments, or ``None`` if memo-less."""
+        return self._spec
 
     def resolve(self, target) -> Fingerprinter:
         """The strategy that will fingerprint ``target``.
@@ -428,17 +505,48 @@ class FingerprintRegistry:
 
         Pre-built oracles contribute their own inverse availability; raw
         circuits and permutations take the ``with_inverse`` argument
-        (mirroring how the engine coerces them).  Quantum oracles have no
-        inverse access by construction.
+        (:func:`effective_inverse`).
         """
-        if isinstance(target, ReversibleOracle):
-            with_inverse = target.has_inverse
-        elif isinstance(target, QuantumCircuitOracle):
-            with_inverse = False
         strategy = self.resolve(target)
         return strategy.fingerprint(
-            target, FingerprintContext(with_inverse=with_inverse)
+            target,
+            FingerprintContext(with_inverse=effective_inverse(target, with_inverse)),
         )
+
+    def fingerprint_content(
+        self,
+        content: str,
+        load: Callable[[], ReversibleCircuit],
+        *,
+        with_inverse: bool = False,
+    ) -> OracleFingerprint:
+        """Fingerprint the circuit in a file whose bytes hash to ``content``.
+
+        ``content`` is the file's :func:`content_digest`.  The answer
+        comes from the process-wide content memo when it holds
+        ``(content, spec, with_inverse)``; otherwise ``load()`` parses the
+        file and :meth:`fingerprint` digests the circuit.  This is sound
+        because equal bytes parse to equal gates, and no built-in
+        strategy reads the one thing a parse takes from the file's path,
+        the circuit name.  Registries without a :attr:`spec` always load.
+        The lock covers only the memo's dict operations, never the load
+        or the digest.
+        """
+        key = None if self._spec is None else (content, self._spec, with_inverse)
+        if key is not None:
+            with _content_memo_lock:
+                found = _content_memo.get(key)
+                if found is not None:
+                    _content_memo.move_to_end(key)
+                    return found
+        found = self.fingerprint(load(), with_inverse=with_inverse)
+        if key is not None:
+            with _content_memo_lock:
+                _content_memo[key] = found
+                _content_memo.move_to_end(key)
+                while len(_content_memo) > CONTENT_MEMO_SIZE:
+                    _content_memo.popitem(last=False)
+        return found
 
 
 def build_registry(
@@ -474,7 +582,9 @@ def build_registry(
             f"unknown fingerprint scheme {scheme!r}; "
             f"known: {', '.join(FINGERPRINT_SCHEMES)}"
         )
-    return FingerprintRegistry(strategies)
+    return FingerprintRegistry(
+        strategies, spec=(scheme, probe_count, width_limit, salt)
+    )
 
 
 def registry_for_config(
@@ -529,7 +639,16 @@ def config_digest(config: MatchingConfig) -> str:
     Derived from the *sorted, complete* ``dataclasses.asdict`` dump of the
     config — a new ``MatchingConfig`` field can never be silently omitted
     from the cache key — and version-prefixed alongside the v2 pair key.
+    Memoised per config (configs are frozen and hashable), so a run
+    digests its policy once, not once per pair.  Equal configs can still
+    dump differently (``epsilon=1`` against ``epsilon=1.0``), so the memo
+    is keyed on the field types too.
     """
+    return _config_digest(config, tuple(map(type, vars(config).values())))
+
+
+@functools.lru_cache(maxsize=64)
+def _config_digest(config: MatchingConfig, field_types: tuple) -> str:
     payload = json.dumps(asdict(config), sort_keys=True)
     return _digest(f"cfg/{KEY_VERSION}:" + payload)[:16]
 

@@ -35,10 +35,11 @@ import time
 import warnings
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.analysis.report import format_table
+from repro.circuits.io import real
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import verify_match
@@ -67,14 +68,13 @@ from repro.service.executor import (
 from repro.service.fingerprint import (
     KEY_VERSION,
     FingerprintRegistry,
+    OracleFingerprint,
+    content_digest,
+    effective_inverse,
     pair_key,
     registry_for_config,
 )
-from repro.service.workload import (
-    MANIFEST_NAME,
-    CorpusManifest,
-    load_entry_circuits,
-)
+from repro.service.workload import MANIFEST_NAME, CorpusManifest
 
 __all__ = [
     "ResultStore",
@@ -384,19 +384,44 @@ class ServiceReport(RunTotals):
         )
 
 
+#: A unit whose fingerprints have not been computed yet.
+_UNFINGERPRINTED = object()
+
+
 class _Unit:
-    """One pair flowing through the pipeline (internal bookkeeping)."""
+    """One pair flowing through the pipeline (internal bookkeeping).
 
-    __slots__ = ("position", "pair_id", "circuit1", "circuit2", "label", "meta", "key")
+    A manifest unit carries its two circuit ``paths`` and parses a file
+    only when a circuit is asked for, at most once; an in-memory unit is
+    built with its ``circuits``.  :meth:`release` drops them once the pair
+    is settled, so a run never holds the whole corpus.
+    """
 
-    def __init__(self, position, pair_id, circuit1, circuit2, label, meta):
+    __slots__ = (
+        "position", "pair_id", "label", "meta", "key", "paths", "circuits",
+        "fingerprints",
+    )
+
+    def __init__(self, position, pair_id, label, meta, *, paths=None, circuits=(None, None)):
         self.position = position
         self.pair_id = pair_id
-        self.circuit1 = circuit1
-        self.circuit2 = circuit2
         self.label = label
         self.meta = meta
         self.key = None
+        self.paths = paths
+        self.circuits = list(circuits)
+        self.fingerprints = _UNFINGERPRINTED
+
+    def circuit(self, side: int):
+        """The pair's circuit on ``side`` (0 or 1), parsed on first use."""
+        circuit = self.circuits[side]
+        if circuit is None and self.paths is not None:
+            circuit = self.circuits[side] = real.read_real(self.paths[side])
+        return circuit
+
+    def release(self) -> None:
+        """Drop the circuits of a settled pair."""
+        self.circuits = [None, None]
 
 
 class MatchingService:
@@ -491,20 +516,45 @@ class MatchingService:
         return self._metrics
 
     # -- internal --------------------------------------------------------------
+    def _fingerprints(
+        self, unit: _Unit
+    ) -> tuple[OracleFingerprint, OracleFingerprint] | None:
+        """Both circuits' fingerprints under the config's inverse access.
+
+        Computed once per unit; ``None`` if a circuit is unfingerprintable.
+        A manifest unit is keyed by its files' bytes through the registry's
+        content memo, so a circuit seen before in this process is neither
+        parsed nor tabulated again.
+        """
+        if unit.fingerprints is _UNFINGERPRINTED:
+            with_inverse = self._config.with_inverse
+            try:
+                if unit.paths is None:
+                    unit.fingerprints = tuple(
+                        self._registry.fingerprint(circuit, with_inverse=with_inverse)
+                        for circuit in unit.circuits
+                    )
+                else:
+                    unit.fingerprints = tuple(
+                        self._registry.fingerprint_content(
+                            content_digest(path),
+                            lambda side=side: unit.circuit(side),
+                            with_inverse=with_inverse,
+                        )
+                        for side, path in enumerate(unit.paths)
+                    )
+            except FingerprintError:
+                unit.fingerprints = None
+        return unit.fingerprints
+
     def _cache_key(self, unit: _Unit) -> str | None:
         if self._cache is None:
             return None
-        try:
-            fp1 = self._registry.fingerprint(
-                unit.circuit1, with_inverse=self._config.with_inverse
-            )
-            fp2 = self._registry.fingerprint(
-                unit.circuit2, with_inverse=self._config.with_inverse
-            )
-        except FingerprintError:
+        fingerprints = self._fingerprints(unit)
+        if fingerprints is None:
             return None
         equivalence = EquivalenceType.from_label(unit.label)
-        return pair_key(fp1, fp2, equivalence, self._config)
+        return pair_key(*fingerprints, equivalence, self._config)
 
     def _base_record(self, unit: _Unit) -> dict:
         record = {
@@ -641,6 +691,7 @@ class MatchingService:
                         result=cached.get("result"),
                     )
                     records[unit.position] = record
+                    unit.release()
                     settled("cached")
                     # Persist before yielding: a consumer that stops at
                     # this event must still find the record in the store.
@@ -679,8 +730,8 @@ class MatchingService:
                 )
                 yield PairTask(
                     index=unit.position,
-                    circuit1=unit.circuit1,
-                    circuit2=unit.circuit2,
+                    circuit1=unit.circuit(0),
+                    circuit2=unit.circuit(1),
                     equivalence=unit.label,
                     seed=derive_seed(seed, unit.position),
                     pair_id=unit.pair_id,
@@ -700,8 +751,8 @@ class MatchingService:
             if self._verify and outcome.matched:
                 result = serialize.result_from_dict(outcome.result)
                 record["verified"] = verify_match(
-                    unit.circuit1,
-                    unit.circuit2,
+                    unit.circuit(0),
+                    unit.circuit(1),
                     EquivalenceType.from_label(unit.label),
                     result,
                 )
@@ -718,6 +769,7 @@ class MatchingService:
                     },
                 )
             records[outcome.index] = record
+            unit.release()
             pair_span = pair_spans.pop(outcome.index, NULL_SPAN)
             if outcome.duration_s is not None:
                 # The executor measured the matcher dispatch (possibly in
@@ -803,22 +855,18 @@ class MatchingService:
                 # Not this shard's pair.  Positions keep counting, so the
                 # surviving units' seeds match the unsharded run's.
                 continue
-            if entry.pair_id in done:
-                # Circuits of already-answered pairs are never even loaded.
-                circuit1 = circuit2 = None
-            else:
-                circuit1, circuit2 = load_entry_circuits(entry, root)
+            # Circuits load lazily: a pair answered by the store, or by
+            # the cache through the content memo, never parses its files.
             units.append(
                 _Unit(
                     position,
                     entry.pair_id,
-                    circuit1,
-                    circuit2,
                     entry.equivalence,
                     {
                         "family": entry.family,
                         "expected_equivalent": entry.expected_equivalent,
                     },
+                    paths=(root / entry.circuit1, root / entry.circuit2),
                 )
             )
         return units
@@ -920,7 +968,7 @@ class MatchingService:
             observers,
         )
 
-    def _pair_digest(self, circuit1, circuit2, label: str) -> str | None:
+    def _pair_digest(self, unit: _Unit) -> str | None:
         """A content digest identifying an ad-hoc pair, or None if opaque.
 
         Positional ``pair-NNNN`` ids alone would let a resume against a
@@ -929,13 +977,19 @@ class MatchingService:
         matches, not just the position.  The payload is versioned (and
         scheme-qualified, via the fingerprint keys), so stores written
         under a different identity contract never digest-match.
+
+        The digest keys fingerprints as taken without inverse access
+        (pre-built oracles keep their own), derived from the unit's
+        cache-key fingerprints rather than computed a second time.
         """
-        try:
-            fp1 = self._registry.fingerprint(circuit1)
-            fp2 = self._registry.fingerprint(circuit2)
-        except FingerprintError:
+        fingerprints = self._fingerprints(unit)
+        if fingerprints is None:
             return None
-        payload = f"{KEY_VERSION}|{label}|{fp1.key}|{fp2.key}"
+        keys = [
+            replace(fp, with_inverse=effective_inverse(circuit, False)).key
+            for fp, circuit in zip(fingerprints, unit.circuits)
+        ]
+        payload = f"{KEY_VERSION}|{unit.label}|{keys[0]}|{keys[1]}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def _pair_units(
@@ -951,8 +1005,8 @@ class MatchingService:
         position, so a pair stream attached to a result store is resumable
         and mergeable exactly like a manifest run.  ``with_digests``
         additionally stamps each unit's record with :meth:`_pair_digest`
-        (only wanted when a store is attached — it costs a truth-table
-        tabulation per circuit).
+        (only wanted when a store is attached — it fingerprints both
+        circuits, which the cache key then reuses).
         """
         if isinstance(equivalence, EquivalenceType):
             equivalence = equivalence.label
@@ -977,12 +1031,13 @@ class MatchingService:
                 label = label.label
             else:
                 label = EquivalenceType.from_label(label).label
-            meta = {}
-            if with_digests:
-                meta["pair_digest"] = self._pair_digest(circuit1, circuit2, label)
-            units.append(
-                _Unit(position, f"pair-{position:04d}", circuit1, circuit2, label, meta)
+            unit = _Unit(
+                position, f"pair-{position:04d}", label, {},
+                circuits=(circuit1, circuit2),
             )
+            if with_digests:
+                unit.meta["pair_digest"] = self._pair_digest(unit)
+            units.append(unit)
         return units
 
     def stream_pairs(

@@ -9,6 +9,8 @@ JSONL store without re-executing finished pairs.
 from __future__ import annotations
 
 import json
+import re
+import shutil
 import warnings
 
 import pytest
@@ -30,7 +32,7 @@ from repro.service.pipeline import (
     parse_shard,
     shard_index,
 )
-from repro.service.workload import generate_corpus
+from repro.service.workload import CorpusManifest, generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +423,41 @@ class TestResume:
     def test_resume_requires_store(self, corpus):
         with pytest.raises(ServiceError, match="resume requires"):
             MatchingService().run_manifest(corpus, resume=True)
+
+    @pytest.mark.parametrize("cache", ["none", "warm"])
+    def test_a_missing_file_fails_mid_stream_and_resume_finishes(
+        self, corpus, tmp_path, cache
+    ):
+        # Circuits load lazily, so a missing file halfway through the
+        # manifest fails the run after the pairs before it have settled.
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus, root)
+        full_store = tmp_path / "full.jsonl"
+        result_cache = build_cache() if cache == "warm" else None
+        MatchingService(cache=result_cache).run_manifest(
+            root, store_path=full_store, seed=5
+        )
+        entries = CorpusManifest.load(root / "manifest.json").entries
+        half = len(entries) // 2
+        missing = root / entries[half].circuit1
+        saved = missing.read_bytes()
+        missing.unlink()
+
+        store_path = tmp_path / "broken.jsonl"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+            MatchingService(cache=result_cache).run_manifest(
+                root, store_path=store_path, seed=5
+            )
+        settled = ResultStore(store_path).load()
+        assert set(settled) == {entry.pair_id for entry in entries[:half]}
+
+        missing.write_bytes(saved)
+        report = MatchingService(cache=result_cache).run_manifest(
+            root, store_path=store_path, resume=True, seed=5
+        )
+        assert report.resumed == half and report.total == len(entries)
+        finished = ResultStore(store_path).load()
+        assert set(finished) == set(ResultStore(full_store).load())
 
 
 class TestMatchPairs:
