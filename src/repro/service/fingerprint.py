@@ -117,7 +117,7 @@ KEY_PREFIX = KEY_VERSION + "|"
 FINGERPRINT_SCHEMES = ("auto", "exact", "probe")
 
 #: Most entries the process-wide content memo
-#: (:meth:`FingerprintRegistry.fingerprint_content`) holds; beyond it the
+#: (:meth:`FingerprintRegistry.fingerprint_file`) holds; beyond it the
 #: least recently used entry is evicted.
 CONTENT_MEMO_SIZE = 16384
 
@@ -441,26 +441,24 @@ class FingerprintRegistry:
 
     Args:
         fingerprinters: the initial strategies.
-        spec: the ``(scheme, probe_count, width_limit, salt)`` arguments
-            of :func:`build_registry` that produced exactly these
-            strategies — the registry's share of a content-memo key.
-            ``None`` (a hand-built registry, or any registry after
-            :meth:`register`) bypasses the memo.
     """
 
-    def __init__(
-        self, fingerprinters: tuple[Fingerprinter, ...] = (), *, spec: tuple | None = None
-    ) -> None:
+    def __init__(self, fingerprinters: tuple[Fingerprinter, ...] = ()) -> None:
         self._fingerprinters: list[Fingerprinter] = []
         for fingerprinter in fingerprinters:
             self.register(fingerprinter)
-        self._spec = spec
+        # The (scheme, probe_count, width_limit, salt) arguments of the
+        # build_registry call that produced exactly these strategies: the
+        # registry's share of a content-memo key.  Only build_registry
+        # sets it; a hand-built registry, and any registry after
+        # register(), has None and bypasses the memo.
+        self._spec: tuple | None = None
 
     def register(self, fingerprinter: Fingerprinter) -> Fingerprinter:
         """Add a strategy, keeping the collection sorted by cost rank.
 
-        The registry no longer matches its :attr:`spec`, so it stops
-        using the content memo.
+        The registry no longer matches the :func:`build_registry` call
+        that made it, so it stops using the content memo.
         """
         self._fingerprinters.append(fingerprinter)
         self._fingerprinters.sort(key=lambda entry: entry.cost_rank)
@@ -471,11 +469,6 @@ class FingerprintRegistry:
     def fingerprinters(self) -> tuple[Fingerprinter, ...]:
         """The registered strategies in resolution order."""
         return tuple(self._fingerprinters)
-
-    @property
-    def spec(self) -> tuple | None:
-        """The :func:`build_registry` arguments, or ``None`` if memo-less."""
-        return self._spec
 
     def resolve(self, target) -> Fingerprinter:
         """The strategy that will fingerprint ``target``.
@@ -513,39 +506,45 @@ class FingerprintRegistry:
             FingerprintContext(with_inverse=effective_inverse(target, with_inverse)),
         )
 
-    def fingerprint_content(
+    def fingerprint_file(
         self,
-        content: str,
+        path: str | os.PathLike,
         load: Callable[[], ReversibleCircuit],
         *,
         with_inverse: bool = False,
     ) -> OracleFingerprint:
-        """Fingerprint the circuit in a file whose bytes hash to ``content``.
+        """Fingerprint the circuit in the file at ``path``.
 
-        ``content`` is the file's :func:`content_digest`.  The answer
-        comes from the process-wide content memo when it holds
-        ``(content, spec, with_inverse)``; otherwise ``load()`` parses the
-        file and :meth:`fingerprint` digests the circuit.  This is sound
-        because equal bytes parse to equal gates, and no built-in
-        strategy reads the one thing a parse takes from the file's path,
-        the circuit name.  Registries without a :attr:`spec` always load.
-        The lock covers only the memo's dict operations, never the load
-        or the digest.
+        ``load()`` must parse that file when called.  The answer comes
+        from the process-wide content memo when it holds
+        ``(content_digest(path), spec, with_inverse)``; otherwise
+        ``load()`` parses the file and :meth:`fingerprint` digests the
+        circuit.  This is sound because equal bytes parse to equal gates,
+        and no built-in strategy reads the one thing a parse takes from
+        the file's path, the circuit name.  A miss is remembered only if
+        the file still hashes the same after the parse, so a file
+        rewritten mid-parse never files its new circuit under its old
+        bytes.  Registries not made by :func:`build_registry` (or changed
+        by :meth:`register`) always load.  The lock covers only the
+        memo's dict operations, never the reads or the digest.
         """
-        key = None if self._spec is None else (content, self._spec, with_inverse)
-        if key is not None:
-            with _content_memo_lock:
-                found = _content_memo.get(key)
-                if found is not None:
-                    _content_memo.move_to_end(key)
-                    return found
-        found = self.fingerprint(load(), with_inverse=with_inverse)
-        if key is not None:
-            with _content_memo_lock:
-                _content_memo[key] = found
+        if self._spec is None:
+            return self.fingerprint(load(), with_inverse=with_inverse)
+        content = content_digest(path)
+        key = (content, self._spec, with_inverse)
+        with _content_memo_lock:
+            found = _content_memo.get(key)
+            if found is not None:
                 _content_memo.move_to_end(key)
-                while len(_content_memo) > CONTENT_MEMO_SIZE:
-                    _content_memo.popitem(last=False)
+                return found
+        found = self.fingerprint(load(), with_inverse=with_inverse)
+        if content_digest(path) != content:
+            return found
+        with _content_memo_lock:
+            _content_memo[key] = found
+            _content_memo.move_to_end(key)
+            while len(_content_memo) > CONTENT_MEMO_SIZE:
+                _content_memo.popitem(last=False)
         return found
 
 
@@ -582,9 +581,9 @@ def build_registry(
             f"unknown fingerprint scheme {scheme!r}; "
             f"known: {', '.join(FINGERPRINT_SCHEMES)}"
         )
-    return FingerprintRegistry(
-        strategies, spec=(scheme, probe_count, width_limit, salt)
-    )
+    registry = FingerprintRegistry(strategies)
+    registry._spec = (scheme, probe_count, width_limit, salt)
+    return registry
 
 
 def registry_for_config(

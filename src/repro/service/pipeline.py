@@ -69,7 +69,6 @@ from repro.service.fingerprint import (
     KEY_VERSION,
     FingerprintRegistry,
     OracleFingerprint,
-    content_digest,
     effective_inverse,
     pair_key,
     registry_for_config,
@@ -394,7 +393,9 @@ class _Unit:
     A manifest unit carries its two circuit ``paths`` and parses a file
     only when a circuit is asked for, at most once; an in-memory unit is
     built with its ``circuits``.  :meth:`release` drops them once the pair
-    is settled, so a run never holds the whole corpus.
+    is settled.  A unit parsed on a memo miss keeps its circuits until
+    then, so a cold run with a cache still holds every pending pair's
+    circuits; only cache-less runs and warm-memo runs parse lazily.
     """
 
     __slots__ = (
@@ -535,9 +536,11 @@ class MatchingService:
                         for circuit in unit.circuits
                     )
                 else:
+                    # Units are fingerprinted before anything parses
+                    # them, so unit.circuit(side) reads the file anew.
                     unit.fingerprints = tuple(
-                        self._registry.fingerprint_content(
-                            content_digest(path),
+                        self._registry.fingerprint_file(
+                            path,
                             lambda side=side: unit.circuit(side),
                             with_inverse=with_inverse,
                         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import shutil
 import sys
-import threading
+from pathlib import Path
 
 import pytest
 
@@ -126,10 +126,7 @@ def test_equal_bytes_under_two_names_share_one_entry(tmp_path):
     def loader(path):
         return lambda: loads.append(path) or real.read_real(path)
 
-    fps = [
-        registry.fingerprint_content(content_digest(path), loader(path))
-        for path in (first, second)
-    ]
+    fps = [registry.fingerprint_file(path, loader(path)) for path in (first, second)]
     assert fps[0] == fps[1]
     assert loads == [first]
     assert content_memo_size() == 1
@@ -157,9 +154,7 @@ def test_a_file_rewritten_between_runs_misses(tmp_path, seed):
 def test_a_registry_changed_by_register_bypasses_the_memo(tmp_path, monkeypatch):
     _corpus(tmp_path, SEEDS[0])
     registry = registry_for_config(MatchingConfig())
-    assert registry.spec is not None
     registry.register(StructureFingerprinter())
-    assert registry.spec is None
     parsed = []
     original = real.read_real
     monkeypatch.setattr(real, "read_real", lambda path: parsed.append(path) or original(path))
@@ -171,8 +166,50 @@ def test_a_registry_changed_by_register_bypasses_the_memo(tmp_path, monkeypatch)
     # Every file of every pair is parsed on both runs: nothing is memoised.
     assert len(parsed) == 2 * 2 * len(manifest.entries)
     assert content_memo_size() == 0
-    hand_built = FingerprintRegistry((StructureFingerprinter(),))
-    assert hand_built.spec is None
+
+
+def test_a_hand_built_registry_bypasses_the_memo(tmp_path):
+    path = tmp_path / "inc.real"
+    real.write_real(increment(4), path)
+    registry = FingerprintRegistry((StructureFingerprinter(),))
+    loads = []
+    for _ in range(2):
+        registry.fingerprint_file(path, lambda: loads.append(path) or real.read_real(path))
+    assert loads == [path, path]
+    assert content_memo_size() == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_file_rewritten_during_its_parse_is_not_remembered(
+    tmp_path, monkeypatch, seed
+):
+    # The memo outlives the run.  Had the parse of the rewritten file
+    # been filed under the bytes hashed before it, a later run over
+    # those original bytes would get the other circuit's key, and the
+    # result cache would replay the other circuit's verdict.
+    manifest = _corpus(tmp_path, seed)
+    config = MatchingConfig()
+    target = tmp_path / manifest.entries[0].circuit1
+    original_bytes = target.read_bytes()
+    donor = next(
+        tmp_path / entry.circuit2
+        for entry in manifest.entries
+        if content_digest(tmp_path / entry.circuit2) != content_digest(target)
+    )
+    original = real.read_real
+
+    def rewriting_read(path):
+        if Path(path) == target:
+            shutil.copyfile(donor, target)
+        return original(path)
+
+    monkeypatch.setattr(real, "read_real", rewriting_read)
+    _run_keys(tmp_path, config)
+    monkeypatch.setattr(real, "read_real", original)
+    target.write_bytes(original_bytes)
+    assert _run_keys(tmp_path, config) == _fresh_keys(
+        tmp_path, manifest, config
+    ), f"seed={seed}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -185,14 +222,12 @@ def test_the_memo_never_exceeds_its_bound(tmp_path, monkeypatch, seed):
     sizes = []
     for entry in manifest.entries:
         for path in (tmp_path / entry.circuit1, tmp_path / entry.circuit2):
-            registry.fingerprint_content(
-                content_digest(path), lambda path=path: real.read_real(path)
-            )
+            registry.fingerprint_file(path, lambda path=path: real.read_real(path))
             sizes.append(content_memo_size())
     assert max(sizes) == 5, f"seed={seed}"
     # The most recently used entry survives eviction.
     last = tmp_path / manifest.entries[-1].circuit2
-    registry.fingerprint_content(content_digest(last), pytest.fail)
+    registry.fingerprint_file(last, pytest.fail)
 
 
 def _stores(root, work, config, *, cold_memo: bool) -> list[bytes]:
@@ -233,45 +268,3 @@ def test_stores_are_byte_identical_with_a_cold_or_warm_memo(
     _run_keys(corpus, config)  # every file of the corpus is now memoised
     warm = _stores(corpus, tmp_path / "warm", config, cold_memo=False)
     assert len(set(cold + warm)) == 1, f"seed={seed}"
-
-
-def test_threads_sharing_the_memo_stay_bounded_and_correct(tmp_path, monkeypatch):
-    # Daemon jobs and overlap producers fingerprint from several threads.
-    # More threads than cores, a tiny switch interval, a tiny bound and a
-    # cheap strategy keep the threads inside the memo's read-modify-write
-    # sequences, where an unguarded one fails (KeyError from move_to_end,
-    # or a wrong fingerprint).
-    monkeypatch.setattr(sys.modules["repro.service.fingerprint"], "CONTENT_MEMO_SIZE", 3)
-    manifest = _corpus(tmp_path, SEEDS[1])
-    paths = sorted({tmp_path / entry.circuit1 for entry in manifest.entries})[:8]
-    circuits = {path: real.read_real(path) for path in paths}
-    registry = FingerprintRegistry((StructureFingerprinter(),), spec=("stress",))
-    expected = {path: registry.fingerprint(circuits[path]) for path in paths}
-    digests = {path: content_digest(path) for path in paths}
-    failures = []
-
-    def worker(offset):
-        try:
-            for round_ in range(3000):
-                path = paths[(offset + round_) % len(paths)]
-                found = registry.fingerprint_content(
-                    digests[path], lambda path=path: circuits[path]
-                )
-                if found != expected[path]:
-                    failures.append((path, found))
-        except Exception as error:  # noqa: BLE001 - reported by the assert
-            failures.append(error)
-
-    threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    assert content_memo_size() <= 3
