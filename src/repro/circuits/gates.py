@@ -21,6 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.exceptions import GateError
 
@@ -66,6 +67,10 @@ class Control:
     def __str__(self) -> str:
         prefix = "" if self.positive else "~"
         return f"{prefix}x{self.line}"
+
+
+#: Sort key of controls within a gate.
+_CONTROL_LINE = attrgetter("line")
 
 
 class Gate(ABC):
@@ -119,7 +124,11 @@ class MCTGate(Gate):
                 raise GateError(f"duplicate control on line {control.line}")
             seen.add(control.line)
         # Normalise control order so structural equality ignores listing order.
-        object.__setattr__(self, "controls", tuple(sorted(self.controls)))
+        # Lines are distinct by now, so ordering by line alone is the same
+        # order as the dataclass ordering on (line, positive).
+        object.__setattr__(
+            self, "controls", tuple(sorted(self.controls, key=_CONTROL_LINE))
+        )
 
     # -- basic structure ---------------------------------------------------
     @property
@@ -133,7 +142,10 @@ class MCTGate(Gate):
 
     @property
     def max_line(self) -> int:
-        return max(self.lines)
+        # Controls are sorted by line, so the last one holds the largest.
+        if self.controls:
+            return max(self.target, self.controls[-1].line)
+        return self.target
 
     @property
     def control_lines(self) -> tuple[int, ...]:

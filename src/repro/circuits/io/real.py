@@ -11,8 +11,29 @@ need:
   all lines alike);
 * multiple-controlled Toffoli gates ``t<k>`` with optional negative controls
   written as a ``-`` prefix on the control variable;
-* Fredkin/swap gates ``f<k>`` — ``f2`` maps to a plain swap, larger ``f``
-  gates to a controlled swap expanded into MCT gates.
+* Fredkin/swap gates ``f<k>`` — ``f2`` maps to a plain swap, ``f3`` to a
+  controlled swap expanded into MCT gates.
+
+A variable name that itself starts with ``-`` can only be used negated,
+written with one more ``-``: one leading ``-`` always negates.
+
+Malformed input raises :class:`~repro.exceptions.ParseError`, naming the
+line where there is one:
+
+* neither ``.numvars`` nor ``.variables`` given, a ``.numvars`` value that is
+  not a positive integer, a ``.variables`` list naming one variable twice,
+  or a ``.numvars`` that disagrees with the length of ``.variables`` (when
+  a header repeats, its last occurrence counts);
+* a gate line outside ``.begin``/``.end``;
+* a gate type other than ``t``/``f``, a mnemonic without a number, or an
+  operand count other than the one the mnemonic names;
+* a ``t`` gate with no operand, an ``f`` gate with fewer than two, or an
+  ``f`` gate with more than one control;
+* an operand naming no declared variable;
+* a negated target, a negated swapped line, or a negative Fredkin control;
+* a gate the gate classes reject — a control on the target line, one line
+  controlling twice, or a swap of a line with itself (the
+  :class:`~repro.exceptions.GateError` is chained).
 
 Example::
 
@@ -32,8 +53,8 @@ import os
 from collections.abc import Sequence
 
 from repro.circuits.circuit import ReversibleCircuit
-from repro.circuits.gates import Control, MCTGate, SwapGate, fredkin
-from repro.exceptions import ParseError
+from repro.circuits.gates import Control, Gate, MCTGate, SwapGate, fredkin
+from repro.exceptions import GateError, ParseError
 
 __all__ = ["parse_real", "read_real", "write_real", "circuit_to_real"]
 
@@ -48,13 +69,14 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
 
     Raises:
         ParseError: on any syntactic problem (unknown directives are ignored,
-            unknown gate types are not).
+            unknown gate types are not); see the module docstring.
     """
     variables: list[str] = []
+    variables_line = 0
     num_vars: int | None = None
-    circuit: ReversibleCircuit | None = None
+    num_vars_line = 0
     in_body = False
-    gates = []
+    gate_lines: list[tuple[int, str]] = []
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -71,8 +93,10 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
                     raise ParseError(
                         f"line {line_number}: invalid .numvars value {rest!r}"
                     ) from error
+                num_vars_line = line_number
             elif directive == ".variables":
                 variables = rest.split()
+                variables_line = line_number
             elif directive == ".begin":
                 in_body = True
             elif directive == ".end":
@@ -84,49 +108,88 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
             raise ParseError(
                 f"line {line_number}: gate line {line!r} outside .begin/.end"
             )
-        gates.append((line_number, line))
+        gate_lines.append((line_number, line))
 
+    # A header given twice counts by its last occurrence, so the checks run
+    # once every header has been read.
     if num_vars is None:
         if not variables:
             raise ParseError("missing .numvars and .variables headers")
         num_vars = len(variables)
+    elif num_vars < 1:
+        raise ParseError(
+            f"line {num_vars_line}: .numvars must be positive, got {num_vars}"
+        )
     if not variables:
         variables = [f"x{index}" for index in range(num_vars)]
     if len(variables) != num_vars:
         raise ParseError(
             f".numvars says {num_vars} but .variables lists {len(variables)} names"
         )
-
     index_of = {variable: index for index, variable in enumerate(variables)}
-    circuit = ReversibleCircuit(num_vars, name=name or "real")
+    if len(index_of) != num_vars:
+        duplicate = next(
+            variable
+            for index, variable in enumerate(variables)
+            if index_of[variable] != index
+        )
+        raise ParseError(
+            f"line {variables_line}: variable {duplicate!r} is declared twice"
+        )
 
-    for line_number, line in gates:
-        tokens = line.split()
-        mnemonic, operands = tokens[0].lower(), tokens[1:]
-        _append_gate(circuit, mnemonic, operands, index_of, line_number)
+    table = _operand_table(index_of)
+    circuit = ReversibleCircuit(num_vars, name=name or "real")
+    # Gates are immutable, so a repeated gate line reuses the gates built
+    # the first time it appeared.
+    built: dict[str, tuple[Gate, ...]] = {}
+    for line_number, line in gate_lines:
+        gates = built.get(line)
+        if gates is None:
+            tokens = line.split()
+            try:
+                gates = _build_gates(
+                    tokens[0].lower(), tokens[1:], table, line_number
+                )
+            except GateError as error:
+                raise ParseError(f"line {line_number}: {error}") from error
+            built[line] = gates
+        circuit.extend(gates)
     return circuit
 
 
-def _resolve(
-    operand: str, index_of: dict[str, int], line_number: int
-) -> tuple[int, bool]:
-    """Resolve an operand name to (line index, positive polarity)."""
-    positive = True
-    if operand.startswith("-"):
-        positive = False
-        operand = operand[1:]
-    if operand not in index_of:
-        raise ParseError(f"line {line_number}: unknown variable {operand!r}")
-    return index_of[operand], positive
+def _operand_table(index_of: dict[str, int]) -> dict[str, Control]:
+    """Every operand token that names a variable, mapped to its control.
+
+    One leading ``-`` negates: ``-a`` is variable ``a`` negated.  So a
+    variable whose own name starts with ``-`` is reachable only negated,
+    through a token with one more ``-``.
+    """
+    table = {
+        "-" + variable: Control(index, False) for variable, index in index_of.items()
+    }
+    for variable, index in index_of.items():
+        if not variable.startswith("-"):
+            table[variable] = Control(index, True)
+    return table
 
 
-def _append_gate(
-    circuit: ReversibleCircuit,
+def _resolve(operand: str, table: dict[str, Control], line_number: int) -> Control:
+    """The control an operand token names."""
+    control = table.get(operand)
+    if control is None:
+        raise ParseError(
+            f"line {line_number}: unknown variable {operand.removeprefix('-')!r}"
+        )
+    return control
+
+
+def _build_gates(
     mnemonic: str,
     operands: Sequence[str],
-    index_of: dict[str, int],
+    table: dict[str, Control],
     line_number: int,
-) -> None:
+) -> tuple[Gate, ...]:
+    """The gates of one gate line (a Fredkin line expands to three)."""
     if not mnemonic or mnemonic[0] not in "tf":
         raise ParseError(f"line {line_number}: unsupported gate type {mnemonic!r}")
     try:
@@ -142,36 +205,36 @@ def _append_gate(
         )
 
     if mnemonic[0] == "t":
+        if arity < 1:
+            raise ParseError(f"line {line_number}: t gates need at least 1 operand")
         *control_names, target_name = operands
-        target, target_positive = _resolve(target_name, index_of, line_number)
-        if not target_positive:
+        target = _resolve(target_name, table, line_number)
+        if not target.positive:
             raise ParseError(f"line {line_number}: target cannot be negated")
-        controls = tuple(
-            Control(*_resolve(operand, index_of, line_number))
-            for operand in control_names
-        )
-        circuit.append(MCTGate(controls, target))
-        return
+        try:
+            controls = tuple(map(table.__getitem__, control_names))
+        except KeyError as missing:
+            _resolve(missing.args[0], table, line_number)  # raises ParseError
+            raise
+        return (MCTGate(controls, target.line),)
 
     # Fredkin family: the last two operands are swapped, the rest control.
     if arity < 2:
         raise ParseError(f"line {line_number}: f gates need at least 2 operands")
     *control_names, name_a, name_b = operands
-    line_a, positive_a = _resolve(name_a, index_of, line_number)
-    line_b, positive_b = _resolve(name_b, index_of, line_number)
-    if not (positive_a and positive_b):
+    swapped_a = _resolve(name_a, table, line_number)
+    swapped_b = _resolve(name_b, table, line_number)
+    if not (swapped_a.positive and swapped_b.positive):
         raise ParseError(f"line {line_number}: swapped lines cannot be negated")
     if not control_names:
-        circuit.append(SwapGate(line_a, line_b))
-        return
+        return (SwapGate(swapped_a.line, swapped_b.line),)
     if len(control_names) == 1:
-        control, positive = _resolve(control_names[0], index_of, line_number)
-        if not positive:
+        control = _resolve(control_names[0], table, line_number)
+        if not control.positive:
             raise ParseError(
                 f"line {line_number}: negative Fredkin controls are unsupported"
             )
-        circuit.extend(fredkin(control, line_a, line_b))
-        return
+        return fredkin(control.line, swapped_a.line, swapped_b.line)
     raise ParseError(
         f"line {line_number}: Fredkin gates with more than one control are "
         "not supported"

@@ -29,7 +29,7 @@ from repro.core.registry import Capability, MatcherKind, register_matcher
 from repro.exceptions import MatchingError, UnsupportedEquivalenceError
 from repro.oracles.oracle import CircuitOracle, PermutationOracle, as_oracle
 from repro.quantum.oracle import QuantumCircuitOracle
-from repro.quantum.statevector import PLUS, ZERO, product_state
+from repro.quantum.statevector import PLUS, ZERO, Statevector, product_state
 from repro.quantum.swap_test import SwapTest
 
 __all__ = [
@@ -62,6 +62,16 @@ def as_quantum_oracle(target, max_queries: int | None = None) -> QuantumCircuitO
         f"cannot build a quantum oracle from {type(target).__name__}; pass a "
         "circuit, permutation or QuantumCircuitOracle"
     )
+
+
+def marked_probes(marker: str, num_lines: int) -> list[Statevector]:
+    """``probes[b]``: ``marker`` on line ``b``, ``|+>`` on every other line."""
+    probes = []
+    for line in range(num_lines):
+        labels = [PLUS] * num_lines
+        labels[line] = marker
+        probes.append(product_state(labels))
+    return probes
 
 
 def match_n_i(circuit1, circuit2) -> MatchingResult:
@@ -136,10 +146,7 @@ def match_n_i_quantum(
     start_tests = tester.runs
 
     nu_x = [False] * num_lines
-    for line in range(num_lines):
-        labels = [PLUS] * num_lines
-        labels[line] = ZERO
-        probe = product_state(labels)
+    for line, probe in enumerate(marked_probes(ZERO, num_lines)):
         for _ in range(repetitions):
             output1 = oracle1.query_state(probe)
             output2 = oracle2.query_state(probe)

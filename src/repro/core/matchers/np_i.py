@@ -25,12 +25,12 @@ from repro.core.matchers._sequences import (
     identify_line_permutation,
     repetitions_for_swap_test,
 )
-from repro.core.matchers.n_i import as_quantum_oracle
+from repro.core.matchers.n_i import as_quantum_oracle, marked_probes
 from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
 from repro.core.registry import Capability, MatcherKind, register_matcher
 from repro.exceptions import MatchingError, PromiseViolationError
 from repro.oracles.oracle import as_oracle
-from repro.quantum.statevector import MINUS, PLUS, ZERO, product_state
+from repro.quantum.statevector import MINUS, ZERO
 from repro.quantum.swap_test import SwapTest
 
 __all__ = ["match_np_i", "match_np_i_quantum"]
@@ -139,20 +139,19 @@ def match_np_i_quantum(
 
     # Phase 1: find pi.  Placing |-> on line b1 of C1 and line b2 of C2 (all
     # other lines |+>) makes the final states identical iff pi(b1) = b2.
+    # Both circuits draw their probes from the same n states, so each is
+    # prepared once per match rather than once per candidate pair.
+    minus_probes = marked_probes(MINUS, num_lines)
     pi_mapping: list[int | None] = [None] * num_lines
     unmatched: list[int] = list(range(num_lines))
     for b1 in range(num_lines):
-        labels1 = [PLUS] * num_lines
-        labels1[b1] = MINUS
-        probe1 = product_state(labels1)
+        probe1 = minus_probes[b1]
         matched: int | None = None
-        for index, b2 in enumerate(list(unmatched)):
+        for b2 in list(unmatched):
             if infer_last_candidate and len(unmatched) == 1:
                 matched = unmatched[0]
                 break
-            labels2 = [PLUS] * num_lines
-            labels2[b2] = MINUS
-            probe2 = product_state(labels2)
+            probe2 = minus_probes[b2]
             saw_one = False
             for _ in range(repetitions):
                 output1 = oracle1.query_state(probe1)
@@ -175,14 +174,11 @@ def match_np_i_quantum(
     # Phase 2: find nu with the Algorithm 1 variant: |0> on line i of C1 and
     # on line pi(i) of C2; a NOT on line i flips that marker and the swap
     # test sees orthogonal states.
+    zero_probes = marked_probes(ZERO, num_lines)
     nu_x = [False] * num_lines
     for line in range(num_lines):
-        labels1 = [PLUS] * num_lines
-        labels1[line] = ZERO
-        probe1 = product_state(labels1)
-        labels2 = [PLUS] * num_lines
-        labels2[pi_x[line]] = ZERO
-        probe2 = product_state(labels2)
+        probe1 = zero_probes[line]
+        probe2 = zero_probes[pi_x[line]]
         for _ in range(repetitions):
             output1 = oracle1.query_state(probe1)
             output2 = oracle2.query_state(probe2)

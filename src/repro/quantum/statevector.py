@@ -179,11 +179,14 @@ def product_state(labels: Sequence[str]) -> Statevector:
     num_qubits = len(labels)
     vector = np.ones(1, dtype=complex)
     # Qubit i occupies bit i of the amplitude index, so each new qubit's
-    # amplitudes multiply in as the slow (outer) Kronecker factor.
+    # amplitudes multiply in as the slow (outer) Kronecker factor:
+    # ``kron((a0, a1), v)`` is ``a0 * v`` followed by ``a1 * v``, the same
+    # products concatenated, so the amplitudes are bitwise those of kron.
     for label in labels:
         if label not in _SINGLE_QUBIT_AMPLITUDES:
             raise QuantumError(
                 f"unknown single-qubit label {label!r}; expected one of 0, 1, +, -"
             )
-        vector = np.kron(_SINGLE_QUBIT_AMPLITUDES[label], vector)
+        low, high = _SINGLE_QUBIT_AMPLITUDES[label]
+        vector = np.concatenate((low * vector, high * vector))
     return Statevector(vector, num_qubits, validate=False)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.circuits.gates import MCTGate, SwapGate
+from repro.circuits.gates import Control, MCTGate, SwapGate
 from repro.circuits.io.real import circuit_to_real, parse_real, read_real, write_real
 from repro.circuits.random import random_circuit
-from repro.exceptions import ParseError
+from repro.exceptions import GateError, ParseError
 
 EXAMPLE = """
 # toffoli example
@@ -74,6 +74,49 @@ class TestParsing:
     def test_numvars_variables_conflict_rejected(self):
         with pytest.raises(ParseError):
             parse_real(".numvars 3\n.variables a b\n.begin\n.end\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (".numvars 1\n.begin\nt0\n.end\n", 3),
+            (".numvars 2\n.variables a a\n.begin\nt1 a\n.end\n", 2),
+            (".version 2.0\n.numvars 0\n.begin\n.end\n", 2),
+            (".numvars -1\n.begin\n.end\n", 1),
+        ],
+        ids=["bare-t0", "duplicate-variable", "numvars-0", "numvars-negative"],
+    )
+    def test_malformed_input_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match=rf"^line {line}: "):
+            parse_real(text)
+
+    @pytest.mark.parametrize(
+        "gate_line",
+        ["t2 a a", "t3 a a b", "f2 a a", "f3 a b b", "f3 a a b"],
+    )
+    def test_gate_rejected_by_gate_classes_names_its_line(self, gate_line):
+        text = f".numvars 2\n.variables a b\n.begin\nt1 a\n{gate_line}\n.end\n"
+        with pytest.raises(ParseError, match=r"^line 5: ") as excinfo:
+            parse_real(text)
+        assert isinstance(excinfo.value.__cause__, GateError)
+
+    def test_repeated_header_counts_its_last_occurrence(self):
+        circuit = parse_real(
+            ".numvars 0\n.numvars 2\n.variables a a\n.variables a b\n"
+            ".begin\nt2 a b\n.end\n"
+        )
+        assert circuit.num_lines == 2
+
+    def test_dash_named_variable_is_reachable_only_negated(self):
+        text = ".variables a -b\n.begin\nt2 --b a\n.end\n"
+        (gate,) = parse_real(text).gates
+        assert gate.controls == (Control(1, False),)
+        with pytest.raises(ParseError, match="unknown variable 'b'"):
+            parse_real(".variables a -b\n.begin\nt2 -b a\n.end\n")
+
+    def test_repeated_gate_line_shares_its_gates(self):
+        circuit = parse_real(".variables a b\n.begin\nt2 -a b\nt2 -a b\n.end\n")
+        first, second = circuit.gates
+        assert first is second
 
     def test_controlled_fredkin_expanded(self):
         circuit = parse_real(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.quantum.statevector import (
     ONE,
     PLUS,
     ZERO,
+    _SINGLE_QUBIT_AMPLITUDES,
     Statevector,
     basis_state,
     product_state,
@@ -57,6 +60,39 @@ class TestConstruction:
     def test_product_state_rejects_empty(self):
         with pytest.raises(QuantumError):
             product_state([])
+
+
+LABELS = (ZERO, ONE, PLUS, MINUS)
+
+
+def kron_product_state(labels) -> np.ndarray:
+    """Reference amplitudes: one ``np.kron`` per qubit, qubit 0 innermost."""
+    vector = np.ones(1, dtype=complex)
+    for label in labels:
+        vector = np.kron(_SINGLE_QUBIT_AMPLITUDES[label], vector)
+    return vector
+
+
+class TestProductStateMatchesKron:
+    """Swap-test draws read every amplitude, so equality is bitwise."""
+
+    @pytest.mark.parametrize("num_qubits", range(1, 6))
+    def test_every_label_tuple_up_to_five_qubits(self, num_qubits):
+        for labels in itertools.product(LABELS, repeat=num_qubits):
+            vector = product_state(labels).vector
+            assert vector.dtype == np.complex128
+            assert vector.tobytes() == kron_product_state(labels).tobytes(), labels
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_twelve_qubit_tuples(self, seed):
+        rng = random.Random(f"product-state:12:{seed}")
+        for _ in range(16):
+            labels = [rng.choice(LABELS) for _ in range(12)]
+            vector = product_state(labels).vector
+            assert vector.tobytes() == kron_product_state(labels).tobytes(), (
+                seed,
+                labels,
+            )
 
 
 class TestAlgebra:
