@@ -139,20 +139,12 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
 
     table = _operand_table(index_of)
     circuit = ReversibleCircuit(num_vars, name=name or "real")
-    # Gates are immutable, so a repeated gate line reuses the gates built
-    # the first time it appeared.
-    built: dict[str, tuple[Gate, ...]] = {}
     for line_number, line in gate_lines:
-        gates = built.get(line)
-        if gates is None:
-            tokens = line.split()
-            try:
-                gates = _build_gates(
-                    tokens[0].lower(), tokens[1:], table, line_number
-                )
-            except GateError as error:
-                raise ParseError(f"line {line_number}: {error}") from error
-            built[line] = gates
+        tokens = line.split()
+        try:
+            gates = _build_gates(tokens[0].lower(), tokens[1:], table, line_number)
+        except GateError as error:
+            raise ParseError(f"line {line_number}: {error}") from error
         circuit.extend(gates)
     return circuit
 
@@ -211,11 +203,7 @@ def _build_gates(
         target = _resolve(target_name, table, line_number)
         if not target.positive:
             raise ParseError(f"line {line_number}: target cannot be negated")
-        try:
-            controls = tuple(map(table.__getitem__, control_names))
-        except KeyError as missing:
-            _resolve(missing.args[0], table, line_number)  # raises ParseError
-            raise
+        controls = tuple(_resolve(name, table, line_number) for name in control_names)
         return (MCTGate(controls, target.line),)
 
     # Fredkin family: the last two operands are swapped, the rest control.

@@ -18,6 +18,7 @@
 from __future__ import annotations
 
 import random as _random
+from collections.abc import Iterator
 
 from repro.bits import int_to_bits
 from repro.circuits.circuit import ReversibleCircuit
@@ -64,14 +65,16 @@ def as_quantum_oracle(target, max_queries: int | None = None) -> QuantumCircuitO
     )
 
 
-def marked_probes(marker: str, num_lines: int) -> list[Statevector]:
-    """``probes[b]``: ``marker`` on line ``b``, ``|+>`` on every other line."""
-    probes = []
+def marked_probes(marker: str, num_lines: int) -> Iterator[Statevector]:
+    """For each line ``b`` in order: ``marker`` on ``b``, ``|+>`` elsewhere.
+
+    A generator, so a caller that needs one probe at a time holds one
+    ``2**n``-amplitude vector, not ``n`` of them.
+    """
     for line in range(num_lines):
         labels = [PLUS] * num_lines
         labels[line] = marker
-        probes.append(product_state(labels))
-    return probes
+        yield product_state(labels)
 
 
 def match_n_i(circuit1, circuit2) -> MatchingResult:

@@ -141,7 +141,7 @@ def match_np_i_quantum(
     # other lines |+>) makes the final states identical iff pi(b1) = b2.
     # Both circuits draw their probes from the same n states, so each is
     # prepared once per match rather than once per candidate pair.
-    minus_probes = marked_probes(MINUS, num_lines)
+    minus_probes = list(marked_probes(MINUS, num_lines))
     pi_mapping: list[int | None] = [None] * num_lines
     unmatched: list[int] = list(range(num_lines))
     for b1 in range(num_lines):
@@ -174,7 +174,9 @@ def match_np_i_quantum(
     # Phase 2: find nu with the Algorithm 1 variant: |0> on line i of C1 and
     # on line pi(i) of C2; a NOT on line i flips that marker and the swap
     # test sees orthogonal states.
-    zero_probes = marked_probes(ZERO, num_lines)
+    # Drop the |-> probes first, so the two lists are never alive together.
+    del minus_probes
+    zero_probes = list(marked_probes(ZERO, num_lines))
     nu_x = [False] * num_lines
     for line in range(num_lines):
         probe1 = zero_probes[line]

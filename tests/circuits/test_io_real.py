@@ -113,11 +113,6 @@ class TestParsing:
         with pytest.raises(ParseError, match="unknown variable 'b'"):
             parse_real(".variables a -b\n.begin\nt2 -b a\n.end\n")
 
-    def test_repeated_gate_line_shares_its_gates(self):
-        circuit = parse_real(".variables a b\n.begin\nt2 -a b\nt2 -a b\n.end\n")
-        first, second = circuit.gates
-        assert first is second
-
     def test_controlled_fredkin_expanded(self):
         circuit = parse_real(
             ".numvars 3\n.variables a b c\n.begin\nf3 a b c\n.end\n"

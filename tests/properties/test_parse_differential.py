@@ -1,8 +1,8 @@
 """Differential harness: the table-driven ``.real`` parser vs. the reference.
 
 ``repro.circuits.io.real.parse_real`` resolves operands through one
-per-file token table and reuses the gates of a repeated gate line; the
-plain per-operand parser it replaced lives in ``tests/real_reference.py``.
+per-file token table; the plain per-operand parser it replaced lives in
+``tests/real_reference.py``.
 Every case here is parsed by both:
 
 * where the reference parses, the library must parse to the same circuit
