@@ -10,12 +10,11 @@ walks the surface:
 2. run the same manifest through ``run_manifest`` with stock observers
    attached — a progress line every 4 pairs, a JSONL event log and an
    in-memory stats counter,
-3. overlap execution with store writes via ``OverlapExecutor``,
-4. split the corpus into 3 shards (a deterministic SHA-256 partition by
+3. split the corpus into 3 shards (a deterministic SHA-256 partition by
    pair id), run each shard separately, then ``merge_stores`` the shard
    stores — and check the merged store is byte-identical to the
    unsharded run's, seeds and query counts included,
-5. stream in-memory pairs (no manifest, no files) through
+4. stream in-memory pairs (no manifest, no files) through
    ``match_pairs`` with a one-method observer printing each pair as it
    settles.
 
@@ -33,7 +32,6 @@ from repro.core.verify import make_instance
 from repro.service import (
     EventLogObserver,
     MatchingService,
-    OverlapExecutor,
     ProgressObserver,
     RunCompleted,
     StatsObserver,
@@ -73,14 +71,7 @@ def main() -> None:
     print(f"stats: {stats.as_dict()}")
     print(f"event log: {(root / 'events.jsonl').stat().st_size} bytes")
 
-    # 3. Overlap execution with store writes.
-    overlap_store = root / "overlap.jsonl"
-    overlap = MatchingService(executor=OverlapExecutor()).run_manifest(
-        corpus, store_path=overlap_store, seed=7
-    )
-    print(f"\noverlap: {overlap.summary()}")
-
-    # 4. Sharded runs merge byte-identically to the unsharded store.
+    # 3. Sharded runs merge byte-identically to the unsharded store.
     full_store = root / "full.jsonl"
     MatchingService().run_manifest(corpus, store_path=full_store, seed=7)
     shard_stores = []
@@ -97,7 +88,7 @@ def main() -> None:
     print(f"merged {count} records; byte-identical to unsharded run: {identical}")
     assert identical
 
-    # 5. In-memory pairs stream the same events: any object with a
+    # 4. In-memory pairs stream the same events: any object with a
     #    notify(event) method is an observer.
     print("\n-- in-memory pairs --")
     import random

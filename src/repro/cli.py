@@ -19,14 +19,14 @@ reaches for most often without writing Python:
   ``manifest.json``) across equivalence classes and problem families;
 * ``repro run MANIFEST`` — execute a corpus manifest through the
   streaming :class:`~repro.service.MatchingService` pipeline, with
-  ``--workers`` (process-pool parallelism), ``--overlap`` (pipeline
-  execution with store writes), ``--cache``/``--cache-dir`` (result reuse
-  across pairs and runs), ``--resume`` (skip pairs already in the JSONL
-  result store), ``--shard i/n`` (run one deterministic partition of the
-  manifest), ``--progress`` (a progress line per N finished pairs),
-  ``--events`` (JSONL lifecycle-event log), ``--metrics`` (write a
-  ``repro-metrics/v1`` snapshot of the run's counters) and ``--trace``
-  (JSONL span log following each pair through the pipeline);
+  ``--workers`` (process-pool parallelism), ``--cache``/``--cache-dir``
+  (result reuse across pairs and runs), ``--resume`` (skip pairs already
+  in the JSONL result store), ``--shard i/n`` (run one deterministic
+  partition of the manifest), ``--progress`` (a progress line per N
+  finished pairs), ``--events`` (JSONL lifecycle-event log),
+  ``--metrics`` (write a ``repro-metrics/v1`` snapshot of the run's
+  counters) and ``--trace`` (JSONL span log following each pair through
+  the pipeline);
 * ``repro merge`` — union the result stores of shard runs into one store,
   byte-identical to an unsharded run of the same manifest;
 * ``repro fingerprint C1.real [C2.real]`` — print the oracle-identity
@@ -89,11 +89,7 @@ from repro.service.events import (
     ProgressObserver,
     RunCompleted,
 )
-from repro.service.executor import (
-    OverlapExecutor,
-    ParallelExecutor,
-    SerialExecutor,
-)
+from repro.service.executor import Executor, ParallelExecutor, SerialExecutor
 from repro.service.fingerprint import (
     FINGERPRINT_SCHEMES,
     pair_key,
@@ -300,6 +296,21 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
+def _executor_from_args(
+    args: argparse.Namespace, serial: Executor | None = None
+) -> Executor | None:
+    """``--workers N``: a process pool for N > 1, else ``serial``.
+
+    Pool workers build their own engines, so engine-level metrics need
+    the in-process serial backend the caller hands in.
+    """
+    if args.workers <= 0:
+        raise ReproError(f"--workers must be positive, got {args.workers}")
+    if args.workers == 1:
+        return serial
+    return ParallelExecutor(workers=args.workers)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.no_cache:
         if args.remote_cache is not None:
@@ -330,19 +341,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
         if cache is not None:
             cache.bind_metrics(metrics)
+    executor = _executor_from_args(args, SerialExecutor(metrics=metrics))
     tracer = None
     if args.trace is not None:
         from repro.obs.trace import Tracer
 
         tracer = Tracer(args.trace)
-    if args.workers > 1:
-        # Worker processes build their own engines; engine-level metrics
-        # need the in-process serial backend.
-        executor = ParallelExecutor(workers=args.workers)
-    else:
-        executor = SerialExecutor(metrics=metrics)
-    if args.overlap:
-        executor = OverlapExecutor(executor)
     shard = parse_shard(args.shard) if args.shard is not None else None
     observers, event_log = _watch_observers(args)
     service = MatchingService(
@@ -518,11 +522,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     # A serial daemon builds its own default executor, which threads the
     # daemon's metrics registry into the engine (repro_engine_* series).
-    executor = (
-        OverlapExecutor(ParallelExecutor(workers=args.workers))
-        if args.workers > 1
-        else None
-    )
+    executor = _executor_from_args(args)
     if args.socket is None and args.host is None:
         args.socket = str(Path(args.store_dir) / "daemon.sock")
     token = None
@@ -931,10 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="process-pool size (1 = serial, the default)",
-    )
-    runner.add_argument(
-        "--overlap", action="store_true",
-        help="pipeline execution with store writes on a background thread",
     )
     runner.add_argument(
         "--store", metavar="PATH",

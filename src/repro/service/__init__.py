@@ -12,8 +12,8 @@ for corpora:
   and the :class:`TieredCache` stack over them.
 * :mod:`repro.service.executor` — pluggable execution backends exposing
   the as-completed :meth:`Executor.stream` contract with deterministic
-  per-pair seeding (serial / process-pool parallel / overlap, all
-  byte-identical per task).
+  per-pair seeding (serial / process-pool parallel, byte-identical per
+  task).
 * :mod:`repro.service.events` — the typed lifecycle events a run streams
   (``RunStarted`` ... ``RunCompleted``) and the pluggable ``Observer``
   protocol with progress / JSONL-log / stats implementations.
@@ -35,8 +35,8 @@ for corpora:
   result store, so daemon runs resume and merge like CLI runs.
 
 The CLI surfaces this as ``repro corpus`` (generate), ``repro run``
-(execute, with ``--workers``, ``--overlap``, ``--cache-dir``,
-``--resume``, ``--shard i/n``, ``--progress`` and ``--events``),
+(execute, with ``--workers``, ``--cache-dir``, ``--resume``,
+``--shard i/n``, ``--progress`` and ``--events``),
 ``repro merge`` (union shard stores), and the daemon quartet ``repro
 serve`` / ``repro submit`` / ``repro watch`` / ``repro daemon``
 (admin: status, stats, cancel, shutdown).
@@ -84,7 +84,6 @@ from repro.service.events import (
 )
 from repro.service.executor import (
     Executor,
-    OverlapExecutor,
     PairTask,
     ParallelExecutor,
     SerialExecutor,
@@ -188,7 +187,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "OverlapExecutor",
     "PairTask",
     "TaskOutcome",
     "derive_seed",

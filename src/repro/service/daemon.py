@@ -3,8 +3,7 @@
 Every ``repro run`` so far has been a one-shot process — import, build an
 engine, fill a cache, exit, repeat.  :class:`MatchingDaemon` keeps all of
 that alive: a single server process owns one executor (by default a
-:class:`~repro.service.executor.SerialExecutor` inside an
-:class:`~repro.service.executor.OverlapExecutor`) and one shared
+:class:`~repro.service.executor.SerialExecutor`) and one shared
 :class:`~repro.service.cache.ResultCache` across arbitrarily many
 submissions, so concurrent clients benefit from each other's work instead
 of re-fingerprinting the same pairs.
@@ -57,7 +56,7 @@ from repro.exceptions import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache, TieredCache, build_cache
 from repro.service.events import Observer, event_from_dict, matched
-from repro.service.executor import Executor, OverlapExecutor, SerialExecutor
+from repro.service.executor import Executor, SerialExecutor
 from repro.service.framed import MAX_FRAME_CHARS, FramedServer, Session
 from repro.service.pipeline import MatchingService, ResultStore, parse_shard
 from repro.service.workload import MANIFEST_NAME
@@ -319,11 +318,9 @@ class MatchingDaemon(FramedServer):
             :func:`~repro.service.cache.build_cache` with the cache
             persisted under ``store_dir/cache``.  Pass ``None`` explicitly
             to run without a result cache.
-        executor: execution backend; defaults to an
-            :class:`~repro.service.executor.OverlapExecutor` around a
+        executor: execution backend; defaults to a
             :class:`~repro.service.executor.SerialExecutor` that counts
-            ``repro_engine_*`` metrics on the daemon's registry, so store
-            writes overlap execution.
+            ``repro_engine_*`` metrics on the daemon's registry.
         verify: exhaustively verify witnesses of freshly executed pairs.
         remote_cache: a ``repro-cache/v1`` cache-server address
             (``unix:<path>`` / ``tcp:<host>:<port>``, see
@@ -391,7 +388,7 @@ class MatchingDaemon(FramedServer):
         if self._cache is not None:
             self._cache.bind_metrics(self._metrics)
         if executor is None:
-            executor = OverlapExecutor(SerialExecutor(metrics=self._metrics))
+            executor = SerialExecutor(metrics=self._metrics)
         self._executor = executor
         self._verify = verify
         if remote_cache is not None:

@@ -4,7 +4,7 @@ Executors take an iterable of :class:`PairTask` and a
 :class:`~repro.core.engine.MatchingConfig` and yield one
 :class:`TaskOutcome` per task from :meth:`Executor.stream` in
 *as-completed* order — the streaming contract the service pipeline
-consumes so store writes and observer notifications overlap execution
+consumes so store writes and observer notifications follow each pair
 instead of waiting for the whole batch.  Two invariants make the
 backends interchangeable:
 
@@ -16,16 +16,14 @@ backends interchangeable:
   of the stream may differ between backends.
 * **Serialised results** — outcomes carry results as JSON dicts (the
   :mod:`repro.service.serialize` format) rather than live objects, so
-  crossing a process or thread boundary is not observable downstream.
+  crossing a process boundary is not observable downstream.
 
 :class:`SerialExecutor` runs in-process and consumes its task iterable
 lazily (task in, outcome out, one at a time); :class:`ParallelExecutor`
 shards the batch into contiguous chunks over a ``ProcessPoolExecutor``
 (fork start method where the platform offers it — the matcher registry is
 populated at import time and forked workers inherit it for free) and
-yields chunks as they finish; :class:`OverlapExecutor` runs any inner
-executor on a background thread behind a bounded queue, so a consumer
-doing I/O (JSONL store appends) overlaps with oracle execution.
+yields chunks as they finish.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import queue as _queue
-import threading
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator
@@ -51,7 +47,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "OverlapExecutor",
 ]
 
 
@@ -207,22 +202,21 @@ class SerialExecutor(Executor):
 class ParallelExecutor(Executor):
     """Shard tasks into chunks across a process pool, yield as completed.
 
+    The batch is spread over about ``4 * workers`` contiguous chunks, so
+    an unlucky chunk of slow pairs cannot serialise the run.  A consumer
+    that abandons the stream (``close()``, an exception, a daemon cancel)
+    cancels every chunk still queued; only the running ones finish.
+
     Args:
         workers: pool size; defaults to the CPU count.
-        chunk_size: tasks per submitted chunk; defaults to spreading the
-            batch over ``4 * workers`` chunks so an unlucky chunk of slow
-            pairs cannot serialise the run.
     """
 
     name = "parallel"
 
-    def __init__(self, workers: int | None = None, chunk_size: int | None = None) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         if workers is not None and workers <= 0:
             raise ValueError(f"worker count must be positive, got {workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk size must be positive, got {chunk_size}")
         self._workers = workers if workers is not None else (os.cpu_count() or 2)
-        self._chunk_size = chunk_size
 
     @property
     def workers(self) -> int:
@@ -236,100 +230,21 @@ class ParallelExecutor(Executor):
         if self._workers == 1 or len(tasks) <= 1:
             yield from _execute_chunk(tasks, config)
             return
-        chunk_size = self._chunk_size
-        if chunk_size is None:
-            chunk_size = max(1, -(-len(tasks) // (4 * self._workers)))
+        per_chunk = max(1, -(-len(tasks) // (4 * self._workers)))
         chunks = [
-            tasks[start : start + chunk_size]
-            for start in range(0, len(tasks), chunk_size)
+            tasks[start : start + per_chunk]
+            for start in range(0, len(tasks), per_chunk)
         ]
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        with ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=min(self._workers, len(chunks)), mp_context=context
-        ) as pool:
+        )
+        try:
             futures = [pool.submit(_execute_chunk, chunk, config) for chunk in chunks]
             for future in as_completed(futures):
                 yield from future.result()
-
-
-#: Queue sentinel marking the end of an overlap stream.
-_DONE = object()
-
-
-class OverlapExecutor(Executor):
-    """Pipeline an inner executor with the consumer over a bounded queue.
-
-    A background thread drains ``inner.stream`` into a queue while the
-    caller consumes outcomes from this stream — so the consumer's blocking
-    work (JSONL store appends, observer I/O) overlaps with oracle
-    execution instead of alternating with it.  The queue is bounded, so a
-    slow consumer back-pressures the producer instead of buffering the
-    whole run.
-
-    Outcome order is exactly the inner executor's order; an exception on
-    the producer side (not a matcher failure, which is an outcome — a
-    genuinely broken task) is re-raised in the consumer.
-
-    Args:
-        inner: the executor doing the actual matching; defaults to a
-            :class:`SerialExecutor`.
-        buffer_size: maximum outcomes in flight between the threads.
-    """
-
-    def __init__(self, inner: Executor | None = None, buffer_size: int = 64) -> None:
-        if buffer_size <= 0:
-            raise ValueError(f"buffer size must be positive, got {buffer_size}")
-        self._inner = inner if inner is not None else SerialExecutor()
-        self._buffer_size = buffer_size
-        self.name = f"overlap[{self._inner.name}]"
-
-    @property
-    def inner(self) -> Executor:
-        """The wrapped executor."""
-        return self._inner
-
-    def stream(
-        self, tasks: Iterable[PairTask], config: MatchingConfig
-    ) -> Iterator[TaskOutcome]:
-        outcomes: _queue.Queue = _queue.Queue(maxsize=self._buffer_size)
-        cancelled = threading.Event()
-        failure: list[BaseException] = []
-
-        def produce() -> None:
-            try:
-                for outcome in self._inner.stream(tasks, config):
-                    outcomes.put(outcome)
-                    if cancelled.is_set():
-                        break
-            except BaseException as error:  # noqa: BLE001 - re-raised in consumer
-                failure.append(error)
-            finally:
-                outcomes.put(_DONE)
-
-        producer = threading.Thread(
-            target=produce, name="repro-overlap-producer", daemon=True
-        )
-        producer.start()
-        finished = False
-        try:
-            while True:
-                outcome = outcomes.get()
-                if outcome is _DONE:
-                    finished = True
-                    break
-                yield outcome
         finally:
-            # A consumer that abandons the stream early (break, observer
-            # exception, GeneratorExit) leaves the producer blocked on a
-            # full queue; cancel it and drain to the sentinel so join()
-            # cannot deadlock.  At most one more outcome is computed.
-            cancelled.set()
-            while not finished:
-                if outcomes.get() is _DONE:
-                    finished = True
-            producer.join()
-        if failure:
-            raise failure[0]
+            pool.shutdown(cancel_futures=True)

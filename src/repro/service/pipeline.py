@@ -22,8 +22,8 @@ of one unsharded run.
 
 Records are JSON dicts end to end — the executor, the cache and the
 store all speak :mod:`repro.service.serialize` — so a serial run, a
-4-worker run, an overlap run and a cache replay of the same manifest
-write interchangeable stores.
+4-worker run and a cache replay of the same manifest write
+interchangeable stores.
 """
 
 from __future__ import annotations
@@ -640,12 +640,12 @@ class MatchingService:
             if metrics is not None:
                 metrics.counter("repro_run_pairs_total").inc(outcome=outcome_label)
 
-        # A cache stack with a network tier exposes a `prefetch` hint:
-        # resolve every non-resumed key in one batched round trip up
-        # front, so the per-unit probes below are answered from the
-        # tier's buffer — one network exchange per run, not per pair.
-        # Purely local stacks have no `prefetch` and take the unchanged
-        # per-unit path (keys computed inside the pair span).
+        # A cache with a `prefetch` hint gets every non-resumed key up
+        # front, so a network tier resolves them in one batched round
+        # trip and answers the per-unit probes below from its buffer.
+        # Every TieredCache has the hint (an LRU+disk stack forwards it to
+        # no member), so such stacks key all units here too; only a bare
+        # LRUCache or DiskCache keys each unit inside its pair span.
         prefetched = False
         prefetcher = getattr(self._cache, "prefetch", None)
         if prefetcher is not None:
@@ -718,8 +718,9 @@ class MatchingService:
         by_position = {unit.position: unit for unit in pending}
         # TaskStarted events are minted as the executor *pulls* tasks (a
         # serial backend pulls one at a time, pooled backends pull ahead)
-        # and relayed before the outcome they precede; a deque because the
-        # overlap executor pulls from a producer thread.
+        # and relayed before the outcome they precede.  Everything here —
+        # the tasks() generator, the units' lazy parsing and this queue —
+        # runs on the consuming thread.
         submitted: deque[TaskStarted] = deque()
 
         def tasks() -> Iterator[PairTask]:

@@ -27,7 +27,6 @@ from repro.service import (
     DaemonClient,
     MatchingDaemon,
     MatchingService,
-    OverlapExecutor,
     SerialExecutor,
     generate_corpus,
 )
@@ -70,16 +69,12 @@ def make_corpus(path):
 
 
 def start_worker(tmp_path, name, delay=0.0):
-    executor = (
-        OverlapExecutor(SlowSerialExecutor(delay)) if delay else None
-    )
-    kwargs = {"executor": executor} if executor is not None else {}
     daemon = MatchingDaemon(
         store_dir=tmp_path / f"worker-{name}",
         host="127.0.0.1",
         port=0,
         cache=None,
-        **kwargs,
+        executor=SlowSerialExecutor(delay) if delay else None,
     )
     daemon.start()
     return daemon

@@ -22,7 +22,6 @@ from repro.exceptions import DaemonError
 from repro.service import (
     DaemonClient,
     MatchingDaemon,
-    OverlapExecutor,
     RunState,
     SerialExecutor,
     StatsObserver,
@@ -110,9 +109,7 @@ def daemon(tmp_path):
 
 @pytest.fixture
 def slow_daemon(tmp_path):
-    server = start_daemon(
-        tmp_path, executor=OverlapExecutor(SlowSerialExecutor(0.4))
-    )
+    server = start_daemon(tmp_path, executor=SlowSerialExecutor(0.4))
     yield server
     server.stop()
 
@@ -251,7 +248,7 @@ class TestConcurrency:
     def test_queue_full_rejects_submit(self, tmp_path, corpus):
         daemon = start_daemon(
             tmp_path,
-            executor=OverlapExecutor(SlowSerialExecutor(0.4)),
+            executor=SlowSerialExecutor(0.4),
             max_queued=1,
         )
         try:
@@ -350,9 +347,7 @@ class TestShutdown:
     def test_shutdown_mid_run_is_clean_and_store_resumable(
         self, tmp_path, corpus
     ):
-        daemon = start_daemon(
-            tmp_path, executor=OverlapExecutor(SlowSerialExecutor(0.4))
-        )
+        daemon = start_daemon(tmp_path, executor=SlowSerialExecutor(0.4))
         with client_for(daemon) as client:
             ack = client.submit(corpus, seed=7)
             wait_until(

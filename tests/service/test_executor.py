@@ -1,9 +1,9 @@
 """Unit tests for the execution backends.
 
 The load-bearing property is the acceptance criterion of the service
-subsystem: every backend — serial, four-process parallel, overlap —
-produces byte-identical per-task outcomes for the same seed, because
-every task carries its own derived RNG seed and shares no state with its
+subsystem: every backend — serial and four-process parallel — produces
+byte-identical per-task outcomes for the same seed, because every task
+carries its own derived RNG seed and shares no state with its
 neighbours; backends differ only in the arrival order of
 :meth:`Executor.stream`.
 """
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -19,8 +21,8 @@ from repro.circuits.random import random_circuit
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import make_instance
+from repro.service import executor as executor_module
 from repro.service.executor import (
-    OverlapExecutor,
     PairTask,
     ParallelExecutor,
     SerialExecutor,
@@ -98,7 +100,8 @@ class TestSerialExecutor:
             assert outcome.matched and outcome.matcher is not None
 
     def test_stream_consumes_tasks_lazily(self, tasks):
-        """One task in, one outcome out — the overlap-enabling property."""
+        """One task in, one outcome out: the pipeline interleaves task
+        production with the outcome stream."""
         pulled = []
 
         def task_source():
@@ -126,11 +129,7 @@ class TestParallelExecutor:
         assert _canonical(serial) == _canonical(parallel)
 
     def test_chunked_stream_covers_every_task(self, tasks):
-        outcomes = list(
-            ParallelExecutor(workers=2, chunk_size=1).stream(
-                tasks, MatchingConfig()
-            )
-        )
+        outcomes = list(ParallelExecutor(workers=2).stream(tasks, MatchingConfig()))
         assert sorted(outcome.index for outcome in outcomes) == list(
             range(len(tasks))
         )
@@ -144,52 +143,35 @@ class TestParallelExecutor:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ParallelExecutor(workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunk_size=0)
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers must inherit the patched task function",
+    )
+    def test_abandoning_the_stream_cancels_queued_chunks(
+        self, monkeypatch, tmp_path
+    ):
+        """Closing the stream early runs only the chunks already started,
+        not every chunk of the batch (regression: the pool's shutdown
+        waited for all queued chunks)."""
+        ledger = tmp_path / "executed"
 
-class TestOverlapExecutor:
-    def test_byte_identical_to_inner_serial(self, tasks):
-        config = MatchingConfig()
-        serial = SerialExecutor().stream(tasks, config)
-        overlap = OverlapExecutor().stream(tasks, config)
-        assert _canonical(serial) == _canonical(overlap)
+        def counting_task(engine, task):
+            # Forked workers inherit this patch; each executed task
+            # appends one byte to a file the test process reads back.
+            with open(ledger, "ab") as handle:
+                handle.write(b".")
+            time.sleep(0.15)
+            return TaskOutcome(
+                index=task.index, pair_id=None, equivalence=task.equivalence
+            )
 
-    def test_preserves_inner_order(self, tasks):
-        outcomes = list(OverlapExecutor(buffer_size=2).stream(tasks, MatchingConfig()))
-        assert [outcome.index for outcome in outcomes] == list(range(len(tasks)))
-
-    def test_name_reflects_inner_backend(self):
-        assert OverlapExecutor().name == "overlap[serial]"
-        assert OverlapExecutor(ParallelExecutor(workers=2)).name == "overlap[parallel]"
-
-    def test_producer_exceptions_reach_the_consumer(self, tasks):
-        bad = PairTask(
-            index=0,
-            circuit1=tasks[0].circuit1,
-            circuit2=tasks[0].circuit2,
-            equivalence="NOT-A-CLASS",
-        )
-        with pytest.raises(ValueError, match="unknown equivalence label"):
-            list(OverlapExecutor().stream([bad], MatchingConfig()))
-
-    def test_rejects_bad_buffer(self):
-        with pytest.raises(ValueError):
-            OverlapExecutor(buffer_size=0)
-
-    def test_abandoning_the_stream_does_not_deadlock(self):
-        """Closing the generator early must unblock a producer stuck on a
-        full queue (regression: join() used to wait forever)."""
-
-        class Firehose(SerialExecutor):
-            name = "firehose"
-
-            def stream(self, tasks, config):
-                for index in range(1000):
-                    yield TaskOutcome(index=index, pair_id=None, equivalence="I-I")
-
-        stream = OverlapExecutor(Firehose(), buffer_size=2).stream(
-            [], MatchingConfig()
-        )
-        assert next(stream).index == 0
-        stream.close()  # must return promptly, not hang on join()
+        monkeypatch.setattr(executor_module, "_execute_task", counting_task)
+        batch = [
+            PairTask(index=index, circuit1=None, circuit2=None, equivalence="I-I")
+            for index in range(16)
+        ]
+        stream = ParallelExecutor(workers=2).stream(batch, MatchingConfig())
+        next(stream)
+        stream.close()
+        assert ledger.stat().st_size < len(batch)

@@ -24,7 +24,7 @@ from repro.oracles.oracle import ReversibleOracle
 from repro.quantum.oracle import QuantumCircuitOracle
 from repro.service.cache import LRUCache, build_cache
 from repro.service.events import RunCompleted, TaskCompleted, TaskFailed
-from repro.service.executor import OverlapExecutor, ParallelExecutor, SerialExecutor
+from repro.service.executor import ParallelExecutor, SerialExecutor
 from repro.service.pipeline import (
     MatchingService,
     ResultStore,
@@ -140,20 +140,11 @@ class TestStreamingRuns:
         assert report is not None and report.records == consumed.records
         assert streamed_store.read_bytes() == consumed_store.read_bytes()
 
-    def test_overlap_store_byte_identical_to_serial(self, corpus, tmp_path):
-        serial_store = tmp_path / "serial.jsonl"
-        overlap_store = tmp_path / "overlap.jsonl"
-        MatchingService().run_manifest(corpus, store_path=serial_store, seed=9)
-        MatchingService(executor=OverlapExecutor()).run_manifest(
-            corpus, store_path=overlap_store, seed=9
-        )
-        assert serial_store.read_bytes() == overlap_store.read_bytes()
-
     def test_parallel_stream_records_identical_to_serial(self, corpus, tmp_path):
         serial = MatchingService().run_manifest(corpus, seed=9)
         parallel_store = tmp_path / "parallel.jsonl"
         parallel = MatchingService(
-            executor=ParallelExecutor(workers=4, chunk_size=1)
+            executor=ParallelExecutor(workers=4)
         ).run_manifest(corpus, store_path=parallel_store, seed=9)
         # Arrival (and therefore store line) order is backend-specific,
         # but the record set — seeds, witnesses, query counts — is not.
@@ -178,9 +169,7 @@ class TestStreamingRuns:
         assert set(seen) <= set(stored)
 
     def test_warm_cache_streaming_run_executes_nothing(self, corpus):
-        service = MatchingService(
-            executor=OverlapExecutor(), cache=build_cache()
-        )
+        service = MatchingService(cache=build_cache())
         cold = service.run_manifest(corpus, seed=5)
         warm = service.run_manifest(corpus, seed=5)
         assert cold.executed == cold.total

@@ -272,6 +272,32 @@ class TestCorpusRun:
         assert main(["run", str(corpus), "--cache-size", "0"]) == 2
         assert "--cache-size must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_run_rejects_nonpositive_workers(self, tmp_path, capsys, workers):
+        corpus = tmp_path / "corpus"
+        main(["corpus", str(corpus), "--classes", "I-N", "--seed", "1"])
+        capsys.readouterr()
+        store = tmp_path / "store.jsonl"
+        code = main(
+            ["run", str(corpus), "--workers", workers, "--store", str(store)]
+        )
+        assert code == 2
+        assert (
+            f"--workers must be positive, got {workers}"
+            in capsys.readouterr().err
+        )
+        assert not store.exists()  # refused before any pair ran
+
+    def test_serve_rejects_nonpositive_workers(self, tmp_path, capsys):
+        address = tmp_path / "addr"
+        code = main(
+            ["serve", "--store-dir", str(tmp_path / "store"), "--workers", "0",
+             "--address-file", str(address)]
+        )
+        assert code == 2
+        assert "--workers must be positive, got 0" in capsys.readouterr().err
+        assert not address.exists()  # no daemon started
+
 
 class TestFingerprintCommand:
     def test_single_file_prints_scheme_and_key(self, circuit_files, capsys):
@@ -419,13 +445,11 @@ class TestRunStreaming:
         assert lines[-1].startswith("run completed: 4/4")
         assert len(lines) == 2 + 4  # banner + one line per pair + banner
 
-    def test_progress_cadence_and_overlap(self, corpus, capsys):
-        code = main(
-            ["run", str(corpus), "--seed", "5", "--progress", "2", "--overlap"]
-        )
+    def test_progress_cadence(self, corpus, capsys):
+        code = main(["run", str(corpus), "--seed", "5", "--progress", "2"])
         assert code == 0
         captured = capsys.readouterr()
-        assert "overlap[serial]" in captured.out
+        assert "via serial in" in captured.out
         assert len(captured.err.splitlines()) == 2 + 2
 
     def test_progress_rejects_nonpositive_cadence(self, corpus, capsys):
