@@ -14,6 +14,7 @@ import dataclasses
 import json
 import multiprocessing
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -144,6 +145,57 @@ class TestParallelExecutor:
         with pytest.raises(ValueError):
             ParallelExecutor(workers=0)
 
+    def test_worker_exceptions_reach_the_consumer(self, tasks):
+        bad = dataclasses.replace(tasks[0], equivalence="NOT-A-CLASS")
+        stream = ParallelExecutor(workers=2).stream(
+            [bad, tasks[1]], MatchingConfig()
+        )
+        with pytest.raises(ValueError, match="unknown equivalence label"):
+            list(stream)
+
+    @pytest.mark.parametrize(
+        ("count", "workers", "chunk_sizes"),
+        [
+            (6, 2, [1] * 6),
+            (16, 2, [2] * 8),
+            (100, 3, [9] * 11 + [1]),
+        ],
+    )
+    def test_batch_spreads_over_about_four_chunks_per_worker(
+        self, monkeypatch, count, workers, chunk_sizes
+    ):
+        """Contiguous chunks, in task order, at most ``4 * workers`` of
+        them, and never more pool workers than chunks."""
+        submitted, pool_sizes = [], []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers, mp_context=None):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+            def submit(self, fn, chunk, config):
+                submitted.append([task.index for task in chunk])
+                return super().submit(fn, chunk, config)
+
+        def stub_task(engine, task):
+            return TaskOutcome(
+                index=task.index, pair_id=None, equivalence=task.equivalence
+            )
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(executor_module, "_execute_task", stub_task)
+        outcomes = list(
+            ParallelExecutor(workers=workers).stream(
+                _dummy_batch(count), MatchingConfig()
+            )
+        )
+        assert sorted(outcome.index for outcome in outcomes) == list(range(count))
+        assert [len(chunk) for chunk in submitted] == chunk_sizes
+        assert [index for chunk in submitted for index in chunk] == list(
+            range(count)
+        )
+        assert pool_sizes == [min(workers, len(chunk_sizes))]
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="workers must inherit the patched task function",
@@ -154,24 +206,52 @@ class TestParallelExecutor:
         """Closing the stream early runs only the chunks already started,
         not every chunk of the batch (regression: the pool's shutdown
         waited for all queued chunks)."""
-        ledger = tmp_path / "executed"
-
-        def counting_task(engine, task):
-            # Forked workers inherit this patch; each executed task
-            # appends one byte to a file the test process reads back.
-            with open(ledger, "ab") as handle:
-                handle.write(b".")
-            time.sleep(0.15)
-            return TaskOutcome(
-                index=task.index, pair_id=None, equivalence=task.equivalence
-            )
-
-        monkeypatch.setattr(executor_module, "_execute_task", counting_task)
-        batch = [
-            PairTask(index=index, circuit1=None, circuit2=None, equivalence="I-I")
-            for index in range(16)
-        ]
+        ledger = _count_executed_tasks(monkeypatch, tmp_path)
+        batch = _dummy_batch(16)
         stream = ParallelExecutor(workers=2).stream(batch, MatchingConfig())
         next(stream)
         stream.close()
         assert ledger.stat().st_size < len(batch)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers must inherit the patched task function",
+    )
+    def test_an_interrupted_consumer_cancels_queued_chunks(
+        self, monkeypatch, tmp_path
+    ):
+        """Ctrl-C while the consumer holds an outcome also cancels the
+        queued chunks, and the interrupt itself reaches the caller."""
+        ledger = _count_executed_tasks(monkeypatch, tmp_path)
+        batch = _dummy_batch(16)
+        stream = ParallelExecutor(workers=2).stream(batch, MatchingConfig())
+        next(stream)
+        with pytest.raises(KeyboardInterrupt):
+            stream.throw(KeyboardInterrupt())
+        assert ledger.stat().st_size < len(batch)
+
+
+def _dummy_batch(count: int) -> list[PairTask]:
+    """Circuit-free tasks for tests that patch out the engine."""
+    return [
+        PairTask(index=index, circuit1=None, circuit2=None, equivalence="I-I")
+        for index in range(count)
+    ]
+
+
+def _count_executed_tasks(monkeypatch, tmp_path):
+    """Patch the task function to append one byte per executed task to a
+    file (forked workers inherit the patch) and take 0.15 s; return the
+    file's path."""
+    ledger = tmp_path / "executed"
+
+    def counting_task(engine, task):
+        with open(ledger, "ab") as handle:
+            handle.write(b".")
+        time.sleep(0.15)
+        return TaskOutcome(
+            index=task.index, pair_id=None, equivalence=task.equivalence
+        )
+
+    monkeypatch.setattr(executor_module, "_execute_task", counting_task)
+    return ledger

@@ -288,6 +288,25 @@ class TestCorpusRun:
         )
         assert not store.exists()  # refused before any pair ran
 
+    def test_run_with_workers_streams_through_a_process_pool(
+        self, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus"
+        main(["corpus", str(corpus), "--classes", "I-N,P-I", "--seed", "1"])
+        capsys.readouterr()
+        records = {}
+        for workers in ("1", "2"):
+            store = tmp_path / f"store-{workers}.jsonl"
+            code = main(
+                ["run", str(corpus), "--workers", workers, "--seed", "3",
+                 "--store", str(store), "--no-cache"]
+            )
+            assert code == 0
+            backend = "serial" if workers == "1" else "parallel"
+            assert f"via {backend} in" in capsys.readouterr().out
+            records[workers] = sorted(store.read_text().splitlines())
+        assert records["1"] and records["1"] == records["2"]
+
     def test_serve_rejects_nonpositive_workers(self, tmp_path, capsys):
         address = tmp_path / "addr"
         code = main(
