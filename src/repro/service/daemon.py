@@ -36,6 +36,7 @@ daemon``) are built on.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue as _queue
 import socket
@@ -809,13 +810,15 @@ class MatchingDaemon(FramedServer):
         try:
             if job.records:
                 self._preseed_store(job)
-            events = self._events_for(job, service)
-            for event in events:
-                job.publish(event.to_dict())
-                if job.cancel_requested:
-                    events.close()
-                    outcome = RunState.CANCELLED
-                    break
+            # Closing the stream on every way out releases the run's
+            # store handle, whether the run completes, is cancelled or
+            # fails on a publish.
+            with contextlib.closing(self._events_for(job, service)) as events:
+                for event in events:
+                    job.publish(event.to_dict())
+                    if job.cancel_requested:
+                        outcome = RunState.CANCELLED
+                        break
         except Exception as failure:  # noqa: BLE001 - one bad run must not
             # take the worker thread (and with it the daemon) down.
             outcome = RunState.FAILED
@@ -833,11 +836,11 @@ class MatchingDaemon(FramedServer):
         queries on them.  Records whose pair is already in the store are
         skipped, so re-seeding an existing store never duplicates lines.
         """
-        store = ResultStore(job.store)
-        existing = store.load()
-        for record in job.records:
-            if record["pair_id"] not in existing:
-                store.append(record)
+        with ResultStore(job.store) as store:
+            existing = store.load()
+            for record in job.records:
+                if record["pair_id"] not in existing:
+                    store.append(record)
 
 
 class DaemonClient:
@@ -918,8 +921,12 @@ class DaemonClient:
         try:
             if self._socket_path is not None:
                 connection = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                connection.settimeout(self._timeout)
-                connection.connect(str(self._socket_path))
+                try:
+                    connection.settimeout(self._timeout)
+                    connection.connect(str(self._socket_path))
+                except OSError:
+                    connection.close()
+                    raise
             else:
                 connection = socket.create_connection(
                     (self._host, self._port), timeout=self._timeout

@@ -28,6 +28,7 @@ interchangeable stores.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -96,14 +97,27 @@ class ResultStore:
     crash mid-append) by skipping, with a warning, anything that does not
     parse as an object — which is exactly what resume needs: the
     half-written pair is simply re-run.
+
+    Appends go through one handle that stays open until :meth:`close`
+    (or the end of a ``with`` block), so a run opens its store once
+    rather than once per record.  Forked pool workers inherit the
+    descriptor — it is flushed after every record, so nothing is
+    buffered at a fork — and never write to it.
     """
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
+        self._handle = None
         #: Torn lines skipped by the most recent read —
         #: surfaced as the ``repro_store_torn_lines`` gauge and in
         #: ``repro report``, so silent corruption stays visible.
         self.torn_lines = 0
+
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @property
     def path(self) -> Path:
@@ -170,30 +184,56 @@ class ResultStore:
                 latest[pair_id] = record
         return latest
 
-    def touch(self) -> None:
-        """Materialise the (possibly empty) store file on disk.
+    def open(self) -> None:
+        """Open the append handle, creating the file (idempotent).
 
         Runs call this up front so a shard that owns zero pairs still
         leaves a store behind — ``repro merge`` can then take one store
         per shard without guessing which shards happened to be empty.
-        """
-        self._path.touch(exist_ok=True)
-
-    def append(self, record: dict) -> None:
-        """Append one record and flush it to disk.
-
         If a crash left the file without a trailing newline (a torn
-        record), a newline is inserted first — otherwise the new record
+        record), a newline is written first — otherwise the next record
         would concatenate onto the partial line and both would be lost.
         """
-        with open(self._path, "a+b") as handle:
-            handle.seek(0, os.SEEK_END)
-            if handle.tell() > 0:
+        if self._handle is not None:
+            return
+        handle = open(self._path, "a+b")
+        try:
+            if handle.seek(0, os.SEEK_END) > 0:
                 handle.seek(-1, os.SEEK_END)
                 if handle.read(1) != b"\n":
                     handle.write(b"\n")
+                    handle.flush()
+        except BaseException:
+            handle.close()
+            raise
+        self._handle = handle
+
+    def close(self) -> None:
+        """Close the append handle, if open (idempotent)."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    def append(self, record: dict) -> None:
+        """Append one record and flush it, opening the handle if needed.
+
+        The flush hands the line to the operating system without an
+        fsync: the record survives the process dying, not a host crash
+        (only :func:`merge_stores` and the run-meta sidecar fsync).  A
+        write or flush that raises drops the handle, so the next
+        :meth:`open` repairs whatever partial line it left.
+        """
+        if self._handle is None:
+            self.open()
+        handle = self._handle
+        try:
             handle.write((json.dumps(record) + "\n").encode("utf-8"))
             handle.flush()
+        except BaseException:
+            self._handle = None
+            with contextlib.suppress(OSError):
+                handle.close()
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -601,233 +641,242 @@ class MatchingService:
         oracle is ever built for those.  Phase two feeds the remainder to
         the executor as a lazy task stream and relays outcomes as they
         complete, appending each record to the store the moment it exists
-        so an interrupt loses at most the pair in flight.
+        so an interrupt loses at most the pair in flight.  The store is
+        opened once, before the first event, and closed on every way out:
+        completion, a closed stream, an interrupt, a raising executor.
         """
         start = time.perf_counter()
         metrics = self._metrics
         tracer = self._tracer
         store_path = str(store.path) if store is not None else None
         if store is not None:
-            store.touch()
-        yield RunStarted(
-            total=len(units),
-            executor=self._executor.name,
-            store_path=store_path,
-            seed=seed,
-            shard=shard,
-        )
-        if metrics is not None:
-            metrics.counter("repro_runs_total").inc()
-            if store is not None:
-                # Torn lines the resume load skipped (0 on a fresh store).
-                metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
-
-        records: dict[int, dict] = {}
-        flushed = 0
-        pending: list[_Unit] = []
-        pair_spans: dict[int, object] = {}
-
-        def flush(record: dict, parent=None) -> StoreFlushed:
-            nonlocal flushed
-            with tracer.span("store_append", parent=parent):
-                store.append(record)
-            flushed += 1
-            if metrics is not None:
-                metrics.counter("repro_store_flushes_total").inc()
-            return StoreFlushed(path=store_path, records_written=flushed)
-
-        def settled(outcome_label: str) -> None:
-            if metrics is not None:
-                metrics.counter("repro_run_pairs_total").inc(outcome=outcome_label)
-
-        # A cache with a `prefetch` hint gets every non-resumed key up
-        # front, so a network tier resolves them in one batched round
-        # trip and answers the per-unit probes below from its buffer.
-        # Every TieredCache has the hint (an LRU+disk stack forwards it to
-        # no member), so such stacks key all units here too; only a bare
-        # LRUCache or DiskCache keys each unit inside its pair span.
-        prefetched = False
-        prefetcher = getattr(self._cache, "prefetch", None)
-        if prefetcher is not None:
-            with tracer.span("cache_prefetch", total=len(units)):
-                for unit in units:
-                    if unit.pair_id is not None and unit.pair_id in done:
-                        continue
-                    unit.key = self._cache_key(unit)
-                prefetcher(
-                    [unit.key for unit in units if unit.key is not None]
-                )
-            prefetched = True
-
-        for unit in units:
-            if unit.pair_id is not None and unit.pair_id in done:
-                # Shallow copy so the store's record keeps its original
-                # status; in this report the pair reads as "resumed" and
-                # its (historical) queries are excluded from the spend.
-                record = dict(done[unit.pair_id])
-                record["status"] = "resumed"
-                records[unit.position] = record
-                settled("resumed")
-                yield CacheHit(
-                    index=unit.position,
-                    pair_id=unit.pair_id,
-                    source="store",
-                    record=record,
-                )
-                continue
-            pair_span = tracer.start(
-                "pair", pair_id=unit.pair_id, index=unit.position
+            store.open()
+        try:
+            yield RunStarted(
+                total=len(units),
+                executor=self._executor.name,
+                store_path=store_path,
+                seed=seed,
+                shard=shard,
             )
-            settle_started = time.perf_counter()
-            with tracer.span("fingerprint", parent=pair_span):
-                if not prefetched:
-                    unit.key = self._cache_key(unit)
-            if unit.key is not None:
-                with tracer.span("cache_probe", parent=pair_span):
-                    cached = self._cache.get(unit.key)
-                if cached is not None:
-                    record = self._base_record(unit)
-                    record.update(
-                        status="cached",
-                        matcher=cached.get("matcher"),
-                        error=cached.get("error"),
-                        result=cached.get("result"),
+            if metrics is not None:
+                metrics.counter("repro_runs_total").inc()
+                if store is not None:
+                    # Torn lines the resume load skipped (0 on a fresh store).
+                    metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
+
+            records: dict[int, dict] = {}
+            flushed = 0
+            pending: list[_Unit] = []
+            pair_spans: dict[int, object] = {}
+
+            def flush(record: dict, parent=None) -> StoreFlushed:
+                nonlocal flushed
+                with tracer.span("store_append", parent=parent):
+                    store.append(record)
+                flushed += 1
+                if metrics is not None:
+                    metrics.counter("repro_store_flushes_total").inc()
+                return StoreFlushed(path=store_path, records_written=flushed)
+
+            def settled(outcome_label: str) -> None:
+                if metrics is not None:
+                    metrics.counter("repro_run_pairs_total").inc(outcome=outcome_label)
+
+            # A cache with a `prefetch` hint gets every non-resumed key up
+            # front, so a network tier resolves them in one batched round
+            # trip and answers the per-unit probes below from its buffer.
+            # Every TieredCache has the hint (an LRU+disk stack forwards it to
+            # no member), so such stacks key all units here too; only a bare
+            # LRUCache or DiskCache keys each unit inside its pair span.
+            prefetched = False
+            prefetcher = getattr(self._cache, "prefetch", None)
+            if prefetcher is not None:
+                with tracer.span("cache_prefetch", total=len(units)):
+                    for unit in units:
+                        if unit.pair_id is not None and unit.pair_id in done:
+                            continue
+                        unit.key = self._cache_key(unit)
+                    prefetcher(
+                        [unit.key for unit in units if unit.key is not None]
                     )
+                prefetched = True
+
+            for unit in units:
+                if unit.pair_id is not None and unit.pair_id in done:
+                    # Shallow copy so the store's record keeps its original
+                    # status; in this report the pair reads as "resumed" and
+                    # its (historical) queries are excluded from the spend.
+                    record = dict(done[unit.pair_id])
+                    record["status"] = "resumed"
                     records[unit.position] = record
-                    unit.release()
-                    settled("cached")
-                    # Persist before yielding: a consumer that stops at
-                    # this event must still find the record in the store.
-                    flushed_event = (
-                        flush(record, pair_span) if store is not None else None
-                    )
-                    pair_span.end()
+                    settled("resumed")
                     yield CacheHit(
                         index=unit.position,
                         pair_id=unit.pair_id,
-                        source="cache",
+                        source="store",
                         record=record,
-                        duration_s=time.perf_counter() - settle_started,
                     )
-                    if flushed_event is not None:
-                        yield flushed_event
                     continue
-            pair_spans[unit.position] = pair_span
-            pending.append(unit)
+                pair_span = tracer.start(
+                    "pair", pair_id=unit.pair_id, index=unit.position
+                )
+                settle_started = time.perf_counter()
+                with tracer.span("fingerprint", parent=pair_span):
+                    if not prefetched:
+                        unit.key = self._cache_key(unit)
+                if unit.key is not None:
+                    with tracer.span("cache_probe", parent=pair_span):
+                        cached = self._cache.get(unit.key)
+                    if cached is not None:
+                        record = self._base_record(unit)
+                        record.update(
+                            status="cached",
+                            matcher=cached.get("matcher"),
+                            error=cached.get("error"),
+                            result=cached.get("result"),
+                        )
+                        records[unit.position] = record
+                        unit.release()
+                        settled("cached")
+                        # Persist before yielding: a consumer that stops at
+                        # this event must still find the record in the store.
+                        flushed_event = (
+                            flush(record, pair_span) if store is not None else None
+                        )
+                        pair_span.end()
+                        yield CacheHit(
+                            index=unit.position,
+                            pair_id=unit.pair_id,
+                            source="cache",
+                            record=record,
+                            duration_s=time.perf_counter() - settle_started,
+                        )
+                        if flushed_event is not None:
+                            yield flushed_event
+                        continue
+                pair_spans[unit.position] = pair_span
+                pending.append(unit)
 
-        by_position = {unit.position: unit for unit in pending}
-        # TaskStarted events are minted as the executor *pulls* tasks (a
-        # serial backend pulls one at a time, pooled backends pull ahead)
-        # and relayed before the outcome they precede.  Everything here —
-        # the tasks() generator, the units' lazy parsing and this queue —
-        # runs on the consuming thread.
-        submitted: deque[TaskStarted] = deque()
+            by_position = {unit.position: unit for unit in pending}
+            # TaskStarted events are minted as the executor *pulls* tasks (a
+            # serial backend pulls one at a time, pooled backends pull ahead)
+            # and relayed before the outcome they precede.  Everything here —
+            # the tasks() generator, the units' lazy parsing and this queue —
+            # runs on the consuming thread.
+            submitted: deque[TaskStarted] = deque()
 
-        def tasks() -> Iterator[PairTask]:
-            for unit in pending:
-                submitted.append(
-                    TaskStarted(
+            def tasks() -> Iterator[PairTask]:
+                for unit in pending:
+                    submitted.append(
+                        TaskStarted(
+                            index=unit.position,
+                            pair_id=unit.pair_id,
+                            equivalence=unit.label,
+                        )
+                    )
+                    yield PairTask(
                         index=unit.position,
-                        pair_id=unit.pair_id,
+                        circuit1=unit.circuit(0),
+                        circuit2=unit.circuit(1),
                         equivalence=unit.label,
+                        seed=derive_seed(seed, unit.position),
+                        pair_id=unit.pair_id,
                     )
-                )
-                yield PairTask(
-                    index=unit.position,
-                    circuit1=unit.circuit(0),
-                    circuit2=unit.circuit(1),
-                    equivalence=unit.label,
-                    seed=derive_seed(seed, unit.position),
-                    pair_id=unit.pair_id,
-                )
 
-        for outcome in self._executor.stream(tasks(), self._config):
-            while submitted:
-                yield submitted.popleft()
-            unit = by_position[outcome.index]
-            record = self._base_record(unit)
-            record.update(
-                status="ok" if outcome.matched else "failed",
-                matcher=outcome.matcher,
-                error=outcome.error,
-                result=outcome.result,
-            )
-            if self._verify and outcome.matched:
-                result = serialize.result_from_dict(outcome.result)
-                record["verified"] = verify_match(
-                    unit.circuit(0),
-                    unit.circuit(1),
-                    EquivalenceType.from_label(unit.label),
-                    result,
-                )
-            if unit.key is not None:
-                # Failures are cached too: under a fixed policy the verdict
-                # is the verdict (clear the cache to force a retry), and a
-                # warm re-run of a manifest must spend zero oracle queries.
-                self._cache.put(
-                    unit.key,
-                    {
-                        "matcher": outcome.matcher,
-                        "error": outcome.error,
-                        "result": outcome.result,
-                    },
-                )
-            records[outcome.index] = record
-            unit.release()
-            pair_span = pair_spans.pop(outcome.index, NULL_SPAN)
-            if outcome.duration_s is not None:
-                # The executor measured the matcher dispatch (possibly in
-                # a worker process); log it as a completed child span.
-                tracer.record(
-                    "match",
-                    outcome.duration_s,
-                    parent=pair_span,
-                    pair_id=outcome.pair_id,
+            for outcome in self._executor.stream(tasks(), self._config):
+                while submitted:
+                    yield submitted.popleft()
+                unit = by_position[outcome.index]
+                record = self._base_record(unit)
+                record.update(
+                    status="ok" if outcome.matched else "failed",
                     matcher=outcome.matcher,
+                    error=outcome.error,
+                    result=outcome.result,
                 )
-                if metrics is not None:
-                    metrics.histogram("repro_task_seconds").observe(
-                        outcome.duration_s
+                if self._verify and outcome.matched:
+                    result = serialize.result_from_dict(outcome.result)
+                    record["verified"] = verify_match(
+                        unit.circuit(0),
+                        unit.circuit(1),
+                        EquivalenceType.from_label(unit.label),
+                        result,
                     )
-            settled("completed" if outcome.matched else "failed")
-            # Persist before yielding the completion event, so stopping
-            # the stream at any event never loses an already-seen pair.
-            flushed_event = (
-                flush(record, pair_span) if store is not None else None
-            )
-            pair_span.end()
-            event_type = TaskCompleted if outcome.matched else TaskFailed
-            yield event_type(
-                index=outcome.index,
-                pair_id=outcome.pair_id,
-                record=record,
-                duration_s=outcome.duration_s,
-            )
-            if flushed_event is not None:
-                yield flushed_event
-        while submitted:  # pragma: no cover - an executor that over-pulls
-            yield submitted.popleft()
+                if unit.key is not None:
+                    # Failures are cached too: under a fixed policy the verdict
+                    # is the verdict (clear the cache to force a retry), and a
+                    # warm re-run of a manifest must spend zero oracle queries.
+                    self._cache.put(
+                        unit.key,
+                        {
+                            "matcher": outcome.matcher,
+                            "error": outcome.error,
+                            "result": outcome.result,
+                        },
+                    )
+                records[outcome.index] = record
+                unit.release()
+                pair_span = pair_spans.pop(outcome.index, NULL_SPAN)
+                if outcome.duration_s is not None:
+                    # The executor measured the matcher dispatch (possibly in
+                    # a worker process); log it as a completed child span.
+                    tracer.record(
+                        "match",
+                        outcome.duration_s,
+                        parent=pair_span,
+                        pair_id=outcome.pair_id,
+                        matcher=outcome.matcher,
+                    )
+                    if metrics is not None:
+                        metrics.histogram("repro_task_seconds").observe(
+                            outcome.duration_s
+                        )
+                settled("completed" if outcome.matched else "failed")
+                # Persist before yielding the completion event, so stopping
+                # the stream at any event never loses an already-seen pair.
+                flushed_event = (
+                    flush(record, pair_span) if store is not None else None
+                )
+                pair_span.end()
+                event_type = TaskCompleted if outcome.matched else TaskFailed
+                yield event_type(
+                    index=outcome.index,
+                    pair_id=outcome.pair_id,
+                    record=record,
+                    duration_s=outcome.duration_s,
+                )
+                if flushed_event is not None:
+                    yield flushed_event
+            while submitted:  # pragma: no cover - an executor that over-pulls
+                yield submitted.popleft()
 
-        ordered = [records[position] for position in sorted(records)]
-        report = ServiceReport.from_records(
-            ordered,
-            elapsed=time.perf_counter() - start,
-            executor=self._executor.name,
-            records=ordered,
-            store_path=store.path if store is not None else None,
-            shard=shard,
-        )
-        completed = RunCompleted(report=report)
-        if metrics is not None:
-            metrics.histogram("repro_run_seconds").observe(report.elapsed)
+            ordered = [records[position] for position in sorted(records)]
+            report = ServiceReport.from_records(
+                ordered,
+                elapsed=time.perf_counter() - start,
+                executor=self._executor.name,
+                records=ordered,
+                store_path=store.path if store is not None else None,
+                shard=shard,
+            )
+            completed = RunCompleted(report=report)
+            if metrics is not None:
+                metrics.histogram("repro_run_seconds").observe(report.elapsed)
+                if store is not None:
+                    metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
             if store is not None:
-                metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
-        if store is not None:
-            # Durations never enter the records (stores stay byte-identical
-            # across serial/parallel/shard runs); the run's wall clock goes
-            # in an atomic sidecar that `repro report` merges back in.
-            _write_run_meta(store, completed, seed)
-        yield completed
+                # Every record is written; a consumer that stops at the
+                # last event must not find the handle still open.
+                store.close()
+                # Durations never enter the records (stores stay byte-identical
+                # across serial/parallel/shard runs); the run's wall clock goes
+                # in an atomic sidecar that `repro report` merges back in.
+                _write_run_meta(store, completed, seed)
+            yield completed
+        finally:
+            if store is not None:
+                store.close()
 
     def _consume(
         self,

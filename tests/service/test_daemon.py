@@ -8,9 +8,13 @@ behaviour are the subject, so nothing is mocked.
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import socket
+import threading
 import time
+import warnings
 from collections.abc import Iterable, Iterator
 
 import pytest
@@ -18,7 +22,7 @@ import pytest
 import repro.service.daemon as daemon_module
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
-from repro.exceptions import DaemonError
+from repro.exceptions import DaemonConnectionError, DaemonError
 from repro.service import (
     DaemonClient,
     MatchingDaemon,
@@ -28,6 +32,7 @@ from repro.service import (
     generate_corpus,
 )
 from repro.service.executor import PairTask, TaskOutcome
+from repro.service.framed import Session
 from repro.service.pipeline import ResultStore
 from tests.wire import ReplyServer
 
@@ -63,6 +68,24 @@ class SlowSerialExecutor(SerialExecutor):
         for outcome in super().stream(tasks, config):
             time.sleep(self._delay)
             yield outcome
+
+
+class GatedSerialExecutor(SerialExecutor):
+    """A serial executor that holds every batch until ``gate`` is set —
+    parks the worker thread so a later submit stays queued."""
+
+    name = "gated-serial"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def stream(
+        self, tasks: Iterable[PairTask], config: MatchingConfig
+    ) -> Iterator[TaskOutcome]:
+        assert self.gate.wait(TIMEOUT)
+        yield from super().stream(tasks, config)
 
 
 @pytest.fixture
@@ -427,6 +450,20 @@ class TestFailurePaths:
         with client_for(slow_daemon) as client:
             assert client.ping()["ok"] is True
             assert client.watch(ack["run_id"]) == RunState.COMPLETED
+
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        client = DaemonClient(socket_path=tmp_path / "missing.sock")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                client.connect()
+            except DaemonConnectionError:
+                pass
+            else:  # pragma: no cover - nothing listens there
+                pytest.fail("connect to a missing socket succeeded")
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_failed_run_is_reported_not_fatal(self, daemon, tmp_path, corpus):
         # A manifest that parses but references a missing circuit file
@@ -846,3 +883,100 @@ class TestEventsReconnect:
             with pytest.raises(DaemonConnectionError):
                 while True:
                     next(stream)
+
+
+class TestEventFrames:
+    """The events op's bytes: one ``json.dumps(event)`` line per
+    published event, in publish order, then the terminator frame."""
+
+    def test_warm_run_frames_are_the_published_events_in_order(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        generate_corpus(
+            corpus,
+            num_lines=3,
+            classes=CLASSES,
+            families=("random",),
+            pairs_per_class=60,
+            seed=11,
+        )
+        executor = GatedSerialExecutor()
+        daemon = start_daemon(tmp_path, executor=executor)
+        try:
+            with client_for(daemon) as client:
+                cold = client.submit(corpus, seed=7)
+                assert client.watch(cold["run_id"]) == RunState.COMPLETED
+                executor.gate.clear()
+                pair = {
+                    "circuit1": str(corpus / "random-i-i-000-c1.real"),
+                    "circuit2": str(corpus / "random-i-i-000-c2.real"),
+                    "equivalence": "I-I",
+                }
+                client.submit(pairs=[pair], seed=1)  # parks the worker
+                warm = client.submit(corpus, seed=7)
+            connection = raw_connection(daemon)
+            reader = connection.makefile("r", encoding="utf-8")
+            try:
+                connection.sendall(
+                    (json.dumps({"op": "events", "run_id": warm["run_id"]})
+                     + "\n").encode()
+                )
+                ack = json.loads(reader.readline())
+                assert ack["ok"] is True and ack["state"] == RunState.QUEUED
+                executor.gate.set()
+                lines = []
+                while not lines or not json.loads(lines[-1]).get("done"):
+                    lines.append(reader.readline())
+            finally:
+                reader.close()
+                connection.close()
+            history = daemon._jobs[warm["run_id"]]._history
+        finally:
+            daemon.stop()
+        # RunStarted, a CacheHit and a StoreFlushed per pair, RunCompleted.
+        assert len(history) == 2 + 2 * 120
+        assert lines[:-1] == [json.dumps(event) + "\n" for event in history]
+        assert json.loads(lines[-1]) == {
+            "ok": True,
+            "protocol": MatchingDaemon.PROTOCOL,
+            "op": "events",
+            "done": True,
+            "run_id": warm["run_id"],
+            "state": RunState.COMPLETED,
+        }
+
+    def test_dropped_subscriber_gets_the_queued_frames_then_the_error(
+        self, tmp_path
+    ):
+        limit = daemon_module.SUBSCRIBER_BUFFER_LIMIT
+        daemon = MatchingDaemon(
+            store_dir=tmp_path / "runs", host="127.0.0.1", port=0, cache=None
+        )
+        job = daemon_module.DaemonJob("run-0001")
+        daemon._jobs[job.run_id] = job
+
+        class FloodingWriter(io.StringIO):
+            """Publishes past the buffer limit while the ack goes out, so
+            the drop marker is queued behind ``limit`` undelivered frames."""
+
+            flooded = False
+
+            def write(self, text):
+                if not self.flooded:
+                    self.flooded = True
+                    for index in range(limit + 2):
+                        job.publish({"event": "TaskStarted", "index": index})
+                return super().write(text)
+
+        writer = FloodingWriter()
+        reply = daemon._handle_events(
+            {"op": "events", "run_id": job.run_id},
+            Session(writer, authenticated=True),
+        )
+        lines = writer.getvalue().splitlines(keepends=True)
+        assert json.loads(lines[0])["op"] == "events"
+        assert lines[1:] == [
+            json.dumps({"event": "TaskStarted", "index": index}) + "\n"
+            for index in range(limit)
+        ]
+        assert reply["ok"] is False
+        assert "events subscription dropped" in reply["error"]

@@ -45,17 +45,17 @@ def corpus(tmp_path_factory):
 
 class TestResultStore:
     def test_append_load_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
-        assert store.load() == {}
-        store.append({"pair_id": "a", "status": "ok"})
-        store.append({"pair_id": "b", "status": "failed"})
+        with ResultStore(tmp_path / "results.jsonl") as store:
+            assert store.load() == {}
+            store.append({"pair_id": "a", "status": "ok"})
+            store.append({"pair_id": "b", "status": "failed"})
         loaded = store.load()
         assert set(loaded) == {"a", "b"}
 
     def test_torn_final_line_is_skipped_with_a_warning(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        store.append({"pair_id": "a", "status": "ok"})
+        with ResultStore(path) as store:
+            store.append({"pair_id": "a", "status": "ok"})
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"pair_id": "b", "stat')  # crash mid-append
         with pytest.warns(UserWarning, match="truncated or malformed"):
@@ -64,29 +64,29 @@ class TestResultStore:
 
     def test_non_object_line_is_skipped_and_counted(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        store = ResultStore(path)
-        store.append({"pair_id": "a", "status": "ok"})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("[1, 2]\n")  # valid JSON, but not a record
-        store.append({"pair_id": "b", "status": "ok"})
+        with ResultStore(path) as store:
+            store.append({"pair_id": "a", "status": "ok"})
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("[1, 2]\n")  # valid JSON, but not a record
+            store.append({"pair_id": "b", "status": "ok"})
         with pytest.warns(UserWarning, match=r":2: skipping"):
             loaded = store.load()
         assert set(loaded) == {"a", "b"}
         assert store.torn_lines == 1
 
     def test_read_records_keeps_file_order_and_duplicates(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
-        assert store.read_records() == [] and store.torn_lines == 0
-        store.append({"pair_id": "b", "status": "failed"})
-        store.append({"pair_id": "a", "status": "ok"})
-        store.append({"pair_id": "b", "status": "ok"})
+        with ResultStore(tmp_path / "results.jsonl") as store:
+            assert store.read_records() == [] and store.torn_lines == 0
+            store.append({"pair_id": "b", "status": "failed"})
+            store.append({"pair_id": "a", "status": "ok"})
+            store.append({"pair_id": "b", "status": "ok"})
         assert [(r["pair_id"], r["status"]) for r in store.read_records()] == [
             ("b", "failed"), ("a", "ok"), ("b", "ok"),
         ]
 
     def test_clean_store_loads_without_warnings(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
-        store.append({"pair_id": "a", "status": "ok"})
+        with ResultStore(tmp_path / "results.jsonl") as store:
+            store.append({"pair_id": "a", "status": "ok"})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert set(store.load()) == {"a"}
@@ -110,16 +110,16 @@ class TestResultStore:
         with pytest.warns(UserWarning):  # the torn line stays in the file
             assert ResultStore(store_path).load() == full
 
-    def test_touch_materialises_an_empty_store(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
-        assert not store.exists
-        store.touch()
-        assert store.exists and store.load() == {}
+    def test_open_materialises_an_empty_store(self, tmp_path):
+        with ResultStore(tmp_path / "results.jsonl") as store:
+            assert not store.exists
+            store.open()
+            assert store.exists and store.load() == {}
 
     def test_newest_record_wins(self, tmp_path):
-        store = ResultStore(tmp_path / "results.jsonl")
-        store.append({"pair_id": "a", "status": "failed"})
-        store.append({"pair_id": "a", "status": "ok"})
+        with ResultStore(tmp_path / "results.jsonl") as store:
+            store.append({"pair_id": "a", "status": "failed"})
+            store.append({"pair_id": "a", "status": "ok"})
         assert store.load()["a"]["status"] == "ok"
 
 
@@ -242,11 +242,11 @@ class TestMergeStores:
             merge_stores(tmp_path / "out.jsonl", [tmp_path / "nope.jsonl"])
 
     def test_merge_tolerates_empty_shards(self, tmp_path):
-        empty = ResultStore(tmp_path / "empty.jsonl")
-        empty.touch()
-        full = ResultStore(tmp_path / "full.jsonl")
-        full.append({"pair_id": "a", "index": 1, "status": "ok"})
-        full.append({"pair_id": "b", "index": 0, "status": "ok"})
+        with ResultStore(tmp_path / "empty.jsonl") as empty:
+            empty.open()
+        with ResultStore(tmp_path / "full.jsonl") as full:
+            full.append({"pair_id": "a", "index": 1, "status": "ok"})
+            full.append({"pair_id": "b", "index": 0, "status": "ok"})
         out = tmp_path / "out.jsonl"
         assert merge_stores(out, [empty.path, full.path]) == 2
         ordered = [json.loads(line) for line in out.read_text().splitlines()]
@@ -254,29 +254,29 @@ class TestMergeStores:
 
     def test_merge_skips_non_object_lines(self, tmp_path):
         path = tmp_path / "shard.jsonl"
-        store = ResultStore(path)
-        store.append({"pair_id": "a", "index": 0, "status": "ok"})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('"just a string"\n')
-        store.append({"pair_id": "b", "index": 1, "status": "ok"})
+        with ResultStore(path) as store:
+            store.append({"pair_id": "a", "index": 0, "status": "ok"})
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write('"just a string"\n')
+            store.append({"pair_id": "b", "index": 1, "status": "ok"})
         out = tmp_path / "out.jsonl"
         with pytest.warns(UserWarning, match=r"shard\.jsonl:2: skipping"):
             assert merge_stores(out, [path]) == 2
         assert [json.loads(line)["pair_id"] for line in out.read_text().splitlines()] == ["a", "b"]
 
     def test_merge_rejects_conflicting_records(self, tmp_path):
-        one = ResultStore(tmp_path / "one.jsonl")
-        one.append({"pair_id": "a", "index": 0, "status": "ok"})
-        two = ResultStore(tmp_path / "two.jsonl")
-        two.append({"pair_id": "a", "index": 0, "status": "failed"})
+        with ResultStore(tmp_path / "one.jsonl") as one:
+            one.append({"pair_id": "a", "index": 0, "status": "ok"})
+        with ResultStore(tmp_path / "two.jsonl") as two:
+            two.append({"pair_id": "a", "index": 0, "status": "failed"})
         with pytest.raises(ServiceError, match="conflicting records"):
             merge_stores(tmp_path / "out.jsonl", [one.path, two.path])
 
     def test_merge_deduplicates_identical_records(self, tmp_path):
-        one = ResultStore(tmp_path / "one.jsonl")
-        one.append({"pair_id": "a", "index": 0, "status": "ok"})
-        two = ResultStore(tmp_path / "two.jsonl")
-        two.append({"pair_id": "a", "index": 0, "status": "ok"})
+        with ResultStore(tmp_path / "one.jsonl") as one:
+            one.append({"pair_id": "a", "index": 0, "status": "ok"})
+        with ResultStore(tmp_path / "two.jsonl") as two:
+            two.append({"pair_id": "a", "index": 0, "status": "ok"})
         out = tmp_path / "out.jsonl"
         assert merge_stores(out, [one.path, two.path]) == 1
 
@@ -719,16 +719,26 @@ class TestMergeStoresUnderRetry:
             "result": {"queries": queries},
         }
 
+    @staticmethod
+    def write(path, *records):
+        with ResultStore(path) as store:
+            for record in records:
+                store.append(record)
+        return store
+
     def test_partial_and_retry_stores_merge_cleanly(self, tmp_path):
-        partial = ResultStore(tmp_path / "dead-worker.jsonl")
-        partial.append(self.record("a", 0, 3))
-        partial.append(self.record("c", 2, 5))
-        retry = ResultStore(tmp_path / "retry.jsonl")
-        retry.append(self.record("a", 0, 3))  # pre-seeded mirror
-        retry.append(self.record("c", 2, 5))  # pre-seeded mirror
-        retry.append(self.record("b", 1, 7))  # freshly executed
-        other = ResultStore(tmp_path / "other-shard.jsonl")
-        other.append(self.record("d", 3, 2))
+        partial = self.write(
+            tmp_path / "dead-worker.jsonl",
+            self.record("a", 0, 3),
+            self.record("c", 2, 5),
+        )
+        retry = self.write(
+            tmp_path / "retry.jsonl",
+            self.record("a", 0, 3),  # pre-seeded mirror
+            self.record("c", 2, 5),  # pre-seeded mirror
+            self.record("b", 1, 7),  # freshly executed
+        )
+        other = self.write(tmp_path / "other-shard.jsonl", self.record("d", 3, 2))
         out = tmp_path / "merged.jsonl"
         assert merge_stores(out, [partial.path, retry.path, other.path]) == 4
         ordered = [json.loads(line) for line in out.read_text().splitlines()]
@@ -740,10 +750,9 @@ class TestMergeStoresUnderRetry:
         assert without.read_bytes() == out.read_bytes()
 
     def test_conflicting_retry_record_raises(self, tmp_path):
-        partial = ResultStore(tmp_path / "dead-worker.jsonl")
-        partial.append(self.record("a", 0, 3))
-        retry = ResultStore(tmp_path / "retry.jsonl")
-        retry.append(self.record("a", 0, 99))  # same pair, different answer
+        partial = self.write(tmp_path / "dead-worker.jsonl", self.record("a", 0, 3))
+        # The same pair with a different answer.
+        retry = self.write(tmp_path / "retry.jsonl", self.record("a", 0, 99))
         with pytest.raises(ServiceError, match="conflicting records"):
             merge_stores(tmp_path / "out.jsonl", [partial.path, retry.path])
 
@@ -752,8 +761,10 @@ class TestMergeStoresUnderRetry:
     ):
         # A store that was resumed twice holds the same pair twice; the
         # load step resolves that before the cross-store conflict check.
-        twice = ResultStore(tmp_path / "resumed.jsonl")
-        twice.append(self.record("a", 0, 3))
-        twice.append(self.record("a", 0, 3))
+        twice = self.write(
+            tmp_path / "resumed.jsonl",
+            self.record("a", 0, 3),
+            self.record("a", 0, 3),
+        )
         out = tmp_path / "out.jsonl"
         assert merge_stores(out, [twice.path]) == 1
