@@ -19,6 +19,11 @@ simultaneously, which is what makes probe digests and the exact matchers'
 query loops cheap (see ``docs/architecture.md``, "Bit-parallel
 evaluation").  Whole truth tables go to :mod:`repro.circuits.evaluate`.
 
+:func:`compile_gates` is the one place a gate is lowered to bitwise form.
+Each circuit caches its lowering until the next ``append``
+(:meth:`~repro.circuits.circuit.ReversibleCircuit.compiled`), and both
+kernels — this one and the numpy tabulation — read that one cache.
+
 The scalar path (:meth:`~repro.circuits.circuit.ReversibleCircuit.simulate`,
 gate-object ``apply``) is deliberately left untouched: it is the reference
 implementation this module is held byte-identical to by the differential
@@ -38,7 +43,8 @@ if TYPE_CHECKING:  # circuit.py imports this module through evaluate.py
 
 __all__ = [
     "LANE_WIDTH",
-    "supports",
+    "OP_MCT",
+    "OP_SWAP",
     "pack_lanes",
     "unpack_lanes",
     "compile_gates",
@@ -53,18 +59,8 @@ __all__ = [
 LANE_WIDTH = 64
 
 #: Compiled-op tags (see :func:`compile_gates`).
-_OP_MCT = 0
-_OP_SWAP = 1
-
-
-def supports(gates: Iterable[Gate]) -> bool:
-    """Whether every gate in ``gates`` has a bitsliced implementation.
-
-    MCT (any control count / polarity) and SWAP cover everything the
-    substrate produces; user-defined :class:`~repro.circuits.gates.Gate`
-    subclasses fall back to the scalar path at the call sites.
-    """
-    return all(isinstance(gate, (MCTGate, SwapGate)) for gate in gates)
+OP_MCT = 0
+OP_SWAP = 1
 
 
 def _transpose_steps() -> tuple[tuple[int, int], ...]:
@@ -163,30 +159,41 @@ def unpack_lanes(words: Sequence[int], num_lines: int, count: int) -> list[int]:
     return values
 
 
-def compile_gates(gates: Iterable[Gate]) -> list[tuple]:
-    """Lower a gate cascade to flat bitwise-op descriptors.
+def compile_gates(gates: Iterable[Gate]) -> tuple[tuple, ...] | None:
+    """Lower a gate cascade to flat op descriptors, or ``None``.
 
-    Each MCT gate becomes ``(_OP_MCT, positive_lines, negative_lines,
-    target)`` and each swap ``(_OP_SWAP, line_a, line_b, None)``, so the
-    hot loop touches no gate objects, controls or method dispatch.
+    Each MCT gate becomes ``(OP_MCT, positive_lines, negative_lines,
+    target, control_mask, polarity)`` — the control lines this kernel ANDs
+    together, and the mask/polarity pair the numpy tabulation compares
+    against — and each swap ``(OP_SWAP, line_a, line_b, None, 0, 0)``, so
+    the hot loops touch no gate objects, controls or method dispatch.
 
-    Raises:
-        CircuitError: for gate kinds without a bitsliced implementation
-            (use :func:`supports` to detect and fall back).
+    Returns ``None`` when any gate is a user-defined
+    :class:`~repro.circuits.gates.Gate` kind: those have no lowering, and
+    callers fall back to the scalar ``simulate`` loop.
     """
     ops: list[tuple] = []
     for gate in gates:
         if isinstance(gate, MCTGate):
-            positive = tuple(c.line for c in gate.controls if c.positive)
-            negative = tuple(c.line for c in gate.controls if not c.positive)
-            ops.append((_OP_MCT, positive, negative, gate.target))
-        elif isinstance(gate, SwapGate):
-            ops.append((_OP_SWAP, gate.line_a, gate.line_b, None))
-        else:
-            raise CircuitError(
-                f"no bitsliced implementation for {type(gate).__name__}"
+            positive: list[int] = []
+            negative: list[int] = []
+            mask = polarity = 0
+            for control in gate.controls:
+                line = control.line
+                mask |= 1 << line
+                if control.positive:
+                    positive.append(line)
+                    polarity |= 1 << line
+                else:
+                    negative.append(line)
+            ops.append(
+                (OP_MCT, tuple(positive), tuple(negative), gate.target, mask, polarity)
             )
-    return ops
+        elif isinstance(gate, SwapGate):
+            ops.append((OP_SWAP, gate.line_a, gate.line_b, None, 0, 0))
+        else:
+            return None
+    return tuple(ops)
 
 
 def apply_compiled(
@@ -198,8 +205,8 @@ def apply_compiled(
     "all controls satisfied" seed and the complement mask for negative
     controls, so ragged batches never leak activity into empty lanes.
     """
-    for tag, first, second, target in ops:
-        if tag == _OP_MCT:
+    for tag, first, second, target, _mask, _polarity in ops:
+        if tag == OP_MCT:
             active = lane_mask
             for line in first:
                 active &= words[line]
@@ -217,8 +224,8 @@ def evaluate_compiled(
     """Run pre-compiled ops over a batch of already-validated inputs.
 
     The chunk/pack/apply/unpack pipeline of :func:`simulate_many` without
-    the validation and compilation steps, for callers (``CircuitOracle``)
-    that validate upstream and cache the compiled ops across calls.
+    the validation step, for callers (``CircuitOracle``) that validate
+    upstream and read the circuit's cached ops themselves.
     """
     outputs: list[int] = []
     for start in range(0, len(values), LANE_WIDTH):
@@ -251,5 +258,12 @@ def simulate_many(
             raise CircuitError(
                 f"input {value} does not fit in {num_lines} lines"
             )
-    ops = compile_gates(circuit.gates)
+    ops = circuit.compiled()
+    if ops is None:
+        unsupported = next(
+            gate for gate in circuit if not isinstance(gate, (MCTGate, SwapGate))
+        )
+        raise CircuitError(
+            f"no bitsliced implementation for {type(unsupported).__name__}"
+        )
     return evaluate_compiled(ops, num_lines, values)

@@ -21,7 +21,8 @@ from typing import Union
 
 import numpy as np
 
-from repro.bits import bits_to_int, int_to_bits
+from repro.bits import bits_to_int
+from repro.circuits import bitslice
 from repro.circuits.evaluate import tabulate
 from repro.circuits.gates import Gate, MCTGate, SwapGate
 from repro.exceptions import CircuitError
@@ -54,6 +55,7 @@ class ReversibleCircuit:
             raise CircuitError(f"a circuit needs at least one line, got {num_lines}")
         self._num_lines = num_lines
         self._gates: list[Gate] = []
+        self._ops: tuple[tuple, ...] | None = None  # compiled()'s cache
         self.name = name
         for gate in gates:
             self.append(gate)
@@ -106,6 +108,7 @@ class ReversibleCircuit:
                 f"only {self._num_lines} lines"
             )
         self._gates.append(gate)
+        self._ops = None
         return self
 
     def extend(self, gates: Iterable[Gate]) -> "ReversibleCircuit":
@@ -117,6 +120,19 @@ class ReversibleCircuit:
     def copy(self, name: str | None = None) -> "ReversibleCircuit":
         """A shallow copy (gates are immutable, so sharing them is safe)."""
         return ReversibleCircuit(self._num_lines, self._gates, name or self.name)
+
+    def compiled(self) -> tuple[tuple, ...] | None:
+        """The cascade lowered by :func:`repro.circuits.bitslice.compile_gates`.
+
+        Computed on first use and cached until the next :meth:`append`;
+        the numpy tabulation, the bitsliced batches and the circuit
+        oracles all read this one lowering.  ``None`` when the cascade
+        holds a user-defined gate kind: such a cascade is re-scanned on
+        every call, which its scalar fallback dwarfs.
+        """
+        if self._ops is None:
+            self._ops = bitslice.compile_gates(self._gates)
+        return self._ops
 
     # -- semantics ----------------------------------------------------------
     def _coerce_input(self, value: BitVector) -> int:
@@ -143,10 +159,6 @@ class ReversibleCircuit:
         for gate in self._gates:
             state = gate.apply(state)
         return state
-
-    def simulate_bits(self, value: BitVector) -> list[int]:
-        """Like :meth:`simulate` but returns the output as a bit list."""
-        return int_to_bits(self.simulate(value), self._num_lines)
 
     def truth_table(self) -> list[int]:
         """The full truth table: entry ``x`` holds ``simulate(x)``.
@@ -204,14 +216,6 @@ class ReversibleCircuit:
             )
         gates = [gate.remapped(line_map) for gate in self._gates]
         return ReversibleCircuit(self._num_lines, gates, self.name)
-
-    def with_lines(self, num_lines: int) -> "ReversibleCircuit":
-        """The same cascade embedded into a circuit with more lines."""
-        if num_lines < self._num_lines:
-            raise CircuitError(
-                f"cannot shrink a {self._num_lines}-line circuit to {num_lines} lines"
-            )
-        return ReversibleCircuit(num_lines, self._gates, self.name)
 
     def decomposed_swaps(self) -> "ReversibleCircuit":
         """A functionally identical circuit with every swap expanded to CNOTs."""

@@ -17,14 +17,19 @@ scalar :meth:`~repro.circuits.circuit.ReversibleCircuit.simulate` loop is
 the reference both are held to (``tests/properties/``), and the only
 fallback here: for user-defined gate kinds, and for widths whose inputs
 do not fit an ``int64`` word.
+
+Both kernels read the same lowered ops: the circuit's cached
+:func:`repro.circuits.bitslice.compile_gates` output
+(:meth:`~repro.circuits.circuit.ReversibleCircuit.compiled`), which
+already carries each MCT gate's control mask and polarity, so a table
+rebuilds nothing per gate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.circuits import bitslice
-from repro.circuits.gates import SwapGate
+from repro.circuits.bitslice import OP_SWAP
 
 __all__ = ["WORD_LINES", "tabulate"]
 
@@ -40,27 +45,22 @@ def tabulate(circuit) -> np.ndarray:
     Exponential in the line count, like every exhaustive view.
     """
     num_lines = circuit.num_lines
-    gates = circuit.gates
-    if num_lines > WORD_LINES or not bitslice.supports(gates):
+    ops = circuit.compiled() if num_lines <= WORD_LINES else None
+    if ops is None:
         return np.fromiter(
             (circuit.simulate(value) for value in range(1 << num_lines)),
             dtype=np.int64,
             count=1 << num_lines,
         )
     state = np.arange(1 << num_lines, dtype=np.int64)
-    for gate in gates:
-        if isinstance(gate, SwapGate):
-            differ = ((state >> gate.line_a) ^ (state >> gate.line_b)) & 1
-            state ^= differ * ((1 << gate.line_a) | (1 << gate.line_b))
-            continue
-        flip = 1 << gate.target
-        if not gate.controls:
-            state ^= flip
-            continue
-        mask = polarity = 0
-        for control in gate.controls:
-            mask |= 1 << control.line
-            if control.positive:
-                polarity |= 1 << control.line
-        np.bitwise_xor(state, flip, out=state, where=(state & mask) == polarity)
+    for tag, first, second, target, mask, polarity in ops:
+        if tag == OP_SWAP:
+            differ = ((state >> first) ^ (state >> second)) & 1
+            state ^= differ * ((1 << first) | (1 << second))
+        elif mask:
+            np.bitwise_xor(
+                state, 1 << target, out=state, where=(state & mask) == polarity
+            )
+        else:
+            state ^= 1 << target
     return state

@@ -173,25 +173,6 @@ class MCTGate(Gate):
         )
         return MCTGate(controls, line_map[self.target])
 
-    def with_polarity_flipped(self, line: int) -> "MCTGate":
-        """Return a copy with the polarity of the control on ``line`` flipped.
-
-        Raises :class:`GateError` if no control sits on ``line``.  This is the
-        gate-level form of the "two NOT gates around a control flip its
-        polarity" observation used in the Theorem 2 reduction.
-        """
-        new_controls = []
-        found = False
-        for control in self.controls:
-            if control.line == line:
-                new_controls.append(control.negated())
-                found = True
-            else:
-                new_controls.append(control)
-        if not found:
-            raise GateError(f"gate has no control on line {line}")
-        return MCTGate(tuple(new_controls), self.target)
-
     def __str__(self) -> str:
         if not self.controls:
             return f"NOT(x{self.target})"

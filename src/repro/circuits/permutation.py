@@ -16,7 +16,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.bits import int_to_bits
 from repro.circuits.evaluate import tabulate
 from repro.exceptions import PermutationError
 
@@ -101,14 +100,6 @@ class Permutation:
         """Apply the permutation to ``value``."""
         return self._mapping[value]
 
-    def apply_bits(self, bits: Sequence[int]) -> list[int]:
-        """Apply the permutation to a bit-list input, returning a bit list."""
-        packed = 0
-        for index, bit in enumerate(bits):
-            if bit:
-                packed |= 1 << index
-        return int_to_bits(self._mapping[packed], self._num_bits)
-
     def inverse(self) -> "Permutation":
         """The inverse permutation."""
         inverse = [0] * len(self._mapping)
@@ -169,14 +160,6 @@ class Permutation:
         """0 for an even permutation, 1 for an odd one."""
         swaps = sum(len(cycle) - 1 for cycle in self.cycles())
         return swaps & 1
-
-    def hamming_weight_profile(self) -> dict[int, int]:
-        """Histogram of Hamming distances between ``x`` and ``self(x)``."""
-        profile: dict[int, int] = {}
-        for value, image in enumerate(self._mapping):
-            distance = bin(value ^ image).count("1")
-            profile[distance] = profile.get(distance, 0) + 1
-        return profile
 
     # -- dunder plumbing -----------------------------------------------------
     def __iter__(self) -> Iterator[int]:

@@ -371,6 +371,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             event_log.close()
         if tracer is not None:
             tracer.close()
+        if args.remote_cache is not None:
+            cache.slow.close()  # build_cache put the RemoteCache last
         # Written in the cleanup path on purpose: an interrupted run's
         # counters are exactly what a post-mortem wants to see.
         if metrics is not None:

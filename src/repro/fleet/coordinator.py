@@ -512,38 +512,43 @@ class FleetCoordinator:
         with self._lock:
             shard.remote_run_id = remote_run_id
         last_live = time.monotonic()
-        while True:
-            stream = client.events(remote_run_id)
-            try:
-                while True:
-                    try:
-                        frame = next(stream)
-                    except StopIteration as stop:
-                        return stop.value
-                    self._ingest(shard, frame)
-                    last_live = time.monotonic()
-            except DaemonTimeoutError:
-                # Quiet stream: probe the run out-of-band.  A fresh
-                # connection also sidesteps any half-read frame the
-                # timed-out socket might hold — the replayed
-                # resubscription below is deduplicated by pair id.
-                client.close()
-                state = self._probe_run(peer, remote_run_id)
-                if state is None:
-                    raise DaemonConnectionError(
-                        f"{peer.address} is unreachable (or lost "
-                        f"{remote_run_id})"
-                    ) from None
-                if state in RunState.FINAL:
-                    return state
-                stalled = time.monotonic() - last_live
-                if state == RunState.RUNNING and stalled > self._hang_timeout_s:
-                    self._cancel_quietly(peer, remote_run_id)
-                    raise _ShardHung(
-                        f"{remote_run_id} on {peer.address} produced no "
-                        f"events for {stalled:.1f}s"
-                    ) from None
-                client = self._client_for(peer, timeout=self._heartbeat_s)
+        try:
+            while True:
+                stream = client.events(remote_run_id)
+                try:
+                    while True:
+                        try:
+                            frame = next(stream)
+                        except StopIteration as stop:
+                            return stop.value
+                        self._ingest(shard, frame)
+                        last_live = time.monotonic()
+                except DaemonTimeoutError:
+                    # Quiet stream: probe the run out-of-band.  A fresh
+                    # connection also sidesteps any half-read frame the
+                    # timed-out socket might hold — the replayed
+                    # resubscription below is deduplicated by pair id.
+                    client.close()
+                    state = self._probe_run(peer, remote_run_id)
+                    if state is None:
+                        raise DaemonConnectionError(
+                            f"{peer.address} is unreachable (or lost "
+                            f"{remote_run_id})"
+                        ) from None
+                    if state in RunState.FINAL:
+                        return state
+                    stalled = time.monotonic() - last_live
+                    if state == RunState.RUNNING and stalled > self._hang_timeout_s:
+                        self._cancel_quietly(peer, remote_run_id)
+                        raise _ShardHung(
+                            f"{remote_run_id} on {peer.address} produced no "
+                            f"events for {stalled:.1f}s"
+                        ) from None
+                    client = self._client_for(peer, timeout=self._heartbeat_s)
+        finally:
+            # The current client: the first one, or the one rebuilt after
+            # the last heartbeat timeout.
+            client.close()
 
     def _probe_run(self, peer: FleetPeer, run_id: str) -> str | None:
         """The run's state via a fresh connection; None when the peer

@@ -243,11 +243,6 @@ class CircuitOracle(ReversibleOracle):
         super().__init__(circuit.num_lines, with_inverse, max_queries)
         self._circuit = circuit
         self._inverse_circuit = circuit.inverse() if with_inverse else None
-        # (num_gates, compiled ops or None) — circuits only grow by
-        # appending, so a gate-count mismatch is a reliable staleness
-        # signal for the compiled-op cache.
-        self._compiled: tuple[int, list[tuple] | None] | None = None
-        self._compiled_inverse: tuple[int, list[tuple] | None] | None = None
 
     @property
     def circuit(self) -> ReversibleCircuit:
@@ -264,32 +259,17 @@ class CircuitOracle(ReversibleOracle):
     def peek_table(self) -> list[int]:
         return tabulate(self._circuit).tolist()
 
-    @staticmethod
-    def _compiled_ops(
-        circuit: ReversibleCircuit,
-        cache: tuple[int, list[tuple] | None] | None,
-    ) -> tuple[int, list[tuple] | None]:
-        if cache is not None and cache[0] == circuit.num_gates:
-            return cache
-        gates = circuit.gates
-        ops = bitslice.compile_gates(gates) if bitslice.supports(gates) else None
-        return (circuit.num_gates, ops)
-
     def _evaluate_many(self, values: list[int]) -> list[int]:
-        # 64-lane bitsliced evaluation; user-defined gate kinds fall back
-        # to the scalar reference loop.
-        self._compiled = self._compiled_ops(self._circuit, self._compiled)
-        ops = self._compiled[1]
+        # 64-lane bitsliced evaluation over the circuit's cached lowering;
+        # user-defined gate kinds fall back to the scalar reference loop.
+        ops = self._circuit.compiled()
         if ops is None:
             return super()._evaluate_many(values)
         return bitslice.evaluate_compiled(ops, self._num_lines, values)
 
     def _evaluate_inverse_many(self, values: list[int]) -> list[int]:
         assert self._inverse_circuit is not None
-        self._compiled_inverse = self._compiled_ops(
-            self._inverse_circuit, self._compiled_inverse
-        )
-        ops = self._compiled_inverse[1]
+        ops = self._inverse_circuit.compiled()
         if ops is None:
             return super()._evaluate_inverse_many(values)
         return bitslice.evaluate_compiled(ops, self._num_lines, values)

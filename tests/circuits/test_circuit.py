@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.circuits import bitslice
 from repro.circuits.circuit import ReversibleCircuit
+from repro.circuits.evaluate import tabulate
 from repro.circuits.gates import SwapGate, cnot, not_gate, toffoli
 from repro.circuits.random import random_circuit
 from repro.exceptions import CircuitError
+from repro.oracles import CircuitOracle
 
 
 class TestConstruction:
@@ -62,7 +65,6 @@ class TestSimulation:
 
     def test_simulate_accepts_bit_list(self, toffoli_circuit):
         assert toffoli_circuit.simulate([1, 1, 0]) == 0b111
-        assert toffoli_circuit.simulate_bits([1, 1, 0]) == [1, 1, 1]
 
     def test_simulate_rejects_out_of_range(self, toffoli_circuit):
         with pytest.raises(CircuitError):
@@ -115,15 +117,6 @@ class TestComposition:
         with pytest.raises(CircuitError):
             toffoli_circuit.remapped([0, 0, 1])
 
-    def test_with_lines_embeds(self, toffoli_circuit):
-        wide = toffoli_circuit.with_lines(5)
-        assert wide.num_lines == 5
-        assert wide.simulate(0b00011) == 0b00111
-
-    def test_with_lines_cannot_shrink(self, toffoli_circuit):
-        with pytest.raises(CircuitError):
-            toffoli_circuit.with_lines(2)
-
     def test_decomposed_swaps_preserves_function(self, rng):
         circuit = ReversibleCircuit(4, [SwapGate(0, 3), cnot(1, 2), SwapGate(1, 2)])
         expanded = circuit.decomposed_swaps()
@@ -146,3 +139,21 @@ class TestDunder:
 
     def test_iteration_yields_gates(self, small_random_circuit):
         assert list(small_random_circuit) == list(small_random_circuit.gates)
+
+
+class TestCompiledOps:
+    def test_one_lowering_serves_every_reader(self, monkeypatch, rng):
+        lowered = []
+        compile_gates = bitslice.compile_gates
+
+        def counting(gates):
+            lowered.append(len(gates))
+            return compile_gates(gates)
+
+        monkeypatch.setattr(bitslice, "compile_gates", counting)
+        circuit = random_circuit(5, 20, rng)
+        values = list(range(32))
+        first, second = CircuitOracle(circuit), CircuitOracle(circuit)
+        assert first.evaluate_many(values) == tabulate(circuit).tolist()
+        assert second.evaluate_many(values) == circuit.truth_table()
+        assert lowered == [20]

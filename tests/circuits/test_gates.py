@@ -99,16 +99,6 @@ class TestMCTGate:
         assert remapped.target == 0
         assert remapped.control_lines == (1, 2)
 
-    def test_with_polarity_flipped(self):
-        gate = toffoli(0, 1, 2)
-        flipped = gate.with_polarity_flipped(0)
-        polarities = {control.line: control.positive for control in flipped.controls}
-        assert polarities == {0: False, 1: True}
-
-    def test_with_polarity_flipped_missing_line(self):
-        with pytest.raises(GateError):
-            toffoli(0, 1, 2).with_polarity_flipped(3)
-
     def test_polarity_count_mismatch_rejected(self):
         with pytest.raises(GateError):
             mct([0, 1], 2, polarities=[True])

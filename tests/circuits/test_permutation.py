@@ -57,10 +57,6 @@ class TestAlgebra:
         with pytest.raises(PermutationError):
             Permutation.identity(2).compose(Permutation.identity(3))
 
-    def test_apply_bits(self):
-        permutation = Permutation.from_function(lambda x: x ^ 0b01, 2)
-        assert permutation.apply_bits([0, 0]) == [1, 0]
-
 
 class TestAnalysis:
     def test_cycles_of_swap(self):
@@ -80,11 +76,6 @@ class TestAnalysis:
         transposition = Permutation([1, 0, 2, 3])
         assert transposition.parity() == 1
         assert Permutation.identity(2).parity() == 0
-
-    def test_hamming_weight_profile_counts_all_entries(self, rng):
-        permutation = random_permutation(3, rng)
-        profile = permutation.hamming_weight_profile()
-        assert sum(profile.values()) == 8
 
     def test_equality_and_hash(self):
         a = Permutation([1, 0, 3, 2])

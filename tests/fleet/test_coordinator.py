@@ -7,8 +7,10 @@ loopback daemons.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -141,6 +143,25 @@ class TestRun:
         )
         with pytest.raises(FleetError, match="manifest not found"):
             coordinator.run(tmp_path / "nowhere")
+
+    def test_run_closes_every_client_it_opens(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        make_corpus(corpus)
+        worker = start_worker(tmp_path, "a")
+        try:
+            coordinator = FleetCoordinator(
+                [worker.address], work_dir=tmp_path / "fleet", timeout=10.0
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                coordinator.run(corpus, seed=3)
+                gc.collect()
+        finally:
+            worker.stop()
+        assert not [
+            warning for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
 
     def test_single_worker_fleet_completes_and_reports(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -23,6 +23,7 @@ import pytest
 
 from repro.circuits import bitslice
 from repro.circuits.circuit import ReversibleCircuit
+from repro.circuits.evaluate import tabulate
 from repro.circuits.gates import Gate, SwapGate, cnot, mct, not_gate
 from repro.circuits.random import (
     random_line_permutation,
@@ -166,6 +167,26 @@ class TestLaneEdges:
         ]
 
 
+def _forward_oracle(circuit):
+    return circuit, CircuitOracle(circuit).evaluate_many
+
+
+def _inverse_oracle(circuit):
+    # The oracle materialises its inverse once, so that is the circuit
+    # whose growth its batches must see.
+    oracle = CircuitOracle(circuit, with_inverse=True)
+    return oracle._inverse_circuit, oracle.query_inverse_many
+
+
+def _tabulate(circuit):
+    # Called with every input in order, so the table is the batch answer.
+    return circuit, lambda values: tabulate(circuit).tolist()
+
+
+def _simulate_many(circuit):
+    return circuit, lambda values: bitslice.simulate_many(circuit, values)
+
+
 class TestValidationAndFallback:
     """Error parity with the scalar path, and the scalar fallback."""
 
@@ -201,25 +222,30 @@ class TestValidationAndFallback:
                 return self
 
         gate = PhantomGate()
-        assert not bitslice.supports([gate])
+        assert bitslice.compile_gates([not_gate(1), gate]) is None
+        circuit = ReversibleCircuit(2).append(gate).append(not_gate(1))
         with pytest.raises(CircuitError, match="PhantomGate"):
-            bitslice.compile_gates([gate])
+            bitslice.simulate_many(circuit, [0, 1])
 
         # The oracle capability falls back to the scalar loop and still
         # matches the reference answers exactly.
-        circuit = ReversibleCircuit(2).append(gate).append(not_gate(1))
         oracle = CircuitOracle(circuit)
         assert oracle.evaluate_many([0, 1, 2, 3]) == [
             oracle.peek(value) for value in range(4)
         ]
 
-    def test_compiled_cache_tracks_circuit_growth(self):
-        """Appending gates after a batched call invalidates the cache."""
-        circuit = ReversibleCircuit(4).append(cnot(0, 1))
-        oracle = CircuitOracle(circuit)
-        before = oracle.evaluate_many(list(range(16)))
-        assert before == [circuit.simulate(value) for value in range(16)]
-        circuit.append(mct([0, 2], 3)).append(not_gate(2))
-        after = oracle.evaluate_many(list(range(16)))
-        assert after == [circuit.simulate(value) for value in range(16)]
+    @pytest.mark.parametrize(
+        "reader",
+        [_forward_oracle, _inverse_oracle, _tabulate, _simulate_many],
+        ids=["evaluate_many", "query_inverse_many", "tabulate", "simulate_many"],
+    )
+    def test_compiled_cache_tracks_circuit_growth(self, reader):
+        """Appending gates after an evaluation invalidates the cached ops."""
+        grown, evaluate = reader(ReversibleCircuit(4).append(cnot(0, 1)))
+        values = list(range(16))
+        before = evaluate(values)
+        assert before == [grown.simulate(value) for value in values]
+        grown.append(mct([0, 2], 3)).append(not_gate(2))
+        after = evaluate(values)
+        assert after == [grown.simulate(value) for value in values]
         assert after != before

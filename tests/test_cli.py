@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -840,6 +842,32 @@ class TestRemoteCacheFlags:
             assert "0 classical + 0 quantum queries spent" in warm
         finally:
             server.stop()
+
+    def test_run_closes_its_remote_tier(self, tmp_path, capsys):
+        from repro.cachenet import CacheServer
+        from repro.service import LRUCache
+
+        corpus = tmp_path / "corpus"
+        main(
+            ["corpus", str(corpus), "--classes", "I-N", "--families",
+             "random", "--seed", "1"]
+        )
+        server = CacheServer(LRUCache(), socket_path=tmp_path / "cache.sock")
+        server.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert main(
+                    ["run", str(corpus), "--remote-cache", server.address]
+                ) == 0
+                gc.collect()
+        finally:
+            server.stop()
+        assert "1 executed" in capsys.readouterr().out
+        assert not [
+            warning for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
 
     def test_run_with_a_dead_server_still_succeeds(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
