@@ -9,7 +9,8 @@ Three techniques recur across Section 4 and are factored out here:
   of Sections 4.2/4.3 used when no inverse is available;
 * :func:`repetitions_for_sequences` / :func:`repetitions_for_swap_test` —
   the repetition counts derived from Eq. (1) and from the swap-test failure
-  analysis.
+  analysis, and :func:`swap_tests_see_one`, the repeated swap test of
+  Sections 4.5/4.6.
 
 All helpers count queries only through the oracle objects they are handed,
 so the callers' query accounting stays exact.
@@ -20,16 +21,23 @@ from __future__ import annotations
 import math
 import random as _random
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro.circuits.line_permutation import LinePermutation
 from repro.circuits.random import coerce_rng
 from repro.exceptions import MatchingError, PromiseViolationError
 from repro.oracles.oracle import ReversibleOracle
 
+if TYPE_CHECKING:
+    from repro.quantum.oracle import QuantumCircuitOracle
+    from repro.quantum.statevector import Statevector
+    from repro.quantum.swap_test import SwapTest
+
 __all__ = [
     "log2_ceil",
     "repetitions_for_sequences",
     "repetitions_for_swap_test",
+    "swap_tests_see_one",
     "binary_code_patterns",
     "identify_line_permutation",
     "match_output_sequences",
@@ -69,6 +77,25 @@ def repetitions_for_swap_test(epsilon: float) -> int:
     if not 0.0 < epsilon < 1.0:
         raise MatchingError(f"epsilon must be in (0, 1), got {epsilon}")
     return max(1, math.ceil(math.log2(1.0 / epsilon)))
+
+
+def swap_tests_see_one(
+    oracle1: QuantumCircuitOracle,
+    probe1: Statevector,
+    oracle2: QuantumCircuitOracle,
+    probe2: Statevector,
+    tester: SwapTest,
+    repetitions: int,
+) -> bool:
+    """Whether any of ``repetitions`` swap tests of ``C1|probe1>`` against
+    ``C2|probe2>`` measures 1; each repetition charges one query per oracle
+    and one swap test, and stops the loop on a 1."""
+    for _ in range(repetitions):
+        output1 = oracle1.query_state(probe1)
+        output2 = oracle2.query_state(probe2)
+        if tester.sample(output1, output2) == 1:
+            return True
+    return False
 
 
 def binary_code_patterns(num_lines: int) -> list[int]:

@@ -24,7 +24,11 @@ from repro.bits import int_to_bits
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.permutation import Permutation
 from repro.core.equivalence import EquivalenceType
-from repro.core.matchers._sequences import QuerySnapshot, repetitions_for_swap_test
+from repro.core.matchers._sequences import (
+    QuerySnapshot,
+    repetitions_for_swap_test,
+    swap_tests_see_one,
+)
 from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
 from repro.core.registry import Capability, MatcherKind, register_matcher
 from repro.exceptions import MatchingError, UnsupportedEquivalenceError
@@ -148,14 +152,10 @@ def match_n_i_quantum(
     start_queries = oracle1.query_count + oracle2.query_count
     start_tests = tester.runs
 
-    nu_x = [False] * num_lines
-    for line, probe in enumerate(marked_probes(ZERO, num_lines)):
-        for _ in range(repetitions):
-            output1 = oracle1.query_state(probe)
-            output2 = oracle2.query_state(probe)
-            if tester.sample(output1, output2) == 1:
-                nu_x[line] = True
-                break
+    nu_x = [
+        swap_tests_see_one(oracle1, probe, oracle2, probe, tester, repetitions)
+        for probe in marked_probes(ZERO, num_lines)
+    ]
 
     quantum_queries = oracle1.query_count + oracle2.query_count - start_queries
     return MatchingResult(

@@ -24,6 +24,7 @@ from repro.core.matchers._sequences import (
     QuerySnapshot,
     identify_line_permutation,
     repetitions_for_swap_test,
+    swap_tests_see_one,
 )
 from repro.core.matchers.n_i import as_quantum_oracle, marked_probes
 from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
@@ -151,15 +152,9 @@ def match_np_i_quantum(
             if infer_last_candidate and len(unmatched) == 1:
                 matched = unmatched[0]
                 break
-            probe2 = minus_probes[b2]
-            saw_one = False
-            for _ in range(repetitions):
-                output1 = oracle1.query_state(probe1)
-                output2 = oracle2.query_state(probe2)
-                if tester.sample(output1, output2) == 1:
-                    saw_one = True
-                    break
-            if not saw_one:
+            if not swap_tests_see_one(
+                oracle1, probe1, oracle2, minus_probes[b2], tester, repetitions
+            ):
                 matched = b2
                 break
         if matched is None:
@@ -177,16 +172,13 @@ def match_np_i_quantum(
     # Drop the |-> probes first, so the two lists are never alive together.
     del minus_probes
     zero_probes = list(marked_probes(ZERO, num_lines))
-    nu_x = [False] * num_lines
-    for line in range(num_lines):
-        probe1 = zero_probes[line]
-        probe2 = zero_probes[pi_x[line]]
-        for _ in range(repetitions):
-            output1 = oracle1.query_state(probe1)
-            output2 = oracle2.query_state(probe2)
-            if tester.sample(output1, output2) == 1:
-                nu_x[line] = True
-                break
+    nu_x = [
+        swap_tests_see_one(
+            oracle1, zero_probes[line], oracle2, zero_probes[pi_x[line]],
+            tester, repetitions,
+        )
+        for line in range(num_lines)
+    ]
 
     quantum_queries = oracle1.query_count + oracle2.query_count - start_queries
     return MatchingResult(

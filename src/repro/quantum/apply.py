@@ -29,7 +29,10 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def apply_permutation(permutation: Permutation, state: Statevector) -> Statevector:
-    """Apply a basis permutation to a state: ``new[f(x)] = old[x]``."""
+    """Apply a basis permutation to a state: ``new[f(x)] = old[x]``.
+
+    The returned state is :attr:`~Statevector.read_only`.
+    """
     if permutation.num_bits != state.num_qubits:
         raise QuantumError(
             f"permutation acts on {permutation.num_bits} qubits, state has "
@@ -38,6 +41,7 @@ def apply_permutation(permutation: Permutation, state: Statevector) -> Statevect
     old = state.vector
     new = np.empty_like(old)
     new[permutation.index_array()] = old
+    new.flags.writeable = False
     return Statevector(new, state.num_qubits, validate=False)
 
 

@@ -45,6 +45,9 @@ class QuantumCircuitOracle:
             )
         self._max_queries = max_queries
         self._queries = 0
+        # (input, output) of the last simulated query; strong references,
+        # so the input's id cannot be recycled while it is remembered.
+        self._last: tuple[Statevector, Statevector] | None = None
 
     @property
     def num_qubits(self) -> int:
@@ -68,19 +71,36 @@ class QuantumCircuitOracle:
         """Reset the query counter."""
         self._queries = 0
 
-    def query_state(self, state: Statevector) -> Statevector:
-        """Run the hidden circuit on ``state`` (one quantum query)."""
-        if state.num_qubits != self._num_qubits:
-            raise OracleError(
-                f"state has {state.num_qubits} qubits, oracle expects "
-                f"{self._num_qubits}"
-            )
+    def _charge(self) -> None:
         if self._max_queries is not None and self._queries >= self._max_queries:
             raise QueryBudgetExceededError(
                 f"quantum query budget of {self._max_queries} exhausted"
             )
         self._queries += 1
-        return apply_permutation(self._permutation, state)
+
+    def query_state(self, state: Statevector) -> Statevector:
+        """Run the hidden circuit on ``state`` (one quantum query).
+
+        Every call checks the budget and charges one query, so the Table 1
+        query count does not depend on how the output is obtained.  When
+        ``state`` is the very object of the previous call and its amplitudes
+        are read-only (:attr:`Statevector.read_only`), the previous output
+        is returned without simulating again: the circuit is deterministic
+        and the input is identical.  A writable state is simulated on every
+        call, so mutating it in place between queries is safe.
+        """
+        if state.num_qubits != self._num_qubits:
+            raise OracleError(
+                f"state has {state.num_qubits} qubits, oracle expects "
+                f"{self._num_qubits}"
+            )
+        self._charge()
+        last = self._last
+        if last is not None and last[0] is state and state.read_only:
+            return last[1]
+        output = apply_permutation(self._permutation, state)
+        self._last = (state, output) if state.read_only else None
+        return output
 
     def query_basis(self, value: int) -> int:
         """Classical convenience query (counted like any other query).
@@ -88,10 +108,14 @@ class QuantumCircuitOracle:
         Quantum oracles can of course be queried on computational basis
         states; the matchers use this for the cheap classical preprocessing
         steps (e.g. the all-zero probe of the P-N matcher).
+
+        Raises:
+            OracleError: if ``value`` does not fit in ``n`` lines (no query
+                is charged).
         """
-        if self._max_queries is not None and self._queries >= self._max_queries:
-            raise QueryBudgetExceededError(
-                f"quantum query budget of {self._max_queries} exhausted"
+        if value < 0 or value >> self._num_qubits:
+            raise OracleError(
+                f"query value {value} does not fit in {self._num_qubits} lines"
             )
-        self._queries += 1
+        self._charge()
         return self._permutation(value)

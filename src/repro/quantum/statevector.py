@@ -66,6 +66,8 @@ class Statevector:
         if vector.ndim != 1:
             raise QuantumError("amplitudes must form a one-dimensional vector")
         size = vector.shape[0]
+        if size == 0:
+            raise QuantumError("a state vector needs at least one amplitude")
         if num_qubits is None:
             num_qubits = int(size).bit_length() - 1
         if size != 1 << num_qubits:
@@ -85,6 +87,19 @@ class Statevector:
     def vector(self) -> np.ndarray:
         """The underlying amplitude vector (a copy is *not* made)."""
         return self._vector
+
+    @property
+    def read_only(self) -> bool:
+        """Whether the amplitude array is read-only.
+
+        The states :func:`product_state`, :func:`basis_state` and
+        :func:`~repro.quantum.apply.apply_permutation` build are; their
+        amplitudes cannot change after construction, which is what lets
+        the quantum oracle and the swap test reuse a result computed for
+        the very same state object.  :meth:`copy` is writable, and so is a
+        state built from caller data unless the caller's array is read-only.
+        """
+        return not self._vector.flags.writeable
 
     @property
     def dimension(self) -> int:
@@ -163,6 +178,7 @@ def basis_state(value: int, num_qubits: int) -> Statevector:
         raise QuantumError(f"basis label {value} does not fit in {num_qubits} qubits")
     vector = np.zeros(1 << num_qubits, dtype=complex)
     vector[value] = 1.0
+    vector.flags.writeable = False
     return Statevector(vector, num_qubits, validate=False)
 
 
@@ -189,4 +205,5 @@ def product_state(labels: Sequence[str]) -> Statevector:
             )
         low, high = _SINGLE_QUBIT_AMPLITUDES[label]
         vector = np.concatenate((low * vector, high * vector))
+    vector.flags.writeable = False
     return Statevector(vector, num_qubits, validate=False)

@@ -18,6 +18,13 @@ Two implementations are provided:
 * the *circuit* path builds the full ``2n + 1``-qubit joint state and applies
   the Fig. 3 gates one by one, which is what a real device would do.  The
   test suite checks both paths produce identical outcome probabilities.
+
+Algorithm 1 repeats a swap test on the same pair of states up to
+``ceil(log2(1/epsilon))`` times.  :meth:`SwapTest.sample` therefore
+remembers the probability it computed for the last pair of read-only states
+(:attr:`~repro.quantum.statevector.Statevector.read_only`) and reuses it
+when handed the same two objects again; each repetition is still counted
+and still draws its own measurement from the rng.
 """
 
 from __future__ import annotations
@@ -83,6 +90,9 @@ class SwapTest:
         self._rng = rng
         self._use_circuit = use_circuit
         self._runs = 0
+        # (state_a, state_b, probability of 0) of the last computed pair;
+        # strong references, so neither state's id can be recycled.
+        self._last: tuple[Statevector, Statevector, float] | None = None
 
     @property
     def runs(self) -> int:
@@ -102,8 +112,21 @@ class SwapTest:
         return swap_test_probability(state_a, state_b)
 
     def sample(self, state_a: Statevector, state_b: Statevector) -> int:
-        """Run one swap test and return the ancilla measurement (0 or 1)."""
-        probability_zero = self.probability_of_zero(state_a, state_b)
+        """Run one swap test and return the ancilla measurement (0 or 1).
+
+        Every call counts one run and draws exactly one ``rng.random()``.
+        When both states are the very objects of the last computed pair and
+        both are read-only, that pair's probability is reused instead of
+        being recomputed (on the circuit path, a full simulation of the
+        ``2n + 1``-qubit circuit); writable states are recomputed every time.
+        """
+        last = self._last
+        frozen = state_a.read_only and state_b.read_only
+        if last is not None and last[0] is state_a and last[1] is state_b and frozen:
+            probability_zero = last[2]
+        else:
+            probability_zero = self.probability_of_zero(state_a, state_b)
+            self._last = (state_a, state_b, probability_zero) if frozen else None
         self._runs += 1
         return 0 if self._rng.random() < probability_zero else 1
 

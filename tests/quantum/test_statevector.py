@@ -61,6 +61,29 @@ class TestConstruction:
         with pytest.raises(QuantumError):
             product_state([])
 
+    def test_empty_vector_rejected(self):
+        with pytest.raises(QuantumError, match="at least one amplitude"):
+            Statevector([])
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize(
+        "state",
+        [product_state([PLUS, ZERO, MINUS]), basis_state(3, 2)],
+        ids=["product_state", "basis_state"],
+    )
+    def test_prepared_states_are_read_only(self, state):
+        assert state.read_only
+        with pytest.raises(ValueError):
+            state.vector[0] = 0.0
+
+    def test_copy_and_caller_data_are_writable(self):
+        assert not product_state([PLUS]).copy().read_only
+        amplitudes = np.array([0.0, 1.0], dtype=complex)
+        state = Statevector(amplitudes)
+        assert not state.read_only
+        assert amplitudes.flags.writeable
+
 
 LABELS = (ZERO, ONE, PLUS, MINUS)
 

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import repro.quantum.swap_test as swap_test_module
 from repro.exceptions import QuantumError
 from repro.quantum.statevector import MINUS, PLUS, ZERO, product_state
 from repro.quantum.swap_test import (
@@ -90,3 +91,57 @@ class TestSampler:
         first = SwapTest(rng=7).sample_many(zero, one, 20)
         second = SwapTest(rng=7).sample_many(zero, one, 20)
         assert first == second
+
+
+class TestProbabilityReuse:
+    @pytest.mark.parametrize(
+        ("use_circuit", "kernel"),
+        [(False, "swap_test_probability"), (True, "swap_test_probability_via_circuit")],
+    )
+    def test_same_read_only_pair_is_computed_once(self, monkeypatch, use_circuit, kernel):
+        calls = []
+        original = getattr(swap_test_module, kernel)
+
+        def counting(state_a, state_b):
+            calls.append((state_a, state_b))
+            return original(state_a, state_b)
+
+        monkeypatch.setattr(swap_test_module, kernel, counting)
+        zero = product_state([ZERO, PLUS])
+        one = product_state(["1", PLUS])
+        tester = SwapTest(rng=8, use_circuit=use_circuit)
+        tester.sample_many(zero, one, 12)
+        assert len(calls) == 1
+        assert tester.runs == 12
+        tester.sample(one, zero)
+        assert len(calls) == 2
+
+    def test_writable_states_are_recomputed(self, monkeypatch):
+        calls = []
+        original = swap_test_module.swap_test_probability
+
+        def counting(state_a, state_b):
+            calls.append((state_a, state_b))
+            return original(state_a, state_b)
+
+        monkeypatch.setattr(swap_test_module, "swap_test_probability", counting)
+        state_a = product_state([ZERO]).copy()
+        state_b = product_state([ZERO]).copy()
+        tester = SwapTest(rng=9)
+        assert tester.sample(state_a, state_b) == 0
+        state_b.vector[:] = [0.0, 1.0]
+        tester.sample_many(state_a, state_b, 5)
+        assert len(calls) == 6
+        assert tester.probability_of_zero(state_a, state_b) == pytest.approx(0.5)
+
+    def test_reuse_draws_the_same_measurements(self):
+        # One rng draw per repetition, reused or not: the outcomes and the
+        # rng's next draw match a sampler that recomputes every time.
+        zero = product_state([ZERO, MINUS])
+        one = product_state(["1", MINUS])
+        reused_rng, fresh_rng = random.Random(10), random.Random(10)
+        reused = SwapTest(reused_rng).sample_many(zero, one, 30)
+        fresh_tester = SwapTest(fresh_rng)
+        fresh = [fresh_tester.sample(zero.copy(), one.copy()) for _ in range(30)]
+        assert reused == fresh
+        assert reused_rng.random() == fresh_rng.random()
