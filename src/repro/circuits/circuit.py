@@ -24,7 +24,7 @@ import numpy as np
 from repro.bits import bits_to_int
 from repro.circuits import bitslice
 from repro.circuits.evaluate import tabulate
-from repro.circuits.gates import Gate, MCTGate, SwapGate
+from repro.circuits.gates import Control, Gate, MCTGate, SwapGate
 from repro.exceptions import CircuitError
 
 __all__ = ["ReversibleCircuit"]
@@ -43,6 +43,12 @@ class ReversibleCircuit:
     The circuit is mutable through :meth:`append` / :meth:`extend`; every
     transforming method (:meth:`inverse`, :meth:`then`, :meth:`remapped`, ...)
     returns a new circuit and leaves the receiver untouched.
+
+    A circuit read from a file starts from its lowered ops instead
+    (:meth:`compiled`): the evaluation kernels read those directly, and
+    the gate objects are built from them only when code asks for them —
+    synthesis, drawing, the writers, metrics, ``==``/``hash`` and the
+    structure fingerprint, all through :attr:`gates` or iteration.
     """
 
     def __init__(
@@ -54,11 +60,44 @@ class ReversibleCircuit:
         if num_lines <= 0:
             raise CircuitError(f"a circuit needs at least one line, got {num_lines}")
         self._num_lines = num_lines
-        self._gates: list[Gate] = []
+        # At least one of the two is set: ``_gates`` is None while an
+        # ops-built circuit has not been asked for its gates yet.
+        self._gates: list[Gate] | None = []
         self._ops: tuple[tuple, ...] | None = None  # compiled()'s cache
         self.name = name
         for gate in gates:
             self.append(gate)
+
+    @classmethod
+    def _from_ops(
+        cls, num_lines: int, ops: tuple[tuple, ...], name: str | None = None
+    ) -> "ReversibleCircuit":
+        """A circuit over already-lowered, already-validated ops.
+
+        ``ops`` must equal what :func:`~repro.circuits.bitslice.compile_gates`
+        makes of the gates they stand for, on lines below ``num_lines``.
+        """
+        circuit = cls(num_lines, name=name)
+        circuit._gates = None
+        circuit._ops = ops
+        return circuit
+
+    def _gate_list(self) -> list[Gate]:
+        """The gate cascade, built from the ops on first use."""
+        if self._gates is None:
+            self._gates = [
+                SwapGate(first, second)
+                if tag == bitslice.OP_SWAP
+                else MCTGate(
+                    tuple(
+                        Control(line, bool(polarity >> line & 1))
+                        for line in sorted(first + second)
+                    ),
+                    target,
+                )
+                for tag, first, second, target, _mask, polarity in self._ops
+            ]
+        return self._gates
 
     # -- structure ----------------------------------------------------------
     @property
@@ -69,12 +108,12 @@ class ReversibleCircuit:
     @property
     def gates(self) -> tuple[Gate, ...]:
         """The gate cascade as an immutable tuple (left = applied first)."""
-        return tuple(self._gates)
+        return tuple(self._gate_list())
 
     @property
     def num_gates(self) -> int:
         """Total number of gates in the cascade."""
-        return len(self._gates)
+        return len(self)
 
     @property
     def size(self) -> int:
@@ -88,7 +127,7 @@ class ReversibleCircuit:
         ``"TOFFOLI"``, ``"MCT3"``, ``"MCT4"``, ...), swaps by ``"SWAP"``.
         """
         counts: dict[str, int] = {}
-        for gate in self._gates:
+        for gate in self._gate_list():
             if isinstance(gate, SwapGate):
                 key = "SWAP"
             elif isinstance(gate, MCTGate):
@@ -107,7 +146,7 @@ class ReversibleCircuit:
                 f"gate {gate} uses line {gate.max_line} but the circuit has "
                 f"only {self._num_lines} lines"
             )
-        self._gates.append(gate)
+        self._gate_list().append(gate)
         self._ops = None
         return self
 
@@ -118,7 +157,11 @@ class ReversibleCircuit:
         return self
 
     def copy(self, name: str | None = None) -> "ReversibleCircuit":
-        """A shallow copy (gates are immutable, so sharing them is safe)."""
+        """A shallow copy (gates and ops are immutable, so sharing is safe)."""
+        if self._gates is None:
+            return ReversibleCircuit._from_ops(
+                self._num_lines, self._ops, name or self.name
+            )
         return ReversibleCircuit(self._num_lines, self._gates, name or self.name)
 
     def compiled(self) -> tuple[tuple, ...] | None:
@@ -126,9 +169,11 @@ class ReversibleCircuit:
 
         Computed on first use and cached until the next :meth:`append`;
         the numpy tabulation, the bitsliced batches and the circuit
-        oracles all read this one lowering.  ``None`` when the cascade
-        holds a user-defined gate kind: such a cascade is re-scanned on
-        every call, which its scalar fallback dwarfs.
+        oracles all read this one lowering.  A parsed circuit starts from
+        these ops and builds its gates lazily, so reading them costs it
+        nothing.  ``None`` when the cascade holds a user-defined gate
+        kind: such a cascade is re-scanned on every call, which its
+        scalar fallback dwarfs.
         """
         if self._ops is None:
             self._ops = bitslice.compile_gates(self._gates)
@@ -156,7 +201,7 @@ class ReversibleCircuit:
         (index ``i`` = line ``i``).
         """
         state = self._coerce_input(value)
-        for gate in self._gates:
+        for gate in self._gate_list():
             state = gate.apply(state)
         return state
 
@@ -182,8 +227,11 @@ class ReversibleCircuit:
     # -- composition and transformation --------------------------------------
     def inverse(self) -> "ReversibleCircuit":
         """The inverse circuit: gates reversed, each gate inverted."""
-        gates = [gate.inverse() for gate in reversed(self._gates)]
         name = f"{self.name}^-1" if self.name else None
+        if self._gates is None:
+            # Every lowered gate is an involution: reversing the ops inverts.
+            return ReversibleCircuit._from_ops(self._num_lines, self._ops[::-1], name)
+        gates = [gate.inverse() for gate in reversed(self._gates)]
         return ReversibleCircuit(self._num_lines, gates, name)
 
     def then(self, other: "ReversibleCircuit") -> "ReversibleCircuit":
@@ -198,7 +246,7 @@ class ReversibleCircuit:
                 f"({self._num_lines} vs {other._num_lines})"
             )
         return ReversibleCircuit(
-            self._num_lines, list(self._gates) + list(other._gates)
+            self._num_lines, self._gate_list() + other._gate_list()
         )
 
     def __matmul__(self, other: "ReversibleCircuit") -> "ReversibleCircuit":
@@ -214,13 +262,13 @@ class ReversibleCircuit:
             raise CircuitError(
                 "line_map must be a permutation of the circuit's lines"
             )
-        gates = [gate.remapped(line_map) for gate in self._gates]
+        gates = [gate.remapped(line_map) for gate in self._gate_list()]
         return ReversibleCircuit(self._num_lines, gates, self.name)
 
     def decomposed_swaps(self) -> "ReversibleCircuit":
         """A functionally identical circuit with every swap expanded to CNOTs."""
         gates: list[Gate] = []
-        for gate in self._gates:
+        for gate in self._gate_list():
             if isinstance(gate, SwapGate):
                 gates.extend(gate.to_cnots())
             else:
@@ -229,31 +277,34 @@ class ReversibleCircuit:
 
     # -- dunder plumbing -----------------------------------------------------
     def __iter__(self) -> Iterator[Gate]:
-        return iter(self._gates)
+        return iter(self._gate_list())
 
     def __len__(self) -> int:
-        return len(self._gates)
+        return len(self._ops if self._gates is None else self._gates)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality (same lines, same gate cascade)."""
         if not isinstance(other, ReversibleCircuit):
             return NotImplemented
         return (
-            self._num_lines == other._num_lines and self._gates == other._gates
+            self._num_lines == other._num_lines
+            and self._gate_list() == other._gate_list()
         )
 
     def __hash__(self) -> int:
-        return hash((self._num_lines, tuple(self._gates)))
+        return hash((self._num_lines, tuple(self._gate_list())))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return (
             f"<ReversibleCircuit{label} lines={self._num_lines} "
-            f"gates={len(self._gates)}>"
+            f"gates={len(self)}>"
         )
 
     def __str__(self) -> str:
         header = self.name or "circuit"
-        lines = [f"{header} ({self._num_lines} lines, {len(self._gates)} gates)"]
-        lines.extend(f"  {index}: {gate}" for index, gate in enumerate(self._gates))
+        lines = [f"{header} ({self._num_lines} lines, {len(self)} gates)"]
+        lines.extend(
+            f"  {index}: {gate}" for index, gate in enumerate(self._gate_list())
+        )
         return "\n".join(lines)

@@ -25,7 +25,7 @@ import re
 
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.gates import Control, MCTGate, SwapGate
-from repro.exceptions import ParseError
+from repro.exceptions import CircuitError, ParseError
 
 __all__ = ["circuit_to_qasm", "qasm_to_circuit"]
 
@@ -72,9 +72,16 @@ def circuit_to_qasm(circuit: ReversibleCircuit) -> str:
 
 
 def qasm_to_circuit(text: str, name: str | None = None) -> ReversibleCircuit:
-    """Parse the OpenQASM dialect produced by :func:`circuit_to_qasm`."""
+    """Parse the OpenQASM dialect produced by :func:`circuit_to_qasm`.
+
+    Raises:
+        ParseError: on malformed or unsupported input, naming the line; a
+            register or gate the circuit classes reject has their
+            :class:`~repro.exceptions.CircuitError` chained.
+    """
     num_qubits: int | None = None
-    body: list[tuple[str, list[int]]] = []
+    qreg_line = 0
+    body: list[tuple[int, str, list[int]]] = []
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("//", 1)[0].strip()
@@ -90,32 +97,37 @@ def qasm_to_circuit(text: str, name: str | None = None) -> ReversibleCircuit:
             if not match:
                 raise ParseError(f"line {line_number}: malformed qreg declaration")
             num_qubits = int(match.group(1))
+            qreg_line = line_number
             continue
         mnemonic, _, operand_text = line.partition(" ")
         qubits = [int(index) for index in _QUBIT.findall(operand_text)]
-        body.append((mnemonic.lower(), qubits))
+        body.append((line_number, mnemonic.lower(), qubits))
 
     if num_qubits is None:
         raise ParseError("missing qreg declaration")
 
-    circuit = ReversibleCircuit(num_qubits, name=name or "qasm")
-    for mnemonic, qubits in body:
-        if mnemonic == "x" and len(qubits) == 1:
-            circuit.append(MCTGate((), qubits[0]))
-        elif mnemonic == "cx" and len(qubits) == 2:
-            circuit.append(MCTGate((Control(qubits[0]),), qubits[1]))
-        elif mnemonic == "ccx" and len(qubits) == 3:
-            circuit.append(
-                MCTGate((Control(qubits[0]), Control(qubits[1])), qubits[2])
-            )
-        elif mnemonic == "mcx" and len(qubits) >= 2:
-            controls = tuple(Control(qubit) for qubit in qubits[:-1])
-            circuit.append(MCTGate(controls, qubits[-1]))
-        elif mnemonic == "swap" and len(qubits) == 2:
-            circuit.append(SwapGate(qubits[0], qubits[1]))
-        else:
-            raise ParseError(
-                f"unsupported OpenQASM statement {mnemonic!r} with {len(qubits)} "
-                "operands"
-            )
+    line_number = qreg_line  # what a CircuitError names before any gate
+    try:
+        circuit = ReversibleCircuit(num_qubits, name=name or "qasm")
+        for line_number, mnemonic, qubits in body:
+            if mnemonic == "x" and len(qubits) == 1:
+                circuit.append(MCTGate((), qubits[0]))
+            elif mnemonic == "cx" and len(qubits) == 2:
+                circuit.append(MCTGate((Control(qubits[0]),), qubits[1]))
+            elif mnemonic == "ccx" and len(qubits) == 3:
+                circuit.append(
+                    MCTGate((Control(qubits[0]), Control(qubits[1])), qubits[2])
+                )
+            elif mnemonic == "mcx" and len(qubits) >= 2:
+                controls = tuple(Control(qubit) for qubit in qubits[:-1])
+                circuit.append(MCTGate(controls, qubits[-1]))
+            elif mnemonic == "swap" and len(qubits) == 2:
+                circuit.append(SwapGate(qubits[0], qubits[1]))
+            else:
+                raise ParseError(
+                    f"line {line_number}: unsupported OpenQASM statement "
+                    f"{mnemonic!r} with {len(qubits)} operands"
+                )
+    except CircuitError as error:
+        raise ParseError(f"line {line_number}: {error}") from error
     return circuit

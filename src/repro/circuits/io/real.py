@@ -17,6 +17,14 @@ need:
 A variable name that itself starts with ``-`` can only be used negated,
 written with one more ``-``: one leading ``-`` always negates.
 
+Gate lines are lowered straight to the op table the evaluation kernels
+read (:func:`~repro.circuits.bitslice.compile_gates`'s format), so a
+parsed circuit builds no gate object until code asks for its gates.  A
+well-formed ``t<k>`` or ``f2`` line becomes its op directly; every other
+line — ``f3``, an unusual mnemonic such as ``t03``, and each malformed
+one — goes through the gate classes and ``compile_gates``, so it keeps
+their checks and their error text.
+
 Malformed input raises :class:`~repro.exceptions.ParseError`, naming the
 line where there is one:
 
@@ -33,7 +41,7 @@ line where there is one:
 * a negated target, a negated swapped line, or a negative Fredkin control;
 * a gate the gate classes reject — a control on the target line, one line
   controlling twice, or a swap of a line with itself (the
-  :class:`~repro.exceptions.GateError` is chained).
+  :class:`~repro.exceptions.GateError` is still chained).
 
 Example::
 
@@ -52,6 +60,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 
+from repro.circuits.bitslice import OP_MCT, OP_SWAP, compile_gates
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.gates import Control, Gate, MCTGate, SwapGate, fredkin
 from repro.exceptions import GateError, ParseError
@@ -83,9 +92,9 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
         if not line:
             continue
         if line.startswith("."):
-            directive, _, rest = line.partition(" ")
+            directive, *rest = line.split(None, 1)
             directive = directive.lower()
-            rest = rest.strip()
+            rest = rest[0] if rest else ""
             if directive == ".numvars":
                 try:
                     num_vars = int(rest)
@@ -137,51 +146,93 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
             f"line {variables_line}: variable {duplicate!r} is declared twice"
         )
 
-    table = _operand_table(index_of)
-    circuit = ReversibleCircuit(num_vars, name=name or "real")
-    for line_number, line in gate_lines:
-        tokens = line.split()
-        try:
-            gates = _build_gates(tokens[0].lower(), tokens[1:], table, line_number)
-        except GateError as error:
-            raise ParseError(f"line {line_number}: {error}") from error
-        circuit.extend(gates)
-    return circuit
-
-
-def _operand_table(index_of: dict[str, int]) -> dict[str, Control]:
-    """Every operand token that names a variable, mapped to its control.
-
-    One leading ``-`` negates: ``-a`` is variable ``a`` negated.  So a
-    variable whose own name starts with ``-`` is reachable only negated,
-    through a token with one more ``-``.
-    """
+    # Each operand token that names a variable -> (line, bit, positive).
+    # One leading "-" negates, so a variable whose own name starts with
+    # "-" is reachable only negated, through a token with one more "-".
     table = {
-        "-" + variable: Control(index, False) for variable, index in index_of.items()
+        "-" + variable: (index, 1 << index, False)
+        for variable, index in index_of.items()
     }
     for variable, index in index_of.items():
         if not variable.startswith("-"):
-            table[variable] = Control(index, True)
-    return table
+            table[variable] = (index, 1 << index, True)
+    # Mnemonic -> (operand count, lowering) for the lines lowered directly.
+    direct = {f"t{arity}": (arity, _mct_op) for arity in range(1, num_vars + 1)}
+    direct["f2"] = (2, _swap_op)
+
+    ops: list[tuple] = []
+    for line_number, line in gate_lines:
+        tokens = line.split()
+        operands = tokens[1:]
+        arity, lower = direct.get(tokens[0], (-1, None))
+        op = lower(operands, table) if arity == len(operands) else None
+        if op is not None:
+            ops.append(op)
+            continue
+        try:
+            lowered = compile_gates(
+                _line_gates(tokens[0].lower(), operands, table, line_number)
+            )
+        except GateError as error:
+            raise ParseError(f"line {line_number}: {error}") from error
+        ops.extend(lowered)
+    return ReversibleCircuit._from_ops(num_vars, tuple(ops), name or "real")
 
 
-def _resolve(operand: str, table: dict[str, Control], line_number: int) -> Control:
-    """The control an operand token names."""
-    control = table.get(operand)
-    if control is None:
-        raise ParseError(
-            f"line {line_number}: unknown variable {operand.removeprefix('-')!r}"
-        )
-    return control
+def _mct_op(operands: Sequence[str], table: dict) -> tuple | None:
+    """The lowered op of a well-formed ``t<k>`` line, else ``None``.
+
+    ``None`` sends the line to :func:`_line_gates`, which builds the gates
+    the direct path skips: a negated target, an unknown variable, a
+    control on the target line or one line controlling twice all end
+    there, in the error the gate classes raise.
+    """
+    target = table.get(operands[-1])
+    if target is None or not target[2]:
+        return None
+    taken = target[1]
+    polarity = 0
+    positive: list[int] = []
+    negative: list[int] = []
+    for index in range(len(operands) - 1):
+        control = table.get(operands[index])
+        if control is None or control[1] & taken:
+            return None
+        line, bit, is_positive = control
+        taken |= bit
+        if is_positive:
+            polarity |= bit
+            positive.append(line)
+        else:
+            negative.append(line)
+    positive.sort()
+    negative.sort()
+    return (
+        OP_MCT,
+        tuple(positive),
+        tuple(negative),
+        target[0],
+        taken ^ target[1],
+        polarity,
+    )
 
 
-def _build_gates(
+def _swap_op(operands: Sequence[str], table: dict) -> tuple | None:
+    """The lowered op of a well-formed ``f2`` line, else ``None``."""
+    a = table.get(operands[0])
+    b = table.get(operands[1])
+    if a is None or b is None or not (a[2] and b[2]) or a[0] == b[0]:
+        return None
+    return (OP_SWAP, min(a[0], b[0]), max(a[0], b[0]), None, 0, 0)
+
+
+def _line_gates(
     mnemonic: str,
     operands: Sequence[str],
-    table: dict[str, Control],
+    table: dict,
     line_number: int,
 ) -> tuple[Gate, ...]:
-    """The gates of one gate line (a Fredkin line expands to three)."""
+    """The gates of a gate line not lowered directly (``f3`` expands to three)."""
     if not mnemonic or mnemonic[0] not in "tf":
         raise ParseError(f"line {line_number}: unsupported gate type {mnemonic!r}")
     try:
@@ -196,28 +247,36 @@ def _build_gates(
             f"got {len(operands)}"
         )
 
+    def resolve(operand: str) -> Control:
+        entry = table.get(operand)
+        if entry is None:
+            raise ParseError(
+                f"line {line_number}: unknown variable {operand.removeprefix('-')!r}"
+            )
+        return Control(entry[0], entry[2])
+
     if mnemonic[0] == "t":
         if arity < 1:
             raise ParseError(f"line {line_number}: t gates need at least 1 operand")
         *control_names, target_name = operands
-        target = _resolve(target_name, table, line_number)
+        target = resolve(target_name)
         if not target.positive:
             raise ParseError(f"line {line_number}: target cannot be negated")
-        controls = tuple(_resolve(name, table, line_number) for name in control_names)
+        controls = tuple(resolve(name) for name in control_names)
         return (MCTGate(controls, target.line),)
 
     # Fredkin family: the last two operands are swapped, the rest control.
     if arity < 2:
         raise ParseError(f"line {line_number}: f gates need at least 2 operands")
     *control_names, name_a, name_b = operands
-    swapped_a = _resolve(name_a, table, line_number)
-    swapped_b = _resolve(name_b, table, line_number)
+    swapped_a = resolve(name_a)
+    swapped_b = resolve(name_b)
     if not (swapped_a.positive and swapped_b.positive):
         raise ParseError(f"line {line_number}: swapped lines cannot be negated")
     if not control_names:
         return (SwapGate(swapped_a.line, swapped_b.line),)
     if len(control_names) == 1:
-        control = _resolve(control_names[0], table, line_number)
+        control = resolve(control_names[0])
         if not control.positive:
             raise ParseError(
                 f"line {line_number}: negative Fredkin controls are unsupported"

@@ -250,28 +250,28 @@ class CircuitOracle(ReversibleOracle):
         return self._circuit
 
     def _evaluate(self, value: int) -> int:
-        return self._circuit.simulate(value)
+        return self._run(self._circuit, [value])[0]
 
     def _evaluate_inverse(self, value: int) -> int:
-        assert self._inverse_circuit is not None
-        return self._inverse_circuit.simulate(value)
+        return self._run(self._inverse_circuit, [value])[0]
 
     def peek_table(self) -> list[int]:
         return tabulate(self._circuit).tolist()
 
     def _evaluate_many(self, values: list[int]) -> list[int]:
-        # 64-lane bitsliced evaluation over the circuit's cached lowering;
-        # user-defined gate kinds fall back to the scalar reference loop.
-        ops = self._circuit.compiled()
-        if ops is None:
-            return super()._evaluate_many(values)
-        return bitslice.evaluate_compiled(ops, self._num_lines, values)
+        return self._run(self._circuit, values)
 
     def _evaluate_inverse_many(self, values: list[int]) -> list[int]:
-        assert self._inverse_circuit is not None
-        ops = self._inverse_circuit.compiled()
+        return self._run(self._inverse_circuit, values)
+
+    def _run(self, circuit: ReversibleCircuit | None, values: list[int]) -> list[int]:
+        # 64-lane bitsliced evaluation over the circuit's cached lowering,
+        # single values included, so a parsed circuit never builds its
+        # gates; user-defined gate kinds fall back to the scalar loop.
+        assert circuit is not None  # the inverse is checked before any query
+        ops = circuit.compiled()
         if ops is None:
-            return super()._evaluate_inverse_many(values)
+            return [circuit.simulate(value) for value in values]
         return bitslice.evaluate_compiled(ops, self._num_lines, values)
 
 

@@ -8,7 +8,7 @@ from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.gates import SwapGate, mct, not_gate, toffoli
 from repro.circuits.io.qasm import circuit_to_qasm, qasm_to_circuit
 from repro.circuits.random import random_circuit
-from repro.exceptions import ParseError
+from repro.exceptions import CircuitError, GateError, ParseError
 
 
 class TestExport:
@@ -45,6 +45,25 @@ class TestImport:
     def test_unsupported_statement_rejected(self):
         with pytest.raises(ParseError):
             qasm_to_circuit("OPENQASM 2.0;\nqreg q[1];\nh q[0];")
+
+    def test_unsupported_statement_names_its_line(self):
+        with pytest.raises(ParseError, match=r"^line 3: unsupported"):
+            qasm_to_circuit("OPENQASM 2.0;\nqreg q[1];\nh q[0];")
+
+    @pytest.mark.parametrize(
+        "text, line, cause",
+        [
+            ("qreg q[2];\nx q[0];\ncx q[0], q[0];", 3, GateError),
+            ("qreg q[2];\nswap q[1], q[1];", 2, GateError),
+            ("OPENQASM 2.0;\nqreg q[2];\nx q[5];", 3, CircuitError),
+            ("OPENQASM 2.0;\nqreg q[0];", 2, CircuitError),
+        ],
+        ids=["cx-on-itself", "swap-with-itself", "line-out-of-range", "empty-qreg"],
+    )
+    def test_rejected_circuit_names_its_line(self, text, line, cause):
+        with pytest.raises(ParseError, match=rf"^line {line}: ") as excinfo:
+            qasm_to_circuit(text)
+        assert type(excinfo.value.__cause__) is cause
 
     def test_comments_ignored(self):
         circuit = qasm_to_circuit(

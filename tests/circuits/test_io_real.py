@@ -99,6 +99,12 @@ class TestParsing:
             parse_real(text)
         assert isinstance(excinfo.value.__cause__, GateError)
 
+    def test_tab_separated_headers(self):
+        text = ".numvars\t2\n.variables\ta\tb\n.begin\nt2\ta\tb\n.end\n"
+        circuit = parse_real(text)
+        assert circuit.num_lines == 2
+        assert circuit.gates == (MCTGate((Control(0),), 1),)
+
     def test_repeated_header_counts_its_last_occurrence(self):
         circuit = parse_real(
             ".numvars 0\n.numvars 2\n.variables a a\n.variables a b\n"

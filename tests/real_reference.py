@@ -1,12 +1,14 @@
 """Reference ``.real`` parser: the per-gate loop the table-driven one must match.
 
 ``repro.circuits.io.real.parse_real`` resolves operands through a per-file
-token table and reuses the gates of a repeated gate line.  Neither may
-change a parsed circuit, so the parser differential
+token table and lowers gate lines straight to ops.  Neither may change a
+parsed circuit, so the parser differential
 (``tests/properties/test_parse_differential.py``) compares it against the
 plain parser kept here: one ``_resolve`` and one new ``Control`` per
 operand, one ``circuit.append`` per gate.  This is the library's parser as
-it was before the table, kept unchanged, malformed-input gaps included: it
+it was before the table, malformed-input gaps included, changed only to
+split a header directive from its value on any whitespace (a tab after
+``.numvars`` used to drop the header, in both parsers): it
 lets a bare ``t0`` line escape as a ``ValueError``, ``.numvars 0`` as a
 ``CircuitError`` and a gate the gate classes reject as a ``GateError``,
 and it accepts a ``.variables`` header that names one variable twice.
@@ -44,9 +46,9 @@ def parse_real(text: str, name: str | None = None) -> ReversibleCircuit:
         if not line:
             continue
         if line.startswith("."):
-            directive, _, rest = line.partition(" ")
+            directive, *rest = line.split(None, 1)
             directive = directive.lower()
-            rest = rest.strip()
+            rest = rest[0] if rest else ""
             if directive == ".numvars":
                 try:
                     num_vars = int(rest)
