@@ -33,8 +33,10 @@ as an artifact so the trajectory tracks throughput over time.
 
 from __future__ import annotations
 
+import builtins
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -59,6 +61,10 @@ from repro.service.workload import (
     generate_corpus,
     load_entry_circuits,
 )
+
+# ``repro.service.fingerprint`` the attribute is the function, so the
+# module is taken from ``sys.modules``.
+fingerprint_module = sys.modules["repro.service.fingerprint"]
 
 #: Corpus shape: 8 tractable classes x 2 families x 2 pairs = 32 pairs.
 CORPUS_SEED = 20240601
@@ -229,7 +235,8 @@ def test_wide_probe_cached_vs_cold(
     so every circuit is freshly parsed into a different Python object than
     the cold run loaded — the hits are earned by probe fingerprints, not
     object identity or file bytes.  One more warm run with the memo left
-    warm must then parse and fingerprint nothing.  Also writes the
+    warm must then parse and fingerprint nothing, and, once the memo's
+    clock is past the racy window, open no circuit file.  Also writes the
     per-scheme cache hit-rate JSON and the metrics snapshot CI uploads,
     plus the cold/warm stores `repro report` gates over.
     """
@@ -322,6 +329,29 @@ def test_wide_probe_cached_vs_cold(
         wide_corpus, seed=RUN_SEED
     )
     assert memo_warm.cache_hits == memo_warm.total and calls == []
+
+    # Past the racy window, one stat per file answers it: a rerun (which
+    # re-records any digest taken inside the window) and then a counted
+    # rerun that must open no circuit file.
+    monkeypatch.setattr(
+        fingerprint_module, "_clock",
+        lambda: time.time_ns() + 10 * fingerprint_module.RACY_WINDOW_NS,
+    )
+    MatchingService(cache=cache).run_manifest(wide_corpus, seed=RUN_SEED)
+    opened = []
+    original_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return original_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    stat_warm = MatchingService(cache=cache).run_manifest(
+        wide_corpus, seed=RUN_SEED
+    )
+    monkeypatch.setattr(builtins, "open", original_open)
+    assert stat_warm.cache_hits == stat_warm.total and calls == []
+    assert [path for path in opened if path.endswith(".real")] == []
 
 
 #: CI gate: bitsliced probe digests must be at least this much faster

@@ -112,14 +112,21 @@ class EquivalenceType(enum.Enum):
     @classmethod
     def from_label(cls, label: str) -> "EquivalenceType":
         """Parse an "X-Y" label (case-insensitive) into an equivalence type."""
-        normalised = label.strip().upper().replace("_", "-")
-        for member in cls:
-            if member.label == normalised:
-                return member
-        raise ValueError(f"unknown equivalence label {label!r}")
+        member = _BY_LABEL.get(label)
+        if member is None:
+            member = _BY_LABEL.get(label.strip().upper().replace("_", "-"))
+            if member is None:
+                raise ValueError(f"unknown equivalence label {label!r}")
+        return member
 
     def __str__(self) -> str:
         return self.label
+
+
+#: Each class by its canonical "X-Y" label, for :meth:`EquivalenceType.from_label`.
+_BY_LABEL: dict[str, EquivalenceType] = {
+    member.label: member for member in EquivalenceType
+}
 
 
 class Hardness(enum.Enum):

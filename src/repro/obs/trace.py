@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 __all__ = ["Tracer", "Span", "NullTracer", "NULL_TRACER"]
@@ -130,9 +130,8 @@ class NullTracer:
     def start(self, name, parent=None, **attrs):
         return NULL_SPAN
 
-    @contextmanager
     def span(self, name, parent=None, **attrs):
-        yield NULL_SPAN
+        return _NULL_SPAN_CONTEXT
 
     def record(self, name, duration_s, parent=None, **attrs):
         return NULL_SPAN
@@ -142,4 +141,8 @@ class NullTracer:
 
 
 NULL_SPAN = _NullSpan()
+#: What every :meth:`NullTracer.span` returns.  ``nullcontext`` keeps no
+#: state between enter and exit, so one instance nests and serves every
+#: thread.
+_NULL_SPAN_CONTEXT = nullcontext(NULL_SPAN)
 NULL_TRACER = NullTracer()

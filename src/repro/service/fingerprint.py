@@ -49,6 +49,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Callable
@@ -71,6 +72,7 @@ __all__ = [
     "KEY_PREFIX",
     "FINGERPRINT_SCHEMES",
     "CONTENT_MEMO_SIZE",
+    "RACY_WINDOW_NS",
     "OracleFingerprint",
     "FingerprintContext",
     "Fingerprinter",
@@ -117,9 +119,20 @@ KEY_PREFIX = KEY_VERSION + "|"
 FINGERPRINT_SCHEMES = ("auto", "exact", "probe")
 
 #: Most entries the process-wide content memo
-#: (:meth:`FingerprintRegistry.fingerprint_file`) holds; beyond it the
-#: least recently used entry is evicted.
+#: (:meth:`FingerprintRegistry.fingerprint_file`) and the stat memo behind
+#: :func:`content_digest` each hold; beyond it the least recently used
+#: entry is evicted.
 CONTENT_MEMO_SIZE = 16384
+
+#: A memoised file digest is trusted only if it was taken more than this
+#: long after the file's last change (its mtime and its ctime).  A file
+#: changed again within one timestamp tick of being hashed can keep its
+#: whole stat tuple ("racy git", git's
+#: ``Documentation/technical/racy-git.txt``), so such entries are always
+#: rehashed.  2 s covers the coarsest timestamps in common use (FAT's 2 s
+#: mtime) and small clock offsets between a host and a network
+#: filesystem; rereading a file younger than that costs only a rehash.
+RACY_WINDOW_NS = 2_000_000_000
 
 
 @dataclass(frozen=True)
@@ -255,19 +268,62 @@ def effective_inverse(target, with_inverse: bool) -> bool:
 #: least-recently-used order.  Process-wide, so every service in the
 #: process — each daemon job, each benchmark pass — shares it.
 _content_memo: OrderedDict[tuple, "OracleFingerprint"] = OrderedDict()
+#: path -> ``(stat signature, digest, ns recorded)``, in least-recently-used
+#: order: lets :func:`content_digest` skip reading a file whose stat
+#: tuple has not changed since it was hashed.
+_stat_memo: OrderedDict[str, tuple[tuple, str, int]] = OrderedDict()
 _content_memo_lock = threading.Lock()
+
+#: Wall-clock nanoseconds, compared with file timestamps.  It decides only
+#: whether a memoised digest is trusted, never a digest's value.
+_clock = time.time_ns
+
+
+def _stat_signature(stat: os.stat_result) -> tuple:
+    return (
+        stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns,
+    )
 
 
 def content_digest(path: str | os.PathLike) -> str:
-    """The hex SHA-256 of a circuit file's bytes: its content-memo identity."""
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
+    """The hex SHA-256 of a circuit file's bytes: its content-memo identity.
+
+    A file is read only when the stat memo cannot vouch for it: the memo
+    answers from one ``os.stat`` when the file's device, inode, size,
+    mtime and ctime all equal those recorded with its digest, and that
+    digest was taken more than :data:`RACY_WINDOW_NS` after both
+    timestamps.  Otherwise the file is opened, ``fstat``-ed, read and
+    hashed, and the result recorded under the time taken before the open.
+    A deleted file raises :class:`FileNotFoundError`.
+    """
+    name = os.fspath(path)
+    signature = _stat_signature(os.stat(name))
+    with _content_memo_lock:
+        entry = _stat_memo.get(name)
+        if (
+            entry is not None
+            and entry[0] == signature
+            and entry[2] - max(signature[3], signature[4]) > RACY_WINDOW_NS
+        ):
+            _stat_memo.move_to_end(name)
+            return entry[1]
+    recorded = _clock()
+    with open(name, "rb") as handle:
+        signature = _stat_signature(os.fstat(handle.fileno()))
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    with _content_memo_lock:
+        _stat_memo[name] = (signature, digest, recorded)
+        _stat_memo.move_to_end(name)
+        while len(_stat_memo) > CONTENT_MEMO_SIZE:
+            _stat_memo.popitem(last=False)
+    return digest
 
 
 def content_memo_clear() -> None:
-    """Forget every memoised file fingerprint (tests and benchmarks)."""
+    """Forget every memoised file fingerprint and digest (tests and benchmarks)."""
     with _content_memo_lock:
         _content_memo.clear()
+        _stat_memo.clear()
 
 
 def content_memo_size() -> int:
@@ -524,9 +580,12 @@ class FingerprintRegistry:
         the file's path, the circuit name.  A miss is remembered only if
         the file still hashes the same after the parse, so a file
         rewritten mid-parse never files its new circuit under its old
-        bytes.  Registries not made by :func:`build_registry` (or changed
-        by :meth:`register`) always load.  The lock covers only the
-        memo's dict operations, never the reads or the digest.
+        bytes.  :func:`content_digest` may answer from its stat memo, but
+        this memo stays keyed by the bytes' digest, so a stale stat entry
+        costs at worst a rehash.  Registries not made by
+        :func:`build_registry` (or changed by :meth:`register`) always
+        load.  The lock covers only the memo's dict operations, never the
+        reads or the digest.
         """
         if self._spec is None:
             return self.fingerprint(load(), with_inverse=with_inverse)

@@ -430,23 +430,29 @@ _UNFINGERPRINTED = object()
 class _Unit:
     """One pair flowing through the pipeline (internal bookkeeping).
 
-    A manifest unit carries its two circuit ``paths`` and parses a file
-    only when a circuit is asked for, at most once; an in-memory unit is
-    built with its ``circuits``.  :meth:`release` drops them once the pair
-    is settled.  A unit parsed on a memo miss keeps its circuits until
-    then, so a cold run with a cache still holds every pending pair's
-    circuits; only cache-less runs and warm-memo runs parse lazily.
+    A unit carries its recorded class ``label`` and that label parsed,
+    ``equivalence``.  A manifest unit carries its two circuit ``paths``
+    (plain strings) and parses a file only when a circuit is asked for,
+    at most once; an in-memory unit is built with its ``circuits``.
+    :meth:`release` drops them once the pair is settled.  A unit parsed
+    on a memo miss keeps its circuits until then, so a cold run with a
+    cache still holds every pending pair's circuits; only cache-less runs
+    and warm-memo runs parse lazily.
     """
 
     __slots__ = (
-        "position", "pair_id", "label", "meta", "key", "paths", "circuits",
-        "fingerprints",
+        "position", "pair_id", "label", "equivalence", "meta", "key", "paths",
+        "circuits", "fingerprints",
     )
 
-    def __init__(self, position, pair_id, label, meta, *, paths=None, circuits=(None, None)):
+    def __init__(
+        self, position, pair_id, label, equivalence, meta, *,
+        paths=None, circuits=(None, None),
+    ):
         self.position = position
         self.pair_id = pair_id
         self.label = label
+        self.equivalence = equivalence
         self.meta = meta
         self.key = None
         self.paths = paths
@@ -596,8 +602,7 @@ class MatchingService:
         fingerprints = self._fingerprints(unit)
         if fingerprints is None:
             return None
-        equivalence = EquivalenceType.from_label(unit.label)
-        return pair_key(*fingerprints, equivalence, self._config)
+        return pair_key(*fingerprints, unit.equivalence, self._config)
 
     def _base_record(self, unit: _Unit) -> dict:
         record = {
@@ -800,7 +805,7 @@ class MatchingService:
                     record["verified"] = verify_match(
                         unit.circuit(0),
                         unit.circuit(1),
-                        EquivalenceType.from_label(unit.label),
+                        unit.equivalence,
                         result,
                     )
                 if unit.key is not None:
@@ -902,6 +907,7 @@ class MatchingService:
         done: dict[str, dict],
         shard: tuple[int, int] | None,
     ) -> list[_Unit]:
+        root = os.fspath(root)
         units = []
         for position, entry in enumerate(manifest.entries):
             if shard is not None and shard_index(entry.pair_id, shard[1]) != shard[0]:
@@ -915,11 +921,15 @@ class MatchingService:
                     position,
                     entry.pair_id,
                     entry.equivalence,
+                    entry.equivalence_type,
                     {
                         "family": entry.family,
                         "expected_equivalent": entry.expected_equivalent,
                     },
-                    paths=(root / entry.circuit1, root / entry.circuit2),
+                    paths=(
+                        os.path.join(root, entry.circuit1),
+                        os.path.join(root, entry.circuit2),
+                    ),
                 )
             )
         return units
@@ -1061,8 +1071,6 @@ class MatchingService:
         (only wanted when a store is attached — it fingerprints both
         circuits, which the cache key then reuses).
         """
-        if isinstance(equivalence, EquivalenceType):
-            equivalence = equivalence.label
         units = []
         for position, pair in enumerate(pairs):
             if len(pair) == 3:
@@ -1080,12 +1088,10 @@ class MatchingService:
                     f"pair #{position} names no equivalence class and no "
                     "batch-wide default was given"
                 )
-            if isinstance(label, EquivalenceType):
-                label = label.label
-            else:
-                label = EquivalenceType.from_label(label).label
+            if not isinstance(label, EquivalenceType):
+                label = EquivalenceType.from_label(label)
             unit = _Unit(
-                position, f"pair-{position:04d}", label, {},
+                position, f"pair-{position:04d}", label.label, label, {},
                 circuits=(circuit1, circuit2),
             )
             if with_digests:

@@ -40,7 +40,7 @@ import hashlib
 import json
 import os
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.circuits import library
@@ -94,6 +94,8 @@ class CorpusEntry:
         expected_equivalent: whether the pair truly is equivalent (False
             for the adversarial near-misses).
         seed: the derived seed the pair was generated from.
+        equivalence_type: ``equivalence`` parsed once, at construction;
+            an unknown label raises :class:`ServiceError` naming the pair.
     """
 
     pair_id: str
@@ -104,6 +106,17 @@ class CorpusEntry:
     num_lines: int
     expected_equivalent: bool
     seed: int
+    equivalence_type: EquivalenceType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            equivalence_type = EquivalenceType.from_label(self.equivalence)
+        except (AttributeError, TypeError, ValueError):
+            raise ServiceError(
+                f"corpus entry {self.pair_id!r} has unknown equivalence "
+                f"label {self.equivalence!r}"
+            ) from None
+        object.__setattr__(self, "equivalence_type", equivalence_type)
 
     def to_dict(self) -> dict:
         """The entry as a JSON-ready dict."""
@@ -120,7 +133,11 @@ class CorpusEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusEntry":
-        """Rebuild an entry from :meth:`to_dict` output."""
+        """Rebuild an entry from :meth:`to_dict` output.
+
+        Raises :class:`ServiceError` on a missing field or an unknown
+        equivalence label.
+        """
         try:
             return cls(
                 pair_id=data["pair_id"],
@@ -159,21 +176,24 @@ class CorpusManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusManifest":
-        """Rebuild a manifest, validating the format marker."""
+        """Rebuild a manifest, validating its format marker, header and entries."""
         if data.get("format") != MANIFEST_FORMAT:
             raise ServiceError(
                 f"not a corpus manifest (format {data.get('format')!r}, "
                 f"expected {MANIFEST_FORMAT!r})"
             )
-        return cls(
-            num_lines=data["num_lines"],
-            seed=data["seed"],
-            families=tuple(data["families"]),
-            classes=tuple(data["classes"]),
-            entries=tuple(
-                CorpusEntry.from_dict(entry) for entry in data["entries"]
-            ),
-        )
+        try:
+            return cls(
+                num_lines=data["num_lines"],
+                seed=data["seed"],
+                families=tuple(data["families"]),
+                classes=tuple(data["classes"]),
+                entries=tuple(
+                    CorpusEntry.from_dict(entry) for entry in data["entries"]
+                ),
+            )
+        except KeyError as error:
+            raise ServiceError(f"corpus manifest is missing field {error}") from None
 
     def save(self, path: str | Path) -> Path:
         """Write the manifest as JSON; returns the path written.
@@ -197,8 +217,8 @@ class CorpusManifest:
     def load(cls, path: str | Path) -> "CorpusManifest":
         """Read a manifest written by :meth:`save`.
 
-        Raises :class:`ServiceError` on malformed JSON or a wrong format
-        marker.
+        Raises :class:`ServiceError` on malformed JSON, a wrong format
+        marker, a missing field or an unknown equivalence label.
         """
         try:
             with open(path, "r", encoding="utf-8") as handle:

@@ -43,9 +43,18 @@ class TestEquivalenceType:
         assert EquivalenceType.from_label("np-i") is EquivalenceType.NP_I
         assert EquivalenceType.from_label("N_P") is EquivalenceType.N_P
 
+    def test_every_spelling_parses_to_its_member(self):
+        for member in EquivalenceType:
+            label = member.label
+            for spelling in (label, label.lower(), label.replace("-", "_"),
+                             f"  {label.lower().replace('-', '_')}\n"):
+                assert EquivalenceType.from_label(spelling) is member, spelling
+
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown equivalence label 'Q-Q'$"):
             EquivalenceType.from_label("Q-Q")
+        with pytest.raises(ValueError, match=r"^unknown equivalence label ' np-q '$"):
+            EquivalenceType.from_label(" np-q ")
 
     def test_side_conditions(self):
         assert EquivalenceType.N_P.input_condition is SideCondition.NEGATION

@@ -9,6 +9,9 @@ tracer shares the API while writing nothing.
 from __future__ import annotations
 
 import json
+import threading
+
+import pytest
 
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
 
@@ -116,3 +119,33 @@ class TestNullTracer:
 
     def test_shared_instance_exists(self):
         assert isinstance(NULL_TRACER, NullTracer)
+
+    def test_span_is_one_shared_context_that_nests(self):
+        tracer = NullTracer()
+        assert tracer.span("pair") is tracer.span("match", parent=NULL_SPAN, k=1)
+        with tracer.span("pair") as outer:
+            with tracer.span("match", parent=outer) as inner:
+                assert inner is NULL_SPAN
+            assert outer is NULL_SPAN
+        with pytest.raises(KeyError):
+            with tracer.span("pair"):
+                raise KeyError("the null span never swallows an error")
+
+    def test_span_serves_two_threads_at_once(self):
+        barrier = threading.Barrier(2, timeout=5)
+        seen = []
+
+        def worker():
+            with NULL_TRACER.span("pair") as outer:
+                barrier.wait()  # both threads are inside the same span context
+                with NULL_TRACER.span("match", parent=outer) as inner:
+                    seen.append((outer, inner))
+                barrier.wait()
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [(NULL_SPAN, NULL_SPAN)] * 2

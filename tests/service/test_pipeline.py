@@ -338,6 +338,22 @@ class TestRunManifest:
             record["pair_id"] for record in report.records
         ]
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_an_unknown_label_is_refused_when_the_manifest_loads(
+        self, corpus, tmp_path, cached
+    ):
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["entries"][1]["equivalence"] = "Q-Q"
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        pair_id = manifest["entries"][1]["pair_id"]
+        service = MatchingService(cache=build_cache() if cached else None)
+        with pytest.raises(
+            ServiceError, match=f"'{pair_id}' has unknown equivalence label 'Q-Q'"
+        ):
+            service.run_manifest(root, seed=5)
+
 
 class TestWarmCache:
     def test_warm_rerun_executes_nothing(self, corpus):

@@ -201,6 +201,42 @@ class TestManifestFormat:
         with pytest.raises(ServiceError, match="not a corpus manifest"):
             CorpusManifest.load(path)
 
+    @pytest.mark.parametrize(
+        "field", ["num_lines", "seed", "families", "classes", "entries"]
+    )
+    def test_header_missing_field_is_reported(self, tmp_path, field):
+        manifest = generate_corpus(tmp_path, families=("random",), seed=1)
+        data = manifest.to_dict()
+        del data[field]
+        with pytest.raises(
+            ServiceError, match=f"corpus manifest is missing field '{field}'"
+        ):
+            CorpusManifest.from_dict(data)
+
+    @pytest.mark.parametrize("label", ["Q-Q", "", 7, None])
+    def test_entry_with_an_unknown_label_is_reported(self, tmp_path, label):
+        manifest = generate_corpus(tmp_path, families=("random",), seed=1)
+        data = manifest.to_dict()
+        data["entries"][0]["equivalence"] = label
+        pair_id = data["entries"][0]["pair_id"]
+        with pytest.raises(ServiceError) as raised:
+            CorpusManifest.from_dict(data)
+        assert str(raised.value) == (
+            f"corpus entry {pair_id!r} has unknown equivalence label {label!r}"
+        )
+
+    def test_entries_carry_their_parsed_class(self, tmp_path):
+        manifest = generate_corpus(tmp_path, families=("random",), seed=1)
+        data = manifest.to_dict()
+        data["entries"][0]["equivalence"] = "np_i"  # a spelling from_label accepts
+        entries = CorpusManifest.from_dict(data).entries
+        assert entries[0].equivalence == "np_i"
+        assert entries[0].equivalence_type is EquivalenceType.NP_I
+        assert all(
+            entry.equivalence_type is EquivalenceType.from_label(entry.equivalence)
+            for entry in entries
+        )
+
     def test_entry_missing_field_is_reported(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(

@@ -263,6 +263,39 @@ class TestCorpusRun:
         assert main(["run", str(tmp_path / "nowhere")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_run_reports_an_unknown_label_as_an_error(
+        self, tmp_path, capsys, cached
+    ):
+        corpus = tmp_path / "corpus"
+        main(["corpus", str(corpus), "--classes", "I-N", "--seed", "1"])
+        capsys.readouterr()
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["entries"][0]["equivalence"] = "Q-Q"
+        path.write_text(json.dumps(manifest))
+        pair_id = manifest["entries"][0]["pair_id"]
+        cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
+        assert main(["run", str(corpus), *cache]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: corpus entry {pair_id!r} has unknown equivalence label 'Q-Q'"
+        )
+
+    def test_run_reports_a_missing_manifest_field_as_an_error(
+        self, tmp_path, capsys
+    ):
+        corpus = tmp_path / "corpus"
+        main(["corpus", str(corpus), "--classes", "I-N", "--seed", "1"])
+        capsys.readouterr()
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["seed"]
+        path.write_text(json.dumps(manifest))
+        assert main(["run", str(corpus)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: corpus manifest is missing field 'seed'"
+        )
+
     def test_corpus_rejects_unknown_family(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path / "c"), "--families", "bogus"]) == 2
         assert "unknown workload family" in capsys.readouterr().err
