@@ -116,19 +116,17 @@ def binary_code_patterns(num_lines: int) -> list[int]:
 
 
 def identify_line_permutation(
-    query: Callable[[int], int],
+    query_many: Callable[[list[int]], list[int]],
     num_lines: int,
-    query_many: Callable[[list[int]], list[int]] | None = None,
 ) -> LinePermutation:
     """Identify ``pi`` given query access to a circuit equal to ``C_pi``.
 
-    ``query`` must implement the wire permutation "output line ``pi(i)``
-    carries input line ``i``"; it is invoked ``ceil(log2 n)`` times.
-    Callers whose oracles advertise the bit-parallel capability may pass
-    ``query_many`` (same semantics over a probe batch, typically composed
-    from ``ReversibleOracle.query_many``); the probe set is then evaluated
-    in one bitsliced pass while the per-probe query accounting stays
-    exactly that of the scalar loop.
+    ``query_many`` must implement the wire permutation "output line
+    ``pi(i)`` carries input line ``i``" over a batch of probes, typically
+    composed from the oracles' ``query_many``/``query_inverse_many``; it is
+    called once, on the ``ceil(log2 n)`` binary-code patterns, so the
+    probe set is evaluated in one bitsliced pass while each pattern is
+    still charged as one query.
 
     Raises:
         PromiseViolationError: if the responses are not consistent with any
@@ -136,11 +134,7 @@ def identify_line_permutation(
     """
     if num_lines == 1:
         return LinePermutation([0])
-    patterns = binary_code_patterns(num_lines)
-    if query_many is not None:
-        responses = list(query_many(patterns))
-    else:
-        responses = [query(pattern) for pattern in patterns]
+    responses = query_many(binary_code_patterns(num_lines))
     mapping: list[int | None] = [None] * num_lines
     for output_line in range(num_lines):
         source = 0

@@ -52,19 +52,15 @@ def match_i_np(
 
     if oracle2.has_inverse:
         # C = C1 . C2^{-1} = C_pi C_nu = C_nu' C_pi with nu'(pi(i)) = nu(i).
-        def composite(probe: int) -> int:
-            return oracle1.query(oracle2.query_inverse(probe))
+        def composite(probes: list[int]) -> list[int]:
+            return oracle1.query_many(oracle2.query_inverse_many(probes))
 
-        nu_prime_mask = composite(0)
+        nu_prime_mask = composite([0])[0]
         pi_y = identify_line_permutation(
-            lambda probe: composite(probe) ^ nu_prime_mask,
-            num_lines,
-            query_many=lambda probes: [
-                response ^ nu_prime_mask
-                for response in oracle1.query_many(
-                    oracle2.query_inverse_many(probes)
-                )
+            lambda probes: [
+                response ^ nu_prime_mask for response in composite(probes)
             ],
+            num_lines,
         )
         nu_prime = int_to_bits(nu_prime_mask, num_lines)
         nu_y = tuple(bool(nu_prime[pi_y[line]]) for line in range(num_lines))
@@ -73,19 +69,15 @@ def match_i_np(
         # C = C2 . C1^{-1} = C_nu C_pi^{-1}: the negation sits outermost, so
         # the all-zero probe reads nu directly and XOR-ing it away leaves
         # C_pi^{-1}.
-        def composite(probe: int) -> int:
-            return oracle2.query(oracle1.query_inverse(probe))
+        def composite(probes: list[int]) -> list[int]:
+            return oracle2.query_many(oracle1.query_inverse_many(probes))
 
-        nu_mask = composite(0)
+        nu_mask = composite([0])[0]
         pi_inverse = identify_line_permutation(
-            lambda probe: composite(probe) ^ nu_mask,
-            num_lines,
-            query_many=lambda probes: [
-                response ^ nu_mask
-                for response in oracle2.query_many(
-                    oracle1.query_inverse_many(probes)
-                )
+            lambda probes: [
+                response ^ nu_mask for response in composite(probes)
             ],
+            num_lines,
         )
         pi_y = pi_inverse.inverse()
         nu_y = tuple(bool(bit) for bit in int_to_bits(nu_mask, num_lines))

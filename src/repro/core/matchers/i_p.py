@@ -51,21 +51,15 @@ def match_i_p(
     if oracle2.has_inverse:
         # C_pi = C1 . C2^{-1} (apply C2^{-1} first).
         pi_y = identify_line_permutation(
-            lambda probe: oracle1.query(oracle2.query_inverse(probe)),
+            lambda probes: oracle1.query_many(oracle2.query_inverse_many(probes)),
             num_lines,
-            query_many=lambda probes: oracle1.query_many(
-                oracle2.query_inverse_many(probes)
-            ),
         )
         regime = "classical-inverse"
     elif oracle1.has_inverse:
         # C2 . C1^{-1} = C_pi^{-1}.
         pi_inverse = identify_line_permutation(
-            lambda probe: oracle2.query(oracle1.query_inverse(probe)),
+            lambda probes: oracle2.query_many(oracle1.query_inverse_many(probes)),
             num_lines,
-            query_many=lambda probes: oracle2.query_many(
-                oracle1.query_inverse_many(probes)
-            ),
         )
         pi_y = pi_inverse.inverse()
         regime = "classical-inverse"

@@ -51,11 +51,10 @@ def match_n_p(circuit1, circuit2) -> MatchingResult:
     # forward query of C2 on a mask-XORed input), the O(log n) composite
     # C_pi^{-1} = B'^{-1} . A can be probed directly.
     pi_inverse = identify_line_permutation(
-        lambda probe: oracle2.query(oracle1.query_inverse(probe) ^ mask),
-        num_lines,
-        query_many=lambda probes: oracle2.query_many(
+        lambda probes: oracle2.query_many(
             [response ^ mask for response in oracle1.query_inverse_many(probes)]
         ),
+        num_lines,
     )
     pi_y = pi_inverse.inverse()
 

@@ -62,38 +62,30 @@ def match_np_i(
 
     if oracle2.has_inverse:
         # C = C2^{-1} . C1 = C_pi C_nu = C_nu' C_pi with nu'(pi(i)) = nu(i).
-        def composite(probe: int) -> int:
-            return oracle2.query_inverse(oracle1.query(probe))
+        def composite(probes: list[int]) -> list[int]:
+            return oracle2.query_inverse_many(oracle1.query_many(probes))
 
-        nu_prime_mask = composite(0)
+        nu_prime_mask = composite([0])[0]
         pi_x = identify_line_permutation(
-            lambda probe: composite(probe) ^ nu_prime_mask,
-            num_lines,
-            query_many=lambda probes: [
-                response ^ nu_prime_mask
-                for response in oracle2.query_inverse_many(
-                    oracle1.query_many(probes)
-                )
+            lambda probes: [
+                response ^ nu_prime_mask for response in composite(probes)
             ],
+            num_lines,
         )
         nu_prime = int_to_bits(nu_prime_mask, num_lines)
         nu_x = tuple(bool(nu_prime[pi_x[line]]) for line in range(num_lines))
     else:
         # C = C1^{-1} . C2 = (C_pi C_nu)^{-1} = C_nu C_pi^{-1}: the negation
         # is outermost, so the all-zero probe reads nu directly.
-        def composite(probe: int) -> int:
-            return oracle1.query_inverse(oracle2.query(probe))
+        def composite(probes: list[int]) -> list[int]:
+            return oracle1.query_inverse_many(oracle2.query_many(probes))
 
-        nu_mask = composite(0)
+        nu_mask = composite([0])[0]
         pi_inverse = identify_line_permutation(
-            lambda probe: composite(probe) ^ nu_mask,
-            num_lines,
-            query_many=lambda probes: [
-                response ^ nu_mask
-                for response in oracle1.query_inverse_many(
-                    oracle2.query_many(probes)
-                )
+            lambda probes: [
+                response ^ nu_mask for response in composite(probes)
             ],
+            num_lines,
         )
         pi_x = pi_inverse.inverse()
         nu_x = tuple(bool(bit) for bit in int_to_bits(nu_mask, num_lines))

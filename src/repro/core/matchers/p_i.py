@@ -74,21 +74,15 @@ def match_p_i(circuit1, circuit2) -> MatchingResult:
     if oracle2.has_inverse:
         # C_pi = C2^{-1} . C1 (apply C1 first).
         pi_x = identify_line_permutation(
-            lambda probe: oracle2.query_inverse(oracle1.query(probe)),
+            lambda probes: oracle2.query_inverse_many(oracle1.query_many(probes)),
             num_lines,
-            query_many=lambda probes: oracle2.query_inverse_many(
-                oracle1.query_many(probes)
-            ),
         )
         regime = "classical-inverse"
     elif oracle1.has_inverse:
         # C_pi^{-1} = C1^{-1} . C2.
         pi_inverse = identify_line_permutation(
-            lambda probe: oracle1.query_inverse(oracle2.query(probe)),
+            lambda probes: oracle1.query_inverse_many(oracle2.query_many(probes)),
             num_lines,
-            query_many=lambda probes: oracle1.query_inverse_many(
-                oracle2.query_many(probes)
-            ),
         )
         pi_x = pi_inverse.inverse()
         regime = "classical-inverse"

@@ -38,28 +38,13 @@ class _NegatedOutputOracle(ReversibleOracle):
         self._oracle = oracle
         self._mask = mask
 
-    def _evaluate(self, value: int) -> int:
-        return self._oracle.query(value) ^ self._mask
-
-    def _evaluate_inverse(self, value: int) -> int:
-        return self._oracle.query_inverse(value ^ self._mask)
-
     def _evaluate_many(self, values: list[int]) -> list[int]:
         mask = self._mask
-        return [
-            response ^ mask for response in self._oracle.query_many(values)
-        ]
+        return [response ^ mask for response in self._oracle.query_many(values)]
 
     def _evaluate_inverse_many(self, values: list[int]) -> list[int]:
         mask = self._mask
-        return self._oracle.query_inverse_many(
-            [value ^ mask for value in values]
-        )
-
-
-def _negated_output_view(oracle: ReversibleOracle, mask: int) -> ReversibleOracle:
-    """An oracle view computing ``C_nu . oracle`` without extra query cost."""
-    return _NegatedOutputOracle(oracle, mask)
+        return self._oracle.query_inverse_many([value ^ mask for value in values])
 
 
 def match_p_n(circuit1, circuit2) -> MatchingResult:
@@ -81,23 +66,17 @@ def match_p_n(circuit1, circuit2) -> MatchingResult:
 
     # Step 2: C1 and C3 = C_nu C2 are P-I equivalent; reuse the P-I machinery
     # against the virtual C3 oracle.
-    virtual = _negated_output_view(oracle2, mask)
+    virtual = _NegatedOutputOracle(oracle2, mask)
     if virtual.has_inverse:
         pi_x = identify_line_permutation(
-            lambda probe: virtual.query_inverse(oracle1.query(probe)),
+            lambda probes: virtual.query_inverse_many(oracle1.query_many(probes)),
             num_lines,
-            query_many=lambda probes: virtual.query_inverse_many(
-                oracle1.query_many(probes)
-            ),
         )
         regime = "classical-inverse"
     elif oracle1.has_inverse:
         pi_inverse = identify_line_permutation(
-            lambda probe: oracle1.query_inverse(virtual.query(probe)),
+            lambda probes: oracle1.query_inverse_many(virtual.query_many(probes)),
             num_lines,
-            query_many=lambda probes: oracle1.query_inverse_many(
-                virtual.query_many(probes)
-            ),
         )
         pi_x = pi_inverse.inverse()
         regime = "classical-inverse"

@@ -7,10 +7,12 @@ publishes — wall clock and executor), and renders the collection as text
 tables or ``repro-report/v1`` JSON.
 
 Scanning is incremental: summaries are cached per store in
-``.repro-report-cache.json`` at the results root, keyed by
-``(mtime_ns, size)``, so re-reporting over a large tree only re-reads the
-stores that changed.  Files that merely look like stores (event logs,
-span logs) are recognised by their records and skipped.
+``.repro-report-cache.json`` at the results root under the store's stat
+signature, trusted by the same "racy git" rule as the circuit-file digest
+(:func:`repro.service.fingerprint.stat_vouches`), so re-reporting over a
+large tree only re-reads the stores that changed.  Files that merely look
+like stores (event logs, span logs) are recognised by their records and
+skipped.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from pathlib import Path
 from repro.analysis.report import format_table
 from repro.exceptions import ServiceError
 from repro.service.events import RunTotals
-from repro.service.fingerprint import scheme_label
+from repro.service.fingerprint import (
+    scheme_label,
+    stat_clock,
+    stat_signature,
+    stat_vouches,
+)
 from repro.service.pipeline import ResultStore
 
 __all__ = [
@@ -169,8 +176,11 @@ def scan_results(
     """Summarise every run store under ``root`` (sorted by relative path).
 
     With ``use_cache`` (the default) per-store summaries are reused from
-    ``.repro-report-cache.json`` when the store's ``(mtime_ns, size)``
-    is unchanged, and the refreshed cache is written back atomically.
+    ``.repro-report-cache.json`` when :func:`stat_vouches` trusts the
+    entry: the store's device, inode, size, mtime and ctime are unchanged
+    and the summary was recorded more than ``RACY_WINDOW_NS`` after the
+    store last changed.  Entries of any other shape are re-read, and the
+    refreshed cache is written back atomically.
 
     Raises:
         ServiceError: ``root`` is not a directory.
@@ -200,13 +210,14 @@ def scan_results(
             stat = path.stat()
         except OSError:
             continue
-        stamp = {"mtime_ns": stat.st_mtime_ns, "size": stat.st_size}
+        signature = stat_signature(stat)
         entry = cached_entries.get(relpath)
         reread = True
         if (
-            entry is not None
-            and entry.get("mtime_ns") == stamp["mtime_ns"]
-            and entry.get("size") == stamp["size"]
+            isinstance(entry, dict)
+            and isinstance(entry.get("stat"), list)
+            and isinstance(entry.get("recorded_ns"), int)
+            and stat_vouches(signature, tuple(entry["stat"]), entry["recorded_ns"])
         ):
             summary_data = entry.get("summary")
             try:
@@ -215,13 +226,16 @@ def scan_results(
                     if summary_data is not None
                     else None
                 )
+                recorded = entry["recorded_ns"]
                 reread = False
             except TypeError:
                 pass  # not this version's summary fields: read the store
         if reread:
+            recorded = stat_clock()
             summary = summarize_store(path, name=relpath)
         fresh_entries[relpath] = {
-            **stamp,
+            "stat": list(signature),
+            "recorded_ns": recorded,
             "summary": summary.as_dict() if summary is not None else None,
         }
         if summary is not None:

@@ -6,6 +6,11 @@ the variant problem — the same for the inverse circuit.  The classes here
 enforce that discipline and count every interaction, because the number of
 such interactions is precisely the complexity measure of Table 1.
 
+There is one accounting path: an oracle implements only the batch hooks
+``_evaluate_many``/``_evaluate_inverse_many``, queries are checked and
+charged only in ``query_many``/``query_inverse_many``, and ``query``,
+``query_inverse`` and ``peek`` are one-element batches.
+
 The quantum counterpart (oracles that accept superposition states) lives in
 :mod:`repro.quantum.oracle`; it shares the counting conventions so classical
 and quantum query counts are directly comparable.
@@ -96,25 +101,20 @@ class ReversibleOracle(ABC):
     def peek(self, value: int) -> int:
         """White-box evaluation on one input, charging no queries.
 
-        The pointwise counterpart of :meth:`peek_table`: the sampled-probe
-        fingerprinter evaluates opaque oracles through this hatch so
-        identity computation stays outside the query-complexity
-        accounting — and stays affordable at widths where tabulating the
-        whole table is not.  Never for matchers.
+        A one-element :meth:`evaluate_many`.  Never for matchers.
         """
-        self._check_input(value)
-        return self._evaluate(value)
+        return self.evaluate_many([value])[0]
 
     def evaluate_many(self, values: "Iterable[int]") -> list[int]:
         """White-box batch evaluation, charging no queries.
 
-        The batch counterpart of :meth:`peek` and the capability the
-        bit-parallel hot path hangs off: the base class falls back to a
-        scalar loop (exactly ``[self.peek(v) for v in values]``), while
-        :class:`CircuitOracle` overrides the hook with the 64-lane
-        bitsliced evaluator and :class:`PermutationOracle` with direct
-        table lookups.  Like ``peek``/``peek_table``, never for matchers —
-        they batch through :meth:`query_many`, which charges.
+        The hatch the sampled-probe fingerprinter evaluates opaque oracles
+        through, so identity computation stays outside the query-complexity
+        accounting — and stays affordable at widths where tabulating the
+        whole table is not.  :class:`CircuitOracle` evaluates with the
+        64-lane bitsliced kernel, :class:`PermutationOracle` with table
+        lookups.  Like :meth:`peek_table`, never for matchers — they batch
+        through :meth:`query_many`, which charges.
         """
         values = list(values)
         for value in values:
@@ -153,36 +153,22 @@ class ReversibleOracle(ABC):
             )
 
     def query(self, value: int) -> int:
-        """Evaluate the hidden function on the bit vector ``value``."""
-        self._check_input(value)
-        self._charge()
-        self._forward_queries += 1
-        return self._evaluate(value)
+        """One forward query: a one-element :meth:`query_many`."""
+        return self.query_many([value])[0]
 
     def query_inverse(self, value: int) -> int:
-        """Evaluate the hidden function's inverse on ``value``.
-
-        Raises :class:`InverseUnavailableError` unless the oracle was created
-        with ``with_inverse=True``.
-        """
-        if not self._with_inverse:
-            raise InverseUnavailableError(
-                "this oracle does not expose the inverse circuit"
-            )
-        self._check_input(value)
-        self._charge()
-        self._inverse_queries += 1
-        return self._evaluate_inverse(value)
+        """One inverse query: a one-element :meth:`query_inverse_many`."""
+        return self.query_inverse_many([value])[0]
 
     def query_many(self, values: Iterable[int]) -> list[int]:
-        """Batch form of :meth:`query`: one logical query per value.
+        """Evaluate the hidden function on each value: one query per value.
 
-        Query accounting is *per probe, not per word*: each value is
-        checked and charged in order exactly as the scalar loop
-        ``[self.query(v) for v in values]`` would, so a budget that
-        exhausts mid-batch raises at the same probe index with the same
-        counters — only the evaluation itself is batched (bitsliced for
-        circuit oracles), never the complexity measure.
+        The only place a forward query is checked and charged.  Accounting
+        is *per probe, not per word*: the values are checked and charged in
+        order, so a budget that exhausts mid-batch raises at that probe
+        with every earlier probe counted and nothing evaluated — only the
+        evaluation itself is batched (bitsliced for circuit oracles), never
+        the complexity measure.
         """
         values = list(values)
         for value in values:
@@ -192,7 +178,11 @@ class ReversibleOracle(ABC):
         return self._evaluate_many(values)
 
     def query_inverse_many(self, values: Iterable[int]) -> list[int]:
-        """Batch form of :meth:`query_inverse` (same accounting contract)."""
+        """Evaluate the hidden inverse on each value (same accounting).
+
+        Raises :class:`InverseUnavailableError` unless the oracle was created
+        with ``with_inverse=True``.
+        """
         if not self._with_inverse:
             raise InverseUnavailableError(
                 "this oracle does not expose the inverse circuit"
@@ -206,24 +196,12 @@ class ReversibleOracle(ABC):
 
     # -- implementation hooks --------------------------------------------------
     @abstractmethod
-    def _evaluate(self, value: int) -> int:
-        """Evaluate the hidden function (no counting, no checks)."""
+    def _evaluate_many(self, values: list[int]) -> list[int]:
+        """Evaluate the hidden function on each value (no counting, no checks)."""
 
     @abstractmethod
-    def _evaluate_inverse(self, value: int) -> int:
-        """Evaluate the hidden inverse function (no counting, no checks)."""
-
-    def _evaluate_many(self, values: list[int]) -> list[int]:
-        """Batch-evaluate the hidden function (no counting, no checks).
-
-        The scalar reference loop; concrete oracles with a bit-parallel
-        representation override this.
-        """
-        return [self._evaluate(value) for value in values]
-
     def _evaluate_inverse_many(self, values: list[int]) -> list[int]:
-        """Batch-evaluate the hidden inverse (no counting, no checks)."""
-        return [self._evaluate_inverse(value) for value in values]
+        """Evaluate the hidden inverse on each value (no counting, no checks)."""
 
 
 class CircuitOracle(ReversibleOracle):
@@ -248,12 +226,6 @@ class CircuitOracle(ReversibleOracle):
     def circuit(self) -> ReversibleCircuit:
         """The wrapped circuit (white-box escape hatch for verification)."""
         return self._circuit
-
-    def _evaluate(self, value: int) -> int:
-        return self._run(self._circuit, [value])[0]
-
-    def _evaluate_inverse(self, value: int) -> int:
-        return self._run(self._inverse_circuit, [value])[0]
 
     def peek_table(self) -> list[int]:
         return tabulate(self._circuit).tolist()
@@ -292,13 +264,6 @@ class PermutationOracle(ReversibleOracle):
     def permutation(self) -> Permutation:
         """The wrapped permutation (white-box escape hatch for verification)."""
         return self._permutation
-
-    def _evaluate(self, value: int) -> int:
-        return self._permutation(value)
-
-    def _evaluate_inverse(self, value: int) -> int:
-        assert self._inverse is not None
-        return self._inverse(value)
 
     def peek_table(self) -> list[int]:
         return list(self._permutation.mapping)
@@ -339,12 +304,12 @@ class FunctionOracle(ReversibleOracle):
         self._function = function
         self._inverse_function = inverse_function
 
-    def _evaluate(self, value: int) -> int:
-        return self._function(value)
+    def _evaluate_many(self, values: list[int]) -> list[int]:
+        return [self._function(value) for value in values]
 
-    def _evaluate_inverse(self, value: int) -> int:
+    def _evaluate_inverse_many(self, values: list[int]) -> list[int]:
         assert self._inverse_function is not None
-        return self._inverse_function(value)
+        return [self._inverse_function(value) for value in values]
 
 
 def as_oracle(

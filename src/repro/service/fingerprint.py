@@ -73,6 +73,9 @@ __all__ = [
     "FINGERPRINT_SCHEMES",
     "CONTENT_MEMO_SIZE",
     "RACY_WINDOW_NS",
+    "stat_signature",
+    "stat_clock",
+    "stat_vouches",
     "OracleFingerprint",
     "FingerprintContext",
     "Fingerprinter",
@@ -279,9 +282,30 @@ _content_memo_lock = threading.Lock()
 _clock = time.time_ns
 
 
-def _stat_signature(stat: os.stat_result) -> tuple:
+def stat_signature(stat: os.stat_result) -> tuple:
+    """The ``(dev, ino, size, mtime_ns, ctime_ns)`` a stat-validated entry keeps."""
     return (
         stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns,
+    )
+
+
+def stat_clock() -> int:
+    """The time to record a stat-validated entry under; take it before reading."""
+    return _clock()
+
+
+def stat_vouches(signature: tuple, recorded: tuple, recorded_ns: int) -> bool:
+    """Whether an entry recorded at ``recorded_ns`` under the stat signature
+    ``recorded`` still vouches for a file whose signature is ``signature``.
+
+    The "racy git" rule: the signatures must be equal and the entry must
+    have been recorded more than :data:`RACY_WINDOW_NS` after both the
+    file's mtime and its ctime.  The one copy of the rule, shared by
+    :func:`content_digest` and the ``repro report`` summary cache.
+    """
+    return (
+        recorded == signature
+        and recorded_ns - max(signature[3], signature[4]) > RACY_WINDOW_NS
     )
 
 
@@ -297,19 +321,15 @@ def content_digest(path: str | os.PathLike) -> str:
     A deleted file raises :class:`FileNotFoundError`.
     """
     name = os.fspath(path)
-    signature = _stat_signature(os.stat(name))
+    signature = stat_signature(os.stat(name))
     with _content_memo_lock:
         entry = _stat_memo.get(name)
-        if (
-            entry is not None
-            and entry[0] == signature
-            and entry[2] - max(signature[3], signature[4]) > RACY_WINDOW_NS
-        ):
+        if entry is not None and stat_vouches(signature, entry[0], entry[2]):
             _stat_memo.move_to_end(name)
             return entry[1]
-    recorded = _clock()
+    recorded = stat_clock()
     with open(name, "rb") as handle:
-        signature = _stat_signature(os.fstat(handle.fileno()))
+        signature = stat_signature(os.fstat(handle.fileno()))
         digest = hashlib.sha256(handle.read()).hexdigest()
     with _content_memo_lock:
         _stat_memo[name] = (signature, digest, recorded)

@@ -3,13 +3,16 @@
 The contracts under test: `summarize_store` tells run stores apart from
 event logs, span logs and garbage; records deduplicate per ``pair_id``
 exactly like store resume; the meta sidecar contributes wall clock and
-executor; `scan_results` is incremental via the `(mtime_ns, size)` cache;
-and rendering covers the per-run, composition and cross-run trend tables.
+executor; `scan_results` is incremental via a summary cache trusted only
+under the stat-signature "racy git" rule of `content_digest`; and
+rendering covers the per-run, composition and cross-run trend tables.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -23,6 +26,11 @@ from repro.obs.report import (
     scan_results,
     summarize_store,
 )
+from repro.service.fingerprint import RACY_WINDOW_NS
+
+# ``repro.service.fingerprint`` the attribute is the function, so the
+# module is taken from ``sys.modules``.
+fingerprint_module = sys.modules["repro.service.fingerprint"]
 
 
 def _write_store(path, records):
@@ -33,6 +41,38 @@ def _write_store(path, records):
                 (record if isinstance(record, str) else json.dumps(record))
                 + "\n"
             )
+
+
+def _last_change(path) -> int:
+    stat = os.stat(path)
+    return max(stat.st_mtime_ns, stat.st_ctime_ns)
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """Set the time summaries are recorded under: ``clock(ns)``."""
+
+    def set_clock(ns: int) -> None:
+        monkeypatch.setattr(fingerprint_module, "_clock", lambda: ns)
+
+    return set_clock
+
+
+def _rewrite_keeping_mtime(path, record) -> None:
+    """Rewrite ``path`` as the one-record store ``record`` (same size),
+    put its mtime back, and repeat until the ctime has moved on."""
+    before = os.stat(path)
+    for _ in range(1_000_000):
+        _write_store(path, [record])
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        if os.stat(path).st_ctime_ns != before.st_ctime_ns:
+            break
+    else:
+        pytest.fail("the store's ctime never moved")
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (
+        before.st_size, before.st_mtime_ns,
+    )
 
 
 def _record(pair_id, status="ok", **extra):
@@ -149,8 +189,11 @@ class TestScanResults:
         with pytest.raises(ServiceError, match="not a results directory"):
             scan_results(tmp_path / "absent")
 
-    def test_cache_reused_until_store_changes(self, tmp_path):
+    def test_cache_reused_until_store_changes(self, tmp_path, clock):
         root = self._tree(tmp_path)
+        # Record the summaries long after the stores were written, so the
+        # racy-window rule lets unchanged stores be served from the cache.
+        clock(_last_change(root / "runs" / "b.jsonl") + 5 * RACY_WINDOW_NS)
         first = scan_results(root)
         cache_path = root / CACHE_FILENAME
         cached = json.loads(cache_path.read_text())
@@ -173,6 +216,48 @@ class TestScanResults:
         assert rescanned["runs/b.jsonl"].total == 1
         assert rescanned["runs/a.jsonl"].total == 99  # still from cache
         assert scan_results(root, use_cache=False)[0].total == first[0].total
+
+    def test_same_size_rewrite_under_the_old_mtime_is_reread(
+        self, tmp_path, clock
+    ):
+        store = tmp_path / "run.jsonl"
+        _write_store(store, [_record("a", status="failed")])
+        clock(_last_change(store) + 5 * RACY_WINDOW_NS)
+        assert scan_results(tmp_path)[0].statuses == {"failed": 1}
+        # "cached" is as long as "failed": the store keeps its size.
+        _rewrite_keeping_mtime(store, _record("a", status="cached"))
+        assert scan_results(tmp_path)[0].statuses == {"cached": 1}
+
+    def test_entry_recorded_inside_the_window_is_reread(self, tmp_path, clock):
+        # Recorded within the window of the store's last change: a rewrite
+        # in the same timestamp tick may keep the whole stat signature, so
+        # the entry is never trusted, not even once the clock moves on.
+        store = tmp_path / "run.jsonl"
+        _write_store(store, [_record("a", status="failed")])
+        clock(_last_change(store) + RACY_WINDOW_NS // 2)
+        assert scan_results(tmp_path)[0].statuses == {"failed": 1}
+        before = os.stat(store)
+        _write_store(store, [_record("a", status="cached")])
+        os.utime(store, ns=(before.st_atime_ns, before.st_mtime_ns))
+        clock(_last_change(store) + 5 * RACY_WINDOW_NS)
+        assert scan_results(tmp_path)[0].statuses == {"cached": 1}
+
+    def test_entries_in_the_old_shape_are_reread(self, tmp_path, clock):
+        store = tmp_path / "run.jsonl"
+        _write_store(store, [_record("a")])
+        clock(_last_change(store) + 5 * RACY_WINDOW_NS)
+        stale = summarize_store(store, name="run.jsonl").as_dict()
+        stale["total"] = 99
+        stat = os.stat(store)
+        (tmp_path / CACHE_FILENAME).write_text(json.dumps({
+            "format": REPORT_FORMAT,
+            "entries": {"run.jsonl": {
+                "mtime_ns": stat.st_mtime_ns,
+                "size": stat.st_size,
+                "summary": stale,
+            }},
+        }))
+        assert scan_results(tmp_path)[0].total == 1
 
     def test_no_cache_file_written_when_disabled(self, tmp_path):
         root = self._tree(tmp_path)

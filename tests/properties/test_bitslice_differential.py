@@ -2,8 +2,8 @@
 
 The bit-parallel path (``repro.circuits.bitslice``, surfaced as
 ``evaluate_many``) is an *optimisation*, never a second semantics: on
-every circuit and every batch it must reproduce the scalar reference
-(``circuit.simulate`` / ``oracle.peek``) bit for bit.  This harness
+every circuit and every batch it must reproduce the scalar reference,
+the gate-object walk ``circuit.simulate``, bit for bit.  This harness
 holds the two paths together over a seeded sweep of generated cases —
 mixed MCT/CNOT/NOT cascades with negative controls and swaps, widths
 from 1 to 24 lines, and ragged batch sizes straddling the 64-lane word
@@ -89,10 +89,7 @@ class TestBitsliceMatchesScalar:
             assert bitslice.simulate_many(circuit, values) == expected, (
                 f"case {case}: {circuit!r} diverges on batch of {batch_size}"
             )
-            oracle = CircuitOracle(circuit)
-            assert oracle.evaluate_many(values) == [
-                oracle.peek(value) for value in values
-            ]
+            assert CircuitOracle(circuit).evaluate_many(values) == expected
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_inverse_sweep(self, batch_size):
@@ -228,10 +225,9 @@ class TestValidationAndFallback:
             bitslice.simulate_many(circuit, [0, 1])
 
         # The oracle capability falls back to the scalar loop and still
-        # matches the reference answers exactly.
-        oracle = CircuitOracle(circuit)
-        assert oracle.evaluate_many([0, 1, 2, 3]) == [
-            oracle.peek(value) for value in range(4)
+        # matches the gate-object reference answers exactly.
+        assert CircuitOracle(circuit).evaluate_many([0, 1, 2, 3]) == [
+            circuit.simulate(value) for value in range(4)
         ]
 
     @pytest.mark.parametrize(

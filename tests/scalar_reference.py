@@ -4,8 +4,9 @@ The library evaluates circuits with two kernels — numpy tabulation over
 the whole input space (``repro.circuits.evaluate``) and 64-lane
 bitslicing for sampled batches (``repro.circuits.bitslice``).  Neither
 is allowed to change an answer, so the tests compare both against the
-plain loop kept here: one ``simulate``/``peek``/table lookup per input,
-walking gate objects.  The fingerprinter subclasses below recompute
+plain loop kept here: one gate-object ``simulate`` or table lookup per
+input (an opaque oracle, which has no scalar form, goes through
+``peek``).  The fingerprinter subclasses below recompute
 digests through that loop, so a test can require kernel-computed keys
 to be byte-identical to reference ones.
 """
@@ -16,6 +17,7 @@ from collections.abc import Iterable
 
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.permutation import Permutation
+from repro.oracles.oracle import CircuitOracle, PermutationOracle
 from repro.quantum.oracle import QuantumCircuitOracle
 from repro.service.fingerprint import (
     FingerprintRegistry,
@@ -27,8 +29,10 @@ from repro.service.fingerprint import (
 
 def _evaluator(target):
     """``(evaluate one input, bit width)`` for any fingerprintable target."""
-    if isinstance(target, QuantumCircuitOracle):
+    if isinstance(target, (QuantumCircuitOracle, PermutationOracle)):
         target = target.permutation
+    elif isinstance(target, CircuitOracle):
+        target = target.circuit
     if isinstance(target, Permutation):
         return target, target.num_bits
     if isinstance(target, ReversibleCircuit):

@@ -82,12 +82,13 @@ class _CountingOracle(FunctionOracle):
 
     def __init__(self, num_lines: int) -> None:
         mask = (1 << num_lines) - 1
-        super().__init__(lambda value: value ^ mask, num_lines)
-        self.evaluations = 0
 
-    def _evaluate(self, value: int) -> int:
-        self.evaluations += 1
-        return super()._evaluate(value)
+        def negate_all(value: int) -> int:
+            self.evaluations += 1
+            return value ^ mask
+
+        super().__init__(negate_all, num_lines)
+        self.evaluations = 0
 
     def peek_table(self):  # pragma: no cover - the cliff this test pins
         raise AssertionError(

@@ -373,6 +373,8 @@ class TestWarmCache:
 
         monkeypatch.setattr(ReversibleOracle, "query", forbidden)
         monkeypatch.setattr(ReversibleOracle, "query_inverse", forbidden)
+        monkeypatch.setattr(ReversibleOracle, "query_many", forbidden)
+        monkeypatch.setattr(ReversibleOracle, "query_inverse_many", forbidden)
         monkeypatch.setattr(QuantumCircuitOracle, "query_state", forbidden)
         monkeypatch.setattr(QuantumCircuitOracle, "query_basis", forbidden)
         warm = service.run_manifest(corpus, seed=5)
@@ -633,6 +635,8 @@ class TestWideWarmCache:
 
         monkeypatch.setattr(ReversibleOracle, "query", forbidden)
         monkeypatch.setattr(ReversibleOracle, "query_inverse", forbidden)
+        monkeypatch.setattr(ReversibleOracle, "query_many", forbidden)
+        monkeypatch.setattr(ReversibleOracle, "query_inverse_many", forbidden)
         monkeypatch.setattr(QuantumCircuitOracle, "query_state", forbidden)
         monkeypatch.setattr(QuantumCircuitOracle, "query_basis", forbidden)
         # A *fresh* service: every circuit is a different Python object,
