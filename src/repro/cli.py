@@ -89,7 +89,7 @@ from repro.service.events import (
     ProgressObserver,
     RunCompleted,
 )
-from repro.service.executor import Executor, ParallelExecutor, SerialExecutor
+from repro.service.executor import Executor, ParallelExecutor
 from repro.service.fingerprint import (
     FINGERPRINT_SCHEMES,
     pair_key,
@@ -296,18 +296,12 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _executor_from_args(
-    args: argparse.Namespace, serial: Executor | None = None
-) -> Executor | None:
-    """``--workers N``: a process pool for N > 1, else ``serial``.
-
-    Pool workers build their own engines, so engine-level metrics need
-    the in-process serial backend the caller hands in.
-    """
+def _executor_from_args(args: argparse.Namespace) -> Executor | None:
+    """``--workers N``: a process pool for N > 1, else ``None`` (serial)."""
     if args.workers <= 0:
         raise ReproError(f"--workers must be positive, got {args.workers}")
     if args.workers == 1:
-        return serial
+        return None
     return ParallelExecutor(workers=args.workers)
 
 
@@ -341,7 +335,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
         if cache is not None:
             cache.bind_metrics(metrics)
-    executor = _executor_from_args(args, SerialExecutor(metrics=metrics))
+    executor = _executor_from_args(args)
     tracer = None
     if args.trace is not None:
         from repro.obs.trace import Tracer
@@ -522,8 +516,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             memory_size=args.cache_size,
             disk_dir=args.cache_dir,
         )
-    # A serial daemon builds its own default executor, which threads the
-    # daemon's metrics registry into the engine (repro_engine_* series).
     executor = _executor_from_args(args)
     if args.socket is None and args.host is None:
         args.socket = str(Path(args.store_dir) / "daemon.sock")

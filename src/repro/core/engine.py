@@ -25,7 +25,6 @@ leak a stale oracle.  The module-level :func:`repro.core.match` wrapper in
 from __future__ import annotations
 
 import random as _random
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -127,12 +126,6 @@ class MatchingEngine:
             call does not pass its own.
         swap_test: optionally a shared pre-configured
             :class:`~repro.quantum.swap_test.SwapTest`.
-        metrics: optional duck-typed metrics registry (anything with
-            ``counter(name)``/``histogram(name)`` à la
-            :class:`repro.obs.metrics.MetricsRegistry`);
-            :meth:`match_many` feeds the ``repro_engine_*`` series.
-            Telemetry only — never part of :class:`MatchingConfig`, so it
-            cannot leak into cache keys.
     """
 
     def __init__(
@@ -142,13 +135,11 @@ class MatchingEngine:
         registry: MatcherRegistry | None = None,
         rng: _random.Random | int | None = None,
         swap_test: SwapTest | None = None,
-        metrics=None,
     ) -> None:
         self._config = config if config is not None else MatchingConfig()
         self._registry = registry if registry is not None else default_registry()
         self._rng = rng
         self._swap_test = swap_test
-        self._metrics = metrics
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -333,16 +324,13 @@ class MatchingEngine:
         The guarded per-pair dispatch the service executors run: a
         :class:`~repro.exceptions.ReproError` (no eligible matcher, budget
         exhausted, promise violation) becomes a failed :class:`BatchEntry`
-        instead of propagating, and every settled pair feeds the
-        ``repro_engine_*`` metrics.  ``rng`` is shared by all the pairs.
+        instead of propagating.  ``rng`` is shared by all the pairs.
         """
-        metrics = self._metrics
         entries: list[BatchEntry] = []
         for index, (circuit1, circuit2, equivalence) in enumerate(pairs):
             if isinstance(equivalence, str):
                 equivalence = EquivalenceType.from_label(equivalence)
             matcher_name: str | None = None
-            dispatch_started = time.perf_counter()
             try:
                 spec, oracle1, oracle2, problem, ctx = self._prepare(
                     circuit1, circuit2, equivalence, rng=rng
@@ -364,22 +352,6 @@ class MatchingEngine:
                     result=result,
                     matcher=matcher_name,
                 )
-                if metrics is not None:
-                    metrics.histogram("repro_engine_match_seconds").observe(
-                        time.perf_counter() - dispatch_started
-                    )
-                    for kind, count in (
-                        ("classical", result.queries),
-                        ("quantum", result.quantum_queries),
-                    ):
-                        if count:
-                            metrics.counter("repro_engine_queries_total").inc(
-                                count, kind=kind
-                            )
-            if metrics is not None:
-                metrics.counter("repro_engine_pairs_total").inc(
-                    status="ok" if entry.matched else "failed"
-                )
             entries.append(entry)
         return entries
 
@@ -391,7 +363,6 @@ class MatchingEngine:
             registry=self._registry,
             rng=self._rng,
             swap_test=self._swap_test,
-            metrics=self._metrics,
         )
 
 

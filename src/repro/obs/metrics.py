@@ -17,7 +17,8 @@ a new time series.
 The module sits below every other layer: it imports only the standard
 library, so any layer may import it without a cycle.  The result caches
 in ``repro.service.cache`` keep their counters here and nowhere else;
-engine and pipeline accept a registry duck-typed (``None`` for "off").
+the service pipeline counts every run series in one place, for every
+executor, on a registry it is handed (``None`` for "off").
 """
 
 from __future__ import annotations
@@ -67,17 +68,9 @@ METRIC_CATALOG = {
         "type": "counter",
         "help": "Entries evicted to respect a tier's capacity bound.",
     },
-    "repro_engine_pairs_total": {
-        "type": "counter",
-        "help": "Pairs settled by the engine, by status.",
-    },
     "repro_engine_queries_total": {
         "type": "counter",
         "help": "Oracle queries spent by freshly matched pairs, by kind.",
-    },
-    "repro_engine_match_seconds": {
-        "type": "histogram",
-        "help": "Wall-clock seconds per matcher dispatch inside the engine.",
     },
     "repro_runs_total": {
         "type": "counter",
@@ -154,10 +147,6 @@ class _Metric:
         self._lock = lock
         self._samples: dict = {}
 
-    def labelsets(self) -> list[tuple]:
-        with self._lock:
-            return sorted(self._samples)
-
 
 class Counter(_Metric):
     """A monotonically increasing count, optionally labelled."""
@@ -216,13 +205,7 @@ class Histogram(_Metric):
     """Fixed-bucket histogram: cumulative bucket counts, sum and count."""
 
     kind = "histogram"
-
-    def __init__(self, name, help_text, lock, buckets=DEFAULT_BUCKETS) -> None:
-        super().__init__(name, help_text, lock)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError(f"histogram {self.name} needs at least one bucket")
-        self.buckets = bounds
+    buckets = DEFAULT_BUCKETS
 
     def observe(self, value: int | float, **labels) -> None:
         key = _label_key(labels)
@@ -304,8 +287,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._metric(name, "gauge")
 
-    def histogram(self, name: str, buckets=None) -> Histogram:
-        return self._metric(name, "histogram", buckets=buckets)
+    def histogram(self, name: str) -> Histogram:
+        return self._metric(name, "histogram")
 
     def samples(self, name: str) -> list[dict]:
         """One metric's snapshot samples; ``[]`` if it was never touched."""
@@ -313,7 +296,7 @@ class MetricsRegistry:
             metric = self._metrics.get(name)
             return [] if metric is None else metric.snapshot_samples()
 
-    def _metric(self, name: str, kind: str, buckets=None):
+    def _metric(self, name: str, kind: str):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
@@ -329,13 +312,7 @@ class MetricsRegistry:
                         f"metric {name!r} is catalogued as a {spec['type']}, "
                         f"not a {kind}"
                     )
-                if kind == "histogram":
-                    metric = Histogram(
-                        name, spec["help"], self._lock,
-                        buckets=buckets or DEFAULT_BUCKETS,
-                    )
-                else:
-                    metric = _KINDS[kind](name, spec["help"], self._lock)
+                metric = _KINDS[kind](name, spec["help"], self._lock)
                 self._metrics[name] = metric
             if metric.kind != kind:
                 raise ValueError(

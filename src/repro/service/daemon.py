@@ -320,8 +320,7 @@ class MatchingDaemon(FramedServer):
             persisted under ``store_dir/cache``.  Pass ``None`` explicitly
             to run without a result cache.
         executor: execution backend; defaults to a
-            :class:`~repro.service.executor.SerialExecutor` that counts
-            ``repro_engine_*`` metrics on the daemon's registry.
+            :class:`~repro.service.executor.SerialExecutor`.
         verify: exhaustively verify witnesses of freshly executed pairs.
         remote_cache: a ``repro-cache/v1`` cache-server address
             (``unix:<path>`` / ``tcp:<host>:<port>``, see
@@ -388,9 +387,7 @@ class MatchingDaemon(FramedServer):
         self._metrics = MetricsRegistry()
         if self._cache is not None:
             self._cache.bind_metrics(self._metrics)
-        if executor is None:
-            executor = SerialExecutor(metrics=self._metrics)
-        self._executor = executor
+        self._executor = executor if executor is not None else SerialExecutor()
         self._verify = verify
         if remote_cache is not None:
             # Fail fast on a garbled address; reachability is checked

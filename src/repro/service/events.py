@@ -531,7 +531,9 @@ class StatsObserver:
     Attributes:
         runs_started, runs_completed: run boundary counts.
         started: pairs handed to the executor.
-        completed, failed: fresh execution outcomes.
+        completed: freshly executed pairs that produced witnesses.
+        failed: settled pairs without a result (:func:`matched`), however
+            they were answered, so a run's count is its report's ``failed``.
         cache_hits, resumed: pairs served without executing (``resumed``
             counts the store-sourced subset of ``cache_hits_total``).
         store_flushes: records flushed to the JSONL store.
@@ -565,6 +567,8 @@ class StatsObserver:
         elif isinstance(event, TaskFailed):
             self.failed += 1
         elif isinstance(event, CacheHit):
+            if not matched(event.record):
+                self.failed += 1
             if event.source == "store":
                 self.resumed += 1
             else:

@@ -175,26 +175,14 @@ class SerialExecutor(Executor):
 
     Each :meth:`stream` call builds its own :class:`MatchingEngine`; an
     engine holds no state between runs, so there is nothing to keep warm.
-
-    Args:
-        metrics: optional metrics registry (duck-typed
-            :class:`repro.obs.metrics.MetricsRegistry`) handed to every
-            engine this executor builds, so engine-level counters
-            (``repro_engine_pairs_total`` and friends) land in-process.
-            Pooled backends cannot offer this — their engines live in
-            worker processes — which is why the knob sits here and not on
-            :class:`Executor`.
     """
 
     name = "serial"
 
-    def __init__(self, *, metrics=None) -> None:
-        self._metrics = metrics
-
     def stream(
         self, tasks: Iterable[PairTask], config: MatchingConfig
     ) -> Iterator[TaskOutcome]:
-        engine = MatchingEngine(config, metrics=self._metrics)
+        engine = MatchingEngine(config)
         for task in tasks:
             yield _execute_task(engine, task)
 

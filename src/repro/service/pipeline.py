@@ -495,10 +495,11 @@ class MatchingService:
             the config's ``fingerprint_scheme``/``probe_count`` knobs
             describe.
         metrics: optional :class:`repro.obs.metrics.MetricsRegistry`:
-            runs, per-pair outcomes, task/run latency histograms and
-            store flushes are counted on it.  Bind the same registry to
-            the cache (``cache.bind_metrics``) to export its per-tier
-            hit/miss counters alongside.
+            runs, per-pair outcomes, oracle queries of executed pairs,
+            task/run latency histograms and store flushes are counted on
+            it, in the consuming process for every executor.  Bind the
+            same registry to the cache (``cache.bind_metrics``) to export
+            its per-tier hit/miss counters alongside.
         tracer: optional :class:`repro.obs.trace.Tracer`: each pair gets
             a root ``pair`` span with ``fingerprint`` / ``cache_probe`` /
             ``match`` / ``store_append`` children.  Without one the
@@ -838,6 +839,15 @@ class MatchingService:
                             outcome.duration_s
                         )
                 settled("completed" if outcome.matched else "failed")
+                if metrics is not None and outcome.matched:
+                    for kind, spent in (
+                        ("classical", "queries"),
+                        ("quantum", "quantum_queries"),
+                    ):
+                        if outcome.result.get(spent):
+                            metrics.counter("repro_engine_queries_total").inc(
+                                outcome.result[spent], kind=kind
+                            )
                 # Persist before yielding the completion event, so stopping
                 # the stream at any event never loses an already-seen pair.
                 flushed_event = (
@@ -868,8 +878,6 @@ class MatchingService:
             completed = RunCompleted(report=report)
             if metrics is not None:
                 metrics.histogram("repro_run_seconds").observe(report.elapsed)
-                if store is not None:
-                    metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
             if store is not None:
                 # Every record is written; a consumer that stops at the
                 # last event must not find the handle still open.

@@ -196,26 +196,6 @@ class TestMatchMany:
         )
         assert all(entry.matched for entry in entries)  # I-N costs 2 each
 
-    def test_metrics_count_every_settled_pair(self, rng):
-        from repro.obs.metrics import MetricsRegistry
-
-        base = random_circuit(3, 8, rng)
-        good1, good2, _ = make_instance(base, EquivalenceType.I_N, rng)
-        hard1, hard2, _ = make_instance(base, EquivalenceType.P_P, rng)
-        metrics = MetricsRegistry()
-        [good, _] = MatchingEngine(metrics=metrics).match_many(
-            [
-                (good1, good2, EquivalenceType.I_N),
-                (hard1, hard2, EquivalenceType.P_P),
-            ]
-        )
-        pairs = metrics.counter("repro_engine_pairs_total")
-        assert pairs.value(status="ok") == 1
-        assert pairs.value(status="failed") == 1
-        queries = metrics.counter("repro_engine_queries_total")
-        assert queries.value(kind="classical") == good.result.queries
-        assert metrics.histogram("repro_engine_match_seconds").count() == 1
-
     def test_rng_is_the_only_option(self):
         parameters = inspect.signature(MatchingEngine.match_many).parameters
         assert list(parameters) == ["self", "pairs", "rng"]

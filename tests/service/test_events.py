@@ -129,6 +129,16 @@ class TestStatsObserver:
         assert stats.started == cold.total  # warm run submitted nothing
         assert stats.as_dict()["cache_hits"] == cold.total
 
+    def test_failed_counts_cached_failures_too(self, corpus):
+        # A failure answered from the cache is still a failed pair, the
+        # same rule the report's `failed` counts by.
+        stats = StatsObserver()
+        service = MatchingService(cache=build_cache(), observers=[stats])
+        cold = service.run_manifest(corpus, seed=3)
+        warm = service.run_manifest(corpus, seed=3)
+        assert warm.cache_hits == warm.total and warm.failed == cold.failed > 0
+        assert stats.failed == cold.failed + warm.failed
+
     def test_satisfies_the_observer_protocol(self):
         assert isinstance(StatsObserver(), Observer)
         assert isinstance(ProgressObserver(stream=io.StringIO()), Observer)

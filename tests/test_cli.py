@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import os
@@ -18,6 +19,7 @@ from repro.circuits.transforms import transformed_circuit
 from repro.cli import build_parser, main
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import make_instance
+from repro.service.events import RunTotals
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -624,8 +626,9 @@ class TestDaemonCommands:
         ) == 0
         return corpus
 
-    @pytest.fixture
-    def served(self, tmp_path, corpus):
+    @staticmethod
+    @contextlib.contextmanager
+    def _serving(tmp_path, *options):
         """A daemon run by the `serve` command on a background thread."""
         import threading
         import time
@@ -639,6 +642,7 @@ class TestDaemonCommands:
                     "--store-dir", str(tmp_path / "runs"),
                     "--socket", str(tmp_path / "d.sock"),
                     "--address-file", str(address_file),
+                    *options,
                 ],
             ),
         )
@@ -651,6 +655,11 @@ class TestDaemonCommands:
         main(["daemon", "shutdown", "--address-file", str(address_file)])
         thread.join(timeout=30)
         assert not thread.is_alive()
+
+    @pytest.fixture
+    def served(self, tmp_path, corpus):
+        with self._serving(tmp_path) as address:
+            yield address
 
     def test_serve_submit_watch_shutdown(self, served, corpus, capsys):
         at = served
@@ -673,15 +682,30 @@ class TestDaemonCommands:
         assert stats["cache"]["hits"] >= 2
         assert stats["runs"]["completed"] == 2
 
-    def test_served_daemon_exports_engine_metrics(self, served, corpus, capsys):
-        # `repro serve` must leave the daemon its default executor, whose
-        # engine counts into the registry the `metrics` op serialises.
-        assert main(["submit", str(corpus), "--seed", "5", "--wait", *served]) == 0
-        capsys.readouterr()
-        assert main(["daemon", "metrics", *served]) == 0
-        snapshot = json.loads(capsys.readouterr().out)["metrics"]
-        samples = snapshot["metrics"]["repro_engine_pairs_total"]["samples"]
-        assert sum(sample["value"] for sample in samples) >= 2
+    @pytest.mark.parametrize("options", [(), ("--workers", "2")])
+    def test_served_daemon_exports_engine_metrics(
+        self, tmp_path, corpus, capsys, options
+    ):
+        # The pipeline counts the oracle spend of every executed pair into
+        # the registry the `metrics` op serialises, pooled or serial.
+        with self._serving(tmp_path, *options) as served:
+            assert main(
+                ["submit", str(corpus), "--seed", "5", "--wait", *served]
+            ) == 0
+            capsys.readouterr()
+            assert main(["daemon", "status", "run-0001", *served]) == 0
+            store = json.loads(capsys.readouterr().out)["run"]["store"]
+            assert main(["daemon", "metrics", *served]) == 0
+            snapshot = json.loads(capsys.readouterr().out)["metrics"]
+        totals = RunTotals.from_records(
+            [json.loads(line) for line in Path(store).read_text().splitlines()],
+            elapsed=None,
+            executor=None,
+        )
+        samples = snapshot["metrics"]["repro_engine_queries_total"]["samples"]
+        spent = {sample["labels"]["kind"]: sample["value"] for sample in samples}
+        assert spent.get("classical", 0) == totals.queries > 0
+        assert spent.get("quantum", 0) == totals.quantum_queries
 
     def test_submit_pair_and_event_log(self, served, corpus, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
