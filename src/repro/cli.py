@@ -87,7 +87,7 @@ from repro.service.daemon import DaemonClient, MatchingDaemon, RunState
 from repro.service.events import (
     EventLogObserver,
     ProgressObserver,
-    RunCompleted,
+    StatsObserver,
 )
 from repro.service.executor import Executor, ParallelExecutor
 from repro.service.fingerprint import (
@@ -464,28 +464,16 @@ def _watch_observers(args: argparse.Namespace) -> tuple[list, EventLogObserver |
     return observers, event_log
 
 
-class _FinalReport:
-    """Observer capturing the run's RunCompleted aggregate.
-
-    The exit code must count *every* failed pair, including ones served
-    from the cache or the store (those arrive as ``CacheHit`` events, so
-    tallying ``TaskFailed`` events would under-count) — the summary on
-    ``RunCompleted`` is the authoritative total, same as ``repro run``.
-    """
-
-    def __init__(self) -> None:
-        self.failed: int | None = None
-
-    def notify(self, event) -> None:
-        if isinstance(event, RunCompleted):
-            self.failed = event.report.failed
-
-
 def _watch_run(client: DaemonClient, run_id: str, args: argparse.Namespace) -> int:
-    """Subscribe to a run, forward events to observers, map state to exit code."""
+    """Subscribe to a run, forward events to observers, map state to exit code.
+
+    The exit code counts *every* failed pair, including ones served from
+    the cache or the store — the ``failed`` of the run's ``RunCompleted``,
+    same as ``repro run``.
+    """
     observers, event_log = _watch_observers(args)
-    final = _FinalReport()
-    observers.append(final)
+    stats = StatsObserver()
+    observers.append(stats)
     try:
         state = client.watch(
             run_id, observers, replay=not getattr(args, "no_replay", False)
@@ -493,12 +481,13 @@ def _watch_run(client: DaemonClient, run_id: str, args: argparse.Namespace) -> i
     finally:
         if event_log is not None:
             event_log.close()
-    if final.failed is None and state == RunState.COMPLETED:
+    failed = stats.failed
+    if stats.runs_completed == 0 and state == RunState.COMPLETED:
         # --no-replay on an already-finished run delivers no events; the
         # authoritative failure count then comes from a status probe.
-        final.failed = client.status(run_id)["run"]["summary"]["failed"]
+        failed = client.status(run_id)["run"]["summary"]["failed"]
     print(f"{run_id}: {state}")
-    if state == RunState.COMPLETED and final.failed == 0:
+    if state == RunState.COMPLETED and failed == 0:
         return 0
     return 1
 

@@ -163,17 +163,11 @@ class FleetReport(RunTotals):
 
     def to_dict(self) -> dict:
         return {
+            **super().to_dict(),
             "run_id": self.run_id,
             "output": str(self.output),
-            "total": self.total,
             "merged_records": self.merged_records,
-            "matched": self.matched,
-            "failed": self.failed,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "resumed": self.resumed,
             "reassignments": self.reassignments,
-            "elapsed": self.elapsed,
             "shards": [shard.to_dict() for shard in self.shards],
             "peers": [peer.to_dict() for peer in self.peers],
         }

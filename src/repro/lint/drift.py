@@ -6,7 +6,7 @@ of each documented contract and diffing the sets:
 
 * each framed server's ``OPS`` table keys  <->  the Operations table of its
   doc (daemon: docs/protocol.md; cache server: docs/remote-cache.md)
-* event ``to_dict`` keys         <->  the catalogue table in docs/events.md
+* event dataclass wire fields    <->  the catalogue table in docs/events.md
 * ``MatchingConfig`` fields      <->  the config_digest section of docs/cache-keys.md
 * CLI subcommands and flags      <->  README.md
 * ``METRIC_CATALOG`` names       <->  the metric name catalog in docs/observability.md
@@ -125,7 +125,7 @@ class ProtocolOpsRule(ProjectRule):
 
 
 class EventFieldsRule(ProjectRule):
-    """Event ``to_dict`` keys must match the docs/events.md catalogue."""
+    """Event wire fields must match the docs/events.md catalogue."""
 
     rule_id = "drift-event-fields"
     summary = ("event dataclass wire fields and the docs/events.md "
@@ -178,36 +178,48 @@ class EventFieldsRule(ProjectRule):
                 parts.append("listing unknown " + ", ".join(sorted(extra)))
             findings.append(self.finding(
                 self._DOC, lineno,
-                f"catalogue row for {name} drifted from to_dict(): "
+                f"catalogue row for {name} drifted from its wire fields: "
                 + "; ".join(parts),
             ))
         return findings
 
     @staticmethod
     def _code_events(module: ModuleContext):
-        """Event name -> (wire field set, line) from to_dict dict literals."""
+        """Event name -> (wire field set, line) from the event dataclasses.
+
+        An event is a ``ServiceEvent`` subclass; its wire fields are the
+        annotated fields of its lineage, and a field annotated with
+        another class of the module is flattened into that class's wire
+        fields (``RunCompleted`` sends its ``RunTotals`` report's).
+        """
+        classes = {
+            node.name: node for node in ast.walk(module.tree)
+            if isinstance(node, ast.ClassDef)
+        }
+
+        def lineage(name: str) -> list[ast.ClassDef]:
+            bases = [base.id for base in classes[name].bases
+                     if isinstance(base, ast.Name) and base.id in classes]
+            inherited = [link for base in bases for link in lineage(base)]
+            return inherited + [classes[name]]
+
+        def wire_fields(name: str) -> frozenset[str]:
+            names: set[str] = set()
+            for node in lineage(name):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        nested = getattr(stmt.annotation, "id", None)
+                        names |= (wire_fields(nested) if nested in classes
+                                  else {stmt.target.id})
+            return frozenset(names)
+
         events: dict[str, tuple[frozenset[str], int]] = {}
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            for method in class_node.body:
-                if (not isinstance(method, ast.FunctionDef)
-                        or method.name != "to_dict"):
-                    continue
-                for node in ast.walk(method):
-                    if (not isinstance(node, ast.Return)
-                            or not isinstance(node.value, ast.Dict)):
-                        continue
-                    keys = {
-                        key.value for key in node.value.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    }
-                    if "event" not in keys:
-                        continue
-                    fields = frozenset(keys - {"event"})
-                    if fields:
-                        events[class_node.name] = (fields, class_node.lineno)
+        for name, node in classes.items():
+            fields = wire_fields(name)
+            if fields and any(link.name == "ServiceEvent"
+                              for link in lineage(name)):
+                events[name] = (fields, node.lineno)
         return events
 
     @staticmethod

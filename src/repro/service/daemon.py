@@ -458,9 +458,15 @@ class MatchingDaemon(FramedServer):
         pairs = frame.get("pairs")
         if (manifest is None) == (pairs is None):
             return self._error("submit needs exactly one of 'manifest' or 'pairs'")
-        if frame.get("resume") and not (
-            frame.get("store") or frame.get("records")
-        ):
+        seed, store = frame.get("seed"), frame.get("store")
+        resume = frame.get("resume", False)
+        if isinstance(seed, bool) or not isinstance(seed, (int, type(None))):
+            return self._error("'seed' must be an integer or null")
+        if not isinstance(resume, bool):
+            return self._error("'resume' must be a boolean")
+        if not isinstance(store, (str, type(None))):
+            return self._error("'store' must be a path string")
+        if resume and not (store or frame.get("records")):
             # Without an explicit store (or records to pre-seed a fresh
             # one) the run gets an empty store, which would make
             # "resume" a silent no-op.
@@ -514,14 +520,14 @@ class MatchingDaemon(FramedServer):
             self._trim_history()
             self._run_counter += 1
             run_id = f"run-{self._run_counter:04d}"
-            store = frame.get("store") or str(self._store_dir / f"{run_id}.jsonl")
+            store = store or str(self._store_dir / f"{run_id}.jsonl")
             job = DaemonJob(
                 run_id,
                 manifest=manifest,
                 pairs=pairs,
                 store=store,
-                seed=frame.get("seed"),
-                resume=bool(frame.get("resume", False)),
+                seed=seed,
+                resume=resume,
                 shard=shard,
                 records=records,
                 remote_cache=remote_cache,
@@ -685,7 +691,9 @@ class MatchingDaemon(FramedServer):
         job = self._get_job(frame)
         if isinstance(job, str):
             return self._error(job)
-        replay = bool(frame.get("replay", True))
+        replay = frame.get("replay", True)
+        if not isinstance(replay, bool):
+            return self._error("'replay' must be a boolean")
         subscription = job.subscribe(replay=replay)
         writer = session.writer
         self._send(writer, self._ok(op="events", run_id=job.run_id, state=job.state))

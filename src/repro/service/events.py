@@ -27,11 +27,12 @@ Because events are JSON both ways — :meth:`~ServiceEvent.to_dict` out,
 socket boundaries losslessly enough for observers: the matching daemon
 serialises events onto its wire protocol and ``repro watch`` rebuilds
 typed events on the client, so the same ``ProgressObserver`` works
-against an in-process run and a remote one.  The one asymmetry is
-:class:`RunCompleted`, whose wire form carries only the report's
-aggregate counters; :func:`event_from_dict` rebuilds it around a
-:class:`RunTotals` rather than a full
-:class:`~repro.service.pipeline.ServiceReport`.
+against an in-process run and a remote one.  The wire form of an
+event is its fields; :class:`RunCompleted`'s is every field of its
+:class:`RunTotals`, query spend included, and :func:`event_from_dict`
+rebuilds it around a :class:`RunTotals` rather than a full
+:class:`~repro.service.pipeline.ServiceReport` (the per-pair records
+were already streamed one event each).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import json
 import sys
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import IO, Protocol, runtime_checkable
 
 __all__ = [
@@ -72,8 +74,10 @@ class ServiceEvent:
         return type(self).__name__
 
     def to_dict(self) -> dict:
-        """A JSON-ready dict of the event (``{"event": kind, ...}``)."""
-        return {"event": self.kind}
+        """A JSON-ready dict of the event: ``{"event": kind}`` plus its fields."""
+        # type(self).__name__ rather than the kind property: this runs
+        # once per daemon event, and the property call is a fifth of it.
+        return {"event": type(self).__name__, **self.__dict__}
 
 
 @dataclass(frozen=True)
@@ -94,15 +98,10 @@ class RunStarted(ServiceEvent):
     seed: int | None = None
     shard: tuple[int, int] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "event": self.kind,
-            "total": self.total,
-            "executor": self.executor,
-            "store_path": self.store_path,
-            "seed": self.seed,
-            "shard": list(self.shard) if self.shard is not None else None,
-        }
+    def __post_init__(self) -> None:
+        # JSON has no tuples: a shard read off the wire arrives as a list.
+        if self.shard is not None:
+            object.__setattr__(self, "shard", tuple(self.shard))
 
 
 @dataclass(frozen=True)
@@ -112,14 +111,6 @@ class TaskStarted(ServiceEvent):
     index: int
     pair_id: str | None
     equivalence: str
-
-    def to_dict(self) -> dict:
-        return {
-            "event": self.kind,
-            "index": self.index,
-            "pair_id": self.pair_id,
-            "equivalence": self.equivalence,
-        }
 
 
 @dataclass(frozen=True)
@@ -141,16 +132,6 @@ class CacheHit(ServiceEvent):
     record: dict
     duration_s: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "event": self.kind,
-            "index": self.index,
-            "pair_id": self.pair_id,
-            "source": self.source,
-            "record": self.record,
-            "duration_s": self.duration_s,
-        }
-
 
 @dataclass(frozen=True)
 class TaskCompleted(ServiceEvent):
@@ -166,15 +147,6 @@ class TaskCompleted(ServiceEvent):
     pair_id: str | None
     record: dict
     duration_s: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "event": self.kind,
-            "index": self.index,
-            "pair_id": self.pair_id,
-            "record": self.record,
-            "duration_s": self.duration_s,
-        }
 
 
 @dataclass(frozen=True)
@@ -195,15 +167,6 @@ class TaskFailed(ServiceEvent):
         """The recorded ``"ExceptionName: message"`` failure."""
         return self.record.get("error")
 
-    def to_dict(self) -> dict:
-        return {
-            "event": self.kind,
-            "index": self.index,
-            "pair_id": self.pair_id,
-            "record": self.record,
-            "duration_s": self.duration_s,
-        }
-
 
 @dataclass(frozen=True)
 class StoreFlushed(ServiceEvent):
@@ -216,13 +179,6 @@ class StoreFlushed(ServiceEvent):
 
     path: str
     records_written: int
-
-    def to_dict(self) -> dict:
-        return {
-            "event": self.kind,
-            "path": self.path,
-            "records_written": self.records_written,
-        }
 
 
 def matched(record: dict) -> bool:
@@ -242,8 +198,9 @@ class RunTotals:
     The one run summary: the service report, the fleet report and
     ``repro report``'s store summary extend it, each built by
     :meth:`from_records`, so views given the same records agree.  A
-    :class:`RunCompleted` round trip keeps the eight counters of its wire
-    form; per-pair records stay on the producing side.
+    :class:`RunCompleted` round trip keeps every field (:meth:`to_dict`);
+    a subclass's own fields, such as per-pair records, stay on the
+    producing side.
 
     Attributes:
         total: pairs accounted for.
@@ -308,6 +265,10 @@ class RunTotals:
             **fields,
         )
 
+    def to_dict(self) -> dict:
+        """Every :class:`RunTotals` field, JSON-ready."""
+        return {name: getattr(self, name) for name in _field_names(RunTotals)}
+
     def summary(self) -> str:
         """One-line aggregate: outcomes, answer sources, wall clock."""
         return (
@@ -326,18 +287,23 @@ class RunCompleted(ServiceEvent):
     report: RunTotals
 
     def to_dict(self) -> dict:
-        report = self.report
-        return {
-            "event": self.kind,
-            "total": report.total,
-            "matched": report.matched,
-            "failed": report.failed,
-            "resumed": report.resumed,
-            "cache_hits": report.cache_hits,
-            "executed": report.executed,
-            "elapsed": report.elapsed,
-            "executor": report.executor,
-        }
+        return {"event": self.kind, **self.report.to_dict()}
+
+
+_EVENT_TYPES = {cls.__name__: cls for cls in ServiceEvent.__subclasses__()}
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _from_fields(cls, data: dict):
+    """Build ``cls`` from the frame's values for its fields."""
+    try:
+        return cls(**{name: data[name] for name in _field_names(cls) if name in data})
+    except TypeError as error:  # a required field is missing, or malformed
+        raise ValueError(f"malformed {data['event']} frame: {error}") from None
 
 
 def event_from_dict(data: dict) -> ServiceEvent:
@@ -345,61 +311,18 @@ def event_from_dict(data: dict) -> ServiceEvent:
 
     The inverse that lets observers watch a run they did not produce —
     an event log replay, or a daemon's wire frames.  ``RunCompleted``
-    comes back with a :class:`RunTotals` as its report (the wire form
-    only carries aggregates).  Raises :class:`ValueError` on an unknown
-    or missing ``"event"`` kind.
+    comes back with a :class:`RunTotals` as its report.  Keys that are
+    not fields are ignored.  Raises :class:`ValueError` on an unknown or
+    missing ``"event"`` kind, or a frame that lacks a field without a
+    default.
     """
     kind = data.get("event")
-    if kind == "RunStarted":
-        shard = data.get("shard")
-        return RunStarted(
-            total=data.get("total", 0),
-            executor=data.get("executor", "?"),
-            store_path=data.get("store_path"),
-            seed=data.get("seed"),
-            shard=tuple(shard) if shard is not None else None,
-        )
-    if kind == "TaskStarted":
-        return TaskStarted(
-            index=data.get("index", 0),
-            pair_id=data.get("pair_id"),
-            equivalence=data.get("equivalence", "?"),
-        )
-    if kind == "CacheHit":
-        return CacheHit(
-            index=data.get("index", 0),
-            pair_id=data.get("pair_id"),
-            source=data.get("source", "cache"),
-            record=data.get("record") or {},
-            duration_s=data.get("duration_s"),
-        )
-    if kind in ("TaskCompleted", "TaskFailed"):
-        event_type = TaskCompleted if kind == "TaskCompleted" else TaskFailed
-        return event_type(
-            index=data.get("index", 0),
-            pair_id=data.get("pair_id"),
-            record=data.get("record") or {},
-            duration_s=data.get("duration_s"),
-        )
-    if kind == "StoreFlushed":
-        return StoreFlushed(
-            path=data.get("path"),
-            records_written=data.get("records_written", 0),
-        )
-    if kind == "RunCompleted":
-        return RunCompleted(
-            report=RunTotals(
-                total=data.get("total", 0),
-                matched=data.get("matched", 0),
-                failed=data.get("failed", 0),
-                resumed=data.get("resumed", 0),
-                cache_hits=data.get("cache_hits", 0),
-                executed=data.get("executed", 0),
-                elapsed=data.get("elapsed", 0.0),
-                executor=data.get("executor", "?"),
-            )
-        )
-    raise ValueError(f"not a service event dict (event kind {kind!r})")
+    event_type = _EVENT_TYPES.get(kind) if isinstance(kind, str) else None
+    if event_type is None:
+        raise ValueError(f"not a service event dict (event kind {kind!r})")
+    if event_type is RunCompleted:
+        return RunCompleted(report=_from_fields(RunTotals, data))
+    return _from_fields(event_type, data)
 
 
 @runtime_checkable
@@ -528,14 +451,19 @@ class _TimingStats:
 class StatsObserver:
     """Count events in memory — the assertion-friendly observer.
 
+    The pair outcomes are read off each :class:`RunCompleted`'s
+    :class:`RunTotals`, so they equal the sum of the runs' reports; a
+    stream cut before its ``RunCompleted`` adds nothing to them.
+
     Attributes:
         runs_started, runs_completed: run boundary counts.
         started: pairs handed to the executor.
-        completed: freshly executed pairs that produced witnesses.
+        completed: freshly executed pairs that produced witnesses (the
+            reports' ``ok`` status count).
         failed: settled pairs without a result (:func:`matched`), however
-            they were answered, so a run's count is its report's ``failed``.
-        cache_hits, resumed: pairs served without executing (``resumed``
-            counts the store-sourced subset of ``cache_hits_total``).
+            they were answered — the reports' ``failed``.
+        cache_hits: pairs the result cache answered; resumed: pairs
+            replayed from the result store.
         store_flushes: records flushed to the JSONL store.
         completed_timing, cache_hit_timing: sum/min/max accumulators over
             the ``duration_s`` of :class:`TaskCompleted` and
@@ -561,24 +489,20 @@ class StatsObserver:
         elif isinstance(event, TaskStarted):
             self.started += 1
         elif isinstance(event, TaskCompleted):
-            self.completed += 1
             if event.duration_s is not None:
                 self.completed_timing.add(event.duration_s)
-        elif isinstance(event, TaskFailed):
-            self.failed += 1
         elif isinstance(event, CacheHit):
-            if not matched(event.record):
-                self.failed += 1
-            if event.source == "store":
-                self.resumed += 1
-            else:
-                self.cache_hits += 1
             if event.duration_s is not None:
                 self.cache_hit_timing.add(event.duration_s)
         elif isinstance(event, StoreFlushed):
             self.store_flushes += 1
         elif isinstance(event, RunCompleted):
+            report = event.report
             self.runs_completed += 1
+            self.completed += report.statuses.get("ok", 0)
+            self.failed += report.failed
+            self.cache_hits += report.cache_hits
+            self.resumed += report.resumed
 
     def as_dict(self) -> dict:
         """The counters as a plain dict (stable keys for reports)."""

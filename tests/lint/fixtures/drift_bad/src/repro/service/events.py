@@ -1,15 +1,20 @@
 """Fixture events: wire fields drifted from the catalogue table."""
 
+from dataclasses import dataclass
 
-class TaskDone:
-    kind = "TaskDone"
 
+@dataclass(frozen=True)
+class ServiceEvent:
     def to_dict(self):
-        return {"event": self.kind, "index": 0, "record": {}}
+        return {"event": type(self).__name__, **self.__dict__}
 
 
-class TaskSkipped:
-    kind = "TaskSkipped"
+@dataclass(frozen=True)
+class TaskDone(ServiceEvent):
+    index: int
+    record: dict
 
-    def to_dict(self):
-        return {"event": self.kind, "index": 0}
+
+@dataclass(frozen=True)
+class TaskSkipped(ServiceEvent):
+    index: int

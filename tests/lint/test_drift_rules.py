@@ -158,6 +158,29 @@ class TestDeliberateDesyncAgainstRealCode:
         shutil.copy(REPO_ROOT / "docs" / "remote-cache.md", doc)
         assert _drift_findings(tmp_path, "drift-protocol-ops") == []
 
+    def test_real_events_against_doctored_catalogue(self, tmp_path):
+        service = tmp_path / "src" / "repro" / "service"
+        service.mkdir(parents=True)
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        shutil.copy(
+            REPO_ROOT / "src" / "repro" / "service" / "events.py",
+            service / "events.py",
+        )
+        original = (REPO_ROOT / "docs" / "events.md").read_text(
+            encoding="utf-8"
+        )
+        (docs / "events.md").write_text(original, encoding="utf-8")
+        assert _drift_findings(tmp_path, "drift-event-fields") == []
+        # RunCompleted's wire fields are its RunTotals report's.
+        doctored = original.replace("spend `queries` and", "spend and", 1)
+        assert doctored != original
+        (docs / "events.md").write_text(doctored, encoding="utf-8")
+        findings = _drift_findings(tmp_path, "drift-event-fields")
+        assert len(findings) == 1
+        assert "RunCompleted" in findings[0].message
+        assert "missing queries" in findings[0].message
+
     def test_rules_skip_when_their_module_is_absent(self, tmp_path):
         (tmp_path / "src" / "repro").mkdir(parents=True)
         module = tmp_path / "src" / "repro" / "other.py"

@@ -544,6 +544,39 @@ class TestConstruction:
             DaemonClient()
 
 
+class TestScalarFieldTypes:
+    """A scalar request field of the wrong type gets an error frame."""
+
+    @staticmethod
+    def _refused(daemon, corpus, match, **fields):
+        with client_for(daemon) as client:
+            with pytest.raises(DaemonError, match=match):
+                client.request(
+                    {"op": "submit", "manifest": str(corpus), **fields}
+                )
+            assert client.status()["runs"] == []
+
+    @pytest.mark.parametrize("seed", ["\u00e9", "7", True, [1], 1.5])
+    def test_seed_must_be_an_int_or_null(self, daemon, corpus, seed):
+        self._refused(daemon, corpus, "'seed' must be", seed=seed)
+
+    def test_resume_must_be_a_bool(self, daemon, corpus, tmp_path):
+        self._refused(
+            daemon, corpus, "'resume' must be",
+            resume="false", store=str(tmp_path / "runs" / "mine.jsonl"),
+        )
+
+    def test_store_must_be_a_string(self, daemon, corpus):
+        self._refused(daemon, corpus, "'store' must be", store=5)
+
+    def test_events_replay_must_be_a_bool(self, daemon, corpus):
+        with client_for(daemon) as client:
+            run_id = client.submit(corpus)["run_id"]
+            assert client.watch(run_id, []) == "completed"
+            with pytest.raises(DaemonError, match="'replay' must be"):
+                list(client.events(run_id, replay="false"))
+
+
 class TestReviewRegressions:
     """Fixes surfaced by review: validation, memory, timeouts."""
 

@@ -318,8 +318,33 @@ class TestEventRoundTrip:
             relayed.notify(event_from_dict(event.to_dict()))
         assert relayed.as_dict() == direct.as_dict()
 
+    def test_run_completed_keeps_the_query_spend(self):
+        report = RunTotals(
+            total=4, matched=3, failed=1, resumed=0, cache_hits=1,
+            executed=3, queries=57, quantum_queries=12,
+            statuses={"ok": 2, "failed": 1, "cached": 1},
+            classes={"N-I": 2, "I-P": 2}, elapsed=0.5, executor="serial",
+        )
+        rebuilt = event_from_dict(
+            json.loads(json.dumps(RunCompleted(report=report).to_dict()))
+        )
+        assert rebuilt == RunCompleted(report=report)
+
+    def test_missing_required_field_is_named(self):
+        with pytest.raises(ValueError, match="'pair_id'"):
+            event_from_dict({"event": "TaskStarted", "index": 1})
+        with pytest.raises(ValueError, match="'records_written'"):
+            event_from_dict({"event": "StoreFlushed", "path": "s.jsonl"})
+        # Fields with a default may be omitted, as older producers did
+        # with duration_s.
+        older = event_from_dict({"event": "TaskCompleted", "index": 0,
+                                 "pair_id": "p", "record": {}})
+        assert older.duration_s is None
+
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="not a service event"):
             event_from_dict({"event": "Nonsense"})
         with pytest.raises(ValueError, match="not a service event"):
             event_from_dict({"total": 3})
+        with pytest.raises(ValueError, match="not a service event"):
+            event_from_dict({"event": ["RunStarted"]})

@@ -694,7 +694,8 @@ class TestDaemonCommands:
             ) == 0
             capsys.readouterr()
             assert main(["daemon", "status", "run-0001", *served]) == 0
-            store = json.loads(capsys.readouterr().out)["run"]["store"]
+            run = json.loads(capsys.readouterr().out)["run"]
+            store = run["store"]
             assert main(["daemon", "metrics", *served]) == 0
             snapshot = json.loads(capsys.readouterr().out)["metrics"]
         totals = RunTotals.from_records(
@@ -706,6 +707,9 @@ class TestDaemonCommands:
         spent = {sample["labels"]["kind"]: sample["value"] for sample in samples}
         assert spent.get("classical", 0) == totals.queries > 0
         assert spent.get("quantum", 0) == totals.quantum_queries
+        # The run's status summary carries the same spend.
+        assert run["summary"]["queries"] == totals.queries
+        assert run["summary"]["quantum_queries"] == totals.quantum_queries
 
     def test_submit_pair_and_event_log(self, served, corpus, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
