@@ -54,7 +54,11 @@ from repro.service.executor import (
     SerialExecutor,
     derive_seed,
 )
-from repro.service.fingerprint import FingerprintRegistry, content_memo_clear
+from repro.service.fingerprint import (
+    FingerprintRegistry,
+    build_registry,
+    content_memo_clear,
+)
 from repro.service.pipeline import MatchingService
 from repro.service.workload import (
     CorpusManifest,
@@ -370,11 +374,7 @@ def test_wide_probe_digest_batched_speedup(benchmark, wide_corpus):
     pytest-benchmark JSON (``extra_info``) that CI uploads, so the
     speedup trajectory is tracked over time alongside pairs/sec.
     """
-    from repro.service.fingerprint import (
-        FingerprintContext,
-        SampledProbeFingerprinter,
-    )
-    from tests.scalar_reference import ScalarProbeFingerprinter
+    from tests.scalar_reference import scalar_evaluation
 
     manifest = CorpusManifest.load(wide_corpus / "manifest.json")
     targets = []
@@ -382,23 +382,23 @@ def test_wide_probe_digest_batched_speedup(benchmark, wide_corpus):
         targets.extend(load_entry_circuits(entry, wide_corpus))
     assert all(target.num_lines >= 16 for target in targets)
 
-    ctx = FingerprintContext()
-    scalar = ScalarProbeFingerprinter()
-    batched = SampledProbeFingerprinter()
+    probe = build_registry("probe")
 
     # Identity first: the digests must agree on every circuit before any
     # throughput claim about the batched path means anything.
-    scalar_digests = [scalar.fingerprint(t, ctx).digest for t in targets]
-    batched_digests = [batched.fingerprint(t, ctx).digest for t in targets]
+    with scalar_evaluation():
+        scalar_digests = [probe.fingerprint(t).digest for t in targets]
+    batched_digests = [probe.fingerprint(t).digest for t in targets]
     assert scalar_digests == batched_digests
 
     def run_scalar():
-        for target in targets:
-            scalar.fingerprint(target, ctx)
+        with scalar_evaluation():
+            for target in targets:
+                probe.fingerprint(target)
 
     def run_batched():
         for target in targets:
-            batched.fingerprint(target, ctx)
+            probe.fingerprint(target)
 
     # Interleaved best-of sampling: a transient machine slowdown (CPU
     # scaling, a background task) then degrades scalar and batched

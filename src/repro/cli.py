@@ -92,8 +92,8 @@ from repro.service.events import (
 from repro.service.executor import Executor, ParallelExecutor
 from repro.service.fingerprint import (
     FINGERPRINT_SCHEMES,
+    build_registry,
     pair_key,
-    registry_for_config,
 )
 from repro.service.pipeline import MatchingService, merge_stores, parse_shard
 from repro.service.workload import (
@@ -724,16 +724,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    registry = registry_for_config(config)
+    registry = build_registry(
+        config.fingerprint_scheme, probe_count=config.probe_count
+    )
     paths = [args.circuit1] + ([args.circuit2] if args.circuit2 else [])
     fingerprints = []
     for path in paths:
         circuit = load_circuit(path)
-        strategy = registry.resolve(circuit)
         fp = registry.fingerprint(circuit, with_inverse=config.with_inverse)
         print(f"{path}:")
         print(f"  lines  : {fp.num_lines}")
-        print(f"  scheme : {fp.scheme} ({strategy.name})")
+        print(f"  scheme : {fp.scheme}")
         print(f"  key    : {fp.key}")
         fingerprints.append(fp)
     if len(fingerprints) == 2:

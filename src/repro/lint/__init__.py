@@ -1,8 +1,8 @@
 """Project-specific static analysis for the repro codebase.
 
 A rule-registry-driven AST checker (the same plug-in pattern as
-``MatcherRegistry`` and ``FingerprintRegistry``) enforcing the
-invariants generic linters cannot know about:
+``MatcherRegistry``) enforcing the invariants generic linters cannot
+know about:
 
 * **Determinism** — cache keys, probe digests, manifests, and serialised
   records must be bit-identical across processes and machines, so the

@@ -1,10 +1,10 @@
 """Rule and registry plumbing for the lint subsystem.
 
-Mirrors the service layer's plug-in pattern (``MatcherRegistry``,
-``FingerprintRegistry``): rules are small classes registered under a
-stable ``rule_id``, and the runner iterates the registry rather than a
-hard-coded list, so downstream forks can add project-specific rules
-without touching the runner.
+Mirrors the matching engine's plug-in pattern (``MatcherRegistry``):
+rules are small classes registered under a stable ``rule_id``, and the
+runner iterates the registry rather than a hard-coded list, so
+downstream forks can add project-specific rules without touching the
+runner.
 
 Two rule kinds exist.  A :class:`ModuleRule` sees one parsed module at a
 time (an AST with parent pointers) and is scoped — determinism rules only

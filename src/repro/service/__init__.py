@@ -4,8 +4,8 @@
 pair; this package turns that into a streaming pipeline that answers it
 for corpora:
 
-* :mod:`repro.service.fingerprint` — oracle identity as a versioned
-  strategy registry (:class:`FingerprintRegistry`): exact truth-table
+* :mod:`repro.service.fingerprint` — oracle identity as one versioned
+  three-tier ladder (:class:`FingerprintRegistry`): exact truth-table
   digests up to a width limit, width-independent sampled-probe digests
   beyond, gate-structure digests as the last resort.
 * :mod:`repro.service.cache` — LRU in-memory and on-disk result caches
@@ -95,21 +95,14 @@ from repro.service.fingerprint import (
     FINGERPRINT_SCHEMES,
     FUNCTIONAL_WIDTH_LIMIT,
     KEY_VERSION,
-    FingerprintContext,
-    Fingerprinter,
     FingerprintRegistry,
     OracleFingerprint,
-    SampledProbeFingerprinter,
-    StructureFingerprinter,
-    TruthTableFingerprinter,
     build_registry,
     config_digest,
-    default_registry,
     fingerprint,
     pair_key,
     pair_key_schemes,
     probe_inputs,
-    registry_for_config,
     scheme_label,
 )
 from repro.service.pipeline import (
@@ -139,15 +132,8 @@ __all__ = [
     "FINGERPRINT_SCHEMES",
     "KEY_VERSION",
     "OracleFingerprint",
-    "FingerprintContext",
-    "Fingerprinter",
     "FingerprintRegistry",
-    "TruthTableFingerprinter",
-    "SampledProbeFingerprinter",
-    "StructureFingerprinter",
     "build_registry",
-    "registry_for_config",
-    "default_registry",
     "probe_inputs",
     "fingerprint",
     "config_digest",

@@ -591,8 +591,10 @@ class MatchingDaemon(FramedServer):
 
     def _get_job(self, frame: dict) -> DaemonJob | str:
         run_id = frame.get("run_id")
-        if not isinstance(run_id, str):
+        if run_id is None:
             return "missing 'run_id'"
+        if not isinstance(run_id, str):
+            return "'run_id' must be a string"
         with self._jobs_lock:
             job = self._jobs.get(run_id)
         if job is None:

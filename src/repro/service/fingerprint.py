@@ -1,33 +1,33 @@
-"""Oracle identity as a pluggable, versioned strategy API.
+"""Oracle identity: one versioned, three-tier fingerprint ladder.
 
 A fingerprint identifies *what function* an oracle hides, not which Python
 object wraps it, so two batches (or two processes, or two runs on
 different days) that match the same pair under the same policy can share
-one cached result.  Identity used to be a hard-coded ``isinstance``
-ladder; it is now a registry of :class:`Fingerprinter` strategies —
-mirroring how the matcher registry replaced the dispatch ladder — with
-three built-ins:
+one cached result.  A :class:`FingerprintRegistry` holds a config's two
+fingerprint knobs (``fingerprint_scheme`` and ``probe_count``) and
+answers with the first tier the scheme allows:
 
-* :class:`TruthTableFingerprinter` (scheme ``exact``) — a digest of the
-  full truth table.  Canonical: any two representations of the same
-  reversible function collide.  Exponential in the bit width, so it only
-  applies up to :data:`FUNCTIONAL_WIDTH_LIMIT` lines.
-* :class:`SampledProbeFingerprinter` (scheme ``probe``) — a digest of the
-  function's outputs on a deterministic pseudo-random probe set derived
-  from ``sha256(width:probe_salt)``.  Width-independent and canonical
-  across representations (a circuit, its resynthesis, the tabulated
-  permutation, an opaque oracle's white-box peek all collide), at the
-  cost of a *probabilistic* distinctness guarantee: two functions
-  differing in ``d`` of the ``2**n`` truth-table entries collide with
-  probability ``(1 - d/2**n)**probe_count``.  Random different functions
-  essentially never collide; an adversarial near-miss differing in a
-  handful of entries can — which is why distinctness-critical corpora
-  (:mod:`repro.service.workload`'s ``wide`` family) place their
-  perturbations on the probe set, and why ``exact`` remains available.
-* :class:`StructureFingerprinter` (scheme ``structure``) — a digest of
-  the gate cascade.  Cheap at any width but only structural; the
-  last-resort fallback (a structural mismatch is a cache miss, never a
-  wrong hit).
+1. ``exact`` — a digest of the full truth table.  Canonical: any two
+   representations of the same reversible function collide.  Exponential
+   in the bit width, so it only applies up to
+   :data:`FUNCTIONAL_WIDTH_LIMIT` lines.
+2. ``probe`` — a digest of the function's outputs on a deterministic
+   pseudo-random probe set derived from ``sha256(width:probe_salt)``.
+   Width-independent and canonical across representations (a circuit,
+   its resynthesis, the tabulated permutation, an opaque oracle's
+   white-box peek all collide), at the cost of a *probabilistic*
+   distinctness guarantee: two functions differing in ``d`` of the
+   ``2**n`` truth-table entries collide with probability
+   ``(1 - d/2**n)**probe_count``.  Random different functions
+   essentially never collide; an adversarial near-miss differing in a
+   handful of entries can — which is why distinctness-critical corpora
+   (:mod:`repro.service.workload`'s ``wide`` family) place their
+   perturbations on the probe set, and why ``exact`` remains available.
+   An opaque oracle costs ``probe_count`` white-box evaluations at any
+   width, never a ``2**n``-entry tabulation.
+3. ``structure`` — a digest of the gate cascade.  Cheap at any width but
+   only structural; the last-resort fallback (a structural mismatch is a
+   cache miss, never a wrong hit).
 
 Fingerprints and pair keys are **versioned**: fingerprint key fragments
 render as ``fp/v2:...`` and pair keys carry the ``v2|`` prefix, so caches
@@ -50,7 +50,6 @@ import json
 import os
 import threading
 import time
-from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -77,15 +76,8 @@ __all__ = [
     "stat_clock",
     "stat_vouches",
     "OracleFingerprint",
-    "FingerprintContext",
-    "Fingerprinter",
-    "TruthTableFingerprinter",
-    "SampledProbeFingerprinter",
-    "StructureFingerprinter",
     "FingerprintRegistry",
     "build_registry",
-    "registry_for_config",
-    "default_registry",
     "probe_inputs",
     "effective_inverse",
     "content_digest",
@@ -99,7 +91,7 @@ __all__ = [
 ]
 
 #: Widest circuit whose truth table is tabulated for an exact functional
-#: fingerprint; beyond it the registry falls through to the next strategy
+#: fingerprint; beyond it the ladder falls through to the next tier
 #: (sampled probes in ``auto`` mode, gate structure in ``exact`` mode).
 FUNCTIONAL_WIDTH_LIMIT = 14
 
@@ -118,7 +110,7 @@ FP_VERSION = 2
 KEY_VERSION = "v2"
 KEY_PREFIX = KEY_VERSION + "|"
 
-#: The registry modes ``build_registry`` accepts (and the CLI exposes).
+#: The schemes ``build_registry`` accepts (and the CLI exposes).
 FINGERPRINT_SCHEMES = ("auto", "exact", "probe")
 
 #: Most entries the process-wide content memo
@@ -150,7 +142,7 @@ class OracleFingerprint:
         digest: hex SHA-256 of the canonical payload.
         with_inverse: whether matchers get inverse access to this oracle —
             part of the identity because it changes which algorithm runs.
-        scheme: name of the strategy that produced the fingerprint
+        scheme: the ladder tier that produced the fingerprint
             (``exact`` / ``probe`` / ``structure``).
         version: fingerprint contract version (:data:`FP_VERSION`).
     """
@@ -170,23 +162,6 @@ class OracleFingerprint:
             f"fp/v{self.version}:{self.num_lines}:{self.scheme}:"
             f"{self.kind}:{access}:{self.digest}"
         )
-
-
-@dataclass(frozen=True)
-class FingerprintContext:
-    """Per-call context handed to a :class:`Fingerprinter` strategy.
-
-    Strategy *tuning* (width limits, probe counts) is construction-time
-    state of the strategy itself; the context carries only what varies
-    per request.
-
-    Attributes:
-        with_inverse: the effective inverse-access flag of the target
-            (resolved by the registry: pre-built oracles contribute their
-            own, raw circuits and permutations take the caller's).
-    """
-
-    with_inverse: bool = False
 
 
 def _digest(payload: str) -> str:
@@ -267,9 +242,11 @@ def effective_inverse(target, with_inverse: bool) -> bool:
 # ---------------------------------------------------------------------------
 # Content memo
 # ---------------------------------------------------------------------------
-#: ``(content digest, registry spec, with_inverse)`` -> fingerprint, in
+#: ``(content digest, scheme, probe_count, with_inverse)`` -> fingerprint, in
 #: least-recently-used order.  Process-wide, so every service in the
-#: process — each daemon job, each benchmark pass — shares it.
+#: process — each daemon job, each benchmark pass — shares it.  The width
+#: limit and the probe salt are module constants, so they are not part of
+#: the key: code that changes either must call :func:`content_memo_clear`.
 _content_memo: OrderedDict[tuple, "OracleFingerprint"] = OrderedDict()
 #: path -> ``(stat signature, digest, ns recorded)``, in least-recently-used
 #: order: lets :func:`content_digest` skip reading a file whose stat
@@ -353,233 +330,104 @@ def content_memo_size() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Strategies
+# The ladder
 # ---------------------------------------------------------------------------
-class Fingerprinter(ABC):
-    """One identity strategy: can it fingerprint a target, and how.
-
-    Attributes (class-level):
-        name: human-readable strategy name (CLI / docs / errors).
-        scheme: the scheme stamped on produced fingerprints.
-        cost_rank: resolution order — the registry asks strategies in
-            ascending rank and the first that ``supports`` the target
-            wins, so cheaper/stronger identities shadow weaker ones.
-    """
-
-    name: str = "?"
-    scheme: str = "?"
-    cost_rank: int = 100
-
-    @abstractmethod
-    def supports(self, target) -> bool:
-        """Whether this strategy can fingerprint ``target``."""
-
-    @abstractmethod
-    def fingerprint(self, target, ctx: FingerprintContext) -> OracleFingerprint:
-        """Fingerprint a supported ``target`` (never charges oracle queries)."""
+# The two evaluation helpers are module functions so that
+# ``tests/scalar_reference.py`` can swap in its scalar loops and hold
+# every digest byte-identical to them.
+def _table(target) -> list[int]:
+    """The full truth table; circuits go through the numpy kernel."""
+    return _white_box(target).peek_table()
 
 
-class TruthTableFingerprinter(Fingerprinter):
-    """Exact functional identity: a digest of the full truth table.
-
-    Canonical — any two representations of the same function collide —
-    but exponential in width, so :meth:`supports` caps at
-    ``width_limit`` lines.
-    """
-
-    name = "truth-table"
-    scheme = "exact"
-    cost_rank = 10
-
-    def __init__(self, width_limit: int = FUNCTIONAL_WIDTH_LIMIT) -> None:
-        if width_limit <= 0:
-            raise FingerprintError(
-                f"width limit must be positive, got {width_limit}"
-            )
-        self.width_limit = width_limit
-
-    def supports(self, target) -> bool:
-        width = _width(target)
-        return width is not None and width <= self.width_limit
-
-    def _table(self, target) -> list[int]:
-        """The full truth table; circuits go through the numpy kernel."""
-        return _white_box(target).peek_table()
-
-    def fingerprint(self, target, ctx: FingerprintContext) -> OracleFingerprint:
-        table = self._table(target)
-        return OracleFingerprint(
-            num_lines=_width(target),
-            kind="function",
-            digest=_digest("tt:" + ",".join(map(str, table))),
-            with_inverse=ctx.with_inverse,
-            scheme=self.scheme,
-        )
+def _outputs(target, probes: list[int]) -> list[int]:
+    """The target's responses on the probe set, in one batched call."""
+    return _white_box(target).evaluate_many(probes)
 
 
-class SampledProbeFingerprinter(Fingerprinter):
-    """Width-independent identity: a digest of outputs on a fixed probe set.
-
-    The probe set (:func:`probe_inputs`) depends only on the bit width,
-    the salt and the probe count, so the digest is canonical across
-    representations of the same function — including *opaque* oracles,
-    which are evaluated through their white-box
-    :meth:`~repro.oracles.oracle.ReversibleOracle.evaluate_many` hatch so
-    fingerprinting stays free under the query-complexity accounting **and**
-    bounded by the probe budget at every width: an opaque 16-line oracle
-    costs ``probe_count`` evaluations, never a ``2**16``-entry tabulation
-    (the ``peek_table`` cost cliff).  The whole probe set is evaluated in
-    one batched call — bitsliced for circuit-backed targets — and batching
-    is digest-invariant: the fingerprint tests hold it byte-identical to
-    the scalar reference loop, so ``v2|`` cache keys never fork.
-    The probe count bounds the work per fingerprint (the "probe budget");
-    distinctness is probabilistic, as documented in ``docs/cache-keys.md``.
-    """
-
-    name = "sampled-probe"
-    scheme = "probe"
-    cost_rank = 20
-
-    def __init__(
-        self, probe_count: int = DEFAULT_PROBE_COUNT, salt: str = PROBE_SALT
-    ) -> None:
-        if probe_count <= 0:
-            raise FingerprintError(
-                f"probe count must be positive, got {probe_count}"
-            )
-        self.probe_count = probe_count
-        self.salt = salt
-
-    def supports(self, target) -> bool:
-        return _width(target) is not None
-
-    def _outputs(self, target, probes: list[int]) -> list[int]:
-        """The target's responses on the probe set, in one batched call."""
-        return _white_box(target).evaluate_many(probes)
-
-    def fingerprint(self, target, ctx: FingerprintContext) -> OracleFingerprint:
-        width = _width(target)
-        outputs = self._outputs(
-            target, probe_inputs(width, self.probe_count, self.salt)
-        )
-        payload = (
-            f"probe:{self.salt}:{self.probe_count}:"
-            + ",".join(str(value) for value in outputs)
-        )
-        return OracleFingerprint(
-            num_lines=width,
-            kind="probe",
-            digest=_digest(payload),
-            with_inverse=ctx.with_inverse,
-            scheme=self.scheme,
-        )
-
-
-class StructureFingerprinter(Fingerprinter):
-    """Last-resort structural identity: a digest of the gate cascade.
-
-    Width-independent and free, but functionally equal circuits with
-    different gates get different fingerprints — a cache miss, never a
-    wrong hit.  Only circuits (and circuit-backed oracles) have structure
-    to digest.
-    """
-
-    name = "structure"
-    scheme = "structure"
-    cost_rank = 30
-
-    def supports(self, target) -> bool:
-        return isinstance(target, (ReversibleCircuit, CircuitOracle))
-
-    def fingerprint(self, target, ctx: FingerprintContext) -> OracleFingerprint:
-        circuit = target.circuit if isinstance(target, CircuitOracle) else target
-        payload = "gates:" + ";".join(repr(gate) for gate in circuit.gates)
-        return OracleFingerprint(
-            num_lines=circuit.num_lines,
-            kind="structure",
-            digest=_digest(payload),
-            with_inverse=ctx.with_inverse,
-            scheme=self.scheme,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
 class FingerprintRegistry:
-    """An ordered collection of strategies resolving targets to identities.
+    """The oracle-identity policy one :class:`MatchingConfig` names.
 
-    Resolution walks the registered strategies in ascending
-    :attr:`~Fingerprinter.cost_rank` and uses the first whose
-    :meth:`~Fingerprinter.supports` accepts the target — the same
-    capability-registry shape :class:`repro.core.registry.MatcherRegistry`
-    gave matcher dispatch.
+    Its fields are the config's two fingerprint knobs, and
+    :meth:`fingerprint` walks the three-tier ladder they select (see
+    :func:`build_registry`).  The width limit and the probe salt are the
+    module constants :data:`FUNCTIONAL_WIDTH_LIMIT` and
+    :data:`PROBE_SALT`, read at call time.
 
-    Args:
-        fingerprinters: the initial strategies.
+    Raises:
+        FingerprintError: on an unknown scheme, or a ``probe`` scheme
+            without a positive probe count.
     """
 
-    def __init__(self, fingerprinters: tuple[Fingerprinter, ...] = ()) -> None:
-        self._fingerprinters: list[Fingerprinter] = []
-        for fingerprinter in fingerprinters:
-            self.register(fingerprinter)
-        # The (scheme, probe_count, width_limit, salt) arguments of the
-        # build_registry call that produced exactly these strategies: the
-        # registry's share of a content-memo key.  Only build_registry
-        # sets it; a hand-built registry, and any registry after
-        # register(), has None and bypasses the memo.
-        self._spec: tuple | None = None
+    fingerprint_scheme: str = "auto"
+    probe_count: int = DEFAULT_PROBE_COUNT
 
-    def register(self, fingerprinter: Fingerprinter) -> Fingerprinter:
-        """Add a strategy, keeping the collection sorted by cost rank.
-
-        The registry no longer matches the :func:`build_registry` call
-        that made it, so it stops using the content memo.
-        """
-        self._fingerprinters.append(fingerprinter)
-        self._fingerprinters.sort(key=lambda entry: entry.cost_rank)
-        self._spec = None
-        return fingerprinter
-
-    @property
-    def fingerprinters(self) -> tuple[Fingerprinter, ...]:
-        """The registered strategies in resolution order."""
-        return tuple(self._fingerprinters)
-
-    def resolve(self, target) -> Fingerprinter:
-        """The strategy that will fingerprint ``target``.
-
-        Raises:
-            FingerprintError: when no registered strategy supports it
-                (e.g. an opaque wide oracle under the ``exact`` scheme).
-        """
-        for fingerprinter in self._fingerprinters:
-            if fingerprinter.supports(target):
-                return fingerprinter
-        tried = ", ".join(f.name for f in self._fingerprinters) or "none"
-        width = _width(target)
-        what = (
-            f"a {width}-line {type(target).__name__}"
-            if width is not None
-            else f"a {type(target).__name__}"
-        )
-        raise FingerprintError(
-            f"cannot fingerprint {what} (strategies tried: {tried})"
-        )
+    def __post_init__(self) -> None:
+        if self.fingerprint_scheme not in FINGERPRINT_SCHEMES:
+            raise FingerprintError(
+                f"unknown fingerprint scheme {self.fingerprint_scheme!r}; "
+                f"known: {', '.join(FINGERPRINT_SCHEMES)}"
+            )
+        if self.fingerprint_scheme == "probe" and self.probe_count <= 0:
+            raise FingerprintError(
+                f"probe count must be positive, got {self.probe_count}"
+            )
 
     def fingerprint(
         self, target, *, with_inverse: bool = False
     ) -> OracleFingerprint:
         """Fingerprint a circuit, permutation or oracle.
 
+        The first tier the scheme allows and the target supports answers:
+
+        1. ``exact`` — a digest of the full truth table, up to
+           :data:`FUNCTIONAL_WIDTH_LIMIT` lines (not under ``probe``);
+        2. ``probe`` — a digest of the outputs on
+           ``probe_inputs(width, probe_count, PROBE_SALT)``, evaluated in
+           one batched call (not under ``exact``, nor when
+           ``probe_count`` is 0);
+        3. ``structure`` — a digest of a circuit's gate cascade (not
+           under ``probe``).
+
         Pre-built oracles contribute their own inverse availability; raw
         circuits and permutations take the ``with_inverse`` argument
-        (:func:`effective_inverse`).
+        (:func:`effective_inverse`).  No tier charges oracle queries.
+
+        Raises:
+            FingerprintError: when no allowed tier supports the target
+                (e.g. an opaque wide oracle under the ``exact`` scheme).
         """
-        strategy = self.resolve(target)
-        return strategy.fingerprint(
-            target,
-            FingerprintContext(with_inverse=effective_inverse(target, with_inverse)),
+        scheme = self.fingerprint_scheme
+        width = _width(target)
+        if width is None:
+            raise FingerprintError(f"cannot fingerprint a {type(target).__name__}")
+        with_inverse = effective_inverse(target, with_inverse)
+        if scheme != "probe" and width <= FUNCTIONAL_WIDTH_LIMIT:
+            table = _table(target)
+            payload = "tt:" + ",".join(map(str, table))
+            return OracleFingerprint(
+                width, "function", _digest(payload), with_inverse, "exact"
+            )
+        if scheme != "exact" and self.probe_count > 0:
+            outputs = _outputs(
+                target, probe_inputs(width, self.probe_count, PROBE_SALT)
+            )
+            payload = f"probe:{PROBE_SALT}:{self.probe_count}:" + ",".join(
+                map(str, outputs)
+            )
+            return OracleFingerprint(
+                width, "probe", _digest(payload), with_inverse, "probe"
+            )
+        if scheme != "probe" and isinstance(target, (ReversibleCircuit, CircuitOracle)):
+            circuit = target.circuit if isinstance(target, CircuitOracle) else target
+            payload = "gates:" + ";".join(repr(gate) for gate in circuit.gates)
+            return OracleFingerprint(
+                width, "structure", _digest(payload), with_inverse, "structure"
+            )
+        raise FingerprintError(
+            f"cannot fingerprint a {width}-line {type(target).__name__} "
+            f"under the {scheme!r} scheme"
         )
 
     def fingerprint_file(
@@ -593,24 +441,20 @@ class FingerprintRegistry:
 
         ``load()`` must parse that file when called.  The answer comes
         from the process-wide content memo when it holds
-        ``(content_digest(path), spec, with_inverse)``; otherwise
-        ``load()`` parses the file and :meth:`fingerprint` digests the
-        circuit.  This is sound because equal bytes parse to equal gates,
-        and no built-in strategy reads the one thing a parse takes from
-        the file's path, the circuit name.  A miss is remembered only if
-        the file still hashes the same after the parse, so a file
-        rewritten mid-parse never files its new circuit under its old
-        bytes.  :func:`content_digest` may answer from its stat memo, but
-        this memo stays keyed by the bytes' digest, so a stale stat entry
-        costs at worst a rehash.  Registries not made by
-        :func:`build_registry` (or changed by :meth:`register`) always
-        load.  The lock covers only the memo's dict operations, never the
-        reads or the digest.
+        ``(content_digest(path), fingerprint_scheme, probe_count,
+        with_inverse)``; otherwise ``load()`` parses the file and
+        :meth:`fingerprint` digests the circuit.  This is sound because
+        equal bytes parse to equal gates, and no tier reads the one thing
+        a parse takes from the file's path, the circuit name.  A miss is
+        remembered only if the file still hashes the same after the
+        parse, so a file rewritten mid-parse never files its new circuit
+        under its old bytes.  :func:`content_digest` may answer from its
+        stat memo, but this memo stays keyed by the bytes' digest, so a
+        stale stat entry costs at worst a rehash.  The lock covers only
+        the memo's dict operations, never the reads or the digest.
         """
-        if self._spec is None:
-            return self.fingerprint(load(), with_inverse=with_inverse)
         content = content_digest(path)
-        key = (content, self._spec, with_inverse)
+        key = (content, self.fingerprint_scheme, self.probe_count, with_inverse)
         with _content_memo_lock:
             found = _content_memo.get(key)
             if found is not None:
@@ -628,84 +472,28 @@ class FingerprintRegistry:
 
 
 def build_registry(
-    scheme: str = "auto",
-    *,
-    probe_count: int = DEFAULT_PROBE_COUNT,
-    width_limit: int = FUNCTIONAL_WIDTH_LIMIT,
-    salt: str = PROBE_SALT,
+    scheme: str = "auto", *, probe_count: int = DEFAULT_PROBE_COUNT
 ) -> FingerprintRegistry:
-    """The standard registry for one of the :data:`FINGERPRINT_SCHEMES`.
+    """The policy for one of the :data:`FINGERPRINT_SCHEMES`.
 
-    * ``auto`` — exact up to ``width_limit`` lines, sampled probes
-      beyond, structure as the last resort (``probe_count=0`` disables
-      the probe tier, restoring the v1 exact-then-structure behaviour).
+    * ``auto`` — exact up to :data:`FUNCTIONAL_WIDTH_LIMIT` lines,
+      sampled probes beyond, structure as the last resort
+      (``probe_count=0`` skips the probe tier, restoring the v1
+      exact-then-structure behaviour).
     * ``exact`` — exact up to the limit, structure beyond; opaque wide
       oracles are unfingerprintable (bypass the cache).
     * ``probe`` — sampled probes at every width.
     """
-    if scheme == "exact":
-        strategies: tuple[Fingerprinter, ...] = (
-            TruthTableFingerprinter(width_limit),
-            StructureFingerprinter(),
-        )
-    elif scheme == "probe":
-        strategies = (SampledProbeFingerprinter(probe_count, salt),)
-    elif scheme == "auto":
-        strategies = (TruthTableFingerprinter(width_limit),)
-        if probe_count > 0:
-            strategies += (SampledProbeFingerprinter(probe_count, salt),)
-        strategies += (StructureFingerprinter(),)
-    else:
-        raise FingerprintError(
-            f"unknown fingerprint scheme {scheme!r}; "
-            f"known: {', '.join(FINGERPRINT_SCHEMES)}"
-        )
-    registry = FingerprintRegistry(strategies)
-    registry._spec = (scheme, probe_count, width_limit, salt)
-    return registry
+    return FingerprintRegistry(scheme, probe_count)
 
 
-def registry_for_config(
-    config: MatchingConfig, width_limit: int = FUNCTIONAL_WIDTH_LIMIT
-) -> FingerprintRegistry:
-    """A fresh registry describing a config's fingerprint knobs.
-
-    Every call builds a new registry (three tiny objects — far cheaper
-    than any digest it will compute), so a caller that ``register``\\ s a
-    custom strategy on its copy can never mutate cache-key policy for
-    other services or a running daemon in the same process.
-    """
-    return build_registry(
-        config.fingerprint_scheme,
-        probe_count=config.probe_count,
-        width_limit=width_limit,
-    )
-
-
-def default_registry() -> FingerprintRegistry:
-    """A fresh ``auto`` registry with default knobs."""
-    return build_registry("auto")
-
-
-def fingerprint(
-    target,
-    *,
-    with_inverse: bool = False,
-    width_limit: int = FUNCTIONAL_WIDTH_LIMIT,
-    registry: FingerprintRegistry | None = None,
-) -> OracleFingerprint:
-    """Fingerprint a circuit, permutation or oracle (module-level wrapper).
-
-    Delegates to ``registry`` (default: a fresh ``auto``-mode registry
-    honouring ``width_limit``).  Kept for the many call sites that need
-    one fingerprint without holding a registry.
+def fingerprint(target, *, with_inverse: bool = False) -> OracleFingerprint:
+    """Fingerprint ``target`` under the default ``auto`` policy.
 
     Raises:
-        FingerprintError: when no strategy supports the target.
+        FingerprintError: when no tier supports the target.
     """
-    if registry is None:
-        registry = build_registry("auto", width_limit=width_limit)
-    return registry.fingerprint(target, with_inverse=with_inverse)
+    return FingerprintRegistry().fingerprint(target, with_inverse=with_inverse)
 
 
 # ---------------------------------------------------------------------------

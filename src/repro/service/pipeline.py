@@ -68,11 +68,10 @@ from repro.service.executor import (
 )
 from repro.service.fingerprint import (
     KEY_VERSION,
-    FingerprintRegistry,
     OracleFingerprint,
+    build_registry,
     effective_inverse,
     pair_key,
-    registry_for_config,
 )
 from repro.service.workload import MANIFEST_NAME, CorpusManifest
 
@@ -489,11 +488,6 @@ class MatchingService:
             of every event by the consuming entry points
             (:meth:`run_manifest` / :meth:`match_pairs`; the raw
             :meth:`stream` generator leaves delivery to its caller).
-        fingerprint_registry: the
-            :class:`~repro.service.fingerprint.FingerprintRegistry` cache
-            keys and pair digests are computed with; defaults to the one
-            the config's ``fingerprint_scheme``/``probe_count`` knobs
-            describe.
         metrics: optional :class:`repro.obs.metrics.MetricsRegistry`:
             runs, per-pair outcomes, oracle queries of executed pairs,
             task/run latency histograms and store flushes are counted on
@@ -515,7 +509,6 @@ class MatchingService:
         cache: ResultCache | None = None,
         verify: bool = False,
         observers: Sequence[Observer] = (),
-        fingerprint_registry: FingerprintRegistry | None = None,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -524,10 +517,8 @@ class MatchingService:
         self._cache = cache
         self._verify = verify
         self._observers = tuple(observers)
-        self._registry = (
-            fingerprint_registry
-            if fingerprint_registry is not None
-            else registry_for_config(self._config)
+        self._registry = build_registry(
+            self._config.fingerprint_scheme, probe_count=self._config.probe_count
         )
         self._metrics = metrics
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -552,11 +543,6 @@ class MatchingService:
     def observers(self) -> tuple[Observer, ...]:
         """The observers registered at construction."""
         return self._observers
-
-    @property
-    def fingerprint_registry(self) -> FingerprintRegistry:
-        """The identity registry cache keys are computed with."""
-        return self._registry
 
     @property
     def metrics(self):

@@ -31,7 +31,9 @@ from __future__ import annotations
 import pickle
 import random
 import re
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -41,7 +43,7 @@ from repro.circuits.gates import Gate, MCTGate, SwapGate, not_gate
 from repro.circuits.io.real import circuit_to_real, parse_real
 from repro.circuits.random import random_mct_gate
 from repro.oracles import CircuitOracle
-from repro.service.fingerprint import FingerprintContext, StructureFingerprinter
+from repro.service.fingerprint import build_registry
 from repro.service.workload import KNOWN_FAMILIES, generate_corpus
 from tests import real_reference
 from tests.properties.test_bitslice_differential import SEED, _random_mixed_circuit
@@ -79,7 +81,12 @@ def _respelled(rng: random.Random, text: str) -> str:
 
 
 def _structure_digest(circuit) -> str:
-    return StructureFingerprinter().fingerprint(circuit, FingerprintContext()).digest
+    # With the width limit at 0 the ``exact`` ladder answers every width
+    # with the gate structure.  (``repro.service.fingerprint`` the
+    # attribute is the function, so the module comes from ``sys.modules``.)
+    module = sys.modules["repro.service.fingerprint"]
+    with mock.patch.object(module, "FUNCTIONAL_WIDTH_LIMIT", 0):
+        return build_registry("exact").fingerprint(circuit).digest
 
 
 def assert_ops_built_like_reference(text: str, case: str, rng: random.Random) -> None:

@@ -6,25 +6,25 @@ bitslicing for sampled batches (``repro.circuits.bitslice``).  Neither
 is allowed to change an answer, so the tests compare both against the
 plain loop kept here: one gate-object ``simulate`` or table lookup per
 input (an opaque oracle, which has no scalar form, goes through
-``peek``).  The fingerprinter subclasses below recompute
-digests through that loop, so a test can require kernel-computed keys
-to be byte-identical to reference ones.
+``peek``).  :func:`scalar_fingerprint` recomputes digests through that
+loop, so a test can require kernel-computed keys to be byte-identical
+to reference ones.
 """
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Iterable
+from contextlib import contextmanager
 
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.permutation import Permutation
 from repro.oracles.oracle import CircuitOracle, PermutationOracle
 from repro.quantum.oracle import QuantumCircuitOracle
-from repro.service.fingerprint import (
-    FingerprintRegistry,
-    SampledProbeFingerprinter,
-    TruthTableFingerprinter,
-    build_registry,
-)
+
+# ``repro.service.fingerprint`` the attribute is the function, so the
+# module is imported by name.
+fingerprint_module = importlib.import_module("repro.service.fingerprint")
 
 
 def _evaluator(target):
@@ -52,27 +52,24 @@ def scalar_table(target) -> list[int]:
     return [evaluate(value) for value in range(1 << num_lines)]
 
 
-class ScalarTruthTableFingerprinter(TruthTableFingerprinter):
-    """The exact tier with its table computed by :func:`scalar_table`."""
+@contextmanager
+def scalar_evaluation():
+    """Within the block, every fingerprint evaluates through the loops above.
 
-    def _table(self, target) -> list[int]:
-        return scalar_table(target)
+    Swaps the fingerprint module's two evaluation helpers (the exact
+    tier's table, the probe tier's outputs) for :func:`scalar_table` and
+    :func:`scalar_outputs`; the ladder and the digests stay the module's.
+    """
+    saved = fingerprint_module._table, fingerprint_module._outputs
+    fingerprint_module._table = scalar_table
+    fingerprint_module._outputs = scalar_outputs
+    try:
+        yield
+    finally:
+        fingerprint_module._table, fingerprint_module._outputs = saved
 
 
-class ScalarProbeFingerprinter(SampledProbeFingerprinter):
-    """The probe tier with its outputs computed by :func:`scalar_outputs`."""
-
-    def _outputs(self, target, probes: list[int]) -> list[int]:
-        return scalar_outputs(target, probes)
-
-
-def scalar_registry(scheme: str = "auto", **knobs) -> FingerprintRegistry:
-    """``build_registry(scheme, **knobs)`` on the scalar reference loops."""
-    strategies = []
-    for strategy in build_registry(scheme, **knobs).fingerprinters:
-        if isinstance(strategy, TruthTableFingerprinter):
-            strategy = ScalarTruthTableFingerprinter(strategy.width_limit)
-        elif isinstance(strategy, SampledProbeFingerprinter):
-            strategy = ScalarProbeFingerprinter(strategy.probe_count, strategy.salt)
-        strategies.append(strategy)
-    return FingerprintRegistry(tuple(strategies))
+def scalar_fingerprint(policy, target, **options):
+    """``policy.fingerprint(target, **options)`` on the scalar reference loops."""
+    with scalar_evaluation():
+        return policy.fingerprint(target, **options)

@@ -21,11 +21,7 @@ from repro.service.cache import (
     build_cache,
     migrate_cache,
 )
-from repro.service.fingerprint import (
-    build_registry,
-    pair_key,
-    registry_for_config,
-)
+from repro.service.fingerprint import build_registry, pair_key
 
 
 def _record(tag: str) -> dict:
@@ -34,7 +30,7 @@ def _record(tag: str) -> dict:
 
 def _key(circuit, equivalence=EquivalenceType.I_I, config=MatchingConfig()):
     """The v2 cache key of the pair (circuit, circuit) under ``config``."""
-    registry = registry_for_config(config)
+    registry = build_registry(config.fingerprint_scheme, probe_count=config.probe_count)
     fingerprint = registry.fingerprint(circuit, with_inverse=config.with_inverse)
     return pair_key(fingerprint, fingerprint, equivalence, config)
 

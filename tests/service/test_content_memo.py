@@ -24,12 +24,11 @@ from repro.service.cache import build_cache
 from repro.service.executor import ParallelExecutor
 from repro.service.fingerprint import (
     FingerprintRegistry,
-    StructureFingerprinter,
+    build_registry,
     content_digest,
     content_memo_clear,
     content_memo_size,
     pair_key,
-    registry_for_config,
 )
 from repro.service.pipeline import MatchingService, merge_stores
 from repro.service.workload import CorpusManifest, generate_corpus
@@ -46,6 +45,10 @@ def cold_memo():
     content_memo_clear()
 
 
+def _policy(config):
+    return build_registry(config.fingerprint_scheme, probe_count=config.probe_count)
+
+
 def _corpus(root, seed):
     return generate_corpus(
         root, num_lines=4, families=("random", "library"), pairs_per_class=1, seed=seed
@@ -54,7 +57,7 @@ def _corpus(root, seed):
 
 def _fresh_keys(root, manifest, config) -> dict[str, str]:
     """Each pair's key from freshly parsed circuits, bypassing the memo."""
-    registry = registry_for_config(config)
+    registry = _policy(config)
     keys = {}
     for entry in manifest.entries:
         fingerprints = [
@@ -93,7 +96,7 @@ def test_memo_keys_equal_freshly_fingerprinted_keys(
 @pytest.mark.parametrize("seed", SEEDS)
 def test_configs_sharing_one_memo_keep_their_own_keys(tmp_path, seed):
     # One process-wide memo serves every scheme and access policy: the
-    # registry spec and with_inverse in the memo key keep them apart.
+    # scheme, probe count and with_inverse in the memo key keep them apart.
     manifest = _corpus(tmp_path, seed)
     for scheme in SCHEMES:
         for with_inverse in INVERSE:
@@ -120,7 +123,7 @@ def test_equal_bytes_under_two_names_share_one_entry(tmp_path):
     second = tmp_path / "second.real"
     real.write_real(increment(4), first)
     shutil.copyfile(first, second)
-    registry = registry_for_config(MatchingConfig())
+    registry = _policy(MatchingConfig())
     loads = []
 
     def loader(path):
@@ -151,32 +154,14 @@ def test_a_file_rewritten_between_runs_misses(tmp_path, seed):
     ), f"seed={seed}"
 
 
-def test_a_registry_changed_by_register_bypasses_the_memo(tmp_path, monkeypatch):
-    _corpus(tmp_path, SEEDS[0])
-    registry = registry_for_config(MatchingConfig())
-    registry.register(StructureFingerprinter())
-    parsed = []
-    original = real.read_real
-    monkeypatch.setattr(real, "read_real", lambda path: parsed.append(path) or original(path))
-    for _ in range(2):
-        MatchingService(
-            cache=build_cache(), fingerprint_registry=registry
-        ).run_manifest(tmp_path, seed=1)
-    manifest = CorpusManifest.load(tmp_path / "manifest.json")
-    # Every file of every pair is parsed on both runs: nothing is memoised.
-    assert len(parsed) == 2 * 2 * len(manifest.entries)
-    assert content_memo_size() == 0
-
-
-def test_a_hand_built_registry_bypasses_the_memo(tmp_path):
+def test_equal_policies_share_one_entry(tmp_path):
     path = tmp_path / "inc.real"
     real.write_real(increment(4), path)
-    registry = FingerprintRegistry((StructureFingerprinter(),))
     loads = []
-    for _ in range(2):
+    for registry in (build_registry("auto"), FingerprintRegistry()):
         registry.fingerprint_file(path, lambda: loads.append(path) or real.read_real(path))
-    assert loads == [path, path]
-    assert content_memo_size() == 0
+    assert loads == [path]
+    assert content_memo_size() == 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -218,7 +203,7 @@ def test_the_memo_never_exceeds_its_bound(tmp_path, monkeypatch, seed):
     # module is taken from ``sys.modules``.
     monkeypatch.setattr(sys.modules["repro.service.fingerprint"], "CONTENT_MEMO_SIZE", 5)
     manifest = _corpus(tmp_path, seed)
-    registry = registry_for_config(MatchingConfig())
+    registry = _policy(MatchingConfig())
     sizes = []
     for entry in manifest.entries:
         for path in (tmp_path / entry.circuit1, tmp_path / entry.circuit2):

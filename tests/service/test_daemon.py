@@ -576,6 +576,14 @@ class TestScalarFieldTypes:
             with pytest.raises(DaemonError, match="'replay' must be"):
                 list(client.events(run_id, replay="false"))
 
+    @pytest.mark.parametrize("op", ["status", "cancel", "fetch_store", "events"])
+    def test_run_id_must_be_a_string(self, daemon, corpus, op):
+        with client_for(daemon) as client:
+            run_id = client.submit(corpus)["run_id"]
+            assert client.watch(run_id, []) == "completed"
+            with pytest.raises(DaemonError, match="'run_id' must be a string"):
+                client.request({"op": op, "run_id": [run_id]})
+
 
 class TestReviewRegressions:
     """Fixes surfaced by review: validation, memory, timeouts."""

@@ -1,4 +1,4 @@
-"""Unit tests for the versioned fingerprint registry and its strategies."""
+"""Unit tests for the versioned three-tier fingerprint ladder."""
 
 from __future__ import annotations
 
@@ -22,18 +22,14 @@ from repro.service.fingerprint import (
     DEFAULT_PROBE_COUNT,
     FUNCTIONAL_WIDTH_LIMIT,
     KEY_PREFIX,
+    FingerprintRegistry,
     OracleFingerprint,
-    SampledProbeFingerprinter,
-    StructureFingerprinter,
-    TruthTableFingerprinter,
     build_registry,
     config_digest,
-    default_registry,
     fingerprint,
     pair_key,
     pair_key_schemes,
     probe_inputs,
-    registry_for_config,
     scheme_label,
 )
 
@@ -42,6 +38,15 @@ WIDE = 16  # past FUNCTIONAL_WIDTH_LIMIT, cheap enough to tabulate in tests
 
 def wide_circuit(width: int = WIDE):
     return library.increment(width)
+
+
+@pytest.fixture
+def width_limit(monkeypatch):
+    """Set the module's width limit for one test (it is read at call time)."""
+    # ``repro.service.fingerprint`` the attribute is the function, so the
+    # module is taken from ``sys.modules``.
+    module = sys.modules["repro.service.fingerprint"]
+    return lambda limit: monkeypatch.setattr(module, "FUNCTIONAL_WIDTH_LIMIT", limit)
 
 
 class TestFunctionalFingerprints:
@@ -97,8 +102,9 @@ class TestOracleDispatch:
         assert fp.kind == "function"
         assert oracle.query_count == 0
 
-    def test_opaque_wide_oracle_raises_under_exact(self):
-        registry = build_registry("exact", width_limit=8)
+    def test_opaque_wide_oracle_raises_under_exact(self, width_limit):
+        width_limit(8)
+        registry = build_registry("exact")
         oracle = FunctionOracle(lambda value: value, 20)
         with pytest.raises(FingerprintError):
             registry.fingerprint(oracle)
@@ -110,13 +116,13 @@ class TestOracleDispatch:
 
 class TestRegistryResolution:
     def test_auto_is_exact_below_the_limit(self, small_random_circuit):
-        registry = default_registry()
-        assert registry.resolve(small_random_circuit).scheme == "exact"
+        registry = build_registry("auto")
+        assert registry.fingerprint(small_random_circuit).scheme == "exact"
 
     def test_auto_is_probe_above_the_limit(self):
-        registry = default_registry()
-        assert registry.resolve(wide_circuit()).scheme == "probe"
+        registry = build_registry("auto")
         fp = registry.fingerprint(wide_circuit())
+        assert fp.scheme == "probe"
         assert fp.kind == "probe"
 
     def test_probe_mode_probes_at_every_width(self, small_random_circuit):
@@ -136,46 +142,19 @@ class TestRegistryResolution:
         with pytest.raises(FingerprintError):
             build_registry("telepathy")
 
-    def test_resolution_order_follows_cost_rank(self):
-        registry = build_registry("auto")
-        ranks = [entry.cost_rank for entry in registry.fingerprinters]
-        assert ranks == sorted(ranks)
-        assert [entry.scheme for entry in registry.fingerprinters] == [
-            "exact",
-            "probe",
-            "structure",
+    def test_the_policy_is_the_configs_two_knobs(self):
+        config = MatchingConfig(fingerprint_scheme="probe", probe_count=7)
+        registry = build_registry(
+            config.fingerprint_scheme, probe_count=config.probe_count
+        )
+        assert registry == FingerprintRegistry("probe", 7)
+        assert [field.name for field in dataclasses.fields(registry)] == [
+            "fingerprint_scheme",
+            "probe_count",
         ]
-
-    def test_registry_for_config_reads_the_knobs(self):
-        registry = registry_for_config(
-            MatchingConfig(fingerprint_scheme="probe", probe_count=7)
-        )
-        (probe,) = registry.fingerprinters
-        assert isinstance(probe, SampledProbeFingerprinter)
-        assert probe.probe_count == 7
-        # Every call builds a fresh registry, so registering a custom
-        # strategy on one can never change another consumer's keys.
-        other = registry_for_config(
-            MatchingConfig(fingerprint_scheme="probe", probe_count=7)
-        )
-        assert other is not registry
-        assert default_registry() is not default_registry()
-
-    def test_custom_strategy_can_shadow_the_builtins(self, small_random_circuit):
-        class NullFingerprinter(StructureFingerprinter):
-            name = "null"
-            scheme = "null"
-            cost_rank = 1
-
-            def supports(self, target) -> bool:
-                return True
-
-            def fingerprint(self, target, ctx):
-                return OracleFingerprint(0, "null", "0" * 64, scheme="null")
-
-        registry = build_registry("auto")
-        registry.register(NullFingerprinter())
-        assert registry.fingerprint(small_random_circuit).scheme == "null"
+        # Frozen: no consumer can change another's cache-key policy.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            registry.probe_count = 8
 
 
 class TestProbeInputs:
@@ -200,7 +179,7 @@ class TestProbeInputs:
         with pytest.raises(FingerprintError):
             probe_inputs(4, 0)
         with pytest.raises(FingerprintError):
-            SampledProbeFingerprinter(probe_count=0)
+            build_registry("probe", probe_count=0)
 
 
 class TestProbeSoundness:
@@ -231,9 +210,9 @@ class TestProbeSoundness:
     def test_opaque_wide_oracle_is_fingerprintable(self):
         circuit = wide_circuit()
         opaque = FunctionOracle(circuit.simulate, circuit.num_lines)
-        fp = default_registry().fingerprint(opaque)
+        fp = build_registry("auto").fingerprint(opaque)
         assert fp.scheme == "probe"
-        assert fp.digest == default_registry().fingerprint(circuit).digest
+        assert fp.digest == build_registry("auto").fingerprint(circuit).digest
         assert opaque.query_count == 0
 
     def test_probe_aligned_near_miss_gets_a_distinct_digest(self):
@@ -358,22 +337,24 @@ class TestConfigDigest:
 
 
 class TestWidthLimitCompatibility:
-    def test_wide_circuit_past_custom_limit_probes(self, rng):
-        circuit = random_circuit(6, 10, rng)
-        fp = fingerprint(circuit, width_limit=4)
+    def test_wide_circuit_past_custom_limit_probes(self, rng, width_limit):
+        width_limit(4)
+        fp = fingerprint(random_circuit(6, 10, rng))
         assert fp.kind == "probe"
 
-    def test_identical_structure_collides(self, rng):
+    def test_identical_structure_collides(self, rng, width_limit):
+        width_limit(1)
         circuit = random_circuit(5, 12, rng)
-        registry = build_registry("exact", width_limit=1)
+        registry = build_registry("exact")
         assert registry.fingerprint(circuit) == registry.fingerprint(circuit.copy())
 
-    def test_structural_miss_never_wrong_hit(self, rng):
+    def test_structural_miss_never_wrong_hit(self, rng, width_limit):
         # Functionally equal but structurally different circuits get
         # *different* structural fingerprints: a cache miss, not a wrong hit.
+        width_limit(1)
         circuit = random_circuit(3, 8, rng)
         resynthesis = from_permutation(Permutation.from_circuit(circuit))
-        registry = build_registry("exact", width_limit=1)
+        registry = build_registry("exact")
         assert registry.fingerprint(circuit) != registry.fingerprint(resynthesis)
 
     def test_default_limit_is_fourteen(self):

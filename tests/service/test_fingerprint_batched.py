@@ -1,7 +1,7 @@
 """Kernel-vs-scalar fingerprint invariance, and the peek_table cliff.
 
-The evaluation kernel is never an identity: for every registered scheme
-the digests the library computes (numpy tabulation for the exact tier,
+The evaluation kernel is never an identity: for every scheme the
+digests the library computes (numpy tabulation for the exact tier,
 bitslicing for probes) must be byte-identical to the ones the scalar
 reference loop of ``tests/scalar_reference.py`` produces on every
 target — including the wide (16-24 line) corpus family, where the probe
@@ -28,7 +28,7 @@ from repro.service.fingerprint import (
     build_registry,
 )
 from repro.service.workload import generate_corpus
-from tests.scalar_reference import scalar_registry
+from tests.scalar_reference import scalar_fingerprint
 
 CORPUS_SEED = 20240601
 
@@ -51,11 +51,10 @@ def wide_family_circuits(tmp_path_factory):
 class TestBatchedDigestInvariance:
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
     def test_wide_corpus_digests_identical(self, scheme, wide_family_circuits):
-        kernel = build_registry(scheme)
-        scalar = scalar_registry(scheme)
+        policy = build_registry(scheme)
         for circuit in wide_family_circuits:
-            fp_kernel = kernel.fingerprint(circuit)
-            fp_scalar = scalar.fingerprint(circuit)
+            fp_kernel = policy.fingerprint(circuit)
+            fp_scalar = scalar_fingerprint(policy, circuit)
             assert fp_kernel.key == fp_scalar.key
             assert fp_kernel.digest == fp_scalar.digest
 
@@ -71,10 +70,11 @@ class TestBatchedDigestInvariance:
             PermutationOracle(permutation),
             QuantumCircuitOracle(circuit),
         ]
-        kernel = build_registry(scheme)
-        scalar = scalar_registry(scheme)
+        policy = build_registry(scheme)
         for target in targets:
-            assert kernel.fingerprint(target).key == scalar.fingerprint(target).key
+            assert policy.fingerprint(target).key == scalar_fingerprint(
+                policy, target
+            ).key
 
 
 class _CountingOracle(FunctionOracle):
@@ -93,7 +93,7 @@ class _CountingOracle(FunctionOracle):
     def peek_table(self):  # pragma: no cover - the cliff this test pins
         raise AssertionError(
             "peek_table would materialise 2**num_lines entries; the probe "
-            "fingerprinter must stay on the bounded probe set"
+            "tier must stay on the bounded probe set"
         )
 
 

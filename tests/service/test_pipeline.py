@@ -652,18 +652,14 @@ class TestWideWarmCache:
         for record in report.records:
             assert ":probe:" in record["cache_key"]
 
-    def test_injected_registry_overrides_config(self, corpus):
-        from repro.service.fingerprint import build_registry
-
-        cache = build_cache()
+    def test_probe_scheme_keys_every_width(self, corpus):
         service = MatchingService(
-            cache=cache, fingerprint_registry=build_registry("probe")
+            MatchingConfig(fingerprint_scheme="probe"), cache=build_cache()
         )
         report = service.run_manifest(corpus, seed=5)
-        # Even 4-line pairs key on probe digests under the injected registry.
+        # Even 4-line pairs key on probe digests under the probe scheme.
         for record in report.records:
             assert ":probe:" in record["cache_key"]
-        assert service.fingerprint_registry.fingerprinters[0].scheme == "probe"
 
 
 class TestKeyVersioning:
