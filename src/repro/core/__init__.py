@@ -2,20 +2,20 @@
 
 Architecture: Table 1 of the paper is a *capability matrix* — which X-Y
 equivalence classes are tractable given which resources — and the package
-mirrors it with a declarative dispatch layer:
+mirrors it with one dispatch table:
 
-* :mod:`repro.core.registry` — the capability-based matcher registry.  Every
-  algorithm in :mod:`repro.core.matchers` registers itself (uniform
-  ``matcher(oracle1, oracle2, problem, ctx)`` signature) against its class,
-  its required :class:`~repro.core.registry.Capability` set (inverse
+* :mod:`repro.core.registry` — the table.  For every class it lists the
+  algorithms of :mod:`repro.core.matchers` (uniform
+  ``matcher(oracle1, oracle2, ctx)`` signature) in resolution order, each
+  with its required :class:`~repro.core.registry.Capability` set (inverse
   oracles, quantum access, brute-force opt-in) and its cost; resolution
-  picks the cheapest eligible entry along the fallback chain
+  picks the first eligible row along the fallback chain
   exact -> randomised -> quantum -> (opt-in) brute force.
 * :mod:`repro.core.engine` — the :class:`MatchingEngine` facade holding a
-  :class:`MatchingConfig`, with ``engine.match`` (one pair),
-  ``engine.solve`` (a :class:`MatchingProblem`) and ``engine.match_many``
-  (the guarded per-pair dispatch: failures become entries, not exceptions).
-  Many-pair runs go through :meth:`repro.service.MatchingService.match_pairs`.
+  :class:`MatchingConfig`, with ``engine.match`` (one pair) and
+  ``engine.match_many`` (the guarded per-pair dispatch: failures become
+  entries, not exceptions).  Many-pair runs go through
+  :meth:`repro.service.MatchingService.match_pairs`.
 * :func:`match` — the historical entry point, kept as a thin wrapper over a
   shared default engine.
 
@@ -27,10 +27,9 @@ Public surface:
 * :func:`match` — dispatch to the Section 4 algorithm for a promised class.
 * :class:`MatchingEngine`, :class:`MatchingConfig`, :class:`BatchEntry` —
   the configured facade and its per-pair outcome.
-* :class:`Capability`, :class:`MatcherKind`, :func:`register_matcher`,
-  :func:`default_registry` — the extensible dispatch layer.
-* :class:`MatchingResult`, :class:`MatchingProblem`, :class:`MatchContext`
-  — result/problem/context types.
+* :class:`Capability`, :class:`MatcherKind`, :class:`MatcherSpec`,
+  :func:`detect_capabilities` — the dispatch table's vocabulary.
+* :class:`MatchingResult`, :class:`MatchContext` — result/context types.
 * :func:`verify_match`, :func:`make_instance` — witness verification and
   promised-instance construction.
 * :mod:`repro.core.matchers` — the individual algorithms (one per class).
@@ -58,15 +57,12 @@ from repro.core.equivalence import (
     dominates,
     domination_edges,
 )
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
+from repro.core.problem import MatchContext, MatchingResult
 from repro.core.registry import (
     Capability,
     MatcherKind,
-    MatcherRegistry,
     MatcherSpec,
-    default_registry,
     detect_capabilities,
-    register_matcher,
 )
 from repro.core.verify import (
     GroundTruth,
@@ -84,7 +80,6 @@ __all__ = [
     "domination_edges",
     "Table1Row",
     "TABLE1_ROWS",
-    "MatchingProblem",
     "MatchContext",
     "MatchingResult",
     "GroundTruth",
@@ -97,10 +92,7 @@ __all__ = [
     "get_default_engine",
     "Capability",
     "MatcherKind",
-    "MatcherRegistry",
     "MatcherSpec",
-    "register_matcher",
-    "default_registry",
     "detect_capabilities",
     "make_instance",
     "reconstructed_circuit",

@@ -97,7 +97,7 @@ def decide(
                 "allow_brute_force=True to run the exponential search"
             )
         try:
-            # Resolves to the registry's opt-in brute-force tier.
+            # Resolves to the dispatch table's opt-in brute-force row.
             result = engine.match(
                 c1, c2, equivalence, rng=rng, allow_brute_force=True
             )

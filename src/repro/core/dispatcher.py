@@ -1,14 +1,14 @@
 """The top-level :func:`match` entry point (thin engine wrapper).
 
 Historically this module was a hand-rolled if/elif ladder over the 16
-equivalence classes.  Dispatch now lives in the capability-based registry
+equivalence classes.  Dispatch now lives in the Table 1 dispatch table
 (:mod:`repro.core.registry`) behind the :class:`~repro.core.engine.MatchingEngine`
 facade; :func:`match` survives, signature and semantics unchanged, as a thin
 wrapper over a shared default engine so existing callers keep working.  Hard
 classes raise :class:`~repro.exceptions.UnsupportedEquivalenceError` with a
-message generated from the registry — what is registered for the class and
-which capability each entry is missing — exactly the situation Section 5 of
-the paper establishes.
+message generated from the table — which matchers the class has and which
+capability each one is missing — exactly the situation Section 5 of the
+paper establishes.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
 """The :class:`MatchingEngine` facade.
 
-A configured front door to the capability-based matcher registry:
+A configured front door to the Table 1 dispatch table
+(:mod:`repro.core.registry`):
 
 * :class:`MatchingConfig` — the policy knobs (epsilon, quantum permission,
   brute-force opt-in, inverse granting, query budget) bundled once instead
   of threaded through every call;
-* :class:`MatchingEngine` — holds a config, a registry and shared randomness
-  and exposes :meth:`~MatchingEngine.match` (one pair),
-  :meth:`~MatchingEngine.solve` (a declarative
-  :class:`~repro.core.problem.MatchingProblem`), and
+* :class:`MatchingEngine` — holds a config and shared randomness and
+  exposes :meth:`~MatchingEngine.match` (one pair) and
   :meth:`~MatchingEngine.match_many` — the guarded per-pair dispatch the
   service executors run, one :class:`BatchEntry` per pair.
 
@@ -26,24 +25,15 @@ from __future__ import annotations
 
 import random as _random
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.equivalence import EquivalenceType
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import (
-    Capability,
-    MatcherRegistry,
-    MatcherSpec,
-    default_registry,
-    detect_capabilities,
-)
-from repro.exceptions import ReproError
+from repro.core.problem import MatchContext, MatchingResult
+from repro.core.registry import MatcherSpec, detect_capabilities, resolve
+from repro.exceptions import MatchingError, ReproError
 from repro.oracles.oracle import ReversibleOracle, as_oracle
 from repro.quantum.oracle import QuantumCircuitOracle
 from repro.quantum.swap_test import SwapTest
-
-# Importing the matcher package populates the default registry.
-import repro.core.matchers  # noqa: F401  (imported for registration side effect)
 
 __all__ = [
     "MatchingConfig",
@@ -98,7 +88,7 @@ class BatchEntry:
         equivalence: the promised class for this pair.
         result: the witnesses, or ``None`` when the matcher failed.
         error: ``"ExceptionName: message"`` when the matcher failed.
-        matcher: name of the registry entry that ran (when resolution
+        matcher: name of the dispatch-table row that ran (when resolution
             succeeded).
     """
 
@@ -115,13 +105,11 @@ class BatchEntry:
 
 
 class MatchingEngine:
-    """Facade over the matcher registry: configured per-pair matching.
+    """Facade over the dispatch table: configured per-pair matching.
 
     Args:
         config: the :class:`MatchingConfig` policy; defaults are the
             historical :func:`repro.core.match` defaults.
-        registry: the matcher registry to resolve against; defaults to the
-            process-wide one the stock matchers register into.
         rng: engine-wide randomness (seed or ``random.Random``) used when a
             call does not pass its own.
         swap_test: optionally a shared pre-configured
@@ -132,12 +120,10 @@ class MatchingEngine:
         self,
         config: MatchingConfig | None = None,
         *,
-        registry: MatcherRegistry | None = None,
         rng: _random.Random | int | None = None,
         swap_test: SwapTest | None = None,
     ) -> None:
         self._config = config if config is not None else MatchingConfig()
-        self._registry = registry if registry is not None else default_registry()
         self._rng = rng
         self._swap_test = swap_test
 
@@ -147,24 +133,20 @@ class MatchingEngine:
         """The engine's policy configuration."""
         return self._config
 
-    @property
-    def registry(self) -> MatcherRegistry:
-        """The registry the engine resolves matchers from."""
-        return self._registry
-
     # -- coercion (the single place dispatch builds oracles) -------------------
-    def _coerce(self, target, with_inverse: bool):
+    def _coerce(self, target):
         """Coerce one matcher argument — the only coercion site on dispatch.
 
         Pre-built classical or quantum oracles pass through untouched (their
         own inverse/budget settings win).  Circuits and permutations are
-        wrapped fresh, carrying the configured query budget.
+        wrapped fresh, carrying the configured inverse grant and query
+        budget.
         """
         if isinstance(target, (ReversibleOracle, QuantumCircuitOracle)):
             return target
         return as_oracle(
             target,
-            with_inverse=with_inverse,
+            with_inverse=self._config.with_inverse,
             max_queries=self._config.max_queries,
         )
 
@@ -205,18 +187,21 @@ class MatchingEngine:
         allow_quantum: bool | None = None,
         allow_brute_force: bool | None = None,
         swap_test: SwapTest | None = None,
-        with_inverse: bool | None = None,
-    ) -> tuple[MatcherSpec, object, object, MatchingProblem, MatchContext]:
-        """Coerce, detect capabilities and resolve — everything but running.
+    ) -> tuple[MatcherSpec, object, object, MatchContext]:
+        """Coerce, check widths, detect capabilities and resolve.
 
-        The single dispatch path behind :meth:`plan`, :meth:`match` and
+        The single dispatch path behind :meth:`match` and
         :meth:`match_many`, so resolution happens exactly once per request.
+
+        Raises:
+            MatchingError: when the two circuits differ in width.
         """
         if isinstance(equivalence, str):
             equivalence = EquivalenceType.from_label(equivalence)
-        grant = self._config.with_inverse if with_inverse is None else with_inverse
-        oracle1 = self._coerce(circuit1, grant)
-        oracle2 = self._coerce(circuit2, grant)
+        oracle1 = self._coerce(circuit1)
+        oracle2 = self._coerce(circuit2)
+        if _num_lines(oracle1) != _num_lines(oracle2):
+            raise MatchingError("circuits must have the same number of lines")
         ctx = self._context(
             epsilon=epsilon,
             rng=rng,
@@ -224,36 +209,8 @@ class MatchingEngine:
             allow_quantum=allow_quantum,
             allow_brute_force=allow_brute_force,
         )
-        capabilities = detect_capabilities(oracle1, oracle2, ctx)
-        spec = self._registry.resolve(equivalence, capabilities)
-        problem = MatchingProblem(
-            equivalence=equivalence,
-            num_lines=_num_lines(oracle1),
-            with_inverse=Capability.INVERSE in capabilities,
-            epsilon=ctx.epsilon,
-        )
-        return spec, oracle1, oracle2, problem, ctx
-
-    def plan(
-        self,
-        circuit1,
-        circuit2,
-        equivalence: EquivalenceType | str,
-        *,
-        with_inverse: bool | None = None,
-        allow_quantum: bool | None = None,
-        allow_brute_force: bool | None = None,
-    ) -> MatcherSpec:
-        """Resolve which registered matcher *would* run, without running it."""
-        spec, _, _, _, _ = self._prepare(
-            circuit1,
-            circuit2,
-            equivalence,
-            with_inverse=with_inverse,
-            allow_quantum=allow_quantum,
-            allow_brute_force=allow_brute_force,
-        )
-        return spec
+        spec = resolve(equivalence, detect_capabilities(oracle1, oracle2, ctx))
+        return spec, oracle1, oracle2, ctx
 
     # -- matching --------------------------------------------------------------
     def match(
@@ -267,7 +224,6 @@ class MatchingEngine:
         allow_quantum: bool | None = None,
         allow_brute_force: bool | None = None,
         swap_test: SwapTest | None = None,
-        with_inverse: bool | None = None,
     ) -> MatchingResult:
         """Match one pair under a promised equivalence class.
 
@@ -275,10 +231,11 @@ class MatchingEngine:
         those of :func:`repro.core.match`.
 
         Raises:
-            UnsupportedEquivalenceError: when no registered matcher is
-                eligible (message generated from the registry).
+            MatchingError: when the two circuits differ in width.
+            UnsupportedEquivalenceError: when no dispatch-table row is
+                eligible (message generated from the class's rows).
         """
-        spec, oracle1, oracle2, problem, ctx = self._prepare(
+        spec, oracle1, oracle2, ctx = self._prepare(
             circuit1,
             circuit2,
             equivalence,
@@ -287,31 +244,8 @@ class MatchingEngine:
             allow_quantum=allow_quantum,
             allow_brute_force=allow_brute_force,
             swap_test=swap_test,
-            with_inverse=with_inverse,
         )
-        return spec(oracle1, oracle2, problem, ctx)
-
-    def solve(
-        self,
-        problem: MatchingProblem,
-        circuit1,
-        circuit2,
-        *,
-        rng: _random.Random | int | None = None,
-    ) -> MatchingResult:
-        """Solve a declaratively specified :class:`MatchingProblem`.
-
-        The problem's ``equivalence``, ``epsilon`` and ``with_inverse``
-        drive dispatch; the circuits supply the oracles.
-        """
-        return self.match(
-            circuit1,
-            circuit2,
-            problem.equivalence,
-            epsilon=problem.epsilon,
-            rng=rng,
-            with_inverse=problem.with_inverse,
-        )
+        return spec(oracle1, oracle2, ctx)
 
     def match_many(
         self,
@@ -322,9 +256,10 @@ class MatchingEngine:
         """Match ``(circuit1, circuit2, equivalence)`` triples, one entry each.
 
         The guarded per-pair dispatch the service executors run: a
-        :class:`~repro.exceptions.ReproError` (no eligible matcher, budget
-        exhausted, promise violation) becomes a failed :class:`BatchEntry`
-        instead of propagating.  ``rng`` is shared by all the pairs.
+        :class:`~repro.exceptions.ReproError` (circuits of different widths,
+        no eligible matcher, budget exhausted, promise violation) becomes a
+        failed :class:`BatchEntry` instead of propagating.  ``rng`` is
+        shared by all the pairs.
         """
         entries: list[BatchEntry] = []
         for index, (circuit1, circuit2, equivalence) in enumerate(pairs):
@@ -332,11 +267,11 @@ class MatchingEngine:
                 equivalence = EquivalenceType.from_label(equivalence)
             matcher_name: str | None = None
             try:
-                spec, oracle1, oracle2, problem, ctx = self._prepare(
+                spec, oracle1, oracle2, ctx = self._prepare(
                     circuit1, circuit2, equivalence, rng=rng
                 )
                 matcher_name = spec.name
-                result = spec(oracle1, oracle2, problem, ctx)
+                result = spec(oracle1, oracle2, ctx)
             except ReproError as error:
                 entry = BatchEntry(
                     index=index,
@@ -355,23 +290,11 @@ class MatchingEngine:
             entries.append(entry)
         return entries
 
-    # -- reconfiguration -------------------------------------------------------
-    def with_config(self, **changes) -> "MatchingEngine":
-        """A new engine sharing registry/rng but with config fields replaced."""
-        return MatchingEngine(
-            replace(self._config, **changes),
-            registry=self._registry,
-            rng=self._rng,
-            swap_test=self._swap_test,
-        )
 
-
-def _num_lines(target) -> int:
-    if isinstance(target, ReversibleOracle):
-        return target.num_lines
-    if isinstance(target, QuantumCircuitOracle):
-        return target.num_qubits
-    return getattr(target, "num_lines", 0)
+def _num_lines(oracle) -> int:
+    if isinstance(oracle, QuantumCircuitOracle):
+        return oracle.num_qubits
+    return oracle.num_lines
 
 
 #: Lazily built engine behind the module-level :func:`repro.core.match`.

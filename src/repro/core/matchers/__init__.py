@@ -2,13 +2,12 @@
 
 One module per equivalence class; every matcher takes the two circuits (or
 oracles) and returns a :class:`~repro.core.problem.MatchingResult`.  Each
-module additionally registers its algorithm(s) into the capability-based
-:mod:`repro.core.registry` under the uniform
-``matcher(oracle1, oracle2, problem, ctx)`` signature — importing this
-package populates the default registry, and :mod:`repro.core.matchers.fallback`
-adds the opt-in brute-force tier for every nontrivial class.  The matchers
-choose the regime (inverse available / unavailable) from the oracles they
-are handed, mirroring the rows of Table 1:
+module also holds ``dispatch_*`` adapters with the uniform
+``matcher(oracle1, oracle2, ctx)`` signature, which the dispatch table in
+:mod:`repro.core.registry` lists; :mod:`repro.core.matchers.fallback` holds
+the opt-in brute-force adapter every nontrivial class ends with.  The
+matchers choose the regime (inverse available / unavailable) from the
+oracles they are handed, mirroring the rows of Table 1:
 
 ====================  =======================================  =====================
 class                 inverse available                        inverse unavailable

@@ -1,13 +1,13 @@
-"""Opt-in brute-force fallback registrations.
+"""The opt-in brute-force matcher.
 
-The last tier of the registry's fallback chain (exact -> randomised ->
-quantum -> brute force): every nontrivial equivalence class gets an
-exponential witness-search entry that is only eligible when the caller
+The last tier of the dispatch table's fallback chain (exact -> randomised
+-> quantum -> brute force): every nontrivial equivalence class ends with an
+exponential witness-search row that is only eligible when the caller
 explicitly granted :attr:`~repro.core.registry.Capability.BRUTE_FORCE`.
-For the UNIQUE-SAT-hard classes this is the *only* registered matcher, so
-declarative resolution reproduces the Section 5 story: without the opt-in
-the registry-generated :class:`~repro.exceptions.UnsupportedEquivalenceError`
-points at the hardness reductions, with it the search of
+For the UNIQUE-SAT-hard classes this is the *only* row, so resolution
+reproduces the Section 5 story: without the opt-in the generated
+:class:`~repro.exceptions.UnsupportedEquivalenceError` points at the
+hardness reductions, with it the search of
 :mod:`repro.baselines.brute_force` runs.
 
 The search needs white-box circuits (it rebuilds and simulates candidate
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from repro.circuits.circuit import ReversibleCircuit
 from repro.core.equivalence import EquivalenceType
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import Capability, MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.exceptions import MatchingError
 from repro.oracles.oracle import CircuitOracle
 
@@ -44,34 +43,15 @@ def white_box_circuit(target) -> ReversibleCircuit:
     )
 
 
-def _make_brute_force(equivalence: EquivalenceType):
-    def _brute_force(
-        oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-    ) -> MatchingResult:
-        from repro.baselines.brute_force import brute_force_match
+def dispatch_brute_force(
+    equivalence: EquivalenceType, oracle1, oracle2, ctx: MatchContext
+) -> MatchingResult:
+    """Dispatch adapter: exhaustive ``equivalence`` witness search."""
+    from repro.baselines.brute_force import brute_force_match
 
-        return brute_force_match(
-            white_box_circuit(oracle1),
-            white_box_circuit(oracle2),
-            equivalence,
-            rng=ctx.rng,
-        )
-
-    _brute_force.__doc__ = (
-        f"Exhaustive {equivalence.label} witness search (opt-in baseline)."
+    return brute_force_match(
+        white_box_circuit(oracle1),
+        white_box_circuit(oracle2),
+        equivalence,
+        rng=ctx.rng,
     )
-    return _brute_force
-
-
-for _equivalence in EquivalenceType:
-    if _equivalence is EquivalenceType.I_I:
-        continue
-    register_matcher(
-        _equivalence,
-        requires={Capability.BRUTE_FORCE},
-        kind=MatcherKind.BRUTE_FORCE,
-        cost_rank=1000,
-        cost="O(2^n poly)",
-        name=f"{_equivalence.label.lower()}/brute-force",
-    )(_make_brute_force(_equivalence))
-del _equivalence

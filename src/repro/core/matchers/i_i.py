@@ -13,8 +13,7 @@ import random as _random
 from repro.circuits.random import coerce_rng
 from repro.core.equivalence import EquivalenceType
 from repro.core.matchers._sequences import QuerySnapshot
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.exceptions import PromiseViolationError
 from repro.oracles.oracle import as_oracle
 
@@ -51,15 +50,6 @@ def match_i_i(
     return MatchingResult(EquivalenceType.I_I, queries=snapshot.queries)
 
 
-@register_matcher(
-    EquivalenceType.I_I,
-    kind=MatcherKind.EXACT,
-    cost_rank=0,
-    cost="O(1)",
-    name="i-i/trivial",
-)
-def _registered_i_i(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: uniform signature over :func:`match_i_i`."""
+def dispatch_i_i(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: uniform signature over :func:`match_i_i`."""
     return match_i_i(oracle1, oracle2)

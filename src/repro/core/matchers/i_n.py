@@ -10,8 +10,7 @@ from __future__ import annotations
 from repro.bits import int_to_bits
 from repro.core.equivalence import EquivalenceType
 from repro.core.matchers._sequences import QuerySnapshot
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.oracles.oracle import as_oracle
 
 __all__ = ["match_i_n"]
@@ -40,15 +39,6 @@ def match_i_n(circuit1, circuit2) -> MatchingResult:
     )
 
 
-@register_matcher(
-    EquivalenceType.I_N,
-    kind=MatcherKind.EXACT,
-    cost_rank=1,
-    cost="O(1)",
-    name="i-n/zero-probe",
-)
-def _registered_i_n(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: uniform signature over :func:`match_i_n`."""
+def dispatch_i_n(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: uniform signature over :func:`match_i_n`."""
     return match_i_n(oracle1, oracle2)

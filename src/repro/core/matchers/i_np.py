@@ -24,8 +24,7 @@ from repro.core.matchers._sequences import (
     identify_line_permutation,
     match_output_sequences,
 )
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import Capability, MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.oracles.oracle import as_oracle
 
 __all__ = ["match_i_np"]
@@ -98,23 +97,6 @@ def match_i_np(
     )
 
 
-@register_matcher(
-    EquivalenceType.I_NP,
-    requires={Capability.INVERSE},
-    kind=MatcherKind.EXACT,
-    cost_rank=11,
-    cost="O(log n)",
-    name="i-np/binary-code",
-)
-@register_matcher(
-    EquivalenceType.I_NP,
-    kind=MatcherKind.RANDOMIZED,
-    cost_rank=21,
-    cost="O(log n + log 1/eps)",
-    name="i-np/output-sequences",
-)
-def _registered_i_np(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: :func:`match_i_np` picks the regime from the oracles."""
+def dispatch_i_np(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: :func:`match_i_np` picks the regime from the oracles."""
     return match_i_np(oracle1, oracle2, epsilon=ctx.epsilon, rng=ctx.rng)

@@ -20,8 +20,7 @@ from repro.core.matchers._sequences import (
     identify_line_permutation,
     match_output_sequences,
 )
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import Capability, MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.oracles.oracle import as_oracle
 
 __all__ = ["match_i_p"]
@@ -77,23 +76,6 @@ def match_i_p(
     )
 
 
-@register_matcher(
-    EquivalenceType.I_P,
-    requires={Capability.INVERSE},
-    kind=MatcherKind.EXACT,
-    cost_rank=10,
-    cost="O(log n)",
-    name="i-p/binary-code",
-)
-@register_matcher(
-    EquivalenceType.I_P,
-    kind=MatcherKind.RANDOMIZED,
-    cost_rank=20,
-    cost="O(log n + log 1/eps)",
-    name="i-p/output-sequences",
-)
-def _registered_i_p(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: :func:`match_i_p` picks the regime from the oracles."""
+def dispatch_i_p(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: :func:`match_i_p` picks the regime from the oracles."""
     return match_i_p(oracle1, oracle2, epsilon=ctx.epsilon, rng=ctx.rng)

@@ -29,8 +29,7 @@ from repro.core.matchers._sequences import (
     repetitions_for_swap_test,
     swap_tests_see_one,
 )
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import Capability, MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.exceptions import MatchingError, UnsupportedEquivalenceError
 from repro.oracles.oracle import CircuitOracle, PermutationOracle, as_oracle
 from repro.quantum.oracle import QuantumCircuitOracle
@@ -237,33 +236,13 @@ def match_n_i_simon(
     )
 
 
-@register_matcher(
-    EquivalenceType.N_I,
-    requires={Capability.INVERSE},
-    kind=MatcherKind.EXACT,
-    cost_rank=0,
-    cost="O(1)",
-    name="n-i/inverse-probe",
-)
-def _registered_n_i(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: uniform signature over :func:`match_n_i`."""
+def dispatch_n_i(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: uniform signature over :func:`match_n_i`."""
     return match_n_i(oracle1, oracle2)
 
 
-@register_matcher(
-    EquivalenceType.N_I,
-    requires={Capability.QUANTUM},
-    kind=MatcherKind.QUANTUM,
-    cost_rank=100,
-    cost="O(n log 1/eps)",
-    name="n-i/swap-test",
-)
-def _registered_n_i_quantum(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: Algorithm 1 (swap-test N-I matching).
+def dispatch_n_i_quantum(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: Algorithm 1 (swap-test N-I matching).
 
     Lifts to quantum oracles here so the context's query budget carries
     over to the quantum tier.
@@ -277,22 +256,13 @@ def _registered_n_i_quantum(
     )
 
 
-@register_matcher(
-    EquivalenceType.N_I,
-    requires={Capability.QUANTUM},
-    kind=MatcherKind.QUANTUM,
-    cost_rank=110,
-    cost="O(n)",
-    name="n-i/simon",
-)
-def _registered_n_i_simon(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: the Simon's-algorithm variant (footnote 2).
+def dispatch_n_i_simon(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: the Simon's-algorithm variant (footnote 2).
 
-    Ranked after the swap test so declarative resolution never picks it by
-    default; reachable explicitly through ``registry.get(...)`` or an
-    engine override.
+    Its row follows the swap test's in the dispatch table, and both need
+    the same capability, so resolution never picks it; the row still shows
+    in the error text of an N-I pair with neither inverse nor quantum
+    access.  Call :func:`match_n_i_simon` directly to run it.
     """
     return match_n_i_simon(
         as_quantum_oracle(oracle1, max_queries=ctx.max_queries),

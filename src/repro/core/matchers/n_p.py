@@ -13,8 +13,7 @@ from __future__ import annotations
 from repro.bits import int_to_bits
 from repro.core.equivalence import EquivalenceType
 from repro.core.matchers._sequences import QuerySnapshot, identify_line_permutation
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import Capability, MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.exceptions import UnsupportedEquivalenceError
 from repro.oracles.oracle import as_oracle
 
@@ -67,16 +66,6 @@ def match_n_p(circuit1, circuit2) -> MatchingResult:
     )
 
 
-@register_matcher(
-    EquivalenceType.N_P,
-    requires={Capability.BOTH_INVERSES},
-    kind=MatcherKind.EXACT,
-    cost_rank=12,
-    cost="O(log n)",
-    name="n-p/inverse-pair",
-)
-def _registered_n_p(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: Proposition 8 on the two inverse circuits."""
+def dispatch_n_p(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: Proposition 8 on the two inverse circuits."""
     return match_n_p(oracle1, oracle2)

@@ -27,8 +27,7 @@ from repro.core.matchers._sequences import (
     swap_tests_see_one,
 )
 from repro.core.matchers.n_i import as_quantum_oracle, marked_probes
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import Capability, MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.exceptions import MatchingError, PromiseViolationError
 from repro.oracles.oracle import as_oracle
 from repro.quantum.statevector import MINUS, ZERO
@@ -188,35 +187,15 @@ def match_np_i_quantum(
     )
 
 
-@register_matcher(
-    EquivalenceType.NP_I,
-    requires={Capability.INVERSE},
-    kind=MatcherKind.EXACT,
-    cost_rank=13,
-    cost="O(log n)",
-    name="np-i/binary-code",
-)
-def _registered_np_i(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: uniform signature over :func:`match_np_i`."""
+def dispatch_np_i(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: uniform signature over :func:`match_np_i`."""
     return match_np_i(
         oracle1, oracle2, epsilon=ctx.epsilon, rng=ctx.rng, swap_test=ctx.swap_test
     )
 
 
-@register_matcher(
-    EquivalenceType.NP_I,
-    requires={Capability.QUANTUM},
-    kind=MatcherKind.QUANTUM,
-    cost_rank=200,
-    cost="O(n^2 log 1/eps)",
-    name="np-i/swap-test",
-)
-def _registered_np_i_quantum(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: Section 4.6 quantum NP-I matching.
+def dispatch_np_i_quantum(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: Section 4.6 quantum NP-I matching.
 
     Lifts to quantum oracles here so the context's query budget carries
     over to the quantum tier.

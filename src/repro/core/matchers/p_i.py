@@ -15,8 +15,7 @@ from __future__ import annotations
 from repro.bits import one_hot
 from repro.core.equivalence import EquivalenceType
 from repro.core.matchers._sequences import QuerySnapshot, identify_line_permutation
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import Capability, MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.exceptions import PromiseViolationError
 from repro.oracles.oracle import ReversibleOracle, as_oracle
 
@@ -98,23 +97,6 @@ def match_p_i(circuit1, circuit2) -> MatchingResult:
     )
 
 
-@register_matcher(
-    EquivalenceType.P_I,
-    requires={Capability.INVERSE},
-    kind=MatcherKind.EXACT,
-    cost_rank=10,
-    cost="O(log n)",
-    name="p-i/binary-code",
-)
-@register_matcher(
-    EquivalenceType.P_I,
-    kind=MatcherKind.EXACT,
-    cost_rank=30,
-    cost="O(n)",
-    name="p-i/one-hot",
-)
-def _registered_p_i(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: :func:`match_p_i` picks the regime from the oracles."""
+def dispatch_p_i(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: :func:`match_p_i` picks the regime from the oracles."""
     return match_p_i(oracle1, oracle2)

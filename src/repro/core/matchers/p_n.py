@@ -15,8 +15,7 @@ from repro.bits import int_to_bits
 from repro.core.equivalence import EquivalenceType
 from repro.core.matchers._sequences import QuerySnapshot, identify_line_permutation
 from repro.core.matchers.p_i import identify_input_permutation
-from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
-from repro.core.registry import Capability, MatcherKind, register_matcher
+from repro.core.problem import MatchContext, MatchingResult
 from repro.oracles.oracle import ReversibleOracle, as_oracle
 
 __all__ = ["match_p_n"]
@@ -93,23 +92,6 @@ def match_p_n(circuit1, circuit2) -> MatchingResult:
     )
 
 
-@register_matcher(
-    EquivalenceType.P_N,
-    requires={Capability.INVERSE},
-    kind=MatcherKind.EXACT,
-    cost_rank=11,
-    cost="O(log n)",
-    name="p-n/binary-code",
-)
-@register_matcher(
-    EquivalenceType.P_N,
-    kind=MatcherKind.EXACT,
-    cost_rank=31,
-    cost="O(n)",
-    name="p-n/one-hot",
-)
-def _registered_p_n(
-    oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext
-) -> MatchingResult:
-    """Registry adapter: :func:`match_p_n` picks the regime from the oracles."""
+def dispatch_p_n(oracle1, oracle2, ctx: MatchContext) -> MatchingResult:
+    """Dispatch adapter: :func:`match_p_n` picks the regime from the oracles."""
     return match_p_n(oracle1, oracle2)

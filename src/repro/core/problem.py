@@ -1,11 +1,10 @@
-"""Problem, context and result types for Boolean matching.
+"""Context and result types for Boolean matching.
 
-A matcher consumes two oracles, a :class:`MatchingProblem` (what is promised)
-and a :class:`MatchContext` (which runtime resources/knobs apply) and
-produces a :class:`MatchingResult`: the negation/permutation witnesses of
-Problem 1 plus the query accounting the complexity experiments need.  The
-uniform ``matcher(oracle1, oracle2, problem, ctx)`` signature is what the
-:mod:`repro.core.registry` dispatches on.
+A matcher consumes two oracles and a :class:`MatchContext` (which runtime
+resources/knobs apply) and produces a :class:`MatchingResult`: the
+negation/permutation witnesses of Problem 1 plus the query accounting the
+complexity experiments need.  The uniform ``matcher(oracle1, oracle2, ctx)``
+signature is what the :mod:`repro.core.registry` table dispatches on.
 """
 
 from __future__ import annotations
@@ -22,33 +21,16 @@ from repro.exceptions import MatchingError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.swap_test import SwapTest
 
-__all__ = ["MatchingProblem", "MatchContext", "MatchingResult"]
-
-
-@dataclass(frozen=True)
-class MatchingProblem:
-    """A fully specified matching instance (mainly used by the harness).
-
-    Attributes:
-        equivalence: the promised X-Y equivalence class.
-        num_lines: bit width of the circuits.
-        with_inverse: whether the oracles expose their inverses.
-        epsilon: admissible failure probability for randomised matchers.
-    """
-
-    equivalence: EquivalenceType
-    num_lines: int
-    with_inverse: bool = False
-    epsilon: float = 1e-3
+__all__ = ["MatchContext", "MatchingResult"]
 
 
 @dataclass
 class MatchContext:
-    """Runtime resources handed to a registered matcher.
+    """Runtime resources handed to a dispatched matcher.
 
-    The registry gives every matcher one uniform signature; whatever used to
-    travel as ad-hoc keyword arguments (randomness, a pre-configured swap
-    test, the failure budget, a query budget) travels here instead.
+    The dispatch table gives every matcher one uniform signature; the
+    randomness, a pre-configured swap test, the failure budget and a query
+    budget travel here.
 
     Attributes:
         epsilon: admissible failure probability for randomised/quantum

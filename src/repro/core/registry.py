@@ -1,28 +1,26 @@
-"""Capability-based matcher registry.
+"""Table 1 as one dispatch table.
 
 The paper's Table 1 is a *capability matrix*: which X-Y equivalence classes
 are tractable given which resources (inverse oracles, randomness, quantum
-swap-test access).  This module makes that matrix executable.  Each matching
-algorithm registers itself against an :class:`EquivalenceType` together with
+swap-test access).  :data:`TABLE` writes that matrix down: for every class,
+its :class:`MatcherSpec` rows in resolution order, the fallback chain
+**exact -> randomised -> quantum -> (opt-in) brute force**.  Each row names
 
 * the :class:`Capability` set it *requires* (inverse access, quantum access,
   an explicit brute-force opt-in),
 * its :class:`MatcherKind` (exact / randomised / quantum / brute force), and
-* a ``cost_rank`` ordering matchers of the same kind by query cost.
+* its query cost, e.g. ``"O(log n)"``.
 
-Dispatch then becomes declarative resolution: given the capabilities
-detected on a concrete oracle pair (:func:`detect_capabilities`), the
-registry picks the cheapest eligible matcher along the explicit fallback
-chain **exact -> randomised -> quantum -> (opt-in) brute force**.  When no
-registered matcher is eligible the registry *generates* the
-:class:`~repro.exceptions.UnsupportedEquivalenceError` message from its own
-contents — what is registered, what each entry would need — instead of a
-hand-written string per branch.
+Given the capabilities detected on a concrete oracle pair
+(:func:`detect_capabilities`), :func:`resolve` picks the first eligible row.
+When no row is eligible, :func:`explain` *generates* the
+:class:`~repro.exceptions.UnsupportedEquivalenceError` message from the
+class's rows (what each would need) instead of a hand-written string per
+branch.
 
-Registered matchers all share one uniform signature::
+Every row's matcher has one signature::
 
-    matcher(oracle1, oracle2, problem: MatchingProblem, ctx: MatchContext)
-        -> MatchingResult
+    matcher(oracle1, oracle2, ctx: MatchContext) -> MatchingResult
 
 where the oracles have already been coerced by the caller (the
 :class:`~repro.core.engine.MatchingEngine` does this in exactly one place)
@@ -34,23 +32,25 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.equivalence import EquivalenceType, Hardness, classify
-from repro.exceptions import MatchingError, UnsupportedEquivalenceError
+from repro.core.matchers import fallback, i_i, i_n, i_np, i_p, n_i, n_p, np_i, p_i, p_n
+from repro.exceptions import UnsupportedEquivalenceError
 from repro.oracles.oracle import ReversibleOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.problem import MatchContext, MatchingProblem, MatchingResult
+    from repro.core.problem import MatchContext, MatchingResult
 
 __all__ = [
     "Capability",
     "MatcherKind",
     "MatcherSpec",
-    "MatcherRegistry",
-    "register_matcher",
-    "default_registry",
+    "TABLE",
+    "resolve",
+    "explain",
     "detect_capabilities",
 ]
 
@@ -72,7 +72,7 @@ class Capability(enum.Enum):
 
 
 class MatcherKind(enum.Enum):
-    """The paradigm of a registered matcher; also its fallback-chain tier."""
+    """The paradigm of a matcher; also its fallback-chain tier."""
 
     EXACT = "exact"
     RANDOMIZED = "randomized"
@@ -83,41 +83,27 @@ class MatcherKind(enum.Enum):
         return self.value
 
 
-#: Fallback-chain position: exact before randomised before quantum before
-#: the (opt-in) brute-force baseline.
-_KIND_ORDER: dict[MatcherKind, int] = {
-    MatcherKind.EXACT: 0,
-    MatcherKind.RANDOMIZED: 1,
-    MatcherKind.QUANTUM: 2,
-    MatcherKind.BRUTE_FORCE: 3,
-}
-
 MatcherFunc = Callable[..., "MatchingResult"]
 
 
 @dataclass(frozen=True)
 class MatcherSpec:
-    """One registered matching algorithm.
+    """One row of the dispatch table.
 
     Attributes:
-        equivalence: the X-Y class the matcher solves.
         name: unique (per class) identifier, e.g. ``"n-i/swap-test"``.
-        func: the matcher with the uniform
-            ``(oracle1, oracle2, problem, ctx)`` signature.
+        func: the matcher with the uniform ``(oracle1, oracle2, ctx)``
+            signature.
         requires: capabilities that must all be present for eligibility.
         kind: paradigm / fallback tier.
-        cost_rank: tie-breaker among eligible matchers of the same kind
-            (lower is cheaper).
         cost: human-readable query complexity, e.g. ``"O(log n)"``.
     """
 
-    equivalence: EquivalenceType
     name: str
     func: MatcherFunc
     requires: frozenset[Capability]
     kind: MatcherKind
-    cost_rank: int
-    cost: str = "?"
+    cost: str
 
     def supports(self, capabilities: Iterable[Capability]) -> bool:
         """Whether every required capability is present."""
@@ -127,16 +113,11 @@ class MatcherSpec:
         """The required capabilities not present in ``capabilities``."""
         return self.requires - frozenset(capabilities)
 
-    @property
-    def sort_key(self) -> tuple[int, int, str]:
-        """Resolution order: fallback tier, then cost, then name."""
-        return (_KIND_ORDER[self.kind], self.cost_rank, self.name)
-
-    def __call__(self, oracle1, oracle2, problem, ctx) -> "MatchingResult":
-        return self.func(oracle1, oracle2, problem, ctx)
+    def __call__(self, oracle1, oracle2, ctx) -> "MatchingResult":
+        return self.func(oracle1, oracle2, ctx)
 
     def describe(self) -> str:
-        """One-line rendering used in registry-generated error messages."""
+        """One-line rendering used in the generated error messages."""
         needs = (
             "no extra capabilities"
             if not self.requires
@@ -145,168 +126,149 @@ class MatcherSpec:
         return f"{self.name} [{self.kind.value}, {self.cost}] {needs}"
 
 
-@dataclass
-class MatcherRegistry:
-    """A mapping from equivalence classes to their registered matchers."""
+_ANY: frozenset[Capability] = frozenset()
+_INVERSE = frozenset({Capability.INVERSE})
+_BOTH_INVERSES = frozenset({Capability.BOTH_INVERSES})
+_QUANTUM = frozenset({Capability.QUANTUM})
 
-    _specs: dict[EquivalenceType, dict[str, MatcherSpec]] = field(
-        default_factory=dict
+_EXACT = MatcherKind.EXACT
+_RANDOMIZED = MatcherKind.RANDOMIZED
+
+#: The polynomial rows of Table 1, per class, in resolution order.
+_POLYNOMIAL: dict[EquivalenceType, tuple[MatcherSpec, ...]] = {
+    EquivalenceType.I_I: (
+        MatcherSpec("i-i/trivial", i_i.dispatch_i_i, _ANY, _EXACT, "O(1)"),
+    ),
+    EquivalenceType.I_N: (
+        MatcherSpec("i-n/zero-probe", i_n.dispatch_i_n, _ANY, _EXACT, "O(1)"),
+    ),
+    EquivalenceType.I_P: (
+        MatcherSpec("i-p/binary-code", i_p.dispatch_i_p, _INVERSE, _EXACT, "O(log n)"),
+        MatcherSpec(
+            "i-p/output-sequences",
+            i_p.dispatch_i_p,
+            _ANY,
+            _RANDOMIZED,
+            "O(log n + log 1/eps)",
+        ),
+    ),
+    EquivalenceType.I_NP: (
+        MatcherSpec(
+            "i-np/binary-code", i_np.dispatch_i_np, _INVERSE, _EXACT, "O(log n)"
+        ),
+        MatcherSpec(
+            "i-np/output-sequences",
+            i_np.dispatch_i_np,
+            _ANY,
+            _RANDOMIZED,
+            "O(log n + log 1/eps)",
+        ),
+    ),
+    EquivalenceType.P_I: (
+        MatcherSpec("p-i/binary-code", p_i.dispatch_p_i, _INVERSE, _EXACT, "O(log n)"),
+        MatcherSpec("p-i/one-hot", p_i.dispatch_p_i, _ANY, _EXACT, "O(n)"),
+    ),
+    EquivalenceType.P_N: (
+        MatcherSpec("p-n/binary-code", p_n.dispatch_p_n, _INVERSE, _EXACT, "O(log n)"),
+        MatcherSpec("p-n/one-hot", p_n.dispatch_p_n, _ANY, _EXACT, "O(n)"),
+    ),
+    EquivalenceType.N_I: (
+        MatcherSpec("n-i/inverse-probe", n_i.dispatch_n_i, _INVERSE, _EXACT, "O(1)"),
+        MatcherSpec(
+            "n-i/swap-test",
+            n_i.dispatch_n_i_quantum,
+            _QUANTUM,
+            MatcherKind.QUANTUM,
+            "O(n log 1/eps)",
+        ),
+        MatcherSpec(
+            "n-i/simon", n_i.dispatch_n_i_simon, _QUANTUM, MatcherKind.QUANTUM, "O(n)"
+        ),
+    ),
+    EquivalenceType.NP_I: (
+        MatcherSpec(
+            "np-i/binary-code", np_i.dispatch_np_i, _INVERSE, _EXACT, "O(log n)"
+        ),
+        MatcherSpec(
+            "np-i/swap-test",
+            np_i.dispatch_np_i_quantum,
+            _QUANTUM,
+            MatcherKind.QUANTUM,
+            "O(n^2 log 1/eps)",
+        ),
+    ),
+    EquivalenceType.N_P: (
+        MatcherSpec(
+            "n-p/inverse-pair", n_p.dispatch_n_p, _BOTH_INVERSES, _EXACT, "O(log n)"
+        ),
+    ),
+}
+
+
+def _brute_force(equivalence: EquivalenceType) -> tuple[MatcherSpec, ...]:
+    """The opt-in last row: every class but I-I, which has nothing to find."""
+    if equivalence is EquivalenceType.I_I:
+        return ()
+    return (
+        MatcherSpec(
+            f"{equivalence.label.lower()}/brute-force",
+            partial(fallback.dispatch_brute_force, equivalence),
+            frozenset({Capability.BRUTE_FORCE}),
+            MatcherKind.BRUTE_FORCE,
+            "O(2^n poly)",
+        ),
     )
 
-    # -- registration ----------------------------------------------------------
-    def register(self, spec: MatcherSpec, replace: bool = False) -> MatcherSpec:
-        """Add a spec; duplicate names per class raise unless ``replace``."""
-        per_class = self._specs.setdefault(spec.equivalence, {})
-        if spec.name in per_class and not replace:
-            raise MatchingError(
-                f"matcher {spec.name!r} already registered for "
-                f"{spec.equivalence.label}"
-            )
-        per_class[spec.name] = spec
-        return spec
 
-    def register_matcher(
-        self,
-        equivalence: EquivalenceType,
-        *,
-        requires: Iterable[Capability] = (),
-        kind: MatcherKind,
-        cost_rank: int,
-        cost: str = "?",
-        name: str | None = None,
-        replace: bool = False,
-    ) -> Callable[[MatcherFunc], MatcherFunc]:
-        """Decorator registering a uniform-signature matcher function."""
-
-        def decorator(func: MatcherFunc) -> MatcherFunc:
-            spec = MatcherSpec(
-                equivalence=equivalence,
-                name=name or func.__name__.strip("_").replace("_", "-"),
-                func=func,
-                requires=frozenset(requires),
-                kind=kind,
-                cost_rank=cost_rank,
-                cost=cost,
-            )
-            self.register(spec, replace=replace)
-            return func
-
-        return decorator
-
-    # -- queries ---------------------------------------------------------------
-    def equivalences(self) -> tuple[EquivalenceType, ...]:
-        """The classes with at least one registered matcher."""
-        return tuple(sorted(self._specs, key=lambda eq: eq.label))
-
-    def candidates(self, equivalence: EquivalenceType) -> tuple[MatcherSpec, ...]:
-        """All specs for a class, in resolution (fallback-chain) order."""
-        per_class = self._specs.get(equivalence, {})
-        return tuple(sorted(per_class.values(), key=lambda spec: spec.sort_key))
-
-    def get(self, equivalence: EquivalenceType, name: str) -> MatcherSpec:
-        """Look up one spec by class and name."""
-        try:
-            return self._specs[equivalence][name]
-        except KeyError:
-            raise MatchingError(
-                f"no matcher named {name!r} registered for {equivalence.label}"
-            ) from None
-
-    # -- resolution ------------------------------------------------------------
-    def resolve(
-        self,
-        equivalence: EquivalenceType,
-        capabilities: Iterable[Capability],
-    ) -> MatcherSpec:
-        """Pick the cheapest eligible matcher for the detected capabilities.
-
-        Raises:
-            UnsupportedEquivalenceError: when nothing is eligible; the
-                message is generated from the registry contents.
-        """
-        capability_set = frozenset(capabilities)
-        for spec in self.candidates(equivalence):
-            if spec.supports(capability_set):
-                return spec
-        raise UnsupportedEquivalenceError(self.explain(equivalence, capability_set))
-
-    def explain(
-        self,
-        equivalence: EquivalenceType,
-        capabilities: Iterable[Capability],
-    ) -> str:
-        """Why no matcher is eligible, derived from the registered specs."""
-        capability_set = frozenset(capabilities)
-        hardness = classify(equivalence)
-        have = (
-            "{" + ", ".join(sorted(c.value for c in capability_set)) + "}"
-            if capability_set
-            else "{}"
-        )
-        lines = [
-            f"no {equivalence.label} matcher is eligible with capabilities "
-            f"{have} (class is {hardness.value})"
-        ]
-        specs = self.candidates(equivalence)
-        if not specs:
-            lines.append("no matcher is registered for this class at all")
-        for spec in specs:
-            missing = spec.missing(capability_set)
-            lines.append(
-                f"  - {spec.describe()}; missing "
-                "{" + ", ".join(sorted(c.value for c in missing)) + "}"
-            )
-        if hardness is Hardness.UNIQUE_SAT_HARD:
-            lines.append(
-                "the class is no easier than UNIQUE-SAT (Theorems 2 and 3); "
-                "see repro.core.hardness for the reductions"
-            )
-        return "\n".join(lines)
+#: Every class's rows in resolution order.  A UNIQUE-SAT-hard class has
+#: only its brute-force row.
+TABLE: dict[EquivalenceType, tuple[MatcherSpec, ...]] = {
+    equivalence: _POLYNOMIAL.get(equivalence, ()) + _brute_force(equivalence)
+    for equivalence in EquivalenceType
+}
 
 
-#: The process-wide registry the stock matchers register into on import.
-_DEFAULT_REGISTRY = MatcherRegistry()
-
-
-def default_registry() -> MatcherRegistry:
-    """The default registry (populated by importing ``repro.core.matchers``)."""
-    return _DEFAULT_REGISTRY
-
-
-def register_matcher(
+def resolve(
     equivalence: EquivalenceType,
-    *,
-    requires: Iterable[Capability] = (),
-    kind: MatcherKind,
-    cost_rank: int,
-    cost: str = "?",
-    name: str | None = None,
-    replace: bool = False,
-) -> Callable[[MatcherFunc], MatcherFunc]:
-    """Decorator registering a matcher into the default registry.
+    capabilities: Iterable[Capability],
+) -> MatcherSpec:
+    """Pick the first eligible row for the detected capabilities.
 
-    Usage::
-
-        @register_matcher(
-            EquivalenceType.N_I,
-            requires={Capability.INVERSE},
-            kind=MatcherKind.EXACT,
-            cost_rank=0,
-            cost="O(1)",
-            name="n-i/inverse-probe",
-        )
-        def _n_i_exact(oracle1, oracle2, problem, ctx):
-            ...
+    Raises:
+        UnsupportedEquivalenceError: when nothing is eligible; the
+            message is generated from the class's rows.
     """
-    return _DEFAULT_REGISTRY.register_matcher(
-        equivalence,
-        requires=requires,
-        kind=kind,
-        cost_rank=cost_rank,
-        cost=cost,
-        name=name,
-        replace=replace,
-    )
+    capability_set = frozenset(capabilities)
+    for spec in TABLE[equivalence]:
+        if spec.supports(capability_set):
+            return spec
+    raise UnsupportedEquivalenceError(explain(equivalence, capability_set))
+
+
+def explain(
+    equivalence: EquivalenceType,
+    capabilities: Iterable[Capability],
+) -> str:
+    """Why no row is eligible, derived from the class's rows."""
+    capability_set = frozenset(capabilities)
+    hardness = classify(equivalence)
+    have = "{" + ", ".join(sorted(c.value for c in capability_set)) + "}"
+    lines = [
+        f"no {equivalence.label} matcher is eligible with capabilities "
+        f"{have} (class is {hardness.value})"
+    ]
+    for spec in TABLE[equivalence]:
+        missing = spec.missing(capability_set)
+        lines.append(
+            f"  - {spec.describe()}; missing "
+            "{" + ", ".join(sorted(c.value for c in missing)) + "}"
+        )
+    if hardness is Hardness.UNIQUE_SAT_HARD:
+        lines.append(
+            "the class is no easier than UNIQUE-SAT (Theorems 2 and 3); "
+            "see repro.core.hardness for the reductions"
+        )
+    return "\n".join(lines)
 
 
 def detect_capabilities(

@@ -1,8 +1,7 @@
 """Project-specific static analysis for the repro codebase.
 
-A rule-registry-driven AST checker (the same plug-in pattern as
-``MatcherRegistry``) enforcing the invariants generic linters cannot
-know about:
+A rule-registry-driven AST checker enforcing the invariants generic
+linters cannot know about:
 
 * **Determinism** — cache keys, probe digests, manifests, and serialised
   records must be bit-identical across processes and machines, so the

@@ -1,7 +1,6 @@
 """Rule and registry plumbing for the lint subsystem.
 
-Mirrors the matching engine's plug-in pattern (``MatcherRegistry``):
-rules are small classes registered under a stable ``rule_id``, and the
+Rules are small classes registered under a stable ``rule_id``, and the
 runner iterates the registry rather than a hard-coded list, so
 downstream forks can add project-specific rules without touching the
 runner.

@@ -14,7 +14,7 @@ Layering: :mod:`~repro.obs.metrics` and :mod:`~repro.obs.trace` import
 only the standard library, so every layer may use them — the result
 caches keep their counters in a registry and the pipeline traces into
 :data:`~repro.obs.trace.NULL_TRACER` when no tracer is given.
-``repro.core`` still takes its registry duck-typed.  See
+``repro.core`` takes no metrics registry.  See
 ``docs/observability.md`` for the metric name catalog and span schema.
 """
 

@@ -466,6 +466,8 @@ class MatchingDaemon(FramedServer):
             return self._error("'resume' must be a boolean")
         if not isinstance(store, (str, type(None))):
             return self._error("'store' must be a path string")
+        if not isinstance(manifest, (str, type(None))):
+            return self._error("'manifest' must be a path string")
         if resume and not (store or frame.get("records")):
             # Without an explicit store (or records to pre-seed a fresh
             # one) the run gets an empty store, which would make
@@ -568,6 +570,8 @@ class MatchingDaemon(FramedServer):
             for field in ("circuit1", "circuit2", "equivalence"):
                 if field not in pair:
                     return f"pair #{position} is missing {field!r}"
+                if not isinstance(pair[field], str):
+                    return f"pair #{position}: {field!r} must be a string"
             for field in ("circuit1", "circuit2"):
                 if not Path(pair[field]).exists():
                     return f"pair #{position}: circuit not found: {pair[field]}"

@@ -21,9 +21,9 @@ backends interchangeable:
 :class:`SerialExecutor` runs in-process and consumes its task iterable
 lazily (task in, outcome out, one at a time); :class:`ParallelExecutor`
 shards the batch into contiguous chunks over a ``ProcessPoolExecutor``
-(fork start method where the platform offers it — the matcher registry is
-populated at import time and forked workers inherit it for free) and
-yields chunks as they finish.
+(fork start method where the platform offers it — the dispatch table is
+built at import time and forked workers inherit it for free) and yields
+chunks as they finish.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TaskOutcome:
             (:func:`repro.service.serialize.result_to_dict`), or ``None``
             when the matcher failed.
         error: ``"ExceptionName: message"`` on failure.
-        matcher: name of the registry entry that ran.
+        matcher: name of the dispatch-table row that ran.
         duration_s: wall clock of the engine dispatch, measured where the
             task ran (the worker process for pooled backends).  Excluded
             from equality — a replayed outcome with a different timing is

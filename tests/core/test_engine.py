@@ -11,12 +11,12 @@ from repro.core import (
     EquivalenceType,
     MatchingConfig,
     MatchingEngine,
-    MatchingProblem,
     make_instance,
     verify_match,
 )
 from repro.core.engine import BatchEntry, get_default_engine
 from repro.exceptions import (
+    MatchingError,
     QueryBudgetExceededError,
     UnsupportedEquivalenceError,
 )
@@ -72,16 +72,6 @@ class TestEngineMatch:
         with pytest.raises(QueryBudgetExceededError):
             engine.match(c1, c2, EquivalenceType.N_I, rng=rng)
 
-    def test_plan_reports_resolution_without_matching(self, rng):
-        base = random_circuit(4, 14, rng)
-        c1, c2, _ = make_instance(base, EquivalenceType.N_I, rng)
-        engine = MatchingEngine()
-        assert engine.plan(c1, c2, EquivalenceType.N_I).name == "n-i/swap-test"
-        assert (
-            engine.plan(c1, c2, EquivalenceType.N_I, with_inverse=True).name
-            == "n-i/inverse-probe"
-        )
-
     def test_prebuilt_oracles_pass_through(self, rng):
         base = random_circuit(4, 14, rng)
         c1, c2, _ = make_instance(base, EquivalenceType.I_N, rng)
@@ -107,27 +97,6 @@ class TestEngineMatch:
         second = engine.match(c1, c2, EquivalenceType.N_I)
         assert second.queries == 2  # still the classical inverse tier
         assert verify_match(c1, c2, EquivalenceType.N_I, second)
-
-    def test_with_config_overrides_fields(self):
-        engine = MatchingEngine()
-        tweaked = engine.with_config(allow_quantum=False, max_queries=7)
-        assert tweaked.config.allow_quantum is False
-        assert tweaked.config.max_queries == 7
-        assert engine.config.allow_quantum is True
-
-
-class TestEngineSolve:
-    def test_solve_uses_problem_fields(self, rng):
-        base = random_circuit(4, 14, rng)
-        c1, c2, _ = make_instance(base, EquivalenceType.N_I, rng)
-        problem = MatchingProblem(
-            EquivalenceType.N_I, num_lines=4, with_inverse=True
-        )
-        result = MatchingEngine().solve(problem, c1, c2)
-        assert result.queries == 2
-        assert result.quantum_queries == 0
-        assert verify_match(c1, c2, EquivalenceType.N_I, result)
-
 
 class TestMatchMany:
     """The guarded per-pair dispatch the service executors run."""
@@ -207,6 +176,25 @@ class TestMatchMany:
             engine.match_many([(base,)])
         with pytest.raises(ValueError):
             engine.match_many([(base, base)])  # no class
+
+
+class TestWidthMismatch:
+    """A 3-line and a 4-line circuit never match, under any class."""
+
+    @pytest.mark.parametrize("with_inverse", [False, True])
+    @pytest.mark.parametrize("equivalence", list(EquivalenceType))
+    def test_every_class_refuses_once(self, rng, equivalence, with_inverse):
+        narrow = random_circuit(3, 8, rng)
+        wide = random_circuit(4, 8, rng)
+        engine = MatchingEngine(MatchingConfig(with_inverse=with_inverse))
+        [entry] = engine.match_many([(narrow, wide, equivalence)], rng=rng)
+        assert not entry.matched
+        assert entry.matcher is None  # refused before resolution
+        assert entry.error == (
+            "MatchingError: circuits must have the same number of lines"
+        )
+        with pytest.raises(MatchingError, match="same number of lines"):
+            engine.match(wide, narrow, equivalence, rng=rng)
 
 
 class TestDefaultEngine:

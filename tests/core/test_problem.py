@@ -1,4 +1,4 @@
-"""Unit tests for MatchingResult / MatchingProblem."""
+"""Unit tests for MatchingResult."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.circuits.line_permutation import LinePermutation
 from repro.core.equivalence import EquivalenceType
-from repro.core.problem import MatchingProblem, MatchingResult
+from repro.core.problem import MatchingResult
 from repro.exceptions import MatchingError
 
 
@@ -50,11 +50,3 @@ class TestMatchingResult:
         first.metadata["x"] = 1
         assert second.metadata == {}
 
-
-class TestMatchingProblem:
-    def test_frozen_dataclass(self):
-        problem = MatchingProblem(EquivalenceType.P_I, num_lines=5)
-        assert problem.with_inverse is False
-        assert problem.epsilon == 1e-3
-        with pytest.raises(AttributeError):
-            problem.num_lines = 6

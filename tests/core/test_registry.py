@@ -1,20 +1,18 @@
-"""Unit tests for the capability-based matcher registry."""
+"""Unit tests for the Table 1 dispatch table."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import EquivalenceType
-from repro.core.problem import MatchContext, MatchingResult
+from repro.core.problem import MatchContext
 from repro.core.registry import (
     Capability,
     MatcherKind,
-    MatcherRegistry,
-    MatcherSpec,
-    default_registry,
     detect_capabilities,
+    resolve,
 )
-from repro.exceptions import MatchingError, UnsupportedEquivalenceError
+from repro.exceptions import UnsupportedEquivalenceError
 from repro.oracles import CircuitOracle
 
 
@@ -57,19 +55,17 @@ class TestResolutionMatrix:
         if quantum:
             capabilities |= QUANTUM_ONLY
         expected = _expected_matcher(equivalence, inverse, quantum)
-        registry = default_registry()
         if expected is None:
             with pytest.raises(UnsupportedEquivalenceError):
-                registry.resolve(equivalence, capabilities)
+                resolve(equivalence, capabilities)
         else:
-            assert registry.resolve(equivalence, capabilities).name == expected
+            assert resolve(equivalence, capabilities).name == expected
 
     @pytest.mark.parametrize("equivalence", list(EquivalenceType))
     def test_brute_force_opt_in_makes_every_nontrivial_class_eligible(
         self, equivalence
     ):
-        registry = default_registry()
-        spec = registry.resolve(
+        spec = resolve(
             equivalence, {Capability.BRUTE_FORCE} | INVERSE_AND_QUANTUM
         )
         if equivalence is EquivalenceType.I_I:
@@ -81,89 +77,31 @@ class TestResolutionMatrix:
             assert (spec.kind is MatcherKind.BRUTE_FORCE) == hard
 
     def test_n_p_needs_both_inverses(self):
-        registry = default_registry()
         with pytest.raises(UnsupportedEquivalenceError):
-            registry.resolve(EquivalenceType.N_P, {Capability.INVERSE})
-        spec = registry.resolve(
+            resolve(EquivalenceType.N_P, {Capability.INVERSE})
+        spec = resolve(
             EquivalenceType.N_P,
             {Capability.INVERSE, Capability.BOTH_INVERSES},
         )
         assert spec.name == "n-p/inverse-pair"
 
     def test_fallback_chain_prefers_exact_over_quantum(self):
-        registry = default_registry()
-        spec = registry.resolve(EquivalenceType.N_I, INVERSE_AND_QUANTUM)
+        spec = resolve(EquivalenceType.N_I, INVERSE_AND_QUANTUM)
         assert spec.kind is MatcherKind.EXACT
         assert spec.name == "n-i/inverse-probe"
 
     def test_generated_error_message_lists_registered_matchers(self):
-        registry = default_registry()
         with pytest.raises(UnsupportedEquivalenceError) as excinfo:
-            registry.resolve(EquivalenceType.N_I, NO_CAPS)
+            resolve(EquivalenceType.N_I, NO_CAPS)
         message = str(excinfo.value)
         assert "n-i/inverse-probe" in message
         assert "n-i/swap-test" in message
         assert "inverse" in message
         with pytest.raises(UnsupportedEquivalenceError) as excinfo:
-            registry.resolve(EquivalenceType.P_P, NO_CAPS)
+            resolve(EquivalenceType.P_P, NO_CAPS)
         message = str(excinfo.value)
         assert "unique-sat-hard" in message
         assert "brute-force" in message
-
-
-class TestRegistryMechanics:
-    def _spec(self, name: str = "demo", **overrides) -> MatcherSpec:
-        values = dict(
-            equivalence=EquivalenceType.I_N,
-            name=name,
-            func=lambda o1, o2, problem, ctx: MatchingResult(EquivalenceType.I_N),
-            requires=frozenset(),
-            kind=MatcherKind.EXACT,
-            cost_rank=0,
-        )
-        values.update(overrides)
-        return MatcherSpec(**values)
-
-    def test_decorator_registers_and_resolves(self):
-        registry = MatcherRegistry()
-
-        @registry.register_matcher(
-            EquivalenceType.I_N,
-            kind=MatcherKind.EXACT,
-            cost_rank=0,
-            name="custom",
-        )
-        def custom(oracle1, oracle2, problem, ctx):
-            return MatchingResult(EquivalenceType.I_N)
-
-        assert registry.resolve(EquivalenceType.I_N, NO_CAPS).func is custom
-        assert registry.equivalences() == (EquivalenceType.I_N,)
-
-    def test_duplicate_name_rejected_unless_replace(self):
-        registry = MatcherRegistry()
-        registry.register(self._spec())
-        with pytest.raises(MatchingError):
-            registry.register(self._spec())
-        registry.register(self._spec(cost_rank=5), replace=True)
-        assert registry.get(EquivalenceType.I_N, "demo").cost_rank == 5
-
-    def test_candidates_sorted_by_fallback_chain_then_cost(self):
-        registry = MatcherRegistry()
-        registry.register(self._spec("slow-exact", cost_rank=9))
-        registry.register(
-            self._spec("quantum", kind=MatcherKind.QUANTUM, cost_rank=0)
-        )
-        registry.register(self._spec("fast-exact", cost_rank=1))
-        assert [spec.name for spec in registry.candidates(EquivalenceType.I_N)] == [
-            "fast-exact",
-            "slow-exact",
-            "quantum",
-        ]
-
-    def test_get_unknown_name_raises(self):
-        registry = MatcherRegistry()
-        with pytest.raises(MatchingError):
-            registry.get(EquivalenceType.I_N, "nope")
 
 
 class TestDetectCapabilities:

@@ -569,6 +569,24 @@ class TestScalarFieldTypes:
     def test_store_must_be_a_string(self, daemon, corpus):
         self._refused(daemon, corpus, "'store' must be", store=5)
 
+    @pytest.mark.parametrize("manifest", [5, ["corpus"], {"path": "corpus"}])
+    def test_manifest_must_be_a_string(self, daemon, corpus, manifest):
+        self._refused(daemon, corpus, "'manifest' must be", manifest=manifest)
+
+    @pytest.mark.parametrize("field", ["circuit1", "circuit2", "equivalence"])
+    @pytest.mark.parametrize("value", [5, ["I-I"], {"label": "I-I"}, True])
+    def test_pair_fields_must_be_strings(self, daemon, corpus, field, value):
+        pair = {
+            "circuit1": str(corpus / "random-i-i-000-c1.real"),
+            "circuit2": str(corpus / "random-i-i-000-c2.real"),
+            "equivalence": "I-I",
+            field: value,
+        }
+        with client_for(daemon) as client:
+            with pytest.raises(DaemonError, match=f"{field!r} must be a string"):
+                client.request({"op": "submit", "pairs": [pair]})
+            assert client.status()["runs"] == []
+
     def test_events_replay_must_be_a_bool(self, daemon, corpus):
         with client_for(daemon) as client:
             run_id = client.submit(corpus)["run_id"]

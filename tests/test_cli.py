@@ -125,6 +125,20 @@ class TestMatch:
         assert main(["match", scrambled, base, "--equivalence", "N-N"]) == 2
         assert "UNIQUE-SAT" in capsys.readouterr().err
 
+    def test_match_refuses_circuits_of_different_widths(
+        self, circuit_files, tmp_path, capsys
+    ):
+        _, base = circuit_files
+        narrow = tmp_path / "narrow.real"
+        io.write_real(library.hidden_weighted_bit(3), narrow)
+        code = main(
+            ["match", str(narrow), base, "-e", "N-I", "--with-inverse"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nu_x" not in captured.out
+        assert "circuits must have the same number of lines" in captured.err
+
 
 class TestMatchMany:
     @pytest.fixture
