@@ -19,8 +19,10 @@ reaches for most often without writing Python:
   ``manifest.json``) across equivalence classes and problem families;
 * ``repro run MANIFEST`` — execute a corpus manifest through the
   streaming :class:`~repro.service.MatchingService` pipeline, with
-  ``--workers`` (process-pool parallelism), ``--cache``/``--cache-dir``
-  (result reuse across pairs and runs), ``--resume`` (skip pairs already
+  ``--workers`` (process-pool parallelism), ``--cache-size``/``--cache-dir``
+  (result reuse across pairs and runs; ``--no-cache`` turns it off),
+  ``--remote-cache`` (a shared cache server behind the local tiers),
+  ``--resume`` (skip pairs already
   in the JSONL result store), ``--shard i/n`` (run one deterministic
   partition of the manifest), ``--progress`` (a progress line per N
   finished pairs), ``--events`` (JSONL lifecycle-event log),
@@ -37,7 +39,8 @@ reaches for most often without writing Python:
   bump;
 * ``repro cache-server`` — serve a shared result cache over the
   ``repro-cache/v1`` protocol of ``docs/remote-cache.md``; runs mount it
-  behind their local tiers with ``--remote-cache ADDR``;
+  behind their local tiers with ``--remote-cache ADDR`` (``repro serve
+  --no-cache --remote-cache ADDR`` mounts it alone);
 * ``repro serve`` — run the long-lived matching daemon (one warm engine
   and shared result cache across many submissions) on a Unix or TCP
   socket, speaking the ``repro-daemon/v1`` protocol of ``docs/protocol.md``;
@@ -57,11 +60,22 @@ reaches for most often without writing Python:
 * ``repro lint`` — run the project's static invariant checks
   (``docs/lint.md``).
 
-Matching commands accept ``--no-quantum`` (forbid the simulated quantum
-matchers) and ``--budget N`` (hard oracle query budget).  Circuit files may
-be RevLib ``.real`` or OpenQASM (chosen by extension).  The module is
-importable (``python -m repro ...``) and also exposed through the ``repro``
-console script.
+Flags that several commands share are registered by one helper per group
+and read back by one handler helper: the matching policy
+(``--equivalence``, ``--epsilon``, ``--seed``, ``--no-quantum``) with the
+engine (``--with-inverse``, ``--budget N``) and fingerprint
+(``--fingerprint``, ``--probe-count``) flags; execution (``--workers``,
+``--verify``); the local result cache (``--no-cache``, ``--cache-size``,
+``--cache-dir``); the server listener of ``serve`` and ``cache-server``
+(``--socket``, ``--host``, ``--port``, ``--address-file``,
+``--auth-token-file``, ``--insecure``); a client's daemon address; and
+the run observers (``--progress``, ``--events``).  ``run`` mounts
+``--remote-cache`` behind its local cache and refuses it with
+``--no-cache``; ``serve`` mounts it per run, alone under ``--no-cache``.
+
+Circuit files may be RevLib ``.real`` or OpenQASM (chosen by extension).
+The module is importable (``python -m repro ...``) and also exposed
+through the ``repro`` console script.
 """
 
 from __future__ import annotations
@@ -69,7 +83,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from repro.circuits import drawing, metrics
@@ -82,7 +96,9 @@ from repro.core import (
     verify_match,
 )
 from repro.core.decision import decide
-from repro.exceptions import DaemonError, ReproError
+from repro.exceptions import ReproError
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.service.daemon import DaemonClient, MatchingDaemon, RunState
 from repro.service.events import (
     EventLogObserver,
@@ -102,7 +118,7 @@ from repro.service.workload import (
     generate_corpus,
     tractable_classes,
 )
-from repro.service.cache import build_cache, migrate_cache
+from repro.service.cache import ResultCache, build_cache, migrate_cache
 from repro.synthesis import synthesize
 from repro.version import __version__
 
@@ -127,23 +143,8 @@ def _format_witnesses(result) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Sub-command handlers
+# Shared flag groups: one reader per group
 # ---------------------------------------------------------------------------
-def _cmd_info(args: argparse.Namespace) -> int:
-    circuit = load_circuit(args.circuit)
-    report = metrics.metrics(circuit)
-    print(f"circuit : {circuit.name or args.circuit}")
-    for key, value in report.as_dict().items():
-        print(f"{key:13s}: {value}")
-    counts = circuit.gate_counts()
-    if counts:
-        print("gate histogram:", ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    if args.draw:
-        print()
-        print(drawing.draw(circuit, ascii_only=args.ascii))
-    return 0
-
-
 def _config_from_args(args: argparse.Namespace) -> MatchingConfig:
     """The :class:`MatchingConfig` the shared matching flags describe.
 
@@ -160,6 +161,149 @@ def _config_from_args(args: argparse.Namespace) -> MatchingConfig:
         ),
         probe_count=getattr(args, "probe_count", default.probe_count),
     )
+
+
+def _executor_from_args(args: argparse.Namespace) -> Executor | None:
+    """``--workers N``: a process pool for N > 1, else ``None`` (serial)."""
+    if args.workers <= 0:
+        raise ReproError(f"--workers must be positive, got {args.workers}")
+    if args.workers == 1:
+        return None
+    return ParallelExecutor(workers=args.workers)
+
+
+def _auth_token(args: argparse.Namespace) -> str | None:
+    """The shared secret in ``--auth-token-file``, stripped; None without it."""
+    path = args.auth_token_file
+    if path is None:
+        return None
+    try:
+        token = Path(path).read_text(encoding="utf-8").strip()
+    except OSError as error:
+        raise ReproError(f"cannot read --auth-token-file: {error}") from None
+    if not token:
+        raise ReproError(f"--auth-token-file {path} holds no token")
+    return token
+
+
+def _cache_from_args(
+    args: argparse.Namespace, remote: str | None = None
+) -> ResultCache | None:
+    """The local cache tiers the cache flags describe; ``None`` under ``--no-cache``.
+
+    A ``remote`` cache-server address is mounted behind the local tiers
+    and presented the ``--auth-token-file`` secret.
+    """
+    if getattr(args, "no_cache", False):
+        return None
+    if args.cache_size <= 0:
+        hint = " (use --no-cache to disable caching)" if "no_cache" in args else ""
+        raise ReproError(f"--cache-size must be positive, got {args.cache_size}{hint}")
+    return build_cache(
+        memory_size=args.cache_size,
+        disk_dir=args.cache_dir,
+        remote=remote,
+        remote_auth_token=None if remote is None else _auth_token(args),
+    )
+
+
+def _watch_observers(args: argparse.Namespace) -> tuple[list, EventLogObserver | None]:
+    """The observers the ``--progress``/``--events`` flags describe."""
+    observers: list = []
+    event_log = None
+    if args.progress is not None:
+        if args.progress <= 0:
+            raise ReproError(
+                f"--progress cadence must be positive, got {args.progress}"
+            )
+        observers.append(ProgressObserver(every=args.progress))
+    if args.events is not None:
+        event_log = EventLogObserver(args.events)
+        observers.append(event_log)
+    return observers, event_log
+
+
+def _listener(args: argparse.Namespace, default_socket: Path) -> dict:
+    """The server-listener flags as the servers' keyword arguments.
+
+    With neither ``--socket`` nor ``--host`` the server listens on
+    ``default_socket``.
+    """
+    socket_path = args.socket
+    if socket_path is None and args.host is None:
+        socket_path = str(default_socket)
+    return {
+        "socket_path": socket_path,
+        "host": args.host,
+        "port": args.port,
+        "auth_token": _auth_token(args),
+        "insecure": args.insecure,
+    }
+
+
+def _serve_until_stopped(
+    server, args: argparse.Namespace, banner: Callable[[str], str], stopped: str
+) -> int:
+    """Start, print the banner, write ``--address-file``, serve, stop.
+
+    The address file is written only once the server answers, so a
+    caller polling for it never connects too early.
+    """
+    server.start()
+    print(banner(server.address))
+    if args.address_file is not None:
+        Path(args.address_file).write_text(server.address + "\n", encoding="utf-8")
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - interactive only
+        server.stop()
+    print(stopped)
+    return 0
+
+
+def _daemon_client(args: argparse.Namespace) -> DaemonClient:
+    """Build a client from the shared daemon-address flags."""
+    token = _auth_token(args)
+    if args.socket is not None:
+        return DaemonClient(
+            socket_path=args.socket, timeout=args.timeout, auth_token=token
+        )
+    if args.host is not None:
+        if args.port is None:
+            raise ReproError("--host needs --port")
+        return DaemonClient(
+            host=args.host, port=args.port, timeout=args.timeout,
+            auth_token=token,
+        )
+    if args.address_file is not None:
+        try:
+            address = Path(args.address_file).read_text(encoding="utf-8").strip()
+        except OSError as error:
+            raise ReproError(f"cannot read --address-file: {error}") from None
+        return DaemonClient.from_address(
+            address, timeout=args.timeout, auth_token=token
+        )
+    raise ReproError(
+        "name the daemon with --socket PATH, --host/--port, or --address-file"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Sub-command handlers
+# ---------------------------------------------------------------------------
+def _cmd_info(args: argparse.Namespace) -> int:
+    circuit = load_circuit(args.circuit)
+    report = metrics.metrics(circuit)
+    print(f"circuit : {circuit.name or args.circuit}")
+    for key, value in report.as_dict().items():
+        print(f"{key:13s}: {value}")
+    counts = circuit.gate_counts()
+    if counts:
+        print("gate histogram:", ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+    if args.draw:
+        print()
+        print(drawing.draw(circuit, ascii_only=args.ascii))
+    return 0
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
@@ -296,51 +440,20 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return 0
 
 
-def _executor_from_args(args: argparse.Namespace) -> Executor | None:
-    """``--workers N``: a process pool for N > 1, else ``None`` (serial)."""
-    if args.workers <= 0:
-        raise ReproError(f"--workers must be positive, got {args.workers}")
-    if args.workers == 1:
-        return None
-    return ParallelExecutor(workers=args.workers)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.no_cache:
-        if args.remote_cache is not None:
-            raise ReproError(
-                "--remote-cache rides behind the local cache tiers; "
-                "drop --no-cache to use it"
-            )
-        cache = None
-    else:
-        if args.cache_size <= 0:
-            raise ReproError(
-                f"--cache-size must be positive, got {args.cache_size} "
-                "(use --no-cache to disable caching)"
-            )
-        remote_token = None
-        if args.auth_token_file is not None:
-            remote_token = _read_token_file(args.auth_token_file)
-        cache = build_cache(
-            memory_size=args.cache_size,
-            disk_dir=args.cache_dir,
-            remote=args.remote_cache,
-            remote_auth_token=remote_token,
+    if args.no_cache and args.remote_cache is not None:
+        raise ReproError(
+            "--remote-cache rides behind the local cache tiers; "
+            "drop --no-cache to use it"
         )
+    cache = _cache_from_args(args, remote=args.remote_cache)
     metrics = None
     if args.metrics is not None:
-        from repro.obs.metrics import MetricsRegistry
-
         metrics = MetricsRegistry()
         if cache is not None:
             cache.bind_metrics(metrics)
     executor = _executor_from_args(args)
-    tracer = None
-    if args.trace is not None:
-        from repro.obs.trace import Tracer
-
-        tracer = Tracer(args.trace)
+    tracer = Tracer(args.trace) if args.trace is not None else None
     shard = parse_shard(args.shard) if args.shard is not None else None
     observers, event_log = _watch_observers(args)
     service = MatchingService(
@@ -406,64 +519,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Daemon commands
+# Servers and their clients
 # ---------------------------------------------------------------------------
-def _read_token_file(path: str) -> str:
-    """The shared secret from an --auth-token-file, stripped."""
-    try:
-        token = Path(path).read_text(encoding="utf-8").strip()
-    except OSError as error:
-        raise ReproError(f"cannot read --auth-token-file: {error}") from None
-    if not token:
-        raise ReproError(f"--auth-token-file {path} holds no token")
-    return token
-
-
-def _daemon_client(args: argparse.Namespace) -> DaemonClient:
-    """Build a client from the shared daemon-address flags."""
-    token = None
-    if getattr(args, "auth_token_file", None) is not None:
-        token = _read_token_file(args.auth_token_file)
-    if args.socket is not None:
-        return DaemonClient(
-            socket_path=args.socket, timeout=args.timeout, auth_token=token
-        )
-    if args.host is not None:
-        if args.port is None:
-            raise ReproError("--host needs --port")
-        return DaemonClient(
-            host=args.host, port=args.port, timeout=args.timeout,
-            auth_token=token,
-        )
-    if args.address_file is not None:
-        try:
-            address = Path(args.address_file).read_text(encoding="utf-8").strip()
-        except OSError as error:
-            raise ReproError(f"cannot read --address-file: {error}") from None
-        return DaemonClient.from_address(
-            address, timeout=args.timeout, auth_token=token
-        )
-    raise ReproError(
-        "name the daemon with --socket PATH, --host/--port, or --address-file"
-    )
-
-
-def _watch_observers(args: argparse.Namespace) -> tuple[list, EventLogObserver | None]:
-    """The observers a waiting submit/watch wires up, like ``repro run``."""
-    observers: list = []
-    event_log = None
-    if args.progress is not None:
-        if args.progress <= 0:
-            raise ReproError(
-                f"--progress cadence must be positive, got {args.progress}"
-            )
-        observers.append(ProgressObserver(every=args.progress))
-    if args.events is not None:
-        event_log = EventLogObserver(args.events)
-        observers.append(event_log)
-    return observers, event_log
-
-
 def _watch_run(client: DaemonClient, run_id: str, args: argparse.Namespace) -> int:
     """Subscribe to a run, forward events to observers, map state to exit code.
 
@@ -493,85 +550,39 @@ def _watch_run(client: DaemonClient, run_id: str, args: argparse.Namespace) -> i
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.no_cache:
-        cache = None
-    else:
-        if args.cache_size <= 0:
-            raise ReproError(
-                f"--cache-size must be positive, got {args.cache_size} "
-                "(use --no-cache to disable caching)"
-            )
-        cache = build_cache(
-            memory_size=args.cache_size,
-            disk_dir=args.cache_dir,
-        )
-    executor = _executor_from_args(args)
-    if args.socket is None and args.host is None:
-        args.socket = str(Path(args.store_dir) / "daemon.sock")
-    token = None
-    if args.auth_token_file is not None:
-        token = _read_token_file(args.auth_token_file)
+    # The local cache is the daemon's own; --remote-cache is mounted per
+    # run (alone under --no-cache), so it stays out of _cache_from_args.
     daemon = MatchingDaemon(
         _config_from_args(args),
         store_dir=args.store_dir,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        cache=cache,
-        executor=executor,
+        cache=_cache_from_args(args),
+        executor=_executor_from_args(args),
         verify=args.verify,
         max_queued=args.max_queued,
-        auth_token=token,
-        insecure=args.insecure,
         remote_cache=args.remote_cache,
+        **_listener(args, Path(args.store_dir) / "daemon.sock"),
     )
-    daemon.start()
-    print(f"listening on {daemon.address} (store dir: {daemon.store_dir})")
-    if args.address_file is not None:
-        Path(args.address_file).write_text(daemon.address + "\n", encoding="utf-8")
-    try:
-        daemon.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        daemon.stop()
-    print("daemon stopped")
-    return 0
+    return _serve_until_stopped(
+        daemon,
+        args,
+        lambda address: f"listening on {address} (store dir: {daemon.store_dir})",
+        "daemon stopped",
+    )
 
 
 def _cmd_cache_server(args: argparse.Namespace) -> int:
     from repro.cachenet import CacheServer
 
-    if args.cache_size <= 0:
-        raise ReproError(
-            f"--cache-size must be positive, got {args.cache_size}"
-        )
-    cache = build_cache(memory_size=args.cache_size, disk_dir=args.cache_dir)
-    token = None
-    if args.auth_token_file is not None:
-        token = _read_token_file(args.auth_token_file)
-    if args.socket is None and args.host is None:
-        args.socket = str(
-            Path(args.cache_dir) / "cache.sock"
-            if args.cache_dir
-            else Path("cache.sock")
-        )
+    cache = _cache_from_args(args)
     server = CacheServer(
-        cache,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        auth_token=token,
-        insecure=args.insecure,
+        cache, **_listener(args, Path(args.cache_dir or ".") / "cache.sock")
     )
-    server.start()
-    print(f"cache server listening on {server.address}")
-    if args.address_file is not None:
-        Path(args.address_file).write_text(server.address + "\n", encoding="utf-8")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        server.stop()
-    print("cache server stopped")
-    return 0
+    return _serve_until_stopped(
+        server,
+        args,
+        lambda address: f"cache server listening on {address}",
+        "cache server stopped",
+    )
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -617,50 +628,43 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     if args.action == "cancel" and args.run_id is None:
         raise ReproError("cancel needs a RUN_ID")
     with _daemon_client(args) as client:
-        if args.action == "ping":
-            response = client.ping()
-        elif args.action == "status":
-            response = client.status(args.run_id)
-        elif args.action == "stats":
-            response = client.stats()
-        elif args.action == "metrics":
-            response = client.metrics()
-        elif args.action == "cancel":
-            response = client.cancel(args.run_id)
-        else:  # shutdown (argparse restricts the choices)
-            response = client.shutdown()
+        # argparse restricts the action to the client's request methods.
+        request = getattr(client, args.action)
+        if args.action in ("status", "cancel"):
+            response = request(args.run_id)
+        else:
+            response = request()
     print(json.dumps(response, indent=2, sort_keys=True))
     return 0
 
 
-def _fleet_coordinator(args: argparse.Namespace, observers, metrics):
+def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import FleetCoordinator
 
+    if args.action == "run" and args.manifest is None:
+        raise ReproError("fleet run needs a MANIFEST")
     if not args.peer:
         raise ReproError("fleet needs at least one --peer HOST:PORT")
-    token = None
-    if args.auth_token_file is not None:
-        token = _read_token_file(args.auth_token_file)
-    return FleetCoordinator(
-        args.peer,
-        work_dir=args.work_dir,
-        auth_token=token,
-        observers=observers,
-        metrics=metrics,
-        heartbeat_s=args.heartbeat,
-        hang_timeout_s=args.hang_timeout,
-        max_attempts=args.max_attempts,
-        timeout=args.timeout,
-        remote_cache=args.remote_cache,
-    )
+    token = _auth_token(args)
 
+    def coordinator(observers=(), metrics=None) -> FleetCoordinator:
+        return FleetCoordinator(
+            args.peer,
+            work_dir=args.work_dir,
+            auth_token=token,
+            observers=observers,
+            metrics=metrics,
+            heartbeat_s=args.heartbeat,
+            hang_timeout_s=args.hang_timeout,
+            max_attempts=args.max_attempts,
+            timeout=args.timeout,
+            remote_cache=args.remote_cache,
+        )
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.action != "run":
         # peers: one health probe per registered worker.  status: the
         # probes plus each healthy worker's stats frame, as one JSON doc.
-        coordinator = _fleet_coordinator(args, [], None)
-        probes = coordinator.check_peers()
+        probes = coordinator().check_peers()
         if args.action == "peers":
             for probe in probes:
                 state = "healthy" if probe["healthy"] else (
@@ -668,9 +672,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 )
                 print(f"{probe['address']}: {state}")
         else:
-            token = None
-            if args.auth_token_file is not None:
-                token = _read_token_file(args.auth_token_file)
             for probe in probes:
                 if not probe["healthy"]:
                     continue
@@ -688,19 +689,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print(json.dumps({"peers": probes}, indent=2, sort_keys=True))
         return 0 if all(probe["healthy"] for probe in probes) else 1
 
-    if args.manifest is None:
-        raise ReproError("fleet run needs a MANIFEST")
     observers, event_log = _watch_observers(args)
-    metrics = None
-    if args.metrics is not None:
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    coordinator = _fleet_coordinator(args, observers, metrics)
+    metrics = MetricsRegistry() if args.metrics is not None else None
+    fleet = coordinator(observers, metrics)
     try:
-        report = coordinator.run(
-            args.manifest, seed=args.seed, output=args.output
-        )
+        report = fleet.run(args.manifest, seed=args.seed, output=args.output)
     finally:
         if event_log is not None:
             event_log.close()
@@ -780,9 +773,190 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint import (
+        lint_project,
+        load_baseline,
+        render,
+        render_text,
+        write_baseline,
+    )
+
+    root = Path(args.root)
+    paths = [Path(item) for item in args.paths] or None
+    baseline_path = (
+        Path(args.baseline) if args.baseline else root / "lint-baseline.json"
+    )
+    baseline = frozenset()
+    if (
+        not args.no_baseline
+        and not args.write_baseline
+        and (args.baseline or baseline_path.exists())
+    ):
+        baseline = load_baseline(baseline_path)
+    report = lint_project(root, baseline=baseline, paths=paths)
+    if args.write_baseline:
+        write_baseline(baseline_path, report.findings)
+        print(f"wrote {baseline_path} ({len(report.findings)} findings)")
+        return 0
+    output = render(report, args.format)
+    if args.output:
+        Path(args.output).write_text(output + "\n", encoding="utf-8")
+        print(render_text(report))
+    else:
+        print(output)
+    return report.exit_code
+
+
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: one registering helper per flag group that several commands share
 # ---------------------------------------------------------------------------
+def _add_policy_flags(
+    sub: argparse.ArgumentParser, *, equivalence: bool = True, seed: bool = True
+) -> None:
+    """How a pair is matched: --equivalence, --epsilon, --seed, --no-quantum.
+
+    Commands whose pairs carry their own class (``run``, ``serve``) take no
+    ``--equivalence``; ``fingerprint`` and ``serve`` take no ``--seed``.
+    """
+    if equivalence:
+        sub.add_argument(
+            "--equivalence", "-e", default="NP-I", help="X-Y class (default NP-I)"
+        )
+    sub.add_argument("--epsilon", type=float, default=1e-3)
+    if seed:
+        sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument(
+        "--no-quantum",
+        action="store_true",
+        help="disallow the simulated quantum matchers",
+    )
+
+
+def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
+    """What the matcher may spend: --with-inverse, --budget."""
+    sub.add_argument(
+        "--with-inverse",
+        action="store_true",
+        help="grant the matcher inverse-circuit access (Table 1 left column)",
+    )
+    sub.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        metavar="N",
+        help="hard per-oracle query budget (QueryBudgetExceededError beyond)",
+    )
+
+
+def _add_fingerprint_flags(sub: argparse.ArgumentParser) -> None:
+    """How cache keys identify an oracle: --fingerprint, --probe-count."""
+    sub.add_argument(
+        "--fingerprint",
+        choices=FINGERPRINT_SCHEMES,
+        default="auto",
+        help="oracle-identity scheme cache keys use: auto (exact up "
+        "to 14 lines, sampled probes beyond), exact, or probe",
+    )
+    sub.add_argument(
+        "--probe-count", type=int, default=64, metavar="N",
+        help="probes per sampled-probe fingerprint (default 64; "
+        "0 disables the probe tier in auto mode)",
+    )
+
+
+def _add_execution_flags(sub: argparse.ArgumentParser) -> None:
+    """How a run's fresh pairs execute: --workers, --verify."""
+    sub.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="process-pool size per run (1 = serial, the default)",
+    )
+    sub.add_argument(
+        "--verify", action="store_true",
+        help="exhaustively verify the witnesses of freshly executed pairs",
+    )
+
+
+def _add_cache_flags(sub: argparse.ArgumentParser, *, optional: bool = True) -> None:
+    """The local result cache: --cache-size, --cache-dir, and --no-cache if optional."""
+    if optional:
+        sub.add_argument(
+            "--no-cache", action="store_true",
+            help="disable the local result cache",
+        )
+    sub.add_argument(
+        "--cache-size", type=int, default=4096, metavar="N",
+        help="in-memory LRU capacity in results (default 4096)",
+    )
+    sub.add_argument(
+        "--cache-dir", metavar="DIR",
+        help="persist the result cache on disk, so later runs and "
+        "restarts reuse it",
+    )
+
+
+def _add_listener_flags(sub: argparse.ArgumentParser, default_socket: str) -> None:
+    """Where a server listens and whom it admits."""
+    sub.add_argument(
+        "--socket", metavar="PATH",
+        help=f"listen on this Unix socket (default {default_socket})",
+    )
+    sub.add_argument("--host", help="listen on TCP at this host instead")
+    sub.add_argument(
+        "--port", type=int, default=0,
+        help="TCP port (with --host; 0 = pick a free one)",
+    )
+    sub.add_argument(
+        "--address-file", metavar="PATH",
+        help="write the bound address here once the server answers",
+    )
+    sub.add_argument(
+        "--auth-token-file", metavar="PATH",
+        help="require clients to present this file's shared secret in an "
+        "'auth' handshake (mandatory for non-loopback --host binds)",
+    )
+    sub.add_argument(
+        "--insecure", action="store_true",
+        help="serve on a non-loopback --host without an auth token "
+        "(refused otherwise)",
+    )
+
+
+def _add_daemon_address_flags(sub: argparse.ArgumentParser) -> None:
+    """Which daemon a client talks to."""
+    sub.add_argument(
+        "--socket", metavar="PATH", help="Unix socket the daemon listens on"
+    )
+    sub.add_argument("--host", help="TCP host the daemon listens on")
+    sub.add_argument("--port", type=int, help="TCP port (with --host)")
+    sub.add_argument(
+        "--address-file", metavar="PATH",
+        help="file holding the daemon address (written by 'repro serve')",
+    )
+    sub.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="socket timeout (default: block forever)",
+    )
+    sub.add_argument(
+        "--auth-token-file", metavar="PATH",
+        help="file holding the daemon's shared secret (sent as an "
+        "'auth' handshake right after connecting)",
+    )
+
+
+def _add_observer_flags(sub: argparse.ArgumentParser) -> None:
+    """What a run reports as it goes: --progress, --events."""
+    sub.add_argument(
+        "--progress", type=int, nargs="?", const=1, default=None, metavar="N",
+        help="print a progress line every N finished pairs "
+        "(default quiet; bare --progress means every pair)",
+    )
+    sub.add_argument(
+        "--events", metavar="PATH",
+        help="append every lifecycle event to a JSONL log file",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -798,54 +972,11 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--ascii", action="store_true", help="pure-ASCII glyphs")
     info.set_defaults(handler=_cmd_info)
 
-    def add_matching_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--equivalence", "-e", default="NP-I", help="X-Y class (default NP-I)"
-        )
-        sub.add_argument("--epsilon", type=float, default=1e-3)
-        sub.add_argument("--seed", type=int, default=None)
-        sub.add_argument(
-            "--no-quantum",
-            action="store_true",
-            help="disallow the simulated quantum matchers",
-        )
-
-    def add_matching_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("circuit1", help="path to C1")
-        sub.add_argument("circuit2", help="path to C2")
-        add_matching_options(sub)
-
-    def add_engine_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--with-inverse",
-            action="store_true",
-            help="grant the matcher inverse-circuit access (Table 1 left column)",
-        )
-        sub.add_argument(
-            "--budget",
-            type=int,
-            default=None,
-            metavar="N",
-            help="hard per-oracle query budget (QueryBudgetExceededError beyond)",
-        )
-
-    def add_fingerprint_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--fingerprint",
-            choices=FINGERPRINT_SCHEMES,
-            default="auto",
-            help="oracle-identity scheme cache keys use: auto (exact up "
-            "to 14 lines, sampled probes beyond), exact, or probe",
-        )
-        sub.add_argument(
-            "--probe-count", type=int, default=64, metavar="N",
-            help="probes per sampled-probe fingerprint (default 64; "
-            "0 disables the probe tier in auto mode)",
-        )
-
     matcher = subparsers.add_parser("match", help="run a promise matcher")
-    add_matching_arguments(matcher)
-    add_engine_arguments(matcher)
+    matcher.add_argument("circuit1", help="path to C1")
+    matcher.add_argument("circuit2", help="path to C2")
+    _add_policy_flags(matcher)
+    _add_engine_flags(matcher)
     matcher.add_argument(
         "--verify", action="store_true", help="exhaustively verify the witnesses"
     )
@@ -865,8 +996,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     many.add_argument("manifest", help="path to the circuit-pair manifest")
-    add_matching_options(many)
-    add_engine_arguments(many)
+    _add_policy_flags(many)
+    _add_engine_flags(many)
     many.set_defaults(handler=_cmd_match_many)
 
     corpus = subparsers.add_parser(
@@ -913,10 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         "manifest", help="path to a manifest.json or a corpus directory"
     )
     runner.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="process-pool size (1 = serial, the default)",
-    )
-    runner.add_argument(
         "--store", metavar="PATH",
         help="JSONL result store to stream records to (required for --resume)",
     )
@@ -929,15 +1056,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the pairs of shard I of N (deterministic partition "
         "by pair id; union the shard stores with 'repro merge')",
     )
-    runner.add_argument(
-        "--progress", type=int, nargs="?", const=1, default=None, metavar="N",
-        help="print a progress line every N finished pairs "
-        "(default quiet; bare --progress means every pair)",
-    )
-    runner.add_argument(
-        "--events", metavar="PATH",
-        help="append every lifecycle event to a JSONL log file",
-    )
+    _add_execution_flags(runner)
+    _add_observer_flags(runner)
     runner.add_argument(
         "--metrics", metavar="PATH",
         help="write a repro-metrics/v1 JSON snapshot of the run's counters",
@@ -947,43 +1067,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="append per-stage spans (fingerprint, cache probe, match, "
         "store append) to a JSONL span log",
     )
-    runner.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the in-memory result cache",
-    )
-    runner.add_argument(
-        "--cache-size", type=int, default=4096, metavar="N",
-        help="in-memory LRU capacity in results (default 4096)",
-    )
-    runner.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="persist the result cache on disk so later runs can reuse it",
-    )
+    _add_cache_flags(runner)
     runner.add_argument(
         "--remote-cache", metavar="ADDR",
         help="shared cache server behind the local tiers (unix:<path> or "
         "tcp:<host>:<port>, from 'repro cache-server'); a dead server "
-        "degrades to local-only, never fails the run",
+        "degrades to local-only, never fails the run; refused with "
+        "--no-cache",
     )
     runner.add_argument(
         "--auth-token-file", metavar="PATH",
         help="file holding the --remote-cache server's shared secret",
     )
-    runner.add_argument(
-        "--verify", action="store_true",
-        help="exhaustively verify the witnesses of freshly executed pairs",
-    )
-    # The promised class per pair comes from the manifest, so `run` takes
-    # the matching flags minus --equivalence.
-    runner.add_argument("--epsilon", type=float, default=1e-3)
-    runner.add_argument("--seed", type=int, default=None)
-    runner.add_argument(
-        "--no-quantum",
-        action="store_true",
-        help="disallow the simulated quantum matchers",
-    )
-    add_engine_arguments(runner)
-    add_fingerprint_arguments(runner)
+    # The promised class per pair comes from the manifest.
+    _add_policy_flags(runner, equivalence=False)
+    _add_engine_flags(runner)
+    _add_fingerprint_flags(runner)
     runner.set_defaults(handler=_cmd_run)
 
     merger = subparsers.add_parser(
@@ -1041,7 +1140,8 @@ def build_parser() -> argparse.ArgumentParser:
             "key fragment; with two files, also the full pair cache key.  "
             "The debugging tool for 'why was this pair a cache miss?' — "
             "two runs hit the same cache entry exactly when this command "
-            "prints the same pair key for both."
+            "prints the same pair key for both.  The key covers the class "
+            "and every matching flag."
         ),
     )
     printer.add_argument("circuit1", help="path to a .real or .qasm file")
@@ -1049,17 +1149,9 @@ def build_parser() -> argparse.ArgumentParser:
         "circuit2", nargs="?", default=None,
         help="optional second circuit: print the pair's full cache key",
     )
-    printer.add_argument(
-        "--equivalence", "-e", default="NP-I",
-        help="X-Y class of the pair key (default NP-I)",
-    )
-    printer.add_argument("--epsilon", type=float, default=1e-3)
-    printer.add_argument(
-        "--no-quantum", action="store_true",
-        help="disallow the simulated quantum matchers (part of the key)",
-    )
-    add_engine_arguments(printer)
-    add_fingerprint_arguments(printer)
+    _add_policy_flags(printer, seed=False)
+    _add_engine_flags(printer)
+    _add_fingerprint_flags(printer)
     printer.set_defaults(handler=_cmd_fingerprint)
 
     cache_admin = subparsers.add_parser(
@@ -1101,69 +1193,11 @@ def build_parser() -> argparse.ArgumentParser:
             "host computes become cache hits on every other."
         ),
     )
-    cache_server.add_argument(
-        "--socket", metavar="PATH",
-        help="listen on this Unix socket (default ./cache.sock, or "
-        "<cache-dir>/cache.sock with --cache-dir)",
+    _add_listener_flags(
+        cache_server, "./cache.sock, or <cache-dir>/cache.sock with --cache-dir"
     )
-    cache_server.add_argument("--host", help="listen on TCP at this host instead")
-    cache_server.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (with --host; 0 = pick a free one)",
-    )
-    cache_server.add_argument(
-        "--address-file", metavar="PATH",
-        help="write the bound address here (what --remote-cache consumers read)",
-    )
-    cache_server.add_argument(
-        "--auth-token-file", metavar="PATH",
-        help="require clients to present this file's shared secret in an "
-        "'auth' handshake (mandatory for non-loopback --host binds)",
-    )
-    cache_server.add_argument(
-        "--insecure", action="store_true",
-        help="serve on a non-loopback --host without an auth token "
-        "(refused otherwise)",
-    )
-    cache_server.add_argument(
-        "--cache-size", type=int, default=4096, metavar="N",
-        help="in-memory LRU capacity in results (default 4096)",
-    )
-    cache_server.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="persist the served cache on disk (survives server restarts)",
-    )
+    _add_cache_flags(cache_server, optional=False)
     cache_server.set_defaults(handler=_cmd_cache_server)
-
-    def add_daemon_address(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--socket", metavar="PATH", help="Unix socket the daemon listens on"
-        )
-        sub.add_argument("--host", help="TCP host the daemon listens on")
-        sub.add_argument("--port", type=int, help="TCP port (with --host)")
-        sub.add_argument(
-            "--address-file", metavar="PATH",
-            help="file holding the daemon address (written by 'repro serve')",
-        )
-        sub.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="socket timeout (default: block forever)",
-        )
-        sub.add_argument(
-            "--auth-token-file", metavar="PATH",
-            help="file holding the daemon's shared secret (sent as an "
-            "'auth' handshake right after connecting)",
-        )
-
-    def add_watch_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--progress", type=int, nargs="?", const=1, default=None, metavar="N",
-            help="print a progress line every N finished pairs",
-        )
-        sub.add_argument(
-            "--events", metavar="PATH",
-            help="append every received lifecycle event to a JSONL log file",
-        )
 
     server = subparsers.add_parser(
         "serve",
@@ -1183,65 +1217,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir", default="./daemon-runs", metavar="DIR",
         help="directory for per-run result stores (default ./daemon-runs)",
     )
-    server.add_argument(
-        "--socket", metavar="PATH",
-        help="listen on this Unix socket (default <store-dir>/daemon.sock)",
-    )
-    server.add_argument("--host", help="listen on TCP at this host instead")
-    server.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (with --host; 0 = pick a free one)",
-    )
-    server.add_argument(
-        "--address-file", metavar="PATH",
-        help="write the bound address here (what clients' --address-file reads)",
-    )
-    server.add_argument(
-        "--auth-token-file", metavar="PATH",
-        help="require clients to present this file's shared secret in an "
-        "'auth' handshake (mandatory for non-loopback --host binds)",
-    )
-    server.add_argument(
-        "--insecure", action="store_true",
-        help="serve on a non-loopback --host without an auth token "
-        "(refused otherwise)",
-    )
+    _add_listener_flags(server, "<store-dir>/daemon.sock")
     server.add_argument(
         "--max-queued", type=int, default=16, metavar="N",
         help="bound on waiting jobs; submits beyond it are rejected",
     )
-    server.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="process-pool size per run (1 = serial with a warm engine)",
-    )
-    server.add_argument(
-        "--cache-size", type=int, default=4096, metavar="N",
-        help="in-memory LRU capacity in results (default 4096)",
-    )
-    server.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="persist the shared result cache on disk",
-    )
-    server.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared result cache entirely",
-    )
+    _add_execution_flags(server)
+    _add_cache_flags(server)
     server.add_argument(
         "--remote-cache", metavar="ADDR",
         help="default shared cache server for submissions that name none "
-        "(the submit frame's remote_cache field overrides per run)",
+        "(the submit frame's remote_cache field overrides per run); "
+        "with --no-cache it is the only tier",
     )
-    server.add_argument(
-        "--verify", action="store_true",
-        help="exhaustively verify the witnesses of freshly executed pairs",
-    )
-    server.add_argument("--epsilon", type=float, default=1e-3)
-    server.add_argument(
-        "--no-quantum", action="store_true",
-        help="disallow the simulated quantum matchers",
-    )
-    add_engine_arguments(server)
-    add_fingerprint_arguments(server)
+    _add_policy_flags(server, equivalence=False, seed=False)
+    _add_engine_flags(server)
+    _add_fingerprint_flags(server)
     server.set_defaults(handler=_cmd_serve)
 
     submit = subparsers.add_parser(
@@ -1278,8 +1269,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--wait", action="store_true",
         help="wait for the run and mirror its outcome in the exit code",
     )
-    add_watch_options(submit)
-    add_daemon_address(submit)
+    _add_observer_flags(submit)
+    _add_daemon_address_flags(submit)
     submit.set_defaults(handler=_cmd_submit)
 
     watcher = subparsers.add_parser(
@@ -1297,8 +1288,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-replay", action="store_true",
         help="live events only; do not replay history",
     )
-    add_watch_options(watcher)
-    add_daemon_address(watcher)
+    _add_observer_flags(watcher)
+    _add_daemon_address_flags(watcher)
     watcher.set_defaults(handler=_cmd_watch)
 
     admin = subparsers.add_parser(
@@ -1317,7 +1308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run_id", nargs="?",
         help="run id (required for cancel, optional for status)",
     )
-    add_daemon_address(admin)
+    _add_daemon_address_flags(admin)
     admin.set_defaults(handler=_cmd_daemon)
 
     fleet = subparsers.add_parser(
@@ -1387,11 +1378,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="PATH",
         help="write a repro-metrics/v1 snapshot of the fleet counters",
     )
-    add_watch_options(fleet)
+    _add_observer_flags(fleet)
     fleet.set_defaults(handler=_cmd_fleet)
 
     decider = subparsers.add_parser("decide", help="non-promise decision")
-    add_matching_arguments(decider)
+    decider.add_argument("circuit1", help="path to C1")
+    decider.add_argument("circuit2", help="path to C2")
+    _add_policy_flags(decider)
     decider.add_argument(
         "--brute-force",
         action="store_true",
@@ -1452,51 +1445,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        lint_project,
-        load_baseline,
-        render,
-        render_text,
-        write_baseline,
-    )
-
-    root = Path(args.root)
-    paths = [Path(item) for item in args.paths] or None
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / "lint-baseline.json"
-    )
-    baseline = frozenset()
-    if (
-        not args.no_baseline
-        and not args.write_baseline
-        and (args.baseline or baseline_path.exists())
-    ):
-        baseline = load_baseline(baseline_path)
-    report = lint_project(root, baseline=baseline, paths=paths)
-    if args.write_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(f"wrote {baseline_path} ({len(report.findings)} findings)")
-        return 0
-    output = render(report, args.format)
-    if args.output:
-        Path(args.output).write_text(output + "\n", encoding="utf-8")
-        print(render_text(report))
-    else:
-        print(output)
-    return report.exit_code
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as error:
+    except (ReproError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

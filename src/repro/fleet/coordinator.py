@@ -52,7 +52,7 @@ from repro.service.events import (
     event_from_dict,
 )
 from repro.service.pipeline import merge_stores
-from repro.service.workload import MANIFEST_NAME, CorpusManifest
+from repro.service.workload import CorpusManifest, resolve_manifest
 
 __all__ = [
     "FleetCoordinator",
@@ -204,7 +204,9 @@ class FleetCoordinator:
             shard submission names; each worker mounts it behind its
             local cache tiers, so results computed by one worker are
             cache hits on the rest.  Must resolve from the workers'
-            hosts.  Optional.
+            hosts.  Optional; a malformed address raises
+            :class:`~repro.exceptions.DaemonError` before any peer is
+            contacted.
     """
 
     def __init__(
@@ -227,6 +229,10 @@ class FleetCoordinator:
             raise FleetError("heartbeat and hang timeouts must be positive")
         if max_attempts <= 0:
             raise FleetError(f"max_attempts must be positive, got {max_attempts}")
+        if remote_cache is not None:
+            # Refuse a garbled address here: every worker would otherwise
+            # reject the submit and be marked dead for it.
+            DaemonClient.from_address(remote_cache)
         self._peers = [FleetPeer(address) for address in peers]
         self._work_dir = Path(work_dir)
         self._work_dir.mkdir(parents=True, exist_ok=True)
@@ -317,9 +323,7 @@ class FleetCoordinator:
         directory for inspection.
         """
         started = time.monotonic()
-        manifest_path = Path(manifest)
-        if manifest_path.is_dir():
-            manifest_path = manifest_path / MANIFEST_NAME
+        manifest_path = resolve_manifest(manifest)
         if not manifest_path.exists():
             raise FleetError(f"manifest not found: {manifest}")
         total = len(CorpusManifest.load(manifest_path).entries)

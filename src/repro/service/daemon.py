@@ -60,7 +60,7 @@ from repro.service.events import Observer, event_from_dict, matched
 from repro.service.executor import Executor, SerialExecutor
 from repro.service.framed import MAX_FRAME_CHARS, FramedServer, Session
 from repro.service.pipeline import MatchingService, ResultStore, parse_shard
-from repro.service.workload import MANIFEST_NAME
+from repro.service.workload import resolve_manifest
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -508,9 +508,7 @@ class MatchingDaemon(FramedServer):
             except DaemonError as error:
                 return self._error(str(error))
         if manifest is not None:
-            path = Path(manifest)
-            if path.is_dir():
-                path = path / MANIFEST_NAME
+            path = resolve_manifest(manifest)
             if not path.exists():
                 return self._error(f"manifest not found: {manifest}")
             manifest = str(path)

@@ -73,7 +73,7 @@ from repro.service.fingerprint import (
     effective_inverse,
     pair_key,
 )
-from repro.service.workload import MANIFEST_NAME, CorpusManifest
+from repro.service.workload import CorpusManifest, resolve_manifest
 
 __all__ = [
     "ResultStore",
@@ -967,9 +967,7 @@ class MatchingService:
                 :func:`merge_stores`.
         """
         if isinstance(manifest, (str, Path)):
-            path = Path(manifest)
-            if path.is_dir():
-                path = path / MANIFEST_NAME
+            path = resolve_manifest(manifest)
             if root is None:
                 root = path.parent
             manifest = CorpusManifest.load(path)

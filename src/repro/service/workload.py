@@ -65,6 +65,7 @@ __all__ = [
     "wide_classes",
     "generate_corpus",
     "load_entry_circuits",
+    "resolve_manifest",
 ]
 
 MANIFEST_FORMAT = "repro-corpus/v1"
@@ -228,6 +229,12 @@ class CorpusManifest:
         if not isinstance(data, dict):
             raise ServiceError(f"{path}: manifest must be a JSON object")
         return cls.from_dict(data)
+
+
+def resolve_manifest(manifest: str | Path) -> Path:
+    """The manifest file ``manifest`` names: a directory means its ``manifest.json``."""
+    path = Path(manifest)
+    return path / MANIFEST_NAME if path.is_dir() else path
 
 
 def tractable_classes() -> tuple[EquivalenceType, ...]:

@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.exceptions import FleetError
+from repro.exceptions import DaemonError, FleetError
 from repro.fleet import FleetCoordinator, FleetPeer, normalize_peer
 from repro.obs.metrics import MetricsRegistry
 from repro.service import MatchingDaemon, StatsObserver, generate_corpus
@@ -85,6 +85,12 @@ class TestConstruction:
     def test_max_attempts_must_be_positive(self, tmp_path):
         with pytest.raises(FleetError, match="max_attempts"):
             FleetCoordinator(["h:1"], work_dir=tmp_path, max_attempts=0)
+
+    def test_garbled_remote_cache_is_refused(self, tmp_path):
+        # Unchecked, every worker would refuse each shard's submit and be
+        # marked dead for it, hiding the fault behind "no healthy peers".
+        with pytest.raises(DaemonError, match="not a daemon address"):
+            FleetCoordinator(["h:1"], work_dir=tmp_path, remote_cache="cache-host")
 
 
 class TestCheckPeers:

@@ -886,6 +886,34 @@ class TestRemoteCacheFlags:
         )
         assert args.remote_cache == "unix:c.sock"
 
+    def test_fleet_run_refuses_a_garbled_remote_cache(self, tmp_path, capsys):
+        """The address error is reported, not blamed on a healthy worker."""
+        from repro.service import MatchingDaemon
+
+        corpus = tmp_path / "corpus"
+        main(
+            ["corpus", str(corpus), "--classes", "I-N", "--families",
+             "random", "--seed", "1"]
+        )
+        capsys.readouterr()
+        worker = MatchingDaemon(
+            store_dir=tmp_path / "worker", socket_path=tmp_path / "w.sock",
+            cache=None,
+        )
+        worker.start()
+        try:
+            code = main(
+                ["fleet", "run", str(corpus), "--peer", worker.address,
+                 "--work-dir", str(tmp_path / "fleet"),
+                 "--remote-cache", "cache-host"]
+            )
+        finally:
+            worker.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not a daemon address: 'cache-host'" in err
+        assert "no healthy peers" not in err
+
     def test_warm_rerun_through_a_cache_server_executes_nothing(
         self, tmp_path, capsys
     ):
