@@ -240,7 +240,8 @@ def test_wide_probe_cached_vs_cold(
     the cold run loaded — the hits are earned by probe fingerprints, not
     object identity or file bytes.  One more warm run with the memo left
     warm must then parse and fingerprint nothing, and, once the memo's
-    clock is past the racy window, open no circuit file.  Also writes the
+    clock is past the racy window, open no file: no circuit and no
+    manifest.  Also writes the
     per-scheme cache hit-rate JSON and the metrics snapshot CI uploads,
     plus the cold/warm stores `repro report` gates over.
     """
@@ -335,8 +336,9 @@ def test_wide_probe_cached_vs_cold(
     assert memo_warm.cache_hits == memo_warm.total and calls == []
 
     # Past the racy window, one stat per file answers it: a rerun (which
-    # re-records any digest taken inside the window) and then a counted
-    # rerun that must open no circuit file.
+    # re-records any digest or manifest parse taken inside the window)
+    # and then a counted rerun that must open no file at all, neither a
+    # circuit nor the manifest.
     monkeypatch.setattr(
         fingerprint_module, "_clock",
         lambda: time.time_ns() + 10 * fingerprint_module.RACY_WINDOW_NS,
@@ -355,7 +357,7 @@ def test_wide_probe_cached_vs_cold(
     )
     monkeypatch.setattr(builtins, "open", original_open)
     assert stat_warm.cache_hits == stat_warm.total and calls == []
-    assert [path for path in opened if path.endswith(".real")] == []
+    assert opened == []
 
 
 #: CI gate: bitsliced probe digests must be at least this much faster

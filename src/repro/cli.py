@@ -227,8 +227,12 @@ def _listener(args: argparse.Namespace, default_socket: Path) -> dict:
     """The server-listener flags as the servers' keyword arguments.
 
     With neither ``--socket`` nor ``--host`` the server listens on
-    ``default_socket``.
+    ``default_socket``; with both it does not start.
     """
+    if args.socket is not None and args.host is not None:
+        raise ReproError(
+            "choose one transport: --socket PATH or --host/--port, not both"
+        )
     socket_path = args.socket
     if socket_path is None and args.host is None:
         socket_path = str(default_socket)
@@ -550,6 +554,7 @@ def _watch_run(client: DaemonClient, run_id: str, args: argparse.Namespace) -> i
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    listener = _listener(args, Path(args.store_dir) / "daemon.sock")
     # The local cache is the daemon's own; --remote-cache is mounted per
     # run (alone under --no-cache), so it stays out of _cache_from_args.
     daemon = MatchingDaemon(
@@ -560,7 +565,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         verify=args.verify,
         max_queued=args.max_queued,
         remote_cache=args.remote_cache,
-        **_listener(args, Path(args.store_dir) / "daemon.sock"),
+        **listener,
     )
     return _serve_until_stopped(
         daemon,
@@ -573,10 +578,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cache_server(args: argparse.Namespace) -> int:
     from repro.cachenet import CacheServer
 
-    cache = _cache_from_args(args)
-    server = CacheServer(
-        cache, **_listener(args, Path(args.cache_dir or ".") / "cache.sock")
-    )
+    listener = _listener(args, Path(args.cache_dir or ".") / "cache.sock")
+    server = CacheServer(_cache_from_args(args), **listener)
     return _serve_until_stopped(
         server,
         args,

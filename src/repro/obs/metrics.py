@@ -5,7 +5,10 @@ export forms: a deterministic ``repro-metrics/v1`` JSON snapshot (every
 key sorted, so two identical runs serialise identically) and a
 Prometheus-style text exposition.  The registry is deliberately passive —
 instrumented code calls ``registry.counter(name).inc(...)`` and nothing
-else; collection, aggregation and export are the caller's business.
+else; collection, aggregation and export are the caller's business.  A
+hot call site binds a child once, ``counter.labels(tier="memory")``, and
+calls its ``inc()``: the same sample, without the name lookup and label
+sort of every ``inc(**labels)``.
 
 Metric names are a closed catalogue: :data:`METRIC_CATALOG` below is the
 single source of truth, and the ``drift-metric-names`` lint rule keeps it
@@ -34,6 +37,8 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsRegistry",
     "Counter",
+    "BoundCounter",
+    "UNCOUNTED",
     "Gauge",
     "Histogram",
 ]
@@ -154,9 +159,19 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, amount: int | float = 1, **labels) -> None:
+        self._add(_label_key(labels), amount)
+
+    def labels(self, **labels) -> "BoundCounter":
+        """The child counting this counter's ``labels`` sample.
+
+        Binding creates no sample: the snapshot shows the label set from
+        the child's first ``inc``, exactly as after ``inc(**labels)``.
+        """
+        return BoundCounter(self, _label_key(labels))
+
+    def _add(self, key: tuple, amount: int | float) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease by {amount}")
-        key = _label_key(labels)
         with self._lock:
             self._samples[key] = self._samples.get(key, 0) + amount
 
@@ -181,6 +196,38 @@ class Counter(_Metric):
             _sample_line(self.name, sample["labels"], sample["value"])
             for sample in self.snapshot_samples()
         ]
+
+
+class BoundCounter:
+    """One label set of a :class:`Counter`, its label key computed once.
+
+    ``counter.labels(**labels).inc(n)`` counts exactly what
+    ``counter.inc(n, **labels)`` counts.  A child belongs to the registry
+    its counter came from: code that rebinds to another registry must
+    bind its children again.
+    """
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: tuple) -> None:
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: int | float = 1) -> None:
+        self._counter._add(self._key, amount)
+
+
+class _Uncounted:
+    """A counter child that counts nothing."""
+
+    __slots__ = ()
+
+    def inc(self, amount: int | float = 1) -> None:
+        return None
+
+
+#: The child code binds where it has no registry to count into.
+UNCOUNTED = _Uncounted()
 
 
 class Gauge(_Metric):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import ServiceError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import UNCOUNTED, BoundCounter, MetricsRegistry
 from repro.service.fingerprint import KEY_PREFIX, scheme_label
 
 __all__ = [
@@ -113,13 +113,16 @@ class ResultCache(ABC):
     see ``docs/observability.md``): a private registry until
     :meth:`bind_metrics` swaps in a shared one.  :attr:`stats` reads
     them back, so caches sharing a registry and a tier label share counts.
+    Each series is counted through a child bound once per registry
+    (:meth:`~repro.obs.metrics.Counter.labels`), so a lookup sorts no
+    labels and looks up no metric name.
     """
 
     metrics_tier = "cache"
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._metrics = MetricsRegistry()
+        self._bind_counters(MetricsRegistry())
         self._metrics_private = True
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
@@ -127,7 +130,8 @@ class ResultCache(ABC):
 
         Counts made while the cache still had its private registry move
         into ``registry``, so binding a used cache neither loses nor
-        double-counts; binding the bound registry again is a no-op.
+        double-counts; binding the bound registry again is a no-op.  The
+        counter children are bound to ``registry`` afresh.
         """
         with self._lock:
             if registry is self._metrics:
@@ -139,20 +143,39 @@ class ResultCache(ABC):
                         registry.counter(name).inc(
                             sample["value"], **sample["labels"]
                         )
-            self._metrics = registry
+            self._bind_counters(registry)
             self._metrics_private = False
+
+    def _bind_counters(self, registry: MetricsRegistry) -> None:
+        """Point this tier's counter children at ``registry``."""
+        tier = self.metrics_tier
+        self._metrics = registry
+        self._hits = registry.counter("repro_cache_hits_total")
+        self._hits_by_scheme: dict[str, BoundCounter] = {}
+        self._misses, self._stores, self._evictions = (
+            registry.counter(f"repro_cache_{event}_total").labels(tier=tier)
+            for event in ("misses", "stores", "evictions")
+        )
+
+    def _hit_label(self, key: str) -> str:
+        """The scheme label a hit on ``key`` counts under: parsed off the key."""
+        return scheme_label(key)
+
+    def _count_hit(self, key: str) -> None:
+        """Count one hit under the scheme label of ``key``."""
+        label = self._hit_label(key)
+        child = self._hits_by_scheme.get(label)
+        if child is None:
+            child = self._hits_by_scheme[label] = self._hits.labels(
+                tier=self.metrics_tier, scheme=label
+            )
+        child.inc()
 
     @property
     def stats(self) -> CacheStats:
         """This tier's counters, read out of its bound registry."""
         with self._lock:
             return CacheStats.from_registry(self._metrics, self.metrics_tier)
-
-    def _inc(self, event: str, **labels) -> None:
-        """Count one ``repro_cache_<event>_total`` under this tier's label."""
-        self._metrics.counter(f"repro_cache_{event}_total").inc(
-            tier=self.metrics_tier, **labels
-        )
 
     @abstractmethod
     def _get(self, key: str) -> dict | None:
@@ -171,20 +194,24 @@ class ResultCache(ABC):
         with self._lock:
             record = self._get(key)
             if record is None:
-                self._inc("misses")
+                self._misses.inc()
             else:
-                self._inc("hits", scheme=scheme_label(key))
+                self._count_hit(key)
             return record
 
     def put(self, key: str, record: dict) -> None:
         """Store ``record`` under ``key``, counting the store."""
         with self._lock:
             self._put(key, record)
-            self._inc("stores")
+            self._stores.inc()
 
 
 class LRUCache(ResultCache):
-    """Bounded in-memory cache with least-recently-used eviction."""
+    """Bounded in-memory cache with least-recently-used eviction.
+
+    Each record is filed with its key's scheme label, parsed once when
+    it is stored, so a hit is counted without parsing its key again.
+    """
 
     metrics_tier = "memory"
 
@@ -193,7 +220,8 @@ class LRUCache(ResultCache):
         if maxsize <= 0:
             raise ValueError(f"LRU cache needs a positive maxsize, got {maxsize}")
         self._maxsize = maxsize
-        self._entries: OrderedDict[str, dict] = OrderedDict()
+        #: key -> (record, scheme label), least recently used first.
+        self._entries: OrderedDict[str, tuple[dict, str]] = OrderedDict()
 
     @property
     def maxsize(self) -> int:
@@ -201,17 +229,21 @@ class LRUCache(ResultCache):
         return self._maxsize
 
     def _get(self, key: str) -> dict | None:
-        record = self._entries.get(key)
-        if record is not None:
-            self._entries.move_to_end(key)
-        return record
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def _hit_label(self, key: str) -> str:
+        return self._entries[key][1]
 
     def _put(self, key: str, record: dict) -> None:
-        self._entries[key] = record
+        self._entries[key] = (record, scheme_label(key))
         self._entries.move_to_end(key)
         while len(self._entries) > self._maxsize:
             self._entries.popitem(last=False)
-            self._inc("evictions")
+            self._evictions.inc()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -334,8 +366,13 @@ class TieredCache(ResultCache):
             ),
         )
 
-    def _inc(self, event: str, **labels) -> None:
-        """Nothing: the member tiers count what they serve."""
+    def _bind_counters(self, registry: MetricsRegistry) -> None:
+        """Count nothing: the member tiers count what they serve."""
+        self._metrics = registry
+        self._misses = self._stores = self._evictions = UNCOUNTED
+
+    def _count_hit(self, key: str) -> None:
+        """Nothing: the member tier that hit counted it."""
 
     @property
     def fast(self) -> ResultCache:

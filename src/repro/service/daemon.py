@@ -468,6 +468,13 @@ class MatchingDaemon(FramedServer):
             return self._error("'store' must be a path string")
         if not isinstance(manifest, (str, type(None))):
             return self._error("'manifest' must be a path string")
+        for name, value in (("manifest", manifest), ("store", store)):
+            if value is not None and "\x00" in value:
+                return self._error(f"'{name}' must not contain a NUL byte")
+        if store and not Path(store).parent.is_dir():
+            return self._error(
+                f"'store' directory does not exist: {Path(store).parent}"
+            )
         if resume and not (store or frame.get("records")):
             # Without an explicit store (or records to pre-seed a fresh
             # one) the run gets an empty store, which would make

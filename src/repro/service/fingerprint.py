@@ -154,9 +154,13 @@ class OracleFingerprint:
     scheme: str = "exact"
     version: int = FP_VERSION
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
-        """The fingerprint rendered as a stable, versioned key fragment."""
+        """The fingerprint rendered as a stable, versioned key fragment.
+
+        Rendered once per fingerprint: the content memo hands a run the
+        same objects it handed the last one.
+        """
         access = "inv" if self.with_inverse else "fwd"
         return (
             f"fp/v{self.version}:{self.num_lines}:{self.scheme}:"
@@ -300,10 +304,9 @@ def content_digest(path: str | os.PathLike) -> str:
     name = os.fspath(path)
     signature = stat_signature(os.stat(name))
     with _content_memo_lock:
-        entry = _stat_memo.get(name)
-        if entry is not None and stat_vouches(signature, entry[0], entry[2]):
-            _stat_memo.move_to_end(name)
-            return entry[1]
+        digest = _vouched_digest(name, signature)
+    if digest is not None:
+        return digest
     recorded = stat_clock()
     with open(name, "rb") as handle:
         signature = stat_signature(os.fstat(handle.fileno()))
@@ -314,6 +317,27 @@ def content_digest(path: str | os.PathLike) -> str:
         while len(_stat_memo) > CONTENT_MEMO_SIZE:
             _stat_memo.popitem(last=False)
     return digest
+
+
+def _vouched_digest(name: str, signature: tuple) -> str | None:
+    """The stat memo's digest of ``name`` if it vouches for ``signature``.
+
+    Call with ``_content_memo_lock`` held.
+    """
+    entry = _stat_memo.get(name)
+    if entry is not None and stat_vouches(signature, entry[0], entry[2]):
+        _stat_memo.move_to_end(name)
+        return entry[1]
+    return None
+
+
+def _memo_lookup(key: tuple) -> "OracleFingerprint | None":
+    """The content memo's fingerprint under ``key``, refreshed as recently
+    used.  Call with ``_content_memo_lock`` held."""
+    found = _content_memo.get(key)
+    if found is not None:
+        _content_memo.move_to_end(key)
+    return found
 
 
 def content_memo_clear() -> None:
@@ -451,15 +475,25 @@ class FingerprintRegistry:
         under its old bytes.  :func:`content_digest` may answer from its
         stat memo, but this memo stays keyed by the bytes' digest, so a
         stale stat entry costs at worst a rehash.  The lock covers only
-        the memo's dict operations, never the reads or the digest.
+        the memo's dict operations, never the reads or the digest.  A file
+        the stat memo vouches for is answered from one ``os.stat`` and one
+        hold of the lock.
         """
-        content = content_digest(path)
-        key = (content, self.fingerprint_scheme, self.probe_count, with_inverse)
+        name = os.fspath(path)
+        signature = stat_signature(os.stat(name))
+        policy = (self.fingerprint_scheme, self.probe_count, with_inverse)
         with _content_memo_lock:
-            found = _content_memo.get(key)
+            content = _vouched_digest(name, signature)
+            found = None if content is None else _memo_lookup((content, *policy))
+        if found is not None:
+            return found
+        if content is None:
+            content = content_digest(name)
+            with _content_memo_lock:
+                found = _memo_lookup((content, *policy))
             if found is not None:
-                _content_memo.move_to_end(key)
                 return found
+        key = (content, *policy)
         found = self.fingerprint(load(), with_inverse=with_inverse)
         if content_digest(path) != content:
             return found
@@ -523,9 +557,13 @@ def pair_key(
     fp1: OracleFingerprint,
     fp2: OracleFingerprint,
     equivalence: EquivalenceType,
-    config: MatchingConfig,
+    config: MatchingConfig | str,
 ) -> str:
     """The versioned cache key for one matched pair under one policy.
+
+    ``config`` is the policy or its :func:`config_digest`; a run keys many
+    pairs under one policy, so it digests the policy once and passes the
+    digest.
 
     Contract (``docs/cache-keys.md``): a cached result may be replayed
     exactly when the key version, the two hidden functions (as seen by
@@ -538,7 +576,7 @@ def pair_key(
     """
     return (
         f"{KEY_PREFIX}{equivalence.label}|{fp1.key}|{fp2.key}|"
-        f"{config_digest(config)}"
+        f"{config if isinstance(config, str) else config_digest(config)}"
     )
 
 

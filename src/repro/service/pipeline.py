@@ -45,6 +45,7 @@ from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import verify_match
 from repro.exceptions import FingerprintError, ServiceError
+from repro.obs.metrics import UNCOUNTED
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.service import serialize
 from repro.service.cache import ResultCache
@@ -70,6 +71,7 @@ from repro.service.fingerprint import (
     KEY_VERSION,
     OracleFingerprint,
     build_registry,
+    config_digest,
     effective_inverse,
     pair_key,
 )
@@ -571,25 +573,27 @@ class MatchingService:
                 else:
                     # Units are fingerprinted before anything parses
                     # them, so unit.circuit(side) reads the file anew.
-                    unit.fingerprints = tuple(
-                        self._registry.fingerprint_file(
-                            path,
-                            lambda side=side: unit.circuit(side),
+                    fingerprint_file = self._registry.fingerprint_file
+                    unit.fingerprints = (
+                        fingerprint_file(
+                            unit.paths[0], lambda: unit.circuit(0),
                             with_inverse=with_inverse,
-                        )
-                        for side, path in enumerate(unit.paths)
+                        ),
+                        fingerprint_file(
+                            unit.paths[1], lambda: unit.circuit(1),
+                            with_inverse=with_inverse,
+                        ),
                     )
             except FingerprintError:
                 unit.fingerprints = None
         return unit.fingerprints
 
-    def _cache_key(self, unit: _Unit) -> str | None:
-        if self._cache is None:
-            return None
+    def _cache_key(self, unit: _Unit, digest: str) -> str | None:
+        """The unit's pair key under the run's precomputed config ``digest``."""
         fingerprints = self._fingerprints(unit)
         if fingerprints is None:
             return None
-        return pair_key(*fingerprints, unit.equivalence, self._config)
+        return pair_key(*fingerprints, unit.equivalence, digest)
 
     def _base_record(self, unit: _Unit) -> dict:
         record = {
@@ -640,6 +644,9 @@ class MatchingService:
         start = time.perf_counter()
         metrics = self._metrics
         tracer = self._tracer
+        cache = self._cache
+        # Every key of the run shares one policy: digest it once.
+        digest = config_digest(self._config) if cache is not None else None
         store_path = str(store.path) if store is not None else None
         if store is not None:
             store.open()
@@ -651,11 +658,21 @@ class MatchingService:
                 seed=seed,
                 shard=shard,
             )
+            # The per-pair series, each bound once per run (no children
+            # without a registry: a run counts nothing then).
+            outcomes = ("resumed", "cached", "completed", "failed")
+            settled_counters = dict.fromkeys(outcomes, UNCOUNTED)
+            flushes = UNCOUNTED
             if metrics is not None:
                 metrics.counter("repro_runs_total").inc()
                 if store is not None:
                     # Torn lines the resume load skipped (0 on a fresh store).
                     metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
+                pairs_total = metrics.counter("repro_run_pairs_total")
+                settled_counters = {
+                    outcome: pairs_total.labels(outcome=outcome) for outcome in outcomes
+                }
+                flushes = metrics.counter("repro_store_flushes_total").labels()
 
             records: dict[int, dict] = {}
             flushed = 0
@@ -667,13 +684,11 @@ class MatchingService:
                 with tracer.span("store_append", parent=parent):
                     store.append(record)
                 flushed += 1
-                if metrics is not None:
-                    metrics.counter("repro_store_flushes_total").inc()
+                flushes.inc()
                 return StoreFlushed(path=store_path, records_written=flushed)
 
             def settled(outcome_label: str) -> None:
-                if metrics is not None:
-                    metrics.counter("repro_run_pairs_total").inc(outcome=outcome_label)
+                settled_counters[outcome_label].inc()
 
             # A cache with a `prefetch` hint gets every non-resumed key up
             # front, so a network tier resolves them in one batched round
@@ -682,13 +697,13 @@ class MatchingService:
             # no member), so such stacks key all units here too; only a bare
             # LRUCache or DiskCache keys each unit inside its pair span.
             prefetched = False
-            prefetcher = getattr(self._cache, "prefetch", None)
+            prefetcher = getattr(cache, "prefetch", None)
             if prefetcher is not None:
                 with tracer.span("cache_prefetch", total=len(units)):
                     for unit in units:
                         if unit.pair_id is not None and unit.pair_id in done:
                             continue
-                        unit.key = self._cache_key(unit)
+                        unit.key = self._cache_key(unit, digest)
                     prefetcher(
                         [unit.key for unit in units if unit.key is not None]
                     )
@@ -715,11 +730,11 @@ class MatchingService:
                 )
                 settle_started = time.perf_counter()
                 with tracer.span("fingerprint", parent=pair_span):
-                    if not prefetched:
-                        unit.key = self._cache_key(unit)
+                    if not prefetched and cache is not None:
+                        unit.key = self._cache_key(unit, digest)
                 if unit.key is not None:
                     with tracer.span("cache_probe", parent=pair_span):
-                        cached = self._cache.get(unit.key)
+                        cached = cache.get(unit.key)
                     if cached is not None:
                         record = self._base_record(unit)
                         record.update(
@@ -799,7 +814,7 @@ class MatchingService:
                     # Failures are cached too: under a fixed policy the verdict
                     # is the verdict (clear the cache to force a retry), and a
                     # warm re-run of a manifest must spend zero oracle queries.
-                    self._cache.put(
+                    cache.put(
                         unit.key,
                         {
                             "matcher": outcome.matcher,
@@ -894,38 +909,25 @@ class MatchingService:
             raise ServiceError("event stream ended without a RunCompleted")
         return report
 
+    @staticmethod
     def _manifest_units(
-        self,
         manifest: CorpusManifest,
         root: str | Path,
-        done: dict[str, dict],
         shard: tuple[int, int] | None,
     ) -> list[_Unit]:
-        root = os.fspath(root)
+        """Fresh units from the manifest's :class:`EntrySpec`\\ s (joined
+        and validated once per manifest, see
+        :meth:`CorpusManifest.entry_specs`)."""
         units = []
-        for position, entry in enumerate(manifest.entries):
-            if shard is not None and shard_index(entry.pair_id, shard[1]) != shard[0]:
+        for position, spec in enumerate(manifest.entry_specs(os.fspath(root))):
+            if shard is not None and shard_index(spec.pair_id, shard[1]) != shard[0]:
                 # Not this shard's pair.  Positions keep counting, so the
                 # surviving units' seeds match the unsharded run's.
                 continue
             # Circuits load lazily: a pair answered by the store, or by
             # the cache through the content memo, never parses its files.
-            units.append(
-                _Unit(
-                    position,
-                    entry.pair_id,
-                    entry.equivalence,
-                    entry.equivalence_type,
-                    {
-                        "family": entry.family,
-                        "expected_equivalent": entry.expected_equivalent,
-                    },
-                    paths=(
-                        os.path.join(root, entry.circuit1),
-                        os.path.join(root, entry.circuit2),
-                    ),
-                )
-            )
+            pair_id, label, equivalence, meta, paths = spec
+            units.append(_Unit(position, pair_id, label, equivalence, meta, paths=paths))
         return units
 
     # -- entry points ----------------------------------------------------------
@@ -988,7 +990,7 @@ class MatchingService:
             if (resume and store is not None)
             else {}
         )
-        units = self._manifest_units(manifest, root, done, shard)
+        units = self._manifest_units(manifest, root, shard)
         return self._stream_units(
             units, done=done, store=store, seed=seed, shard=shard
         )

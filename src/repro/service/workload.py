@@ -32,6 +32,12 @@ actually equivalent.  Three families cover the scenario space:
 Generation is deterministic: every pair derives its own seed from the
 corpus seed and its identifier, so the same arguments reproduce the same
 corpus byte-for-byte regardless of generation order.
+
+Loading is memoised: :meth:`CorpusManifest.load` keeps each parsed
+manifest file in a process-wide memo, trusted by the racy-git rule of
+:func:`repro.service.fingerprint.stat_vouches`, so a rerun of an
+unchanged corpus (a warm pass, a daemon resubmit) decodes and validates
+nothing.
 """
 
 from __future__ import annotations
@@ -40,8 +46,11 @@ import hashlib
 import json
 import os
 import random as _random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.circuits import library
 from repro.circuits.circuit import ReversibleCircuit
@@ -51,20 +60,29 @@ from repro.circuits.random import random_circuit
 from repro.core.equivalence import EquivalenceType, Hardness, classify
 from repro.core.verify import make_instance
 from repro.exceptions import ServiceError
+from repro.service.fingerprint import (
+    probe_inputs,
+    stat_clock,
+    stat_signature,
+    stat_vouches,
+)
 
 __all__ = [
     "MANIFEST_FORMAT",
     "MANIFEST_NAME",
+    "MANIFEST_MEMO_SIZE",
     "DEFAULT_FAMILIES",
     "KNOWN_FAMILIES",
     "WIDE_MIN_LINES",
     "WIDE_MAX_LINES",
     "CorpusEntry",
     "CorpusManifest",
+    "EntrySpec",
     "tractable_classes",
     "wide_classes",
     "generate_corpus",
     "load_entry_circuits",
+    "manifest_memo_clear",
     "resolve_manifest",
 ]
 
@@ -79,6 +97,11 @@ KNOWN_FAMILIES = DEFAULT_FAMILIES + ("wide",)
 #: where only sampled-probe identities can key the cache.
 WIDE_MIN_LINES = 16
 WIDE_MAX_LINES = 24
+
+#: Most parsed manifest files the process-wide manifest memo holds, each
+#: with its entries' run specs; beyond it the least recently used one is
+#: evicted.  Sized for the few corpora a long-lived daemon reruns.
+MANIFEST_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -154,6 +177,20 @@ class CorpusEntry:
             raise ServiceError(f"corpus entry is missing field {error}") from None
 
 
+class EntrySpec(NamedTuple):
+    """One manifest entry as a run needs it, built once per manifest and root.
+
+    ``meta`` is shared by every run of the manifest: read it, never
+    change it.
+    """
+
+    pair_id: str
+    label: str
+    equivalence_type: EquivalenceType
+    meta: dict
+    paths: tuple[str, str]
+
+
 @dataclass(frozen=True)
 class CorpusManifest:
     """A generated corpus: header plus one :class:`CorpusEntry` per pair."""
@@ -196,6 +233,34 @@ class CorpusManifest:
         except KeyError as error:
             raise ServiceError(f"corpus manifest is missing field {error}") from None
 
+    def entry_specs(self, root: str) -> tuple[EntrySpec, ...]:
+        """Every entry's :class:`EntrySpec`, its circuit paths joined under ``root``.
+
+        Kept on the manifest for the last ``root`` asked for, so every
+        run of a memoised manifest joins its paths once.
+        """
+        cached = self.__dict__.get("_entry_specs")
+        if cached is not None and cached[0] == root:
+            return cached[1]
+        specs = tuple(
+            EntrySpec(
+                entry.pair_id,
+                entry.equivalence,
+                entry.equivalence_type,
+                {
+                    "family": entry.family,
+                    "expected_equivalent": entry.expected_equivalent,
+                },
+                (
+                    os.path.join(root, entry.circuit1),
+                    os.path.join(root, entry.circuit2),
+                ),
+            )
+            for entry in self.entries
+        )
+        object.__setattr__(self, "_entry_specs", (root, specs))
+        return specs
+
     def save(self, path: str | Path) -> Path:
         """Write the manifest as JSON; returns the path written.
 
@@ -216,19 +281,68 @@ class CorpusManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusManifest":
-        """Read a manifest written by :meth:`save`.
+        """Read a manifest written by :meth:`save`, through the manifest memo.
 
-        Raises :class:`ServiceError` on malformed JSON, a wrong format
-        marker, a missing field or an unknown equivalence label.
+        The memo answers from one ``os.stat`` when the file's device,
+        inode, size, mtime and ctime all equal those recorded with its
+        parse, and that parse began more than
+        :data:`~repro.service.fingerprint.RACY_WINDOW_NS` after both
+        timestamps (:func:`~repro.service.fingerprint.stat_vouches`).
+        Otherwise the file is read, decoded and validated again, and only
+        a load that succeeds is remembered.  The manifest returned may be
+        shared with other loads of the same file; it is frozen.
+
+        Raises :class:`ServiceError` on an unreadable or missing file,
+        malformed JSON, a wrong format marker, a missing field or an
+        unknown equivalence label.
         """
+        name = os.fspath(path)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as error:
+            signature = stat_signature(os.stat(name))
+        except OSError as error:
+            raise _unreadable(path, error) from None
+        with _manifest_memo_lock:
+            cached = _manifest_memo.get(name)
+            if cached is not None and stat_vouches(signature, cached[0], cached[1]):
+                _manifest_memo.move_to_end(name)
+                return cached[2]
+        recorded = stat_clock()
+        try:
+            with open(name, "rb") as handle:
+                signature = stat_signature(os.fstat(handle.fileno()))
+                text = handle.read()
+        except OSError as error:
+            raise _unreadable(path, error) from None
+        try:
+            data = json.loads(text.decode("utf-8"))
+        except ValueError as error:
             raise ServiceError(f"{path}: not valid JSON ({error})") from None
         if not isinstance(data, dict):
             raise ServiceError(f"{path}: manifest must be a JSON object")
-        return cls.from_dict(data)
+        manifest = cls.from_dict(data)
+        with _manifest_memo_lock:
+            _manifest_memo[name] = (signature, recorded, manifest)
+            _manifest_memo.move_to_end(name)
+            while len(_manifest_memo) > MANIFEST_MEMO_SIZE:
+                _manifest_memo.popitem(last=False)
+        return manifest
+
+
+#: path -> ``(stat signature, ns recorded, manifest)``, in least-recently-used
+#: order; see :meth:`CorpusManifest.load`.  The lock covers the dict
+#: operations only, never a read or a parse.
+_manifest_memo: OrderedDict[str, tuple[tuple, int, CorpusManifest]] = OrderedDict()
+_manifest_memo_lock = threading.Lock()
+
+
+def _unreadable(path, error: OSError) -> ServiceError:
+    return ServiceError(f"{path}: cannot read manifest ({error.strerror or error})")
+
+
+def manifest_memo_clear() -> None:
+    """Forget every memoised manifest (tests and benchmarks)."""
+    with _manifest_memo_lock:
+        _manifest_memo.clear()
 
 
 def resolve_manifest(manifest: str | Path) -> Path:
@@ -298,10 +412,6 @@ def _probe_aligned_transposition(
     perturbed circuit's output at that probe flips, so probe fingerprints
     distinguish the near-miss from the original at *any* probe count.
     """
-    # Deferred import: fingerprint is a sibling service module and the
-    # probe set is its contract; workload only consumes it.
-    from repro.service.fingerprint import probe_inputs
-
     num_lines = circuit.num_lines
     image = circuit.simulate(probe_inputs(num_lines, 1)[0])
     target = rng.randrange(num_lines)

@@ -10,6 +10,7 @@ snapshot and the Prometheus-style text exposition — are deterministic
 from __future__ import annotations
 
 import json
+import random
 import threading
 
 import pytest
@@ -85,6 +86,49 @@ class TestCounter:
         for thread in threads:
             thread.join()
         assert counter.value() == 4000
+
+
+class TestBoundCounter:
+    """``counter.labels(**labels).inc(n)`` counts what ``inc(n, **labels)`` counts."""
+
+    LABEL_SETS = (
+        {},
+        {"tier": "memory"},
+        {"tier": "memory", "scheme": "exact"},
+        {"scheme": "probe", "tier": "disk"},
+        {"outcome": "cached"},
+    )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_children_and_labelled_incs_snapshot_identically(self, seed):
+        rng = random.Random(seed)
+        names = ("repro_cache_hits_total", "repro_run_pairs_total", "repro_runs_total")
+        ops = [
+            (rng.choice(names), rng.choice(self.LABEL_SETS), rng.choice((1, 2, 0.5)))
+            for _ in range(200)
+        ]
+        direct, bound = MetricsRegistry(), MetricsRegistry()
+        children = {}
+        for name, labels, amount in ops:
+            direct.counter(name).inc(amount, **labels)
+            key = (name, tuple(sorted(labels.items())))
+            if key not in children:
+                children[key] = bound.counter(name).labels(**labels)
+            children[key].inc(amount)
+        assert bound.snapshot() == direct.snapshot()
+        assert bound.to_prometheus() == direct.to_prometheus()
+
+    def test_binding_creates_no_sample(self):
+        registry = MetricsRegistry()
+        child = registry.counter("repro_cache_misses_total").labels(tier="memory")
+        assert registry.samples("repro_cache_misses_total") == []
+        child.inc()
+        assert registry.counter("repro_cache_misses_total").value(tier="memory") == 1
+
+    def test_a_child_cannot_decrease(self):
+        child = MetricsRegistry().counter("repro_runs_total").labels()
+        with pytest.raises(ValueError, match="cannot decrease"):
+            child.inc(-1)
 
 
 class TestGauge:

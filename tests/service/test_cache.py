@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
 import warnings
+from collections import OrderedDict
 
 import pytest
 
@@ -21,7 +23,13 @@ from repro.service.cache import (
     build_cache,
     migrate_cache,
 )
-from repro.service.fingerprint import build_registry, pair_key
+from repro.service.fingerprint import (
+    OracleFingerprint,
+    build_registry,
+    config_digest,
+    pair_key,
+    scheme_label,
+)
 
 
 def _record(tag: str) -> dict:
@@ -228,6 +236,52 @@ class TestCountersLiveInTheRegistry:
         cache.get("a")
         assert cache.stats.hits == before.hits + 1
         assert _tier_counts(metrics, "hits") == {"memory": 1, "disk": 1}
+
+    @pytest.mark.parametrize("bind_at", [0, 60, 200])
+    def test_counts_equal_labelled_incs_however_late_bound(self, bind_at):
+        # The cache counts through bound children; a reference registry
+        # counts the same lookups with inc(**labels), the pre-binding rule.
+        fingerprints = [
+            OracleFingerprint(4, kind, f"{index:064x}", False, scheme)
+            for index, (kind, scheme) in enumerate(
+                [("function", "exact"), ("probe", "probe"), ("structure", "structure")]
+            )
+        ]
+        digest = config_digest(MatchingConfig())
+        keys = [
+            pair_key(first, second, EquivalenceType.I_I, digest)
+            for first in fingerprints
+            for second in fingerprints
+        ] + ["unversioned-a", "unversioned-b"]
+        rng = random.Random(bind_at)
+        cache, metrics, reference = LRUCache(maxsize=3), MetricsRegistry(), MetricsRegistry()
+        shadow: OrderedDict[str, None] = OrderedDict()
+        for step in range(200):
+            if step == bind_at:
+                cache.bind_metrics(metrics)
+            key = rng.choice(keys)
+            if rng.random() < 0.4:
+                cache.put(key, _record(key))
+                shadow[key] = None
+                shadow.move_to_end(key)
+                reference.counter("repro_cache_stores_total").inc(tier="memory")
+                while len(shadow) > 3:
+                    shadow.popitem(last=False)
+                    reference.counter("repro_cache_evictions_total").inc(tier="memory")
+            elif cache.get(key) is not None:
+                shadow.move_to_end(key)
+                reference.counter("repro_cache_hits_total").inc(
+                    tier="memory", scheme=scheme_label(key)
+                )
+            else:
+                assert key not in shadow
+                reference.counter("repro_cache_misses_total").inc(tier="memory")
+        cache.bind_metrics(metrics)
+        assert metrics.snapshot() == reference.snapshot()
+        assert set(cache.stats.scheme_hits) == {
+            sample["labels"]["scheme"]
+            for sample in reference.samples("repro_cache_hits_total")
+        }
 
     def test_stats_are_an_immutable_read_out(self):
         cache = LRUCache()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import re
 import socket
 import threading
 import time
@@ -601,6 +602,48 @@ class TestScalarFieldTypes:
             assert client.watch(run_id, []) == "completed"
             with pytest.raises(DaemonError, match="'run_id' must be a string"):
                 client.request({"op": op, "run_id": [run_id]})
+
+
+class TestPathFieldValues:
+    """A path the daemon could never open is refused at submit, naming the
+    field, instead of being queued to fail as a raw ``ValueError`` or
+    ``FileNotFoundError``."""
+
+    _refused = staticmethod(TestScalarFieldTypes._refused)
+
+    def test_store_with_a_nul_byte(self, daemon, corpus, tmp_path):
+        self._refused(
+            daemon, corpus, "'store' must not contain a NUL byte",
+            store=str(tmp_path / "runs" / "mine\x00.jsonl"),
+        )
+
+    def test_store_in_a_missing_directory(self, daemon, corpus, tmp_path):
+        missing = tmp_path / "no-such-dir"
+        self._refused(
+            daemon, corpus,
+            re.escape(f"'store' directory does not exist: {missing}"),
+            store=str(missing / "mine.jsonl"),
+        )
+        assert not missing.exists()
+
+    def test_manifest_with_a_nul_byte(self, daemon, corpus):
+        with client_for(daemon) as client:
+            with pytest.raises(
+                DaemonError, match="'manifest' must not contain a NUL byte"
+            ):
+                client.request(
+                    {"op": "submit", "manifest": str(corpus) + "\x00"}
+                )
+            assert client.status()["runs"] == []
+
+    def test_a_store_in_an_existing_directory_still_runs(
+        self, daemon, corpus, tmp_path
+    ):
+        store = tmp_path / "mine.jsonl"
+        with client_for(daemon) as client:
+            run_id = client.submit(corpus, store=store)["run_id"]
+            assert client.watch(run_id, []) == "completed"
+        assert store.exists()
 
 
 class TestReviewRegressions:

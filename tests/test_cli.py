@@ -853,6 +853,32 @@ class TestCacheServerCommand:
         assert "--cache-size must be positive" in capsys.readouterr().err
 
 
+class TestServerTransport:
+    """Two transports are refused by the CLI's flags, before anything starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cache-server", "--cache-size", "0"],
+            ["serve", "--store-dir", "STORE", "--workers", "0"],
+        ],
+        ids=["cache-server", "serve"],
+    )
+    def test_socket_and_host_together_name_the_flags(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / "runs") if arg == "STORE" else arg for arg in argv]
+        code = main(
+            argv + ["--host", "8.8.8.8", "--socket", str(tmp_path / "c.sock")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: choose one transport: --socket PATH or --host/--port, "
+            "not both\n"
+        )
+        assert not (tmp_path / "c.sock").exists()
+        assert not (tmp_path / "runs").exists()
+
+
 class TestRemoteCacheFlags:
     def test_run_refuses_no_cache_with_remote_cache(self, tmp_path, capsys):
         code = main(
