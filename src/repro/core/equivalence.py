@@ -94,6 +94,11 @@ class EquivalenceType(enum.Enum):
     NP_P = ("NP", "P")
     NP_NP = ("NP", "NP")
 
+    def __init__(self, inputs: str, outputs: str) -> None:
+        #: The paper's "X-Y" label, e.g. ``"NP-I"`` (built once per member:
+        #: every cache key of a run reads it).
+        self.label = f"{inputs}-{outputs}"
+
     @property
     def input_condition(self) -> SideCondition:
         """The condition X on the input side."""
@@ -103,11 +108,6 @@ class EquivalenceType(enum.Enum):
     def output_condition(self) -> SideCondition:
         """The condition Y on the output side."""
         return SideCondition(self.value[1])
-
-    @property
-    def label(self) -> str:
-        """The paper's "X-Y" label, e.g. ``"NP-I"``."""
-        return f"{self.value[0]}-{self.value[1]}"
 
     @classmethod
     def from_label(cls, label: str) -> "EquivalenceType":

@@ -218,15 +218,18 @@ class BoundCounter:
 
 
 class _Uncounted:
-    """A counter child that counts nothing."""
+    """A counter child or histogram that records nothing."""
 
     __slots__ = ()
 
     def inc(self, amount: int | float = 1) -> None:
         return None
 
+    def observe(self, value: int | float) -> None:
+        return None
 
-#: The child code binds where it has no registry to count into.
+
+#: What code binds where it has no registry to count into.
 UNCOUNTED = _Uncounted()
 
 

@@ -99,7 +99,6 @@ from repro.service.fingerprint import (
     OracleFingerprint,
     build_registry,
     config_digest,
-    fingerprint,
     pair_key,
     pair_key_schemes,
     probe_inputs,
@@ -135,7 +134,6 @@ __all__ = [
     "FingerprintRegistry",
     "build_registry",
     "probe_inputs",
-    "fingerprint",
     "config_digest",
     "pair_key",
     "pair_key_schemes",

@@ -429,21 +429,23 @@ _UNFINGERPRINTED = object()
 
 
 class _Unit:
-    """One pair flowing through the pipeline (internal bookkeeping).
+    """One pair flowing through the pipeline's stages (internal bookkeeping).
 
     A unit carries its recorded class ``label`` and that label parsed,
-    ``equivalence``.  A manifest unit carries its two circuit ``paths``
-    (plain strings) and parses a file only when a circuit is asked for,
-    at most once; an in-memory unit is built with its ``circuits``.
-    :meth:`release` drops them once the pair is settled.  A unit parsed
-    on a memo miss keeps its circuits until then, so a cold run with a
-    cache still holds every pending pair's circuits; only cache-less runs
-    and warm-memo runs parse lazily.
+    ``equivalence``, its cache ``key`` once settle has computed it, and
+    its root ``pair`` ``span`` from settle to persist.  A manifest unit
+    carries its two circuit ``paths`` (plain strings) and parses a file
+    only when a circuit is asked for, at most once; an in-memory unit is
+    built with its ``circuits``.  Persist drops them (:meth:`release`)
+    once the pair is settled.  A unit parsed on a memo miss keeps its
+    circuits until then, so a cold run with a cache still holds every
+    pending pair's circuits; only cache-less runs and warm-memo runs
+    parse lazily.
     """
 
     __slots__ = (
         "position", "pair_id", "label", "equivalence", "meta", "key", "paths",
-        "circuits", "fingerprints",
+        "circuits", "fingerprints", "span",
     )
 
     def __init__(
@@ -459,6 +461,7 @@ class _Unit:
         self.paths = paths
         self.circuits = list(circuits)
         self.fingerprints = _UNFINGERPRINTED
+        self.span = NULL_SPAN
 
     def circuit(self, side: int):
         """The pair's circuit on ``side`` (0 or 1), parsed on first use."""
@@ -470,6 +473,274 @@ class _Unit:
     def release(self) -> None:
         """Drop the circuits of a settled pair."""
         self.circuits = [None, None]
+
+
+def _resume_store(
+    store_path: str | Path | None, resume: bool
+) -> tuple[ResultStore | None, dict[str, dict]]:
+    """A run's result store, if any, and the records resume may replay.
+
+    Only records of the current key version replay: a record written
+    under an older identity contract (v1 stores have no ``key_version``)
+    is a clean miss and its pair re-runs.
+    """
+    if store_path is None:
+        if resume:
+            raise ServiceError("resume requires a result store path")
+        return None, {}
+    store = ResultStore(store_path)
+    if not resume:
+        return store, {}
+    return store, {
+        pair_id: record
+        for pair_id, record in store.load().items()
+        if record.get("key_version") == KEY_VERSION
+    }
+
+
+def _record(unit: _Unit, status: str, verdict: dict) -> dict:
+    """The run record of ``unit`` settled as ``status`` with ``verdict``, the
+    ``{"matcher", "error", "result"}`` dict the result cache stores."""
+    return {
+        "pair_id": unit.pair_id,
+        "index": unit.position,
+        "equivalence": unit.label,
+        "cache_key": unit.key,
+        "key_version": KEY_VERSION,
+        **unit.meta,
+        "status": status,
+        "matcher": verdict.get("matcher"),
+        "error": verdict.get("error"),
+        "result": verdict.get("result"),
+    }
+
+
+class _Run:
+    """One run's state and the stages that share it (internal).
+
+    :meth:`MatchingService._stream_units` wires the stages.  Whatever a stage reads per pair is looked up here once per run: the
+    service's collaborators, the config digest every key shares and the
+    metric children (:data:`~repro.obs.metrics.UNCOUNTED` without a
+    registry, so no stage branches on metrics).
+    """
+
+    def __init__(self, service: "MatchingService", *, done, store, seed, shard):
+        self.started = time.perf_counter()
+        self.service = service
+        self.fingerprints = service._fingerprints
+        cache = self.cache = service._cache
+        self.tracer = service._tracer
+        self.done = done
+        self.store = store
+        self.seed = seed
+        self.shard = shard
+        self.store_path = str(store.path) if store is not None else None
+        # Every key of the run shares one policy: digest it once.
+        self.digest = config_digest(service._config) if cache is not None else None
+        # Whether settle keys each unit itself (prefetch may key them all).
+        self.key_each = cache is not None
+        self.records: dict[int, dict] = {}
+        self.pending: list[_Unit] = []
+        self.flushed = 0
+        self.resumed = self.flushes = self.task_seconds = self.run_seconds = UNCOUNTED
+        self.settled = dict.fromkeys((CacheHit, TaskCompleted, TaskFailed), UNCOUNTED)
+        self.spend = ((UNCOUNTED, "queries"), (UNCOUNTED, "quantum_queries"))
+        metrics = service._metrics
+        if metrics is not None:
+            metrics.counter("repro_runs_total").inc()
+            if store is not None:
+                # Torn lines the resume load skipped (0 on a fresh store).
+                metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
+            pairs = metrics.counter("repro_run_pairs_total")
+            self.resumed = pairs.labels(outcome="resumed")
+            self.settled = {
+                CacheHit: pairs.labels(outcome="cached"),
+                TaskCompleted: pairs.labels(outcome="completed"),
+                TaskFailed: pairs.labels(outcome="failed"),
+            }
+            self.flushes = metrics.counter("repro_store_flushes_total").labels()
+            queries = metrics.counter("repro_engine_queries_total")
+            self.spend = (
+                (queries.labels(kind="classical"), "queries"),
+                (queries.labels(kind="quantum"), "quantum_queries"),
+            )
+            self.task_seconds = metrics.histogram("repro_task_seconds")
+            self.run_seconds = metrics.histogram("repro_run_seconds")
+        if store is not None:
+            store.open()
+
+    def close(self) -> None:
+        if self.store is not None:
+            self.store.close()
+
+    def key(self, unit: _Unit) -> str | None:
+        """The unit's pair key, or ``None`` if a circuit is unfingerprintable."""
+        fingerprints = self.fingerprints(unit)
+        if fingerprints is None:
+            return None
+        return pair_key(*fingerprints, unit.equivalence, self.digest)
+
+    def prefetch(self, units: list[_Unit]) -> None:
+        """Key up front every unit resume leaves, for a cache that takes the
+        ``prefetch`` hint: a network tier resolves them in one batched round
+        trip and answers settle's probes from its buffer.  Every
+        :class:`~repro.service.cache.TieredCache` takes it, so only a bare
+        LRU or disk cache is keyed by settle, inside each pair span."""
+        prefetcher = getattr(self.cache, "prefetch", None)
+        if prefetcher is None:
+            return
+        with self.tracer.span("cache_prefetch", total=len(units)):
+            for unit in units:
+                if unit.pair_id not in self.done:
+                    unit.key = self.key(unit)
+            prefetcher([unit.key for unit in units if unit.key is not None])
+        self.key_each = False
+
+    def settle(self, unit: _Unit) -> tuple[ServiceEvent, ...]:
+        """Answer ``unit`` from the store, then the cache, or mark it pending
+        (no events: :meth:`execute` takes it from there)."""
+        if unit.pair_id in self.done:
+            # Shallow copy so the store's record keeps its original
+            # status; in this report the pair reads as "resumed" and its
+            # (historical) queries are excluded from the spend.
+            record = dict(self.done[unit.pair_id])
+            record["status"] = "resumed"
+            self.records[unit.position] = record
+            self.resumed.inc()
+            return (CacheHit(
+                index=unit.position, pair_id=unit.pair_id, source="store", record=record
+            ),)
+        tracer = self.tracer
+        span = unit.span = tracer.start(
+            "pair", pair_id=unit.pair_id, index=unit.position
+        )
+        started = time.perf_counter()
+        with tracer.span("fingerprint", parent=span):
+            if self.key_each:
+                unit.key = self.key(unit)
+        if unit.key is not None:
+            with tracer.span("cache_probe", parent=span):
+                cached = self.cache.get(unit.key)
+            if cached is not None:
+                return self.persist(unit, CacheHit(
+                    index=unit.position, pair_id=unit.pair_id, source="cache",
+                    record=_record(unit, "cached", cached),
+                    duration_s=time.perf_counter() - started,
+                ))
+        self.pending.append(unit)
+        return ()
+
+    def execute(self) -> Iterator[ServiceEvent]:
+        """Run the pending units; yield each outcome's events as it completes.
+
+        ``TaskStarted`` events are minted as the executor *pulls* tasks (a
+        serial backend pulls one at a time, pooled backends pull ahead)
+        and relayed before the outcome they precede.  Everything here —
+        the tasks() generator, the units' lazy parsing and this queue —
+        runs on the consuming thread.
+        """
+        pending = self.pending
+        by_position = {unit.position: unit for unit in pending}
+        submitted: deque[TaskStarted] = deque()
+
+        def tasks() -> Iterator[PairTask]:
+            for unit in pending:
+                submitted.append(TaskStarted(
+                    index=unit.position, pair_id=unit.pair_id, equivalence=unit.label
+                ))
+                yield PairTask(
+                    index=unit.position,
+                    circuit1=unit.circuit(0),
+                    circuit2=unit.circuit(1),
+                    equivalence=unit.label,
+                    seed=derive_seed(self.seed, unit.position),
+                    pair_id=unit.pair_id,
+                )
+
+        service = self.service
+        verify = service._verify
+        for outcome in service._executor.stream(tasks(), service._config):
+            while submitted:
+                yield submitted.popleft()
+            unit = by_position[outcome.index]
+            matched, result = outcome.matched, outcome.result
+            verdict = {
+                "matcher": outcome.matcher, "error": outcome.error, "result": result
+            }
+            record = _record(unit, "ok" if matched else "failed", verdict)
+            if verify and matched:
+                record["verified"] = verify_match(
+                    unit.circuit(0), unit.circuit(1), unit.equivalence,
+                    serialize.result_from_dict(result),
+                )
+            if unit.key is not None:
+                # Failures are cached too: under a fixed policy the verdict
+                # is the verdict (clear the cache to force a retry), and a
+                # warm re-run of a manifest must spend zero oracle queries.
+                self.cache.put(unit.key, verdict)
+            if outcome.duration_s is not None:
+                # The executor measured the matcher dispatch (possibly in
+                # a worker process); log it as a completed child span.
+                self.tracer.record(
+                    "match", outcome.duration_s, parent=unit.span,
+                    pair_id=outcome.pair_id, matcher=outcome.matcher,
+                )
+                self.task_seconds.observe(outcome.duration_s)
+            if matched:
+                for counter, spent in self.spend:
+                    if result.get(spent):
+                        counter.inc(result[spent])
+            yield from self.persist(unit, (TaskCompleted if matched else TaskFailed)(
+                index=outcome.index, pair_id=outcome.pair_id, record=record,
+                duration_s=outcome.duration_s,
+            ))
+        while submitted:  # pragma: no cover - an executor that over-pulls
+            yield submitted.popleft()
+
+    def persist(self, unit: _Unit, event: ServiceEvent) -> tuple[ServiceEvent, ...]:
+        """File a settled unit's record; return its event, then ``StoreFlushed``.
+
+        The record is appended and flushed before either event reaches the
+        consumer, so one that stops at the event finds it in the store.
+        """
+        record = event.record
+        self.records[unit.position] = record
+        unit.release()
+        self.settled[type(event)].inc()
+        span = unit.span
+        if self.store is None:
+            span.end()
+            return (event,)
+        with self.tracer.span("store_append", parent=span):
+            self.store.append(record)
+        self.flushed += 1
+        self.flushes.inc()
+        span.end()
+        return event, StoreFlushed(path=self.store_path, records_written=self.flushed)
+
+    def finish(self) -> RunCompleted:
+        """The run's ``RunCompleted``, after run latency and the meta sidecar."""
+        ordered = [self.records[position] for position in sorted(self.records)]
+        store = self.store
+        report = ServiceReport.from_records(
+            ordered,
+            elapsed=time.perf_counter() - self.started,
+            executor=self.service._executor.name,
+            records=ordered,
+            store_path=store.path if store is not None else None,
+            shard=self.shard,
+        )
+        completed = RunCompleted(report=report)
+        self.run_seconds.observe(report.elapsed)
+        if store is not None:
+            # Every record is written; a consumer that stops at the last
+            # event must not find the handle still open.
+            store.close()
+            # Durations never enter the records (stores stay byte-identical
+            # across serial/parallel/shard runs); the run's wall clock goes
+            # in an atomic sidecar that `repro report` merges back in.
+            _write_run_meta(store, completed, self.seed)
+        return completed
 
 
 class MatchingService:
@@ -588,39 +859,6 @@ class MatchingService:
                 unit.fingerprints = None
         return unit.fingerprints
 
-    def _cache_key(self, unit: _Unit, digest: str) -> str | None:
-        """The unit's pair key under the run's precomputed config ``digest``."""
-        fingerprints = self._fingerprints(unit)
-        if fingerprints is None:
-            return None
-        return pair_key(*fingerprints, unit.equivalence, digest)
-
-    def _base_record(self, unit: _Unit) -> dict:
-        record = {
-            "pair_id": unit.pair_id,
-            "index": unit.position,
-            "equivalence": unit.label,
-            "cache_key": unit.key,
-            "key_version": KEY_VERSION,
-        }
-        record.update(unit.meta)
-        return record
-
-    @staticmethod
-    def _replayable(done: dict[str, dict]) -> dict[str, dict]:
-        """The store records resume may trust: current key version only.
-
-        Records written under an older identity contract (v1 stores have
-        no ``key_version`` field) are treated as clean misses — the pair
-        is simply re-run — so a version bump can never replay a result
-        the current fingerprint scheme would not have produced.
-        """
-        return {
-            pair_id: record
-            for pair_id, record in done.items()
-            if record.get("key_version") == KEY_VERSION
-        }
-
     def _stream_units(
         self,
         units: list[_Unit],
@@ -632,265 +870,33 @@ class MatchingService:
     ) -> Iterator[ServiceEvent]:
         """The event-stream core every entry point is built on.
 
-        Phase one walks the units in manifest order, settling whatever the
-        result store (resume) or the result cache already answers — no
-        oracle is ever built for those.  Phase two feeds the remainder to
-        the executor as a lazy task stream and relays outcomes as they
-        complete, appending each record to the store the moment it exists
-        so an interrupt loses at most the pair in flight.  The store is
-        opened once, before the first event, and closed on every way out:
-        completion, a closed stream, an interrupt, a raising executor.
+        Wires the four stages of a :class:`_Run`: :meth:`~_Run.settle`
+        walks the units in manifest order, answering whatever the result
+        store (resume) or the result cache already holds, so no oracle is
+        ever built for those; :meth:`~_Run.execute` feeds the rest to the
+        executor and relays outcomes as they complete; every new record
+        goes through :meth:`~_Run.persist`, so an interrupt loses at most
+        the pair in flight; :meth:`~_Run.finish` closes with the report.
+        The store is opened once, before the first event, and closed on
+        every way out: completion, a closed stream, an interrupt, a
+        raising executor.
         """
-        start = time.perf_counter()
-        metrics = self._metrics
-        tracer = self._tracer
-        cache = self._cache
-        # Every key of the run shares one policy: digest it once.
-        digest = config_digest(self._config) if cache is not None else None
-        store_path = str(store.path) if store is not None else None
-        if store is not None:
-            store.open()
+        run = _Run(self, done=done, store=store, seed=seed, shard=shard)
         try:
             yield RunStarted(
                 total=len(units),
                 executor=self._executor.name,
-                store_path=store_path,
+                store_path=run.store_path,
                 seed=seed,
                 shard=shard,
             )
-            # The per-pair series, each bound once per run (no children
-            # without a registry: a run counts nothing then).
-            outcomes = ("resumed", "cached", "completed", "failed")
-            settled_counters = dict.fromkeys(outcomes, UNCOUNTED)
-            flushes = UNCOUNTED
-            if metrics is not None:
-                metrics.counter("repro_runs_total").inc()
-                if store is not None:
-                    # Torn lines the resume load skipped (0 on a fresh store).
-                    metrics.gauge("repro_store_torn_lines").set(store.torn_lines)
-                pairs_total = metrics.counter("repro_run_pairs_total")
-                settled_counters = {
-                    outcome: pairs_total.labels(outcome=outcome) for outcome in outcomes
-                }
-                flushes = metrics.counter("repro_store_flushes_total").labels()
-
-            records: dict[int, dict] = {}
-            flushed = 0
-            pending: list[_Unit] = []
-            pair_spans: dict[int, object] = {}
-
-            def flush(record: dict, parent=None) -> StoreFlushed:
-                nonlocal flushed
-                with tracer.span("store_append", parent=parent):
-                    store.append(record)
-                flushed += 1
-                flushes.inc()
-                return StoreFlushed(path=store_path, records_written=flushed)
-
-            def settled(outcome_label: str) -> None:
-                settled_counters[outcome_label].inc()
-
-            # A cache with a `prefetch` hint gets every non-resumed key up
-            # front, so a network tier resolves them in one batched round
-            # trip and answers the per-unit probes below from its buffer.
-            # Every TieredCache has the hint (an LRU+disk stack forwards it to
-            # no member), so such stacks key all units here too; only a bare
-            # LRUCache or DiskCache keys each unit inside its pair span.
-            prefetched = False
-            prefetcher = getattr(cache, "prefetch", None)
-            if prefetcher is not None:
-                with tracer.span("cache_prefetch", total=len(units)):
-                    for unit in units:
-                        if unit.pair_id is not None and unit.pair_id in done:
-                            continue
-                        unit.key = self._cache_key(unit, digest)
-                    prefetcher(
-                        [unit.key for unit in units if unit.key is not None]
-                    )
-                prefetched = True
-
+            run.prefetch(units)
             for unit in units:
-                if unit.pair_id is not None and unit.pair_id in done:
-                    # Shallow copy so the store's record keeps its original
-                    # status; in this report the pair reads as "resumed" and
-                    # its (historical) queries are excluded from the spend.
-                    record = dict(done[unit.pair_id])
-                    record["status"] = "resumed"
-                    records[unit.position] = record
-                    settled("resumed")
-                    yield CacheHit(
-                        index=unit.position,
-                        pair_id=unit.pair_id,
-                        source="store",
-                        record=record,
-                    )
-                    continue
-                pair_span = tracer.start(
-                    "pair", pair_id=unit.pair_id, index=unit.position
-                )
-                settle_started = time.perf_counter()
-                with tracer.span("fingerprint", parent=pair_span):
-                    if not prefetched and cache is not None:
-                        unit.key = self._cache_key(unit, digest)
-                if unit.key is not None:
-                    with tracer.span("cache_probe", parent=pair_span):
-                        cached = cache.get(unit.key)
-                    if cached is not None:
-                        record = self._base_record(unit)
-                        record.update(
-                            status="cached",
-                            matcher=cached.get("matcher"),
-                            error=cached.get("error"),
-                            result=cached.get("result"),
-                        )
-                        records[unit.position] = record
-                        unit.release()
-                        settled("cached")
-                        # Persist before yielding: a consumer that stops at
-                        # this event must still find the record in the store.
-                        flushed_event = (
-                            flush(record, pair_span) if store is not None else None
-                        )
-                        pair_span.end()
-                        yield CacheHit(
-                            index=unit.position,
-                            pair_id=unit.pair_id,
-                            source="cache",
-                            record=record,
-                            duration_s=time.perf_counter() - settle_started,
-                        )
-                        if flushed_event is not None:
-                            yield flushed_event
-                        continue
-                pair_spans[unit.position] = pair_span
-                pending.append(unit)
-
-            by_position = {unit.position: unit for unit in pending}
-            # TaskStarted events are minted as the executor *pulls* tasks (a
-            # serial backend pulls one at a time, pooled backends pull ahead)
-            # and relayed before the outcome they precede.  Everything here —
-            # the tasks() generator, the units' lazy parsing and this queue —
-            # runs on the consuming thread.
-            submitted: deque[TaskStarted] = deque()
-
-            def tasks() -> Iterator[PairTask]:
-                for unit in pending:
-                    submitted.append(
-                        TaskStarted(
-                            index=unit.position,
-                            pair_id=unit.pair_id,
-                            equivalence=unit.label,
-                        )
-                    )
-                    yield PairTask(
-                        index=unit.position,
-                        circuit1=unit.circuit(0),
-                        circuit2=unit.circuit(1),
-                        equivalence=unit.label,
-                        seed=derive_seed(seed, unit.position),
-                        pair_id=unit.pair_id,
-                    )
-
-            for outcome in self._executor.stream(tasks(), self._config):
-                while submitted:
-                    yield submitted.popleft()
-                unit = by_position[outcome.index]
-                record = self._base_record(unit)
-                record.update(
-                    status="ok" if outcome.matched else "failed",
-                    matcher=outcome.matcher,
-                    error=outcome.error,
-                    result=outcome.result,
-                )
-                if self._verify and outcome.matched:
-                    result = serialize.result_from_dict(outcome.result)
-                    record["verified"] = verify_match(
-                        unit.circuit(0),
-                        unit.circuit(1),
-                        unit.equivalence,
-                        result,
-                    )
-                if unit.key is not None:
-                    # Failures are cached too: under a fixed policy the verdict
-                    # is the verdict (clear the cache to force a retry), and a
-                    # warm re-run of a manifest must spend zero oracle queries.
-                    cache.put(
-                        unit.key,
-                        {
-                            "matcher": outcome.matcher,
-                            "error": outcome.error,
-                            "result": outcome.result,
-                        },
-                    )
-                records[outcome.index] = record
-                unit.release()
-                pair_span = pair_spans.pop(outcome.index, NULL_SPAN)
-                if outcome.duration_s is not None:
-                    # The executor measured the matcher dispatch (possibly in
-                    # a worker process); log it as a completed child span.
-                    tracer.record(
-                        "match",
-                        outcome.duration_s,
-                        parent=pair_span,
-                        pair_id=outcome.pair_id,
-                        matcher=outcome.matcher,
-                    )
-                    if metrics is not None:
-                        metrics.histogram("repro_task_seconds").observe(
-                            outcome.duration_s
-                        )
-                settled("completed" if outcome.matched else "failed")
-                if metrics is not None and outcome.matched:
-                    for kind, spent in (
-                        ("classical", "queries"),
-                        ("quantum", "quantum_queries"),
-                    ):
-                        if outcome.result.get(spent):
-                            metrics.counter("repro_engine_queries_total").inc(
-                                outcome.result[spent], kind=kind
-                            )
-                # Persist before yielding the completion event, so stopping
-                # the stream at any event never loses an already-seen pair.
-                flushed_event = (
-                    flush(record, pair_span) if store is not None else None
-                )
-                pair_span.end()
-                event_type = TaskCompleted if outcome.matched else TaskFailed
-                yield event_type(
-                    index=outcome.index,
-                    pair_id=outcome.pair_id,
-                    record=record,
-                    duration_s=outcome.duration_s,
-                )
-                if flushed_event is not None:
-                    yield flushed_event
-            while submitted:  # pragma: no cover - an executor that over-pulls
-                yield submitted.popleft()
-
-            ordered = [records[position] for position in sorted(records)]
-            report = ServiceReport.from_records(
-                ordered,
-                elapsed=time.perf_counter() - start,
-                executor=self._executor.name,
-                records=ordered,
-                store_path=store.path if store is not None else None,
-                shard=shard,
-            )
-            completed = RunCompleted(report=report)
-            if metrics is not None:
-                metrics.histogram("repro_run_seconds").observe(report.elapsed)
-            if store is not None:
-                # Every record is written; a consumer that stops at the
-                # last event must not find the handle still open.
-                store.close()
-                # Durations never enter the records (stores stay byte-identical
-                # across serial/parallel/shard runs); the run's wall clock goes
-                # in an atomic sidecar that `repro report` merges back in.
-                _write_run_meta(store, completed, seed)
-            yield completed
+                yield from run.settle(unit)
+            yield from run.execute()
+            yield run.finish()
         finally:
-            if store is not None:
-                store.close()
+            run.close()
 
     def _consume(
         self,
@@ -975,21 +981,13 @@ class MatchingService:
             manifest = CorpusManifest.load(path)
         if root is None:
             root = Path(".")
-        if resume and store_path is None:
-            raise ServiceError("resume requires a result store path")
+        store, done = _resume_store(store_path, resume)
         if isinstance(shard, str):
             shard = parse_shard(shard)
         elif shard is not None:
             index, count = shard
             if count <= 0 or not 0 <= index < count:
                 raise ServiceError(f"invalid shard {index}/{count}")
-
-        store = ResultStore(store_path) if store_path is not None else None
-        done = (
-            self._replayable(store.load())
-            if (resume and store is not None)
-            else {}
-        )
         units = self._manifest_units(manifest, root, shard)
         return self._stream_units(
             units, done=done, store=store, seed=seed, shard=shard
@@ -1119,17 +1117,8 @@ class MatchingService:
         *different* pairs against an old store re-runs them instead of
         silently replaying the previous submission's results.
         """
-        if resume and store_path is None:
-            raise ServiceError("resume requires a result store path")
-        units = self._pair_units(
-            pairs, equivalence, with_digests=store_path is not None
-        )
-        store = ResultStore(store_path) if store_path is not None else None
-        done = (
-            self._replayable(store.load())
-            if (resume and store is not None)
-            else {}
-        )
+        store, done = _resume_store(store_path, resume)
+        units = self._pair_units(pairs, equivalence, with_digests=store is not None)
         if done:
             digests = {
                 unit.pair_id: unit.meta.get("pair_digest") for unit in units

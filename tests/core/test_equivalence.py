@@ -50,6 +50,14 @@ class TestEquivalenceType:
                              f"  {label.lower().replace('-', '_')}\n"):
                 assert EquivalenceType.from_label(spelling) is member, spelling
 
+    def test_each_label_is_built_once_and_round_trips(self):
+        labels = set()
+        for member in EquivalenceType:
+            assert member.label is member.label
+            assert EquivalenceType.from_label(member.label) is member
+            labels.add(member.label)
+        assert len(labels) == 16
+
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match=r"^unknown equivalence label 'Q-Q'$"):
             EquivalenceType.from_label("Q-Q")

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 
 import pytest
 
+import repro.service.fingerprint as fingerprint_module
 from repro.exceptions import ServiceError
 from repro.obs.report import (
     CACHE_FILENAME,
@@ -27,10 +27,6 @@ from repro.obs.report import (
     summarize_store,
 )
 from repro.service.fingerprint import RACY_WINDOW_NS
-
-# ``repro.service.fingerprint`` the attribute is the function, so the
-# module is taken from ``sys.modules``.
-fingerprint_module = sys.modules["repro.service.fingerprint"]
 
 
 def _write_store(path, records):

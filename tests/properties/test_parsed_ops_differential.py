@@ -31,12 +31,12 @@ from __future__ import annotations
 import pickle
 import random
 import re
-import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import repro.service.fingerprint as fingerprint_module
 from repro.circuits import bitslice
 from repro.circuits.bitslice import compile_gates
 from repro.circuits.gates import Gate, MCTGate, SwapGate, not_gate
@@ -82,10 +82,8 @@ def _respelled(rng: random.Random, text: str) -> str:
 
 def _structure_digest(circuit) -> str:
     # With the width limit at 0 the ``exact`` ladder answers every width
-    # with the gate structure.  (``repro.service.fingerprint`` the
-    # attribute is the function, so the module comes from ``sys.modules``.)
-    module = sys.modules["repro.service.fingerprint"]
-    with mock.patch.object(module, "FUNCTIONAL_WIDTH_LIMIT", 0):
+    # with the gate structure.
+    with mock.patch.object(fingerprint_module, "FUNCTIONAL_WIDTH_LIMIT", 0):
         return build_registry("exact").fingerprint(circuit).digest
 
 

@@ -13,18 +13,14 @@ to reference ones.
 
 from __future__ import annotations
 
-import importlib
 from collections.abc import Iterable
 from contextlib import contextmanager
 
+import repro.service.fingerprint as fingerprint_module
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.permutation import Permutation
 from repro.oracles.oracle import CircuitOracle, PermutationOracle
 from repro.quantum.oracle import QuantumCircuitOracle
-
-# ``repro.service.fingerprint`` the attribute is the function, so the
-# module is imported by name.
-fingerprint_module = importlib.import_module("repro.service.fingerprint")
 
 
 def _evaluator(target):

@@ -11,11 +11,11 @@ or warm.  Every failure message names its seed, so a failing case replays.
 from __future__ import annotations
 
 import shutil
-import sys
 from pathlib import Path
 
 import pytest
 
+import repro.service.fingerprint as fingerprint_module
 from repro.circuits.io import real
 from repro.circuits.library import increment
 from repro.core.engine import MatchingConfig
@@ -199,9 +199,7 @@ def test_a_file_rewritten_during_its_parse_is_not_remembered(
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_memo_never_exceeds_its_bound(tmp_path, monkeypatch, seed):
-    # ``repro.service.fingerprint`` the attribute is the function, so the
-    # module is taken from ``sys.modules``.
-    monkeypatch.setattr(sys.modules["repro.service.fingerprint"], "CONTENT_MEMO_SIZE", 5)
+    monkeypatch.setattr(fingerprint_module, "CONTENT_MEMO_SIZE", 5)
     manifest = _corpus(tmp_path, seed)
     registry = _policy(MatchingConfig())
     sizes = []

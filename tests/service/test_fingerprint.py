@@ -5,9 +5,11 @@ from __future__ import annotations
 import dataclasses
 import subprocess
 import sys
+import types
 
 import pytest
 
+import repro.service.fingerprint as fingerprint_module
 from repro.circuits import library
 from repro.circuits.gates import Control, MCTGate
 from repro.circuits.library import from_permutation
@@ -43,10 +45,14 @@ def wide_circuit(width: int = WIDE):
 @pytest.fixture
 def width_limit(monkeypatch):
     """Set the module's width limit for one test (it is read at call time)."""
-    # ``repro.service.fingerprint`` the attribute is the function, so the
-    # module is taken from ``sys.modules``.
-    module = sys.modules["repro.service.fingerprint"]
-    return lambda limit: monkeypatch.setattr(module, "FUNCTIONAL_WIDTH_LIMIT", limit)
+    return lambda limit: monkeypatch.setattr(fingerprint_module, "FUNCTIONAL_WIDTH_LIMIT", limit)
+
+
+def test_the_package_attribute_names_the_module():
+    # A plain import must bind the module, so a patch of one of its
+    # globals (``_clock``, ``FUNCTIONAL_WIDTH_LIMIT``) reaches its readers.
+    assert isinstance(fingerprint_module, types.ModuleType)
+    assert fingerprint_module is sys.modules["repro.service.fingerprint"]
 
 
 class TestFunctionalFingerprints:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import builtins
 import json
 import os
-import sys
 
 import pytest
 
+import repro.service.fingerprint as fingerprint_module
 import repro.service.workload as workload
 from repro.core.equivalence import EquivalenceType
 from repro.exceptions import ServiceError
@@ -29,8 +29,6 @@ from repro.service.workload import (
     generate_corpus,
     manifest_memo_clear,
 )
-
-fingerprint_module = sys.modules["repro.service.fingerprint"]
 
 
 @pytest.fixture(autouse=True)

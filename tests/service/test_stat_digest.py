@@ -12,19 +12,15 @@ from __future__ import annotations
 import builtins
 import hashlib
 import os
-import sys
 
 import pytest
 
+import repro.service.fingerprint as fingerprint_module
 from repro.service.fingerprint import (
     RACY_WINDOW_NS,
     content_digest,
     content_memo_clear,
 )
-
-# ``repro.service.fingerprint`` the attribute is the function, so the
-# module is taken from ``sys.modules``.
-fingerprint_module = sys.modules["repro.service.fingerprint"]
 
 ORIGINAL = b".version 2.0\n.numvars 2\n# original\n"
 REWRITE = b".version 2.0\n.numvars 2\n# rewrite!\n"  # same size, other bytes
