@@ -3,13 +3,13 @@
 * :mod:`repro.analysis.scaling` — least-squares fits of measured query
   counts against the asymptotic models the paper claims (constant, log n,
   n, n log n, n^2, 2^{n/2}, 2^n) and model selection between them.
-* :mod:`repro.analysis.report` — plain-text table/series rendering used by
+* :mod:`repro.analysis.report` — plain-text table rendering used by
   the benchmarks and EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-from repro.analysis.report import format_series, format_table
+from repro.analysis.report import format_table
 from repro.analysis.scaling import (
     MODELS,
     FitResult,
@@ -23,5 +23,4 @@ __all__ = [
     "fit_model",
     "best_fit",
     "format_table",
-    "format_series",
 ]

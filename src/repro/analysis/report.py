@@ -1,14 +1,14 @@
-"""Plain-text rendering of experiment tables and series.
+"""Plain-text rendering of experiment tables.
 
-The benchmark harness prints its paper-vs-measured comparisons with these
-helpers so EXPERIMENTS.md and the pytest ``-s`` output share one format.
+The benchmark harness prints its paper-vs-measured comparisons with this
+helper so EXPERIMENTS.md and the pytest ``-s`` output share one format.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -37,11 +37,3 @@ def format_table(
     lines.append("-+-".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in cells)
     return "\n".join(lines)
-
-
-def format_series(
-    series: Mapping[object, object], name: str = "value", key: str = "n"
-) -> str:
-    """Render a one-dimensional series (e.g. queries vs n) as two columns."""
-    rows = [(k, v) for k, v in series.items()]
-    return format_table([key, name], rows)

@@ -42,10 +42,6 @@ class FitResult:
     scale: float
     relative_error: float
 
-    def predict(self, n: float) -> float:
-        """The fitted prediction at bit width ``n``."""
-        return self.scale * MODELS[self.model](n)
-
 
 def fit_model(
     sizes: Sequence[float], measurements: Sequence[float], model: str

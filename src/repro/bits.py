@@ -15,38 +15,15 @@ and provide the handful of bit tricks used in several modules.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 __all__ = [
-    "bit_get",
-    "bit_set",
-    "bit_flip",
     "bits_to_int",
     "int_to_bits",
     "popcount",
     "parity",
-    "hamming_distance",
-    "iter_bit_vectors",
     "one_hot",
-    "mask_from_indices",
 ]
-
-
-def bit_get(value: int, index: int) -> int:
-    """Return bit ``index`` (0 = least significant) of ``value``."""
-    return (value >> index) & 1
-
-
-def bit_set(value: int, index: int, bit: int) -> int:
-    """Return ``value`` with bit ``index`` forced to ``bit`` (0 or 1)."""
-    if bit:
-        return value | (1 << index)
-    return value & ~(1 << index)
-
-
-def bit_flip(value: int, index: int) -> int:
-    """Return ``value`` with bit ``index`` toggled."""
-    return value ^ (1 << index)
 
 
 def bits_to_int(bits: Sequence[int]) -> int:
@@ -79,26 +56,8 @@ def parity(value: int) -> int:
     return popcount(value) & 1
 
 
-def hamming_distance(a: int, b: int) -> int:
-    """Number of bit positions in which ``a`` and ``b`` differ."""
-    return popcount(a ^ b)
-
-
-def iter_bit_vectors(width: int) -> Iterable[int]:
-    """Iterate over all ``2**width`` bit vectors in integer form."""
-    return range(1 << width)
-
-
 def one_hot(index: int, width: int) -> int:
     """The bit vector with only line ``index`` set, of ``width`` lines."""
     if not 0 <= index < width:
         raise ValueError(f"index {index} out of range for width {width}")
     return 1 << index
-
-
-def mask_from_indices(indices: Iterable[int]) -> int:
-    """OR together one-hot masks for every index in ``indices``."""
-    mask = 0
-    for index in indices:
-        mask |= 1 << index
-    return mask

@@ -253,6 +253,9 @@ class ReversibleCircuit:
         """Operator-order composition: ``(A @ B)(x) == A(B(x))``."""
         return other.then(self)
 
+    # Line relabelling; the bitslice and tabulate differential harnesses
+    # sweep remapped circuits through it.
+    # repro: allow[drift-test-only-api]
     def remapped(self, line_map: Sequence[int]) -> "ReversibleCircuit":
         """Relabel every line ``i`` to ``line_map[i]``.
 
@@ -263,16 +266,6 @@ class ReversibleCircuit:
                 "line_map must be a permutation of the circuit's lines"
             )
         gates = [gate.remapped(line_map) for gate in self._gate_list()]
-        return ReversibleCircuit(self._num_lines, gates, self.name)
-
-    def decomposed_swaps(self) -> "ReversibleCircuit":
-        """A functionally identical circuit with every swap expanded to CNOTs."""
-        gates: list[Gate] = []
-        for gate in self._gate_list():
-            if isinstance(gate, SwapGate):
-                gates.extend(gate.to_cnots())
-            else:
-                gates.append(gate)
         return ReversibleCircuit(self._num_lines, gates, self.name)
 
     # -- dunder plumbing -----------------------------------------------------

@@ -19,7 +19,7 @@ from collections.abc import Callable
 
 from repro.bits import popcount
 from repro.circuits.circuit import ReversibleCircuit
-from repro.circuits.gates import Control, MCTGate, SwapGate, cnot, not_gate, toffoli
+from repro.circuits.gates import Control, MCTGate, SwapGate, cnot, toffoli
 from repro.circuits.permutation import Permutation
 from repro.exceptions import CircuitError
 
@@ -28,16 +28,13 @@ __all__ = [
     "toffoli_chain",
     "cnot_ladder",
     "gray_code",
-    "inverse_gray_code",
     "increment",
-    "decrement",
     "ripple_adder",
     "multiplier",
     "parity_accumulator",
     "fredkin_stage",
     "bit_reversal",
     "cyclic_line_shift",
-    "hidden_shift",
     "hidden_weighted_bit",
     "from_permutation",
     "catalogue",
@@ -88,13 +85,6 @@ def gray_code(num_lines: int) -> ReversibleCircuit:
     return circuit
 
 
-def inverse_gray_code(num_lines: int) -> ReversibleCircuit:
-    """The Gray-code-to-binary converter (inverse of :func:`gray_code`)."""
-    circuit = gray_code(num_lines).inverse()
-    circuit.name = f"gray_inv_{num_lines}"
-    return circuit
-
-
 def _increment_gates(lines: list[int], extra_controls: tuple[Control, ...] = ()):
     """Gates that add 1 to the register formed by ``lines`` (LSB first).
 
@@ -116,13 +106,6 @@ def increment(num_lines: int) -> ReversibleCircuit:
         raise CircuitError("increment needs at least 1 line")
     circuit = ReversibleCircuit(num_lines, name=f"increment_{num_lines}")
     circuit.extend(_increment_gates(list(range(num_lines))))
-    return circuit
-
-
-def decrement(num_lines: int) -> ReversibleCircuit:
-    """The modular decrement ``x -> x - 1 (mod 2**n)`` (inverse of increment)."""
-    circuit = increment(num_lines).inverse()
-    circuit.name = f"decrement_{num_lines}"
     return circuit
 
 
@@ -209,19 +192,6 @@ def cyclic_line_shift(num_lines: int, shift: int = 1) -> ReversibleCircuit:
     mapping = [(line + shift) % num_lines for line in range(num_lines)]
     circuit = permutation_circuit(LinePermutation(mapping))
     circuit.name = f"shift_{num_lines}_{shift % num_lines}"
-    return circuit
-
-
-def hidden_shift(shift_mask: int, num_lines: int) -> ReversibleCircuit:
-    """The XOR-shift oracle ``x -> x XOR s`` used by hidden-shift problems."""
-    if shift_mask >> num_lines:
-        raise CircuitError(
-            f"shift mask {shift_mask:#x} does not fit in {num_lines} lines"
-        )
-    circuit = ReversibleCircuit(num_lines, name=f"hidden_shift_{shift_mask}")
-    for line in range(num_lines):
-        if (shift_mask >> line) & 1:
-            circuit.append(not_gate(line))
     return circuit
 
 

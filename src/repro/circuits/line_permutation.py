@@ -6,8 +6,7 @@ is permuted to the j-th bit".  :class:`LinePermutation` is that object with
 0-based indices: ``pi[i] = j`` moves line ``i``'s value to line ``j``.
 
 A line permutation acts on bit vectors (output bit ``pi[i]`` = input bit
-``i``), lifts to a :class:`~repro.circuits.permutation.Permutation` on
-``range(2**n)``, and can be realised as a swap-gate circuit ``C_pi`` via
+``i``) and can be realised as a swap-gate circuit ``C_pi`` via
 :func:`repro.circuits.transforms.permutation_circuit`.
 """
 
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from repro.circuits.permutation import Permutation
 from repro.exceptions import PermutationError
 
 __all__ = ["LinePermutation"]
@@ -43,29 +41,6 @@ class LinePermutation:
         """The identity line permutation on ``num_lines`` lines."""
         return cls(list(range(num_lines)))
 
-    @classmethod
-    def from_cycles(cls, num_lines: int, *cycles: Sequence[int]) -> "LinePermutation":
-        """Build a line permutation from disjoint cycles.
-
-        Example: ``LinePermutation.from_cycles(4, (0, 2, 1))`` sends line 0
-        to line 2, line 2 to line 1 and line 1 to line 0, leaving line 3
-        fixed.
-        """
-        mapping = list(range(num_lines))
-        seen: set[int] = set()
-        for cycle in cycles:
-            for line in cycle:
-                if line in seen:
-                    raise PermutationError(f"line {line} appears in two cycles")
-                if not 0 <= line < num_lines:
-                    raise PermutationError(
-                        f"line {line} out of range for {num_lines} lines"
-                    )
-                seen.add(line)
-            for index, line in enumerate(cycle):
-                mapping[line] = cycle[(index + 1) % len(cycle)]
-        return cls(mapping)
-
     # -- structure -----------------------------------------------------------
     @property
     def num_lines(self) -> int:
@@ -87,23 +62,15 @@ class LinePermutation:
         return len(self._mapping)
 
     # -- semantics -----------------------------------------------------------
+    # The defining action of ``pi`` on bit vectors (Problem 1); the tests
+    # hold ``C_pi`` and every transform to it.
+    # repro: allow[drift-test-only-api]
     def apply_to_vector(self, value: int) -> int:
         """Apply to an integer bit vector: output bit ``pi[i]`` = input bit ``i``."""
         result = 0
         for source, destination in enumerate(self._mapping):
             if (value >> source) & 1:
                 result |= 1 << destination
-        return result
-
-    def apply_to_bits(self, bits: Sequence[int]) -> list[int]:
-        """Apply to a bit list (index = line)."""
-        if len(bits) != len(self._mapping):
-            raise PermutationError(
-                f"expected {len(self._mapping)} bits, got {len(bits)}"
-            )
-        result = [0] * len(bits)
-        for source, destination in enumerate(self._mapping):
-            result[destination] = bits[source]
         return result
 
     def inverse(self) -> "LinePermutation":
@@ -132,10 +99,6 @@ class LinePermutation:
     def is_identity(self) -> bool:
         """Whether this is the identity permutation."""
         return all(destination == line for line, destination in enumerate(self._mapping))
-
-    def to_permutation(self) -> Permutation:
-        """Lift to a permutation on ``range(2**n)`` acting on bit vectors."""
-        return Permutation.from_function(self.apply_to_vector, self.num_lines)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition on lines, fixed lines omitted."""

@@ -145,10 +145,6 @@ class Permutation:
                 cycles.append(tuple(cycle))
         return cycles
 
-    def fixed_points(self) -> list[int]:
-        """All ``x`` with ``self(x) == x``."""
-        return [value for value, image in enumerate(self._mapping) if image == value]
-
     def order(self) -> int:
         """The multiplicative order (lcm of cycle lengths)."""
         from math import lcm

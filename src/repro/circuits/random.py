@@ -23,8 +23,6 @@ __all__ = [
     "random_permutation",
     "random_mct_gate",
     "random_circuit",
-    "random_non_identity_negation",
-    "random_non_identity_line_permutation",
 ]
 
 
@@ -49,17 +47,6 @@ def random_negation(
     return [bool(rng.getrandbits(1)) for _ in range(num_lines)]
 
 
-def random_non_identity_negation(
-    num_lines: int, rng: _random.Random | int | None = None
-) -> list[bool]:
-    """A random negation function guaranteed to negate at least one line."""
-    rng = coerce_rng(rng)
-    while True:
-        nu = random_negation(num_lines, rng)
-        if any(nu):
-            return nu
-
-
 def random_line_permutation(
     num_lines: int, rng: _random.Random | int | None = None
 ) -> LinePermutation:
@@ -68,20 +55,6 @@ def random_line_permutation(
     mapping = list(range(num_lines))
     rng.shuffle(mapping)
     return LinePermutation(mapping)
-
-
-def random_non_identity_line_permutation(
-    num_lines: int, rng: _random.Random | int | None = None
-) -> LinePermutation:
-    """A random line permutation guaranteed to move at least one line.
-
-    Requires ``num_lines >= 2``.
-    """
-    rng = coerce_rng(rng)
-    while True:
-        pi = random_line_permutation(num_lines, rng)
-        if not pi.is_identity():
-            return pi
 
 
 def random_permutation(

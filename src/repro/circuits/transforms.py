@@ -12,32 +12,24 @@ transform circuits:
 An "X-Y equivalence" then asserts ``C1 = T_Y C2 T_X`` in operator notation,
 where each side transform is ``T = C_pi C_nu`` (negation applied first, then
 permutation) restricted to the components its class allows.  This module
-builds those transforms as circuits, applies them to existing circuits to
-construct promised-equivalent instances for experiments, and implements the
-Fig. 4 identity that commutes a negation layer past a permutation layer.
+builds those transforms as circuits and applies them to existing circuits
+to construct promised-equivalent instances for experiments.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.bits import mask_from_indices
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.gates import SwapGate, not_gate
 from repro.circuits.line_permutation import LinePermutation
 from repro.exceptions import CircuitError
 
 __all__ = [
-    "negation_mask",
     "negation_circuit",
     "permutation_circuit",
     "apply_input_negation",
-    "apply_output_negation",
-    "apply_input_permutation",
-    "apply_output_permutation",
     "transformed_circuit",
-    "commute_negation_then_permutation",
-    "commute_permutation_then_negation",
 ]
 
 
@@ -61,11 +53,6 @@ def _coerce_permutation(
             f"line permutation has {pi.num_lines} lines, circuit has {num_lines}"
         )
     return pi
-
-
-def negation_mask(nu: Sequence[bool | int]) -> int:
-    """Pack a negation function into an XOR mask (bit ``i`` = ``nu[i]``)."""
-    return mask_from_indices(index for index, flag in enumerate(nu) if flag)
 
 
 def negation_circuit(nu: Sequence[bool | int]) -> ReversibleCircuit:
@@ -108,32 +95,9 @@ def apply_input_negation(
     return negation_circuit(nu).then(circuit)
 
 
-def apply_output_negation(
-    circuit: ReversibleCircuit, nu: Sequence[bool | int]
-) -> ReversibleCircuit:
-    """Build the circuit ``C_nu . circuit`` (negation applied to the outputs)."""
-    nu = _coerce_negation(nu, circuit.num_lines)
-    return circuit.then(negation_circuit(nu))
-
-
-def apply_input_permutation(
-    circuit: ReversibleCircuit, pi: LinePermutation | Sequence[int]
-) -> ReversibleCircuit:
-    """Build the circuit ``circuit . C_pi`` (inputs rewired before the circuit)."""
-    pi = _coerce_permutation(pi, circuit.num_lines)
-    return permutation_circuit(pi).then(circuit)
-
-
-def apply_output_permutation(
-    circuit: ReversibleCircuit, pi: LinePermutation | Sequence[int]
-) -> ReversibleCircuit:
-    """Build the circuit ``C_pi . circuit`` (outputs rewired after the circuit)."""
-    pi = _coerce_permutation(pi, circuit.num_lines)
-    return circuit.then(permutation_circuit(pi))
-
-
 def transformed_circuit(
     circuit: ReversibleCircuit,
+
     nu_x: Sequence[bool | int] | None = None,
     pi_x: LinePermutation | Sequence[int] | None = None,
     nu_y: Sequence[bool | int] | None = None,
@@ -164,48 +128,3 @@ def transformed_circuit(
             permutation_circuit(_coerce_permutation(pi_y, circuit.num_lines))
         )
     return result
-
-
-# ---------------------------------------------------------------------------
-# Fig. 4: commuting negation and permutation layers
-# ---------------------------------------------------------------------------
-def commute_negation_then_permutation(
-    nu: Sequence[bool | int], pi: LinePermutation | Sequence[int]
-) -> tuple[list[bool], LinePermutation]:
-    """Rewrite ``C_pi C_nu`` as ``C_nu' C_pi`` (Fig. 4, left to right).
-
-    ``C_pi C_nu`` negates first and permutes second; the equivalent
-    ``C_nu' C_pi`` permutes first and negates second with
-    ``nu'(pi(i)) = nu(i)``.
-
-    Returns:
-        The pair ``(nu', pi)``; ``pi`` is unchanged, only the negation
-        function moves.
-    """
-    pi = LinePermutation(pi) if not isinstance(pi, LinePermutation) else pi
-    nu = [bool(value) for value in nu]
-    if len(nu) != pi.num_lines:
-        raise CircuitError("nu and pi act on different numbers of lines")
-    nu_prime = [False] * len(nu)
-    for line, flag in enumerate(nu):
-        nu_prime[pi[line]] = flag
-    return nu_prime, pi
-
-
-def commute_permutation_then_negation(
-    pi: LinePermutation | Sequence[int], nu: Sequence[bool | int]
-) -> tuple[LinePermutation, list[bool]]:
-    """Rewrite ``C_nu C_pi`` as ``C_pi C_nu'`` (Fig. 4, right to left).
-
-    ``C_nu C_pi`` permutes first and negates second; the equivalent
-    ``C_pi C_nu'`` negates first with ``nu'(i) = nu(pi(i))``.
-
-    Returns:
-        The pair ``(pi, nu')``; ``pi`` is unchanged.
-    """
-    pi = LinePermutation(pi) if not isinstance(pi, LinePermutation) else pi
-    nu = [bool(value) for value in nu]
-    if len(nu) != pi.num_lines:
-        raise CircuitError("nu and pi act on different numbers of lines")
-    nu_prime = [nu[pi[line]] for line in range(pi.num_lines)]
-    return pi, nu_prime

@@ -38,7 +38,7 @@ Public surface:
 
 from __future__ import annotations
 
-from repro.core import equivalence_check, hardness, matchers
+from repro.core import hardness, matchers
 from repro.core.decision import DecisionOutcome, decide
 from repro.core.dispatcher import match
 from repro.core.engine import (
@@ -99,5 +99,4 @@ __all__ = [
     "verify_match",
     "matchers",
     "hardness",
-    "equivalence_check",
 ]

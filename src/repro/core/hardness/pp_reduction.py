@@ -71,19 +71,9 @@ class PPInstance:
         return self.layout.variable_lines[: self.num_original_variables]
 
     @property
-    def y_lines(self) -> tuple[int, ...]:
-        """Lines carrying the dual-rail companions ``y_1..y_n``."""
-        return self.layout.variable_lines[self.num_original_variables :]
-
-    @property
     def positive_region(self) -> tuple[int, ...]:
         """Positions holding positive controls in ``C2`` (the first ``n``)."""
         return self.x_lines
-
-    @property
-    def negative_region(self) -> tuple[int, ...]:
-        """Positions holding negative controls in ``C2``."""
-        return tuple(self.y_lines) + tuple(self.layout.clause_lines)
 
 
 def dual_rail_formula(formula: CNF) -> CNF:

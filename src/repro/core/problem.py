@@ -119,18 +119,6 @@ class MatchingResult:
             raise MatchingError("result has no input permutation function")
         return self.pi_x
 
-    def require_nu_y(self) -> tuple[bool, ...]:
-        """The output negation, raising if the matcher did not produce one."""
-        if self.nu_y is None:
-            raise MatchingError("result has no output negation function")
-        return self.nu_y
-
-    def require_pi_y(self) -> LinePermutation:
-        """The output permutation, raising if the matcher did not produce one."""
-        if self.pi_y is None:
-            raise MatchingError("result has no output permutation function")
-        return self.pi_y
-
     def describe(self) -> str:
         """A short human-readable rendering of the witnesses."""
 

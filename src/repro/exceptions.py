@@ -130,4 +130,4 @@ class FleetError(ServiceError):
 
 
 class LintError(ReproError):
-    """Misuse of the lint subsystem (bad registry, baseline, or target)."""
+    """Misuse of the lint subsystem (bad baseline or target)."""

@@ -43,6 +43,7 @@ from repro.exceptions import (
     FleetError,
 )
 from repro.fleet.runid import FleetRunIdCounter
+from repro.obs.metrics import MetricsRegistry
 from repro.service.daemon import DaemonClient, RunState
 from repro.service.events import (
     Observer,
@@ -191,7 +192,8 @@ class FleetCoordinator:
             event stream (one ``RunStarted``, each pair once, one
             ``RunCompleted``).
         metrics: a :class:`~repro.obs.metrics.MetricsRegistry`
-            receiving the ``repro_fleet_*`` series; optional.
+            receiving the ``repro_fleet_*`` series; optional (without
+            one the coordinator counts into a private registry).
         heartbeat_s: how long an event stream may stay silent before the
             coordinator probes the worker's health.
         hang_timeout_s: silence budget for a *running* shard; past it
@@ -216,7 +218,7 @@ class FleetCoordinator:
         work_dir: str | Path,
         auth_token: str | None = None,
         observers: Sequence[Observer] = (),
-        metrics=None,
+        metrics: MetricsRegistry | None = None,
         heartbeat_s: float = 5.0,
         hang_timeout_s: float = 30.0,
         max_attempts: int = 3,
@@ -238,7 +240,7 @@ class FleetCoordinator:
         self._work_dir.mkdir(parents=True, exist_ok=True)
         self._auth_token = auth_token
         self._observers = list(observers)
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._heartbeat_s = heartbeat_s
         self._hang_timeout_s = hang_timeout_s
         self._max_attempts = max_attempts
@@ -292,10 +294,9 @@ class FleetCoordinator:
         with self._lock:
             peer.healthy = False
             peer.reason = reason
-        if self._metrics is not None:
-            self._metrics.counter("repro_fleet_peer_failures_total").inc(
-                reason=reason
-            )
+        self._metrics.counter("repro_fleet_peer_failures_total").inc(
+            reason=reason
+        )
 
     def _pick_peer(self, shard: ShardOutcome) -> FleetPeer:
         healthy = self._healthy_peers()
@@ -396,9 +397,8 @@ class FleetCoordinator:
 
     def _finish_run(self, state: str, started: float) -> float:
         elapsed = time.monotonic() - started
-        if self._metrics is not None:
-            self._metrics.counter("repro_fleet_runs_total").inc(state=state)
-            self._metrics.histogram("repro_fleet_run_seconds").observe(elapsed)
+        self._metrics.counter("repro_fleet_runs_total").inc(state=state)
+        self._metrics.histogram("repro_fleet_run_seconds").observe(elapsed)
         return elapsed
 
     # -- one shard, possibly across several peers ------------------------------
@@ -411,19 +411,17 @@ class FleetCoordinator:
             # shard's result; run() turns any of them into one FleetError.
             with self._lock:
                 shard.error = f"{type(failure).__name__}: {failure}"
-            if self._metrics is not None:
-                self._metrics.counter("repro_fleet_shards_total").inc(
-                    outcome="failed"
-                )
+            self._metrics.counter("repro_fleet_shards_total").inc(
+                outcome="failed"
+            )
 
     def _reassign(self, shard: ShardOutcome, peer: FleetPeer, reason: str) -> None:
         self._mark_unhealthy(peer, reason)
         with self._lock:
             shard.reassigned_from.append(peer.address)
-        if self._metrics is not None:
-            self._metrics.counter("repro_fleet_shards_total").inc(
-                outcome="reassigned"
-            )
+        self._metrics.counter("repro_fleet_shards_total").inc(
+            outcome="reassigned"
+        )
 
     def _execute_shard(
         self, shard: ShardOutcome, manifest: str, seed: int | None
@@ -464,10 +462,9 @@ class FleetCoordinator:
                     f"finished {state}"
                 )
             self._harvest(shard, peer)
-            if self._metrics is not None:
-                self._metrics.counter("repro_fleet_shards_total").inc(
-                    outcome="completed"
-                )
+            self._metrics.counter("repro_fleet_shards_total").inc(
+                outcome="completed"
+            )
             return
 
     def _attempt(

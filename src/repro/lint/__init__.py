@@ -1,7 +1,7 @@
 """Project-specific static analysis for the repro codebase.
 
-A rule-registry-driven AST checker enforcing the invariants generic
-linters cannot know about:
+An AST checker enforcing the invariants generic linters cannot know
+about:
 
 * **Determinism** — cache keys, probe digests, manifests, and serialised
   records must be bit-identical across processes and machines, so the
@@ -12,7 +12,8 @@ linters cannot know about:
   outside it.
 * **Drift** — the contracts written down in ``docs/`` and the README
   (daemon ops, event wire fields, ``config_digest`` coverage, CLI
-  surface) must match the code that implements them.
+  surface) must match the code that implements them, and every public
+  name must have a user outside ``tests/``.
 
 Run it as ``repro lint`` or ``python -m repro.lint``.  See
 ``docs/lint.md`` for the rule catalog, the ``# repro: allow[rule-id]``
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from repro.lint.findings import Finding, load_baseline, write_baseline
 from repro.lint.rules import (
-    LintRegistry,
     LintRule,
     ModuleContext,
     ModuleRule,
@@ -31,9 +31,9 @@ from repro.lint.rules import (
     ProjectRule,
 )
 from repro.lint.runner import (
+    RULES,
     LintReport,
     collect_files,
-    default_registry,
     lint_project,
     render,
     render_json,
@@ -42,15 +42,14 @@ from repro.lint.runner import (
 
 __all__ = [
     "Finding",
-    "LintRegistry",
     "LintRule",
     "LintReport",
     "ModuleContext",
     "ModuleRule",
     "ProjectContext",
     "ProjectRule",
+    "RULES",
     "collect_files",
-    "default_registry",
     "lint_project",
     "load_baseline",
     "render",

@@ -10,6 +10,8 @@ of each documented contract and diffing the sets:
 * ``MatchingConfig`` fields      <->  the config_digest section of docs/cache-keys.md
 * CLI subcommands and flags      <->  README.md
 * ``METRIC_CATALOG`` names       <->  the metric name catalog in docs/observability.md
+* public ``src/repro`` names     <->  a use outside ``tests/`` (source, examples,
+  benchmarks, perfbench, scripts, docs or the README)
 
 Each rule locates its code module by path convention and skips silently
 when that module is not part of the lint target (so fixture trees only
@@ -31,6 +33,7 @@ __all__ = [
     "ConfigDigestRule",
     "ReadmeFlagsRule",
     "MetricNamesRule",
+    "OnlyTestedApiRule",
 ]
 
 _SNAKE_TOKEN = re.compile(r"`([a-z][a-z0-9_]*)`")
@@ -41,6 +44,7 @@ _HEADING = re.compile(r"^#{1,6}\s")
 _FLAG_TOKEN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 _INLINE_SPAN = re.compile(r"`([^`]{1,200}?)`")
 _WORD = re.compile(r"^[a-z][a-z0-9-]*$")
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _section_lines(lines: list[str], heading_key: str):
@@ -473,3 +477,111 @@ class ReadmeFlagsRule(ProjectRule):
             lineno = prose.count("\n", 0, match.start()) + 1
             note_command(match.group(1).replace("\n", " ").strip(), lineno)
         return doc_subs, doc_flags
+
+
+class OnlyTestedApiRule(ProjectRule):
+    """A public ``src/repro`` name must have a user outside ``tests/``.
+
+    Names are matched as words, so a method counts as used wherever any
+    attribute of that name is read.  In ``src/`` a use is a load of the
+    name or an identifier string, outside the definition's own body;
+    ``__all__`` entries and ``from ... import`` re-exports are not uses.
+    """
+
+    rule_id = "drift-test-only-api"
+    summary = ("a public function, method or class under src/repro that "
+               "tests/ use but no source module, example, benchmark, "
+               "perfbench workload, script or doc does")
+
+    _SOURCE = "src/repro/"
+    _TESTS = ("tests",)
+    _USERS = ("examples", "benchmarks", "perfbench", "scripts", "docs",
+              "README.md")
+    _TEXT_SUFFIXES = frozenset({".py", ".md", ".json"})
+
+    def check(self, project: ProjectContext) -> list[Finding]:
+        tested = self._words(project, self._TESTS)
+        if not tested:
+            return []
+        used = self._words(project, self._USERS)
+        sources = [module for module in project.modules
+                   if module.relpath.startswith(self._SOURCE)]
+        uses: dict[str, list[tuple[str, int]]] = {}
+        for module in sources:
+            for name, line in _source_uses(module.tree):
+                uses.setdefault(name, []).append((module.relpath, line))
+        findings: list[Finding] = []
+        for module in sources:
+            for qualname, node in _public_definitions(module.tree):
+                if node.name not in tested or node.name in used:
+                    continue
+                if any(path != module.relpath
+                       or not node.lineno <= line <= node.end_lineno
+                       for path, line in uses.get(node.name, ())):
+                    continue
+                anchor = min([node.lineno] + [decorator.lineno for decorator
+                                              in node.decorator_list])
+                findings.append(self.finding(
+                    module.relpath, anchor,
+                    f"{qualname} is public but only tests/ use it: delete "
+                    "it, move it into the tests, or allow it with a reason",
+                ))
+        return findings
+
+    @classmethod
+    def _words(cls, project: ProjectContext,
+               tops: tuple[str, ...]) -> frozenset[str]:
+        """Every identifier-shaped word in the text files under ``tops``."""
+        words: set[str] = set()
+        for top in tops:
+            path = project.root / top
+            files = sorted(path.rglob("*")) if path.is_dir() else [path]
+            for file in files:
+                if file.suffix in cls._TEXT_SUFFIXES and file.is_file():
+                    words.update(_IDENTIFIER.findall(
+                        file.read_text(encoding="utf-8", errors="replace")))
+        return frozenset(words)
+
+
+def _public_definitions(tree: ast.Module):
+    """``(qualname, node)`` for each public top-level def, class and method."""
+    stack = [("", node) for node in tree.body]
+    while stack:
+        prefix, node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        qualname = prefix + node.name
+        yield qualname, node
+        if isinstance(node, ast.ClassDef):
+            stack.extend((qualname + ".", child) for child in node.body)
+
+
+def _source_uses(tree: ast.Module):
+    """``(name, line)`` for each use of a name inside one source module."""
+    exported = {
+        node for stmt in tree.body if _assigns_all(stmt)
+        for node in ast.walk(stmt)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and node not in exported):
+            yield node.value, node.lineno
+
+
+def _assigns_all(stmt: ast.stmt) -> bool:
+    """Whether ``stmt`` assigns or extends ``__all__``."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        targets = [stmt.target]
+    else:
+        return False
+    return any(isinstance(target, ast.Name) and target.id == "__all__"
+               for target in targets)

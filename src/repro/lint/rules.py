@@ -1,9 +1,7 @@
-"""Rule and registry plumbing for the lint subsystem.
+"""Rule plumbing for the lint subsystem.
 
-Rules are small classes registered under a stable ``rule_id``, and the
-runner iterates the registry rather than a hard-coded list, so
-downstream forks can add project-specific rules without touching the
-runner.
+Rules are small classes with a stable ``rule_id``; the runner iterates
+its ``RULES`` tuple.
 
 Two rule kinds exist.  A :class:`ModuleRule` sees one parsed module at a
 time (an AST with parent pointers) and is scoped — determinism rules only
@@ -28,7 +26,6 @@ __all__ = [
     "LintRule",
     "ModuleRule",
     "ProjectRule",
-    "LintRegistry",
     "SCOPE_PATHS",
 ]
 
@@ -169,43 +166,3 @@ class ProjectRule(LintRule):
     def check(self, project: ProjectContext) -> list[Finding]:
         """Return findings for the project."""
 
-
-class LintRegistry:
-    """Rules keyed by ``rule_id``; duplicates are a configuration error."""
-
-    def __init__(self, rules: tuple[LintRule, ...] = ()) -> None:
-        self._rules: dict[str, LintRule] = {}
-        for rule in rules:
-            self.register(rule)
-
-    def register(self, rule: LintRule) -> LintRule:
-        if not rule.rule_id:
-            raise LintError(f"{type(rule).__name__} has no rule_id")
-        if rule.rule_id in self._rules:
-            raise LintError(f"duplicate lint rule {rule.rule_id!r}")
-        self._rules[rule.rule_id] = rule
-        return rule
-
-    @property
-    def rules(self) -> tuple[LintRule, ...]:
-        return tuple(
-            self._rules[rule_id] for rule_id in sorted(self._rules)
-        )
-
-    def rule(self, rule_id: str) -> LintRule:
-        try:
-            return self._rules[rule_id]
-        except KeyError:
-            raise LintError(f"unknown lint rule {rule_id!r}") from None
-
-    def module_rules(self) -> tuple[ModuleRule, ...]:
-        return tuple(r for r in self.rules if isinstance(r, ModuleRule))
-
-    def project_rules(self) -> tuple[ProjectRule, ...]:
-        return tuple(r for r in self.rules if isinstance(r, ProjectRule))
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __contains__(self, rule_id: str) -> bool:
-        return rule_id in self._rules

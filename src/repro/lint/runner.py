@@ -1,4 +1,4 @@
-"""Collect files, run the registry, apply suppressions and the baseline.
+"""Collect files, run the rules, apply suppressions and the baseline.
 
 The runner is deliberately thin: rules produce findings, the runner
 subtracts ``# repro: allow[...]`` suppressions and baseline fingerprints,
@@ -28,20 +28,16 @@ from repro.lint.drift import (
     ConfigDigestRule,
     EventFieldsRule,
     MetricNamesRule,
+    OnlyTestedApiRule,
     ProtocolOpsRule,
     ReadmeFlagsRule,
 )
-from repro.lint.findings import Finding, load_baseline, suppressed_rules
+from repro.lint.findings import Finding, suppressed_rules
 from repro.lint.locks import ThreadEntryMutationRule, UnguardedAttrRule
-from repro.lint.rules import (
-    LintRegistry,
-    ModuleContext,
-    ModuleRule,
-    ProjectContext,
-)
+from repro.lint.rules import LintRule, ModuleContext, ModuleRule, ProjectContext
 
 __all__ = [
-    "default_registry",
+    "RULES",
     "collect_files",
     "lint_project",
     "LintReport",
@@ -55,23 +51,23 @@ REPORT_FORMAT = "repro-lint/v1"
 _SOURCE_SUBDIR = Path("src") / "repro"
 
 
-def default_registry() -> LintRegistry:
-    """The stock rule set: determinism, lock coverage, and drift."""
-    return LintRegistry((
-        UnseededRandomRule(),
-        WallClockRule(),
-        UnsortedIterationRule(),
-        UnsortedListingRule(),
-        IdentityKeyRule(),
-        NonAtomicPublishRule(),
-        UnguardedAttrRule(),
-        ThreadEntryMutationRule(),
-        ProtocolOpsRule(),
-        EventFieldsRule(),
-        ConfigDigestRule(),
-        ReadmeFlagsRule(),
-        MetricNamesRule(),
-    ))
+#: The stock rule set (determinism, drift, lock coverage), sorted by id.
+RULES: tuple[LintRule, ...] = (
+    IdentityKeyRule(),            # det-id-key
+    NonAtomicPublishRule(),       # det-nonatomic-publish
+    UnseededRandomRule(),         # det-unseeded-random
+    UnsortedListingRule(),        # det-unsorted-glob
+    UnsortedIterationRule(),      # det-unsorted-iter
+    WallClockRule(),              # det-wallclock
+    ConfigDigestRule(),           # drift-config-digest
+    EventFieldsRule(),            # drift-event-fields
+    MetricNamesRule(),            # drift-metric-names
+    ProtocolOpsRule(),            # drift-protocol-ops
+    ReadmeFlagsRule(),            # drift-readme-flags
+    OnlyTestedApiRule(),          # drift-test-only-api
+    ThreadEntryMutationRule(),    # lock-thread-entry
+    UnguardedAttrRule(),          # lock-unguarded-attr
+)
 
 
 def collect_files(root: Path) -> list[Path]:
@@ -110,13 +106,12 @@ class LintReport:
 
 def lint_project(
     root: Path,
-    registry: LintRegistry | None = None,
+    rules: tuple[LintRule, ...] = RULES,
     baseline: frozenset[str] | None = None,
     paths: list[Path] | None = None,
 ) -> LintReport:
     """Lint ``paths`` (default: the ``src/repro`` tree under ``root``)."""
     root = Path(root)
-    registry = registry if registry is not None else default_registry()
     files = [Path(p) for p in paths] if paths is not None else (
         collect_files(root)
     )
@@ -124,12 +119,13 @@ def lint_project(
     project = ProjectContext(root=root, modules=modules)
 
     raw: list[Finding] = []
-    for module in modules:
-        for rule in registry.module_rules():
-            if rule.applies_to(module):
-                raw.extend(rule.check(module))
-    for rule in registry.project_rules():
-        raw.extend(rule.check(project))
+    for rule in rules:
+        if isinstance(rule, ModuleRule):
+            for module in modules:
+                if rule.applies_to(module):
+                    raw.extend(rule.check(module))
+        else:
+            raw.extend(rule.check(project))
 
     module_lines = {module.relpath: module.lines for module in modules}
     baseline = baseline if baseline is not None else frozenset()
@@ -147,7 +143,7 @@ def lint_project(
     return LintReport(
         root=root,
         files=len(files),
-        rules=len(registry),
+        rules=len(rules),
         findings=kept,
         suppressed=suppressed,
     )

@@ -7,7 +7,7 @@ that bookkeeping here keeps the oracles themselves trivial.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 __all__ = ["QueryStatistics"]
@@ -67,13 +67,6 @@ class QueryStatistics:
             "min": float(self.minimum),
             "max": float(self.maximum),
         }
-
-    @classmethod
-    def from_samples(cls, label: str, samples: Sequence[int]) -> "QueryStatistics":
-        """Build a statistics object directly from a list of counts."""
-        stats = cls(label)
-        stats.extend(samples)
-        return stats
 
     def __repr__(self) -> str:
         return (

@@ -14,7 +14,7 @@ ingredients from a quantum computer:
 This package implements exactly those ingredients on top of numpy:
 
 * :class:`Statevector` with :func:`product_state` and friends,
-* :func:`apply_circuit` / :func:`apply_x` / :func:`apply_hadamard`,
+* :func:`apply_circuit` / :func:`apply_hadamard`,
 * :class:`SwapTest` (analytic Born-rule sampling, with an explicit
   circuit-level construction available for cross-validation),
 * :class:`QuantumCircuitOracle` — the query-counted quantum oracle.
@@ -32,7 +32,6 @@ from repro.quantum.apply import (
     apply_circuit,
     apply_hadamard,
     apply_permutation,
-    apply_x,
 )
 from repro.quantum.oracle import QuantumCircuitOracle
 from repro.quantum.simon import XorQueryOracle, find_hidden_period, simon_sample
@@ -57,7 +56,6 @@ __all__ = [
     "MINUS",
     "apply_circuit",
     "apply_permutation",
-    "apply_x",
     "apply_hadamard",
     "SwapTest",
     "swap_test_probability",

@@ -20,7 +20,6 @@ from repro.quantum.statevector import Statevector
 __all__ = [
     "apply_circuit",
     "apply_permutation",
-    "apply_x",
     "apply_hadamard",
     "apply_controlled_swap",
 ]
@@ -60,16 +59,6 @@ def apply_circuit(circuit: ReversibleCircuit, state: Statevector) -> Statevector
     new = np.empty_like(old)
     new[tabulate(circuit)] = old
     return Statevector(new, state.num_qubits, validate=False)
-
-
-def apply_x(state: Statevector, qubit: int) -> Statevector:
-    """Apply a Pauli-X (NOT) gate to one qubit."""
-    if not 0 <= qubit < state.num_qubits:
-        raise QuantumError(f"qubit {qubit} out of range")
-    indices = np.arange(state.dimension)
-    flipped = indices ^ (1 << qubit)
-    new = state.vector[flipped]
-    return Statevector(new.copy(), state.num_qubits, validate=False)
 
 
 def apply_hadamard(state: Statevector, qubit: int) -> Statevector:

@@ -67,10 +67,6 @@ class QuantumCircuitOracle:
         matchers)."""
         return self._permutation
 
-    def reset_counts(self) -> None:
-        """Reset the query counter."""
-        self._queries = 0
-
     def _charge(self) -> None:
         if self._max_queries is not None and self._queries >= self._max_queries:
             raise QueryBudgetExceededError(

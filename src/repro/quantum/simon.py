@@ -90,10 +90,6 @@ class XorQueryOracle:
         """Number of queries (quantum XOR queries plus classical probes)."""
         return self._queries
 
-    def reset_counts(self) -> None:
-        """Reset the query counter."""
-        self._queries = 0
-
     def classical_query(self, value: int) -> int:
         """Evaluate ``f`` on a classical input (counted like any query)."""
         if not 0 <= value < (1 << self._input_bits):

@@ -8,7 +8,7 @@ convention the classical simulator uses, so a reversible circuit acts on a
 
 Only what the paper's algorithms need is implemented: product-state
 preparation over the single-qubit alphabet ``{|0>, |1>, |+>, |->}``, inner
-products, fidelity, normalisation checks and Born-rule sampling of a single
+products, normalisation checks and Born-rule sampling of a single
 qubit.
 """
 
@@ -117,10 +117,9 @@ class Statevector:
             raise QuantumError("inner product of states with different qubit counts")
         return complex(np.vdot(self._vector, other._vector))
 
-    def fidelity(self, other: "Statevector") -> float:
-        """``|<self|other>|**2``."""
-        return float(abs(self.inner_product(other)) ** 2)
-
+    # The unit-norm invariant the quantum property tests assert after
+    # every operation.
+    # repro: allow[drift-test-only-api]
     def is_normalized(self, atol: float = 1e-6) -> bool:
         """Whether the state has unit norm."""
         return bool(np.isclose(np.vdot(self._vector, self._vector).real, 1.0, atol=atol))
@@ -158,15 +157,6 @@ class Statevector:
         if other._num_qubits != self._num_qubits:
             return False
         return bool(np.allclose(self._vector, other._vector, atol=atol))
-
-    def equals_up_to_global_phase(
-        self, other: "Statevector", atol: float = 1e-7
-    ) -> bool:
-        """Equality up to a global phase factor."""
-        if other._num_qubits != self._num_qubits:
-            return False
-        overlap = self.inner_product(other)
-        return bool(np.isclose(abs(overlap), 1.0, atol=atol))
 
     def __repr__(self) -> str:
         return f"<Statevector qubits={self._num_qubits}>"

@@ -99,10 +99,6 @@ class SwapTest:
         """Number of swap tests sampled so far."""
         return self._runs
 
-    def reset(self) -> None:
-        """Reset the run counter."""
-        self._runs = 0
-
     def probability_of_zero(
         self, state_a: Statevector, state_b: Statevector
     ) -> float:
@@ -135,17 +131,3 @@ class SwapTest:
     ) -> list[int]:
         """Run ``repetitions`` independent swap tests."""
         return [self.sample(state_a, state_b) for _ in range(repetitions)]
-
-    def any_one(
-        self, state_a: Statevector, state_b: Statevector, repetitions: int
-    ) -> bool:
-        """Whether any of ``repetitions`` swap tests measures 1.
-
-        This is the exact primitive Algorithm 1 uses: a single observed 1
-        certifies the states are not identical; ``repetitions`` consecutive
-        zeros give confidence ``1 - 2**-repetitions`` that they are.
-        """
-        for _ in range(repetitions):
-            if self.sample(state_a, state_b) == 1:
-                return True
-        return False

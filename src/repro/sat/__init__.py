@@ -6,7 +6,7 @@ P-P matching problems.  Exercising those reductions end to end needs a small
 SAT toolbox, provided here:
 
 * :mod:`repro.sat.cnf` — literals, clauses, CNF formulas, evaluation.
-* :mod:`repro.sat.dimacs` — DIMACS CNF reader/writer.
+* :mod:`repro.sat.dimacs` — DIMACS CNF writer.
 * :mod:`repro.sat.solver` — a DPLL solver with unit propagation and pure
   literal elimination, plus model enumeration (to certify uniqueness).
 * :mod:`repro.sat.generators` — random k-SAT and planted UNIQUE-SAT
@@ -19,7 +19,7 @@ SAT toolbox, provided here:
 from __future__ import annotations
 
 from repro.sat.cnf import CNF, Clause, Literal
-from repro.sat.dimacs import cnf_to_dimacs, parse_dimacs
+from repro.sat.dimacs import cnf_to_dimacs
 from repro.sat.generators import (
     planted_unique_sat,
     random_cnf,
@@ -32,7 +32,6 @@ __all__ = [
     "Literal",
     "Clause",
     "CNF",
-    "parse_dimacs",
     "cnf_to_dimacs",
     "solve",
     "SatResult",

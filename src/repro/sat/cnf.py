@@ -50,16 +50,6 @@ class Clause:
         """An empty clause is unsatisfiable."""
         return not self.literals
 
-    @property
-    def is_unit(self) -> bool:
-        """Whether the clause contains exactly one literal."""
-        return len(self.literals) == 1
-
-    def is_tautology(self) -> bool:
-        """Whether the clause contains a literal and its negation."""
-        literal_set = set(self.literals)
-        return any(-literal in literal_set for literal in literal_set)
-
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         """Evaluate under a *total* assignment of the clause's variables."""
         for literal in self.literals:
@@ -153,15 +143,6 @@ class CNF:
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         """Evaluate under a total assignment."""
         return all(clause.evaluate(assignment) for clause in self._clauses)
-
-    def evaluate_vector(self, values: Sequence[bool | int]) -> bool:
-        """Evaluate with ``values[i]`` assigned to variable ``i + 1``."""
-        if len(values) != self._num_variables:
-            raise SatError(
-                f"expected {self._num_variables} values, got {len(values)}"
-            )
-        assignment = {index + 1: bool(value) for index, value in enumerate(values)}
-        return self.evaluate(assignment)
 
     def variables(self) -> frozenset[int]:
         """The set of variables that actually occur in some clause."""

@@ -1,4 +1,4 @@
-"""DIMACS CNF reader and writer.
+"""DIMACS CNF writer.
 
 The DIMACS format is the lingua franca of SAT solvers::
 
@@ -7,67 +7,15 @@ The DIMACS format is the lingua franca of SAT solvers::
     1 -2 0
     2 3 0
 
-Only what the hardness experiments need is supported: ``c`` comments, the
-``p cnf`` header and zero-terminated clause lines (possibly spanning
-multiple physical lines).
+The writer emits ``c`` comment lines, the ``p cnf`` header and one
+zero-terminated line per clause.
 """
 
 from __future__ import annotations
 
-import os
+from repro.sat.cnf import CNF
 
-from repro.exceptions import ParseError
-from repro.sat.cnf import CNF, Clause
-
-__all__ = ["parse_dimacs", "cnf_to_dimacs", "read_dimacs", "write_dimacs"]
-
-
-def parse_dimacs(text: str) -> CNF:
-    """Parse DIMACS CNF text into a :class:`CNF`."""
-    num_variables: int | None = None
-    declared_clauses: int | None = None
-    clauses: list[Clause] = []
-    pending: list[int] = []
-
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"line {line_number}: malformed problem line {line!r}")
-            try:
-                num_variables = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError as error:
-                raise ParseError(
-                    f"line {line_number}: non-integer counts in problem line"
-                ) from error
-            continue
-        for token in line.split():
-            try:
-                literal = int(token)
-            except ValueError as error:
-                raise ParseError(
-                    f"line {line_number}: non-integer literal {token!r}"
-                ) from error
-            if literal == 0:
-                clauses.append(Clause(pending))
-                pending = []
-            else:
-                pending.append(literal)
-
-    if pending:
-        # Tolerate a missing trailing 0 on the final clause.
-        clauses.append(Clause(pending))
-    if num_variables is None:
-        raise ParseError("missing 'p cnf' problem line")
-    if declared_clauses is not None and declared_clauses != len(clauses):
-        raise ParseError(
-            f"problem line declares {declared_clauses} clauses, found {len(clauses)}"
-        )
-    return CNF(clauses, num_variables)
+__all__ = ["cnf_to_dimacs"]
 
 
 def cnf_to_dimacs(formula: CNF, comment: str | None = None) -> str:
@@ -80,15 +28,3 @@ def cnf_to_dimacs(formula: CNF, comment: str | None = None) -> str:
     for clause in formula:
         lines.append(" ".join(str(literal) for literal in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def read_dimacs(path: str | os.PathLike) -> CNF:
-    """Read a DIMACS CNF file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_dimacs(handle.read())
-
-
-def write_dimacs(formula: CNF, path: str | os.PathLike, comment: str | None = None) -> None:
-    """Write a :class:`CNF` to a DIMACS file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(cnf_to_dimacs(formula, comment))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.exceptions import SatError
 from repro.sat.cnf import CNF
 
-__all__ = ["SatResult", "solve", "enumerate_models", "count_models", "is_unique_sat"]
+__all__ = ["SatResult", "solve", "enumerate_models", "count_models"]
 
 
 @dataclass
@@ -193,8 +193,3 @@ def enumerate_models(formula: CNF, limit: int | None = None) -> Iterator[dict[in
 def count_models(formula: CNF, limit: int | None = None) -> int:
     """Count satisfying assignments (stopping early at ``limit`` if given)."""
     return sum(1 for _ in enumerate_models(formula, limit))
-
-
-def is_unique_sat(formula: CNF) -> bool:
-    """Whether ``formula`` has exactly one satisfying assignment."""
-    return count_models(formula, limit=2) == 1

@@ -76,6 +76,9 @@ def add_random_xor_constraint(
     return formula.with_clauses(clauses)
 
 
+# The Valiant-Vazirani step that turns any satisfiable CNF into a
+# UNIQUE-SAT promise instance for the Section 5 reductions.
+# repro: allow[drift-test-only-api]
 def isolate_unique_solution(
     formula: CNF,
     rng: _random.Random | int | None = None,

@@ -205,6 +205,14 @@ class ResultCache(ABC):
             self._put(key, record)
             self._stores.inc()
 
+    def prefetch(self, keys) -> None:
+        """A hint that ``get`` will be asked for ``keys`` soon.
+
+        A local tier answers each ``get`` directly and ignores it; a
+        :class:`~repro.cachenet.remote.RemoteCache` resolves the whole
+        batch in one round trip.
+        """
+
 
 class LRUCache(ResultCache):
     """Bounded in-memory cache with least-recently-used eviction.
@@ -385,19 +393,14 @@ class TieredCache(ResultCache):
         return self._slow
 
     def prefetch(self, keys) -> None:
-        """Forward a batch-lookup hint to every member tier that takes one.
+        """Forward a batch-lookup hint to both member tiers.
 
-        Local tiers have no ``prefetch`` and ignore the hint; a
-        :class:`~repro.cachenet.remote.RemoteCache` member resolves the
-        whole batch in one ``get_many`` round trip.  Stats are untouched
-        — lookups are counted when ``get`` consumes them.  Deliberately
-        outside this tier's lock, mirroring :meth:`bind_metrics`: each
-        member serialises under its own lock.
+        Stats are untouched — lookups are counted when ``get`` consumes
+        them.  Deliberately outside this tier's lock, mirroring
+        :meth:`bind_metrics`: each member serialises under its own lock.
         """
-        for member in (self._fast, self._slow):
-            hook = getattr(member, "prefetch", None)
-            if hook is not None:
-                hook(keys)
+        self._fast.prefetch(keys)
+        self._slow.prefetch(keys)
 
     def _get(self, key: str) -> dict | None:
         record = self._fast.get(key)

@@ -347,6 +347,8 @@ def content_memo_clear() -> None:
         _stat_memo.clear()
 
 
+# Test hook: how many fingerprints the memo holds.
+# repro: allow[drift-test-only-api]
 def content_memo_size() -> int:
     """The number of fingerprints the content memo holds right now."""
     with _content_memo_lock:

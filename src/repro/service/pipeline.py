@@ -44,7 +44,7 @@ from repro.circuits.io import real
 from repro.core.engine import MatchingConfig
 from repro.core.equivalence import EquivalenceType
 from repro.core.verify import verify_match
-from repro.exceptions import FingerprintError, ServiceError
+from repro.exceptions import FingerprintError, ReproError, ServiceError
 from repro.obs.metrics import UNCOUNTED
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.service import serialize
@@ -432,15 +432,15 @@ class _Unit:
     """One pair flowing through the pipeline's stages (internal bookkeeping).
 
     A unit carries its recorded class ``label`` and that label parsed,
-    ``equivalence``, its cache ``key`` once settle has computed it, and
-    its root ``pair`` ``span`` from settle to persist.  A manifest unit
-    carries its two circuit ``paths`` (plain strings) and parses a file
-    only when a circuit is asked for, at most once; an in-memory unit is
-    built with its ``circuits``.  Persist drops them (:meth:`release`)
-    once the pair is settled.  A unit parsed on a memo miss keeps its
-    circuits until then, so a cold run with a cache still holds every
-    pending pair's circuits; only cache-less runs and warm-memo runs
-    parse lazily.
+    ``equivalence``, its cache ``key`` once :meth:`_Run.key_all` has
+    computed it, and its root ``pair`` ``span`` from ``key_all`` to
+    persist.  A manifest unit carries its two circuit ``paths`` (plain
+    strings) and parses a file only when a circuit is asked for, at most
+    once; an in-memory unit is built with its ``circuits``.  Persist
+    drops them (:meth:`release`) once the pair is settled.  A unit parsed
+    on a memo miss keeps its circuits until then, so a cold run with a
+    cache still holds every pending pair's circuits; only cache-less runs
+    and warm-memo runs parse lazily.
     """
 
     __slots__ = (
@@ -537,8 +537,8 @@ class _Run:
         self.store_path = str(store.path) if store is not None else None
         # Every key of the run shares one policy: digest it once.
         self.digest = config_digest(service._config) if cache is not None else None
-        # Whether settle keys each unit itself (prefetch may key them all).
-        self.key_each = cache is not None
+        # The unit whose keying raised, and the error settle raises there.
+        self.key_error: tuple[_Unit, Exception] | None = None
         self.records: dict[int, dict] = {}
         self.pending: list[_Unit] = []
         self.flushed = 0
@@ -580,21 +580,36 @@ class _Run:
             return None
         return pair_key(*fingerprints, unit.equivalence, self.digest)
 
-    def prefetch(self, units: list[_Unit]) -> None:
-        """Key up front every unit resume leaves, for a cache that takes the
-        ``prefetch`` hint: a network tier resolves them in one batched round
-        trip and answers settle's probes from its buffer.  Every
-        :class:`~repro.service.cache.TieredCache` takes it, so only a bare
-        LRU or disk cache is keyed by settle, inside each pair span."""
-        prefetcher = getattr(self.cache, "prefetch", None)
-        if prefetcher is None:
-            return
-        with self.tracer.span("cache_prefetch", total=len(units)):
-            for unit in units:
-                if unit.pair_id not in self.done:
-                    unit.key = self.key(unit)
-            prefetcher([unit.key for unit in units if unit.key is not None])
-        self.key_each = False
+    def key_all(self, units: list[_Unit]) -> None:
+        """Key every unit resume leaves, then hint the keys to the cache.
+
+        Each such unit opens its root ``pair`` span here, with a
+        ``fingerprint`` child around its keying.  The keys then go to
+        :meth:`~repro.service.cache.ResultCache.prefetch` in one batch,
+        inside a ``cache_prefetch`` span: a network tier resolves them
+        in one round trip and answers settle's probes from its buffer.
+        Keying stops at a pair whose file cannot be read; settle raises
+        that error when it reaches the pair, so the pairs before it still
+        settle and ``--resume`` finishes the rest.
+        """
+        tracer = self.tracer
+        cache = self.cache
+        for unit in units:
+            if unit.pair_id in self.done:
+                continue
+            span = unit.span = tracer.start(
+                "pair", pair_id=unit.pair_id, index=unit.position
+            )
+            with tracer.span("fingerprint", parent=span):
+                if cache is not None:
+                    try:
+                        unit.key = self.key(unit)
+                    except (OSError, ReproError) as error:
+                        self.key_error = (unit, error)
+                        break
+        if cache is not None:
+            with tracer.span("cache_prefetch", total=len(units)):
+                cache.prefetch([unit.key for unit in units if unit.key is not None])
 
     def settle(self, unit: _Unit) -> tuple[ServiceEvent, ...]:
         """Answer ``unit`` from the store, then the cache, or mark it pending
@@ -610,16 +625,11 @@ class _Run:
             return (CacheHit(
                 index=unit.position, pair_id=unit.pair_id, source="store", record=record
             ),)
-        tracer = self.tracer
-        span = unit.span = tracer.start(
-            "pair", pair_id=unit.pair_id, index=unit.position
-        )
+        if self.key_error is not None and self.key_error[0] is unit:
+            raise self.key_error[1]
         started = time.perf_counter()
-        with tracer.span("fingerprint", parent=span):
-            if self.key_each:
-                unit.key = self.key(unit)
         if unit.key is not None:
-            with tracer.span("cache_probe", parent=span):
+            with self.tracer.span("cache_probe", parent=unit.span):
                 cached = self.cache.get(unit.key)
             if cached is not None:
                 return self.persist(unit, CacheHit(
@@ -870,10 +880,11 @@ class MatchingService:
     ) -> Iterator[ServiceEvent]:
         """The event-stream core every entry point is built on.
 
-        Wires the four stages of a :class:`_Run`: :meth:`~_Run.settle`
-        walks the units in manifest order, answering whatever the result
-        store (resume) or the result cache already holds, so no oracle is
-        ever built for those; :meth:`~_Run.execute` feeds the rest to the
+        Wires the five stages of a :class:`_Run`: :meth:`~_Run.key_all`
+        keys every unit resume leaves and hints the keys to the cache;
+        :meth:`~_Run.settle` walks the units in manifest order, answering
+        whatever the result store (resume) or the result cache already
+        holds, so no oracle is ever built for those; :meth:`~_Run.execute` feeds the rest to the
         executor and relays outcomes as they complete; every new record
         goes through :meth:`~_Run.persist`, so an interrupt loses at most
         the pair in flight; :meth:`~_Run.finish` closes with the report.
@@ -890,7 +901,7 @@ class MatchingService:
                 seed=seed,
                 shard=shard,
             )
-            run.prefetch(units)
+            run.key_all(units)
             for unit in units:
                 yield from run.settle(unit)
             yield from run.execute()

@@ -339,8 +339,10 @@ def _unreadable(path, error: OSError) -> ServiceError:
     return ServiceError(f"{path}: cannot read manifest ({error.strerror or error})")
 
 
+# Test hook: start a test from an empty manifest memo.
+# repro: allow[drift-test-only-api]
 def manifest_memo_clear() -> None:
-    """Forget every memoised manifest (tests and benchmarks)."""
+    """Forget every memoised manifest."""
     with _manifest_memo_lock:
         _manifest_memo.clear()
 

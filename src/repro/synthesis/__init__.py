@@ -7,25 +7,12 @@ pieces of that flow the reproduction needs:
 * :mod:`repro.synthesis.transformation_based` — the transformation-based
   synthesis algorithm (basic and bidirectional) turning an arbitrary
   permutation into an MCT cascade.
-* :mod:`repro.synthesis.decomposition` — rewriting MCT cascades into smaller
-  gate sets (positive-control-only form, NOT/CNOT/Toffoli with ancillas).
 * :mod:`repro.synthesis.templates` — a template library keyed by function,
   looked up through Boolean matching (the application of Section 1/6).
 """
 
 from __future__ import annotations
 
-from repro.synthesis.decomposition import (
-    remove_negative_controls,
-    to_ncv_ready_form,
-    to_toffoli_gate_set,
-)
-from repro.synthesis.optimization import (
-    cancel_adjacent_pairs,
-    merge_not_gates,
-    optimize,
-    remove_trivial_gates,
-)
 from repro.synthesis.templates import TemplateLibrary, TemplateMatch
 from repro.synthesis.transformation_based import (
     synthesize,
@@ -37,13 +24,6 @@ __all__ = [
     "synthesize",
     "synthesize_basic",
     "synthesize_bidirectional",
-    "remove_negative_controls",
-    "to_toffoli_gate_set",
-    "to_ncv_ready_form",
-    "optimize",
-    "cancel_adjacent_pairs",
-    "merge_not_gates",
-    "remove_trivial_gates",
     "TemplateLibrary",
     "TemplateMatch",
 ]

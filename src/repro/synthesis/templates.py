@@ -15,7 +15,7 @@ together with the witnesses needed to instantiate it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.circuits.circuit import ReversibleCircuit
@@ -65,11 +65,6 @@ class TemplateLibrary:
         if name in self._templates:
             raise SynthesisError(f"template {name!r} already registered")
         self._templates[name] = circuit
-
-    def add_all(self, entries: Iterable[tuple[str, ReversibleCircuit]]) -> None:
-        """Register several ``(name, circuit)`` pairs."""
-        for name, circuit in entries:
-            self.add(name, circuit)
 
     def __len__(self) -> int:
         return len(self._templates)

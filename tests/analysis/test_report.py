@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.report import format_series, format_table
+from repro.analysis.report import format_table
 
 
 class TestFormatTable:
@@ -24,10 +24,3 @@ class TestFormatTable:
     def test_row_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [["only one"]])
-
-
-class TestFormatSeries:
-    def test_series_rendering(self):
-        text = format_series({4: 10, 8: 20}, name="queries")
-        assert "queries" in text
-        assert "4" in text and "20" in text

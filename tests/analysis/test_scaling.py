@@ -17,10 +17,6 @@ class TestFitModel:
         assert fit.scale == pytest.approx(6.0)
         assert fit.relative_error == pytest.approx(0.0, abs=1e-12)
 
-    def test_prediction(self):
-        fit = fit_model([1, 2, 4], [3, 6, 12], "n")
-        assert fit.predict(8) == pytest.approx(24.0)
-
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             fit_model([1, 2], [1, 2], "cubic")

@@ -117,12 +117,6 @@ class TestComposition:
         with pytest.raises(CircuitError):
             toffoli_circuit.remapped([0, 0, 1])
 
-    def test_decomposed_swaps_preserves_function(self, rng):
-        circuit = ReversibleCircuit(4, [SwapGate(0, 3), cnot(1, 2), SwapGate(1, 2)])
-        expanded = circuit.decomposed_swaps()
-        assert expanded.functionally_equal(circuit)
-        assert all(not isinstance(gate, SwapGate) for gate in expanded)
-
 
 class TestDunder:
     def test_structural_equality_and_hash(self):

@@ -18,21 +18,6 @@ class TestConstruction:
         with pytest.raises(PermutationError):
             LinePermutation([0, 0, 1])
 
-    def test_from_cycles(self):
-        pi = LinePermutation.from_cycles(4, (0, 2, 1))
-        assert pi[0] == 2
-        assert pi[2] == 1
-        assert pi[1] == 0
-        assert pi[3] == 3
-
-    def test_from_cycles_rejects_overlap(self):
-        with pytest.raises(PermutationError):
-            LinePermutation.from_cycles(4, (0, 1), (1, 2))
-
-    def test_from_cycles_rejects_out_of_range(self):
-        with pytest.raises(PermutationError):
-            LinePermutation.from_cycles(3, (0, 5))
-
 
 class TestSemantics:
     def test_apply_to_vector_moves_bits(self):
@@ -40,14 +25,6 @@ class TestSemantics:
         assert pi.apply_to_vector(0b001) == 0b010
         assert pi.apply_to_vector(0b010) == 0b100
         assert pi.apply_to_vector(0b100) == 0b001
-
-    def test_apply_to_bits(self):
-        pi = LinePermutation([2, 0, 1])
-        assert pi.apply_to_bits([1, 0, 0]) == [0, 0, 1]
-
-    def test_apply_to_bits_length_mismatch(self):
-        with pytest.raises(PermutationError):
-            LinePermutation([0, 1]).apply_to_bits([1, 0, 0])
 
     def test_inverse_roundtrip(self):
         pi = LinePermutation([2, 0, 3, 1])
@@ -65,12 +42,6 @@ class TestSemantics:
     def test_compose_size_mismatch(self):
         with pytest.raises(PermutationError):
             LinePermutation([0, 1]).compose(LinePermutation([0, 1, 2]))
-
-    def test_to_permutation_agrees_with_vector_action(self):
-        pi = LinePermutation([1, 2, 0])
-        lifted = pi.to_permutation()
-        for value in range(8):
-            assert lifted(value) == pi.apply_to_vector(value)
 
     def test_cycles(self):
         pi = LinePermutation([1, 0, 3, 2])

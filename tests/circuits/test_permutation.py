@@ -63,10 +63,6 @@ class TestAnalysis:
         permutation = Permutation([1, 0, 3, 2])
         assert sorted(permutation.cycles()) == [(0, 1), (2, 3)]
 
-    def test_fixed_points(self):
-        permutation = Permutation([0, 2, 1, 3])
-        assert permutation.fixed_points() == [0, 3]
-
     def test_order(self):
         cycle3 = Permutation([1, 2, 0, 3])
         assert cycle3.order() == 3

@@ -11,8 +11,6 @@ from repro.circuits.random import (
     random_line_permutation,
     random_mct_gate,
     random_negation,
-    random_non_identity_line_permutation,
-    random_non_identity_negation,
     random_permutation,
 )
 
@@ -35,17 +33,9 @@ class TestGenerators:
         assert len(nu) == 6
         assert all(isinstance(value, bool) for value in nu)
 
-    def test_random_non_identity_negation_negates_something(self, rng):
-        for _ in range(20):
-            assert any(random_non_identity_negation(3, rng))
-
     def test_random_line_permutation_is_valid(self, rng):
         pi = random_line_permutation(7, rng)
         assert sorted(pi.mapping) == list(range(7))
-
-    def test_random_non_identity_line_permutation_moves_a_line(self, rng):
-        for _ in range(20):
-            assert not random_non_identity_line_permutation(3, rng).is_identity()
 
     def test_random_permutation_is_valid(self, rng):
         permutation = random_permutation(4, rng)

@@ -1,9 +1,10 @@
-"""Unit tests for repro.circuits.transforms (including the Fig. 4 identity)."""
+"""Unit tests for repro.circuits.transforms."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bits import bits_to_int
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.line_permutation import LinePermutation
 from repro.circuits.random import (
@@ -13,13 +14,7 @@ from repro.circuits.random import (
 )
 from repro.circuits.transforms import (
     apply_input_negation,
-    apply_input_permutation,
-    apply_output_negation,
-    apply_output_permutation,
-    commute_negation_then_permutation,
-    commute_permutation_then_negation,
     negation_circuit,
-    negation_mask,
     permutation_circuit,
     transformed_circuit,
 )
@@ -27,9 +22,6 @@ from repro.exceptions import CircuitError
 
 
 class TestNegationCircuit:
-    def test_negation_mask_packs_bits(self):
-        assert negation_mask([True, False, True]) == 0b101
-
     def test_negation_circuit_xors_mask(self):
         nu = [True, False, True, False]
         circuit = negation_circuit(nu)
@@ -60,39 +52,14 @@ class TestPermutationCircuit:
 class TestApplyHelpers:
     def test_input_negation_semantics(self, small_random_circuit, rng):
         nu = random_negation(4, rng)
-        mask = negation_mask(nu)
+        mask = bits_to_int(nu)
         wrapped = apply_input_negation(small_random_circuit, nu)
         for value in range(16):
             assert wrapped.simulate(value) == small_random_circuit.simulate(value ^ mask)
 
-    def test_output_negation_semantics(self, small_random_circuit, rng):
-        nu = random_negation(4, rng)
-        mask = negation_mask(nu)
-        wrapped = apply_output_negation(small_random_circuit, nu)
-        for value in range(16):
-            assert wrapped.simulate(value) == small_random_circuit.simulate(value) ^ mask
-
-    def test_input_permutation_semantics(self, small_random_circuit, rng):
-        pi = random_line_permutation(4, rng)
-        wrapped = apply_input_permutation(small_random_circuit, pi)
-        for value in range(16):
-            assert wrapped.simulate(value) == small_random_circuit.simulate(
-                pi.apply_to_vector(value)
-            )
-
-    def test_output_permutation_semantics(self, small_random_circuit, rng):
-        pi = random_line_permutation(4, rng)
-        wrapped = apply_output_permutation(small_random_circuit, pi)
-        for value in range(16):
-            assert wrapped.simulate(value) == pi.apply_to_vector(
-                small_random_circuit.simulate(value)
-            )
-
     def test_size_mismatch_rejected(self, small_random_circuit):
         with pytest.raises(CircuitError):
             apply_input_negation(small_random_circuit, [True, False])
-        with pytest.raises(CircuitError):
-            apply_input_permutation(small_random_circuit, [0, 1, 2])
 
 
 class TestTransformedCircuit:
@@ -103,8 +70,8 @@ class TestTransformedCircuit:
         nu_y = random_negation(4, rng)
         pi_y = random_line_permutation(4, rng)
         combined = transformed_circuit(base, nu_x=nu_x, pi_x=pi_x, nu_y=nu_y, pi_y=pi_y)
-        mask_x = negation_mask(nu_x)
-        mask_y = negation_mask(nu_y)
+        mask_x = bits_to_int(nu_x)
+        mask_y = bits_to_int(nu_y)
         for value in range(16):
             expected = pi_y.apply_to_vector(
                 base.simulate(pi_x.apply_to_vector(value ^ mask_x)) ^ mask_y
@@ -114,38 +81,3 @@ class TestTransformedCircuit:
     def test_none_components_are_skipped(self, small_random_circuit):
         unchanged = transformed_circuit(small_random_circuit)
         assert unchanged.functionally_equal(small_random_circuit)
-
-
-class TestFigure4Identity:
-    def test_commute_negation_then_permutation(self, rng):
-        for _ in range(25):
-            nu = random_negation(5, rng)
-            pi = random_line_permutation(5, rng)
-            nu_prime, pi_same = commute_negation_then_permutation(nu, pi)
-            # C_pi C_nu == C_nu' C_pi as circuits.
-            left = negation_circuit(nu).then(permutation_circuit(pi))
-            right = permutation_circuit(pi_same).then(negation_circuit(nu_prime))
-            assert left.functionally_equal(right)
-
-    def test_commute_permutation_then_negation(self, rng):
-        for _ in range(25):
-            nu = random_negation(5, rng)
-            pi = random_line_permutation(5, rng)
-            pi_same, nu_prime = commute_permutation_then_negation(pi, nu)
-            # C_nu C_pi == C_pi C_nu' as circuits.
-            left = permutation_circuit(pi).then(negation_circuit(nu))
-            right = negation_circuit(nu_prime).then(permutation_circuit(pi_same))
-            assert left.functionally_equal(right)
-
-    def test_commute_roundtrip(self, rng):
-        nu = random_negation(6, rng)
-        pi = random_line_permutation(6, rng)
-        nu_prime, _ = commute_negation_then_permutation(nu, pi)
-        _, nu_back = commute_permutation_then_negation(pi, nu_prime)
-        assert nu_back == [bool(v) for v in nu]
-
-    def test_commute_size_mismatch(self):
-        with pytest.raises(CircuitError):
-            commute_negation_then_permutation([True], LinePermutation([0, 1]))
-        with pytest.raises(CircuitError):
-            commute_permutation_then_negation(LinePermutation([0, 1]), [True])

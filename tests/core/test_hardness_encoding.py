@@ -6,7 +6,6 @@ import itertools
 
 import pytest
 
-from repro.bits import bit_get
 from repro.core.hardness.encoding import (
     clause_gates,
     comparison_circuit,
@@ -46,7 +45,7 @@ class TestClauseGates:
             for gate in gates:
                 value = gate.apply(value)
             clause_true = bool(x1 or (not x2) or x3)
-            assert bit_get(value, layout.clause_lines[0]) == int(clause_true)
+            assert (value >> layout.clause_lines[0]) & 1 == int(clause_true)
             # Variable lines untouched.
             assert value & 0b111 == x1 | (x2 << 1) | (x3 << 2)
 
@@ -92,8 +91,8 @@ class TestEncodingCircuit:
                     output, value = evaluate_phi_and_ancillas(
                         formula, layout, circuit, bits, [0] * 4, b_bit, z_bit
                     )
-                    phi = formula.evaluate_vector([bool(b) for b in bits])
-                    assert bit_get(output, layout.result_line) == (z_bit ^ int(phi))
+                    phi = formula.evaluate({i + 1: bool(b) for i, b in enumerate(bits)})
+                    assert (output >> layout.result_line) & 1 == (z_bit ^ int(phi))
                     # Every other line is restored.
                     mask = (1 << layout.result_line) - 1
                     assert output & mask == value & mask
@@ -104,7 +103,7 @@ class TestEncodingCircuit:
         output, value = evaluate_phi_and_ancillas(
             formula, layout, circuit, [1, 0, 1], [1, 0, 0], 0, 0
         )
-        assert bit_get(output, layout.result_line) == 0
+        assert (output >> layout.result_line) & 1 == 0
         mask = (1 << layout.result_line) - 1
         assert output & mask == value & mask
 
@@ -124,8 +123,8 @@ class TestComparisonCircuit:
         assert circuit.num_gates == 1
         # Fires exactly when every variable line is 1 and every clause line 0.
         all_ones = sum(1 << line for line in layout.variable_lines)
-        assert bit_get(circuit.simulate(all_ones), layout.result_line) == 1
-        assert bit_get(circuit.simulate(0), layout.result_line) == 0
+        assert (circuit.simulate(all_ones) >> layout.result_line) & 1 == 1
+        assert (circuit.simulate(0) >> layout.result_line) & 1 == 0
 
     def test_overlapping_polarities_rejected(self, rng):
         formula = random_cnf(3, 3, 2, rng)

@@ -52,7 +52,8 @@ class TestInstanceConstruction:
         positives = {c.line for c in gate.controls if c.positive}
         negatives = {c.line for c in gate.controls if not c.positive}
         assert positives == set(instance.x_lines)
-        assert negatives == set(instance.negative_region)
+        y_lines = instance.layout.variable_lines[instance.num_original_variables :]
+        assert negatives == set(y_lines) | set(instance.layout.clause_lines)
         assert instance.layout.helper_line not in positives | negatives
 
 

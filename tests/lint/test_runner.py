@@ -1,4 +1,4 @@
-"""Runner, registry, baseline, CLI — and the repo's own cleanliness.
+"""Runner, rule set, baseline, CLI — and the repo's own cleanliness.
 
 The last test here is the PR's acceptance gate made permanent:
 ``repro lint`` must run clean (zero non-baselined findings) on the
@@ -15,9 +15,8 @@ import pytest
 from repro.cli import main
 from repro.exceptions import LintError
 from repro.lint import (
+    RULES,
     Finding,
-    LintRegistry,
-    default_registry,
     lint_project,
     load_baseline,
     render_json,
@@ -29,28 +28,21 @@ from repro.lint.runner import collect_files
 from tests.lint.conftest import FIXTURES, REPO_ROOT
 
 
-class TestRegistry:
-    def test_stock_registry_has_all_three_families(self):
-        registry = default_registry()
-        ids = [rule.rule_id for rule in registry.rules]
+class TestRules:
+    def test_stock_rules_have_all_three_families(self):
+        ids = [rule.rule_id for rule in RULES]
         assert len(ids) >= 8
         assert any(i.startswith("det-") for i in ids)
         assert any(i.startswith("lock-") for i in ids)
         assert any(i.startswith("drift-") for i in ids)
         assert ids == sorted(ids)
 
-    def test_duplicate_rule_id_is_rejected(self):
-        registry = default_registry()
-        rule = registry.rule("det-id-key")
-        with pytest.raises(LintError, match="duplicate"):
-            registry.register(rule)
-
-    def test_unknown_rule_id_raises(self):
-        with pytest.raises(LintError, match="unknown lint rule"):
-            default_registry().rule("no-such-rule")
+    def test_rule_ids_are_unique(self):
+        ids = [rule.rule_id for rule in RULES]
+        assert len(set(ids)) == len(ids)
 
     def test_every_rule_has_id_and_summary(self):
-        for rule in default_registry().rules:
+        for rule in RULES:
             assert rule.rule_id and rule.summary
 
 
@@ -189,7 +181,6 @@ class TestRepositoryIsClean:
 
         module = tmp_path / "mod.py"
         module.write_text("# TODO: later\nVALUE = 1\n", encoding="utf-8")
-        registry = LintRegistry((NoTodoRule(),))
-        report = lint_project(tmp_path, registry=registry, paths=[module])
+        report = lint_project(tmp_path, rules=(NoTodoRule(),), paths=[module])
         assert [f.rule for f in report.findings] == ["x-no-todo"]
         assert render_json(report)["rules"] == 1

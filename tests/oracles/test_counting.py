@@ -24,14 +24,16 @@ class TestQueryStatistics:
         assert stats.minimum == 4
         assert stats.maximum == 8
 
-    def test_extend_and_from_samples(self):
-        stats = QueryStatistics.from_samples("x", [1, 2, 3])
+    def test_extend(self):
+        stats = QueryStatistics("x")
+        stats.extend([1, 2, 3])
         stats.extend([4, 5])
         assert stats.count == 5
         assert stats.maximum == 5
 
     def test_summary_keys(self):
-        stats = QueryStatistics.from_samples("x", [2, 2])
+        stats = QueryStatistics("x")
+        stats.extend([2, 2])
         summary = stats.summary()
         assert summary == {"runs": 2, "mean": 2.0, "min": 2.0, "max": 2.0}
 

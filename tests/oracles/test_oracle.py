@@ -62,13 +62,6 @@ class TestCircuitOracle:
         with pytest.raises(QueryBudgetExceededError):
             oracle.query(3)
 
-    def test_reset_counts(self):
-        oracle = CircuitOracle(figure2_example(), with_inverse=True)
-        oracle.query(0)
-        oracle.query_inverse(0)
-        oracle.reset_counts()
-        assert oracle.total_queries == 0
-
     def test_white_box_escape_hatch(self):
         circuit = figure2_example()
         assert CircuitOracle(circuit).circuit is circuit

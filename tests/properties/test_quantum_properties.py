@@ -7,8 +7,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.circuit import ReversibleCircuit
+from repro.circuits.gates import not_gate
 from repro.circuits.random import random_circuit
-from repro.quantum.apply import apply_circuit, apply_x
+from repro.quantum.apply import apply_circuit
 from repro.quantum.statevector import MINUS, ONE, PLUS, ZERO, product_state
 from repro.quantum.swap_test import swap_test_probability
 
@@ -80,5 +82,7 @@ class TestCircuitActionInvariants:
         if labels[qubit] not in (PLUS, MINUS):
             return
         state = product_state(labels)
-        flipped = apply_x(state, qubit)
+        flipped = apply_circuit(
+            ReversibleCircuit(len(labels), [not_gate(qubit)]), state
+        )
         assert abs(abs(state.inner_product(flipped)) - 1.0) < 1e-9

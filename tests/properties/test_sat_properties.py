@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF, Clause
-from repro.sat.dimacs import cnf_to_dimacs, parse_dimacs
 from repro.sat.solver import enumerate_models, solve
 
 
@@ -57,11 +56,6 @@ class TestSolverProperties:
         models = [tuple(sorted(m.items())) for m in enumerate_models(formula)]
         assert len(models) == len(set(models))
 
-    @given(cnf_formulas())
-    @settings(max_examples=60, deadline=None)
-    def test_dimacs_roundtrip(self, formula):
-        assert parse_dimacs(cnf_to_dimacs(formula)) == formula
-
 
 class TestEncodingProperties:
     @given(cnf_formulas(max_variables=3, max_clauses=3))
@@ -73,7 +67,7 @@ class TestEncodingProperties:
         for bits in itertools.product((0, 1), repeat=formula.num_variables):
             value = sum(bit << layout.variable_lines[i] for i, bit in enumerate(bits))
             output = circuit.simulate(value)
-            phi = formula.evaluate_vector([bool(b) for b in bits])
+            phi = formula.evaluate({i + 1: bool(b) for i, b in enumerate(bits)})
             assert (output >> layout.result_line) & 1 == int(phi)
 
     @given(cnf_formulas(max_variables=3, max_clauses=3))

@@ -1,4 +1,4 @@
-"""Property-based tests for synthesis, optimisation and cost metrics."""
+"""Property-based tests for synthesis and cost metrics."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from repro.circuits.metrics import depth, metrics, quantum_cost
 from repro.circuits.permutation import Permutation
 from repro.circuits.random import random_circuit, random_permutation
-from repro.synthesis import optimize, synthesize_basic, synthesize_bidirectional
-from repro.synthesis.decomposition import to_toffoli_gate_set
+from repro.synthesis import synthesize_basic, synthesize_bidirectional
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 widths = st.integers(min_value=2, max_value=4)
@@ -36,24 +35,6 @@ class TestSynthesisProperties:
         assert synthesize_bidirectional(permutation).num_gates <= bound
 
 
-class TestOptimisationProperties:
-    @given(seeds, widths, st.integers(min_value=0, max_value=30))
-    @settings(max_examples=50, deadline=None)
-    def test_optimize_preserves_function_and_never_grows(self, seed, width, gates):
-        circuit = random_circuit(width, gates, random.Random(seed))
-        optimised = optimize(circuit)
-        assert optimised.num_gates <= circuit.num_gates
-        assert optimised.functionally_equal(circuit)
-
-    @given(seeds, widths)
-    @settings(max_examples=30, deadline=None)
-    def test_optimize_is_idempotent(self, seed, width):
-        circuit = random_circuit(width, 20, random.Random(seed))
-        once = optimize(circuit)
-        twice = optimize(once)
-        assert twice.num_gates == once.num_gates
-
-
 class TestMetricsProperties:
     @given(seeds, widths, st.integers(min_value=0, max_value=25))
     @settings(max_examples=50, deadline=None)
@@ -64,22 +45,6 @@ class TestMetricsProperties:
         assert report.quantum_cost >= report.gate_count
         assert report.t_count >= 0
         assert report.ancillas_for_toffoli_form == max(0, report.max_controls - 2)
-
-    @given(seeds, widths)
-    @settings(max_examples=25, deadline=None)
-    def test_toffoli_expansion_preserves_function_and_lowers_arity(self, seed, width):
-        circuit = random_circuit(width, 12, random.Random(seed))
-        expanded = to_toffoli_gate_set(circuit)
-        mask = (1 << width) - 1
-        for probe in range(0, 1 << width):
-            assert expanded.simulate(probe) & mask == circuit.simulate(probe)
-        from repro.circuits.gates import MCTGate
-
-        assert all(
-            gate.num_controls <= 2
-            for gate in expanded
-            if isinstance(gate, MCTGate)
-        )
 
     @given(seeds, widths, st.integers(min_value=0, max_value=25))
     @settings(max_examples=30, deadline=None)

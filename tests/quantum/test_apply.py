@@ -14,7 +14,6 @@ from repro.quantum.apply import (
     apply_controlled_swap,
     apply_hadamard,
     apply_permutation,
-    apply_x,
 )
 from repro.quantum.statevector import PLUS, ZERO, basis_state, product_state
 
@@ -57,14 +56,6 @@ class TestPermutationAction:
 
 
 class TestSingleQubitGates:
-    def test_apply_x_flips_basis(self):
-        state = apply_x(basis_state(0b00, 2), 1)
-        assert state.vector[0b10] == pytest.approx(1.0)
-
-    def test_apply_x_leaves_plus_invariant(self):
-        state = product_state([PLUS, ZERO])
-        assert apply_x(state, 0).equals(state)
-
     def test_apply_hadamard_creates_plus(self):
         state = apply_hadamard(basis_state(0, 1), 0)
         assert np.allclose(state.vector, product_state([PLUS]).vector)
@@ -75,7 +66,7 @@ class TestSingleQubitGates:
 
     def test_qubit_out_of_range(self):
         with pytest.raises(QuantumError):
-            apply_x(basis_state(0, 2), 5)
+            apply_hadamard(basis_state(0, 2), 5)
         with pytest.raises(QuantumError):
             apply_hadamard(basis_state(0, 2), -1)
 

@@ -56,12 +56,6 @@ class TestQuantumCircuitOracle:
         assert oracle.query_basis(9) == circuit.simulate(9)
         assert oracle.query_count == 1
 
-    def test_reset_counts(self):
-        oracle = QuantumCircuitOracle(figure2_example())
-        oracle.query_basis(0)
-        oracle.reset_counts()
-        assert oracle.query_count == 0
-
     def test_superposition_input_preserved_structure(self):
         # The Toffoli fixes |+>|+>|0> up to amplitude reshuffling on basis
         # states where both controls are 1.

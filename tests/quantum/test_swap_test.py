@@ -59,24 +59,11 @@ class TestSampler:
         outcomes = tester.sample_many(zero, flipped, 400)
         assert 0.35 < sum(outcomes) / len(outcomes) < 0.65
 
-    def test_any_one_detects_orthogonality_quickly(self):
-        tester = SwapTest(rng=3)
-        zero = product_state([ZERO])
-        one = product_state(["1"])
-        assert tester.any_one(zero, one, repetitions=40)
-
-    def test_any_one_false_for_identical(self):
-        tester = SwapTest(rng=4)
-        state = product_state([MINUS, PLUS])
-        assert not tester.any_one(state, state, repetitions=40)
-
-    def test_run_counter_and_reset(self):
+    def test_run_counter(self):
         tester = SwapTest(rng=5)
         state = product_state([ZERO])
         tester.sample_many(state, state, 7)
         assert tester.runs == 7
-        tester.reset()
-        assert tester.runs == 0
 
     def test_accepts_random_instance_and_circuit_mode(self):
         tester = SwapTest(rng=random.Random(6), use_circuit=True)

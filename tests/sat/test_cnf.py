@@ -21,14 +21,8 @@ class TestClause:
     def test_variables(self):
         assert Clause([1, -2, 3]).variables == frozenset({1, 2, 3})
 
-    def test_empty_and_unit_flags(self):
+    def test_empty_flag(self):
         assert Clause([]).is_empty
-        assert Clause([5]).is_unit
-        assert not Clause([1, 2]).is_unit
-
-    def test_tautology_detection(self):
-        assert Clause([1, -1, 2]).is_tautology()
-        assert not Clause([1, 2]).is_tautology()
 
     def test_evaluate(self):
         clause = Clause([1, -2])
@@ -75,15 +69,6 @@ class TestCNF:
         formula = CNF([[1, 2], [-1, 2]])
         assert formula.evaluate({1: True, 2: True})
         assert not formula.evaluate({1: True, 2: False})
-
-    def test_evaluate_vector(self):
-        formula = CNF([[1, -2]])
-        assert formula.evaluate_vector([True, True])
-        assert not formula.evaluate_vector([False, True])
-
-    def test_evaluate_vector_wrong_length(self):
-        with pytest.raises(SatError):
-            CNF([[1, 2]]).evaluate_vector([True])
 
     def test_variables_occurring(self):
         assert CNF([[1, -3]]).variables() == frozenset({1, 3})

@@ -1,13 +1,9 @@
-"""Unit tests for DIMACS I/O."""
+"""Unit tests for the DIMACS writer."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.exceptions import ParseError
 from repro.sat.cnf import CNF
-from repro.sat.dimacs import cnf_to_dimacs, parse_dimacs, read_dimacs, write_dimacs
-from repro.sat.generators import random_cnf
+from repro.sat.dimacs import cnf_to_dimacs
 
 EXAMPLE = """c a small instance
 p cnf 3 2
@@ -16,55 +12,11 @@ p cnf 3 2
 """
 
 
-class TestParsing:
-    def test_parse_example(self):
-        formula = parse_dimacs(EXAMPLE)
-        assert formula.num_variables == 3
-        assert formula.num_clauses == 2
-        assert list(formula.clauses[0]) == [1, -2]
-
-    def test_comments_and_blank_lines_ignored(self):
-        formula = parse_dimacs("c x\n\np cnf 2 1\nc y\n1 2 0\n")
-        assert formula.num_clauses == 1
-
-    def test_clause_spanning_lines(self):
-        formula = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert list(formula.clauses[0]) == [1, 2, 3]
-
-    def test_missing_trailing_zero_tolerated(self):
-        formula = parse_dimacs("p cnf 2 1\n1 -2\n")
-        assert formula.num_clauses == 1
-
-    def test_missing_problem_line_rejected(self):
-        with pytest.raises(ParseError):
-            parse_dimacs("1 2 0\n")
-
-    def test_malformed_problem_line_rejected(self):
-        with pytest.raises(ParseError):
-            parse_dimacs("p sat 3 2\n1 0\n")
-
-    def test_non_integer_literal_rejected(self):
-        with pytest.raises(ParseError):
-            parse_dimacs("p cnf 2 1\n1 x 0\n")
-
-    def test_clause_count_mismatch_rejected(self):
-        with pytest.raises(ParseError):
-            parse_dimacs("p cnf 2 2\n1 0\n")
-
-
 class TestWriting:
-    def test_roundtrip(self, rng):
-        for _ in range(5):
-            formula = random_cnf(6, 10, 3, rng)
-            restored = parse_dimacs(cnf_to_dimacs(formula))
-            assert restored == formula
+    def test_writes_header_and_zero_terminated_clauses(self):
+        formula = CNF([[1, -2], [2, 3]], 3)
+        assert cnf_to_dimacs(formula, comment="a small instance") == EXAMPLE
 
     def test_comment_included(self):
         text = cnf_to_dimacs(CNF([[1]]), comment="hello\nworld")
         assert text.startswith("c hello\nc world\n")
-
-    def test_file_roundtrip(self, tmp_path):
-        formula = CNF([[1, -2], [2, 3]])
-        path = tmp_path / "f.cnf"
-        write_dimacs(formula, path, comment="test")
-        assert read_dimacs(path) == formula

@@ -7,13 +7,8 @@ import itertools
 import pytest
 
 from repro.sat.cnf import CNF
-from repro.sat.generators import random_cnf, unsatisfiable_cnf
-from repro.sat.solver import (
-    count_models,
-    enumerate_models,
-    is_unique_sat,
-    solve,
-)
+from repro.sat.generators import random_cnf
+from repro.sat.solver import count_models, enumerate_models, solve
 
 
 def brute_force_models(formula: CNF) -> list[dict[int, bool]]:
@@ -95,8 +90,3 @@ class TestEnumeration:
     def test_count_models(self):
         formula = CNF([[1, 2]])
         assert count_models(formula) == 3
-
-    def test_is_unique_sat(self):
-        assert is_unique_sat(CNF([[1], [2]]))
-        assert not is_unique_sat(CNF([[1, 2]]))
-        assert not is_unique_sat(unsatisfiable_cnf(2))

@@ -116,11 +116,12 @@ class TestMetricsReconcile:
 
 
 class TestSpanTree:
-    def test_every_stage_links_back_to_its_pair(self, corpus, tmp_path):
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "memory+disk"])
+    def test_every_stage_links_back_to_its_pair(self, corpus, tmp_path, disk):
         trace_path = tmp_path / "trace.jsonl"
         tracer = Tracer(trace_path)
         service = MatchingService(
-            cache=build_cache(),
+            cache=build_cache(disk_dir=tmp_path / "cache" if disk else None),
             executor=SerialExecutor(),
             tracer=tracer,
         )
@@ -141,7 +142,7 @@ class TestSpanTree:
         # pair span — the tree is fingerprint → ... → store_append.
         children_of = {}
         for span in spans:
-            if span["name"] == "pair":
+            if span["name"] in ("pair", "cache_prefetch"):
                 assert span["parent_id"] is None
                 continue
             parent = by_id.get(span["parent_id"])
@@ -161,6 +162,20 @@ class TestSpanTree:
         }
         for event in completions:
             assert match_by_pair_id[event.pair_id] == event.duration_s
+
+        # Every pair is keyed inside its own fingerprint span, before the
+        # one batched cache_prefetch hint and any probe.
+        [prefetch] = [s for s in spans if s["name"] == "cache_prefetch"]
+        fingerprints = [s for s in spans if s["name"] == "fingerprint"]
+        assert len(fingerprints) == len(pairs)
+        assert all(
+            s["start_s"] + s["duration_s"] <= prefetch["start_s"]
+            for s in fingerprints
+        )
+        prefetched = prefetch["start_s"] + prefetch["duration_s"]
+        assert all(
+            s["start_s"] >= prefetched for s in spans if s["name"] == "cache_probe"
+        )
 
 
 class TestDaemonMetricsOp:

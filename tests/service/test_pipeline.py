@@ -431,7 +431,7 @@ class TestResume:
         with pytest.raises(ServiceError, match="resume requires"):
             MatchingService().run_manifest(corpus, resume=True)
 
-    @pytest.mark.parametrize("cache", ["none", "warm"])
+    @pytest.mark.parametrize("cache", ["none", "warm", "warm+disk"])
     def test_a_missing_file_fails_mid_stream_and_resume_finishes(
         self, corpus, tmp_path, cache
     ):
@@ -440,7 +440,11 @@ class TestResume:
         root = tmp_path / "corpus"
         shutil.copytree(corpus, root)
         full_store = tmp_path / "full.jsonl"
-        result_cache = build_cache() if cache == "warm" else None
+        result_cache = {
+            "none": None,
+            "warm": build_cache(),
+            "warm+disk": build_cache(disk_dir=tmp_path / "cache"),
+        }[cache]
         MatchingService(cache=result_cache).run_manifest(
             root, store_path=full_store, seed=5
         )

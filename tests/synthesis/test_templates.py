@@ -15,13 +15,9 @@ from repro.synthesis.templates import TemplateLibrary
 @pytest.fixture
 def small_library() -> TemplateLibrary:
     templates = TemplateLibrary()
-    templates.add_all(
-        [
-            ("increment", library.increment(4)),
-            ("gray", library.gray_code(4)),
-            ("toffoli_chain", library.toffoli_chain(4)),
-        ]
-    )
+    templates.add("increment", library.increment(4))
+    templates.add("gray", library.gray_code(4))
+    templates.add("toffoli_chain", library.toffoli_chain(4))
     return templates
 
 

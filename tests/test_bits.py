@@ -5,33 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.bits import (
-    bit_flip,
-    bit_get,
-    bit_set,
     bits_to_int,
-    hamming_distance,
     int_to_bits,
-    iter_bit_vectors,
-    mask_from_indices,
     one_hot,
     parity,
     popcount,
 )
-
-
-class TestSingleBitOps:
-    def test_bit_get(self):
-        assert bit_get(0b1010, 1) == 1
-        assert bit_get(0b1010, 0) == 0
-
-    def test_bit_set(self):
-        assert bit_set(0b000, 1, 1) == 0b010
-        assert bit_set(0b111, 1, 0) == 0b101
-        assert bit_set(0b010, 1, 1) == 0b010
-
-    def test_bit_flip(self):
-        assert bit_flip(0b100, 2) == 0
-        assert bit_flip(0, 3) == 0b1000
 
 
 class TestConversions:
@@ -65,18 +44,7 @@ class TestAggregates:
         assert parity(0b1011) == 1
         assert parity(0b1001) == 0
 
-    def test_hamming_distance(self):
-        assert hamming_distance(0b1100, 0b1010) == 2
-        assert hamming_distance(5, 5) == 0
-
-    def test_iter_bit_vectors(self):
-        assert list(iter_bit_vectors(3)) == list(range(8))
-
     def test_one_hot(self):
         assert one_hot(2, 4) == 0b0100
         with pytest.raises(ValueError):
             one_hot(4, 4)
-
-    def test_mask_from_indices(self):
-        assert mask_from_indices([0, 3]) == 0b1001
-        assert mask_from_indices([]) == 0
