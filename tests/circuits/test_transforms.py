@@ -1,10 +1,10 @@
-"""Unit tests for repro.circuits.transforms."""
+"""Unit tests for repro.circuits.transforms (including the Fig. 4 identity)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bits import bits_to_int
+from repro.bits import bits_to_int, int_to_bits
 from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.line_permutation import LinePermutation
 from repro.circuits.random import (
@@ -60,6 +60,10 @@ class TestApplyHelpers:
     def test_size_mismatch_rejected(self, small_random_circuit):
         with pytest.raises(CircuitError):
             apply_input_negation(small_random_circuit, [True, False])
+        with pytest.raises(CircuitError):
+            transformed_circuit(small_random_circuit, pi_x=[0, 1, 2])
+        with pytest.raises(CircuitError):
+            transformed_circuit(small_random_circuit, nu_y=[True])
 
 
 class TestTransformedCircuit:
@@ -78,6 +82,61 @@ class TestTransformedCircuit:
             )
             assert combined.simulate(value) == expected
 
+    def test_output_negation_semantics(self, small_random_circuit, rng):
+        nu = random_negation(4, rng)
+        mask = bits_to_int(nu)
+        wrapped = transformed_circuit(small_random_circuit, nu_y=nu)
+        for value in range(16):
+            assert wrapped.simulate(value) == small_random_circuit.simulate(value) ^ mask
+
+    def test_input_permutation_semantics(self, small_random_circuit, rng):
+        pi = random_line_permutation(4, rng)
+        wrapped = transformed_circuit(small_random_circuit, pi_x=pi)
+        for value in range(16):
+            assert wrapped.simulate(value) == small_random_circuit.simulate(
+                pi.apply_to_vector(value)
+            )
+
+    def test_output_permutation_semantics(self, small_random_circuit, rng):
+        pi = random_line_permutation(4, rng)
+        wrapped = transformed_circuit(small_random_circuit, pi_y=pi)
+        for value in range(16):
+            assert wrapped.simulate(value) == pi.apply_to_vector(
+                small_random_circuit.simulate(value)
+            )
+
     def test_none_components_are_skipped(self, small_random_circuit):
         unchanged = transformed_circuit(small_random_circuit)
         assert unchanged.functionally_equal(small_random_circuit)
+
+
+class TestFigure4Identity:
+    """A negation commutes past a line permutation once the permutation moves it."""
+
+    def test_negation_then_permutation(self, rng):
+        for _ in range(25):
+            nu = random_negation(5, rng)
+            pi = random_line_permutation(5, rng)
+            # C_pi C_nu == C_nu' C_pi with nu' = pi(nu).
+            nu_prime = int_to_bits(pi.apply_to_vector(bits_to_int(nu)), 5)
+            left = negation_circuit(nu).then(permutation_circuit(pi))
+            right = permutation_circuit(pi).then(negation_circuit(nu_prime))
+            assert left.functionally_equal(right)
+
+    def test_permutation_then_negation(self, rng):
+        for _ in range(25):
+            nu = random_negation(5, rng)
+            pi = random_line_permutation(5, rng)
+            # C_nu C_pi == C_pi C_nu' with nu' = pi^-1(nu).
+            nu_prime = int_to_bits(pi.inverse().apply_to_vector(bits_to_int(nu)), 5)
+            left = permutation_circuit(pi).then(negation_circuit(nu))
+            right = negation_circuit(nu_prime).then(permutation_circuit(pi))
+            assert left.functionally_equal(right)
+
+    def test_a_moved_negation_differs_from_the_unmoved_one(self):
+        # One negated line that pi moves: leaving nu in place breaks the identity.
+        nu = [True, False, False]
+        pi = LinePermutation([1, 2, 0])
+        left = negation_circuit(nu).then(permutation_circuit(pi))
+        unmoved = permutation_circuit(pi).then(negation_circuit(nu))
+        assert not left.functionally_equal(unmoved)

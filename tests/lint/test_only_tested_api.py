@@ -133,3 +133,39 @@ class TestOnlyTestedApi:
         _stage(tmp_path, {})
         (tmp_path / "tests" / "callers.py").unlink()
         assert _flagged(tmp_path) == set()
+
+    def test_private_names_are_never_flagged(self, tmp_path):
+        _stage(tmp_path, {
+            "src/repro/helpers.py": "def _helper():\n    return 3\n",
+            "tests/test_helpers.py": (
+                "from repro.helpers import _helper\n\n"
+                "assert _helper() == 3\n"
+            ),
+        })
+        assert "_helper" not in _flagged(tmp_path)
+
+    def test_an_identifier_string_in_source_is_a_use(self, tmp_path):
+        # A ``getattr`` by name reaches the function as surely as a call.
+        _stage(tmp_path, {
+            "src/repro/core.py": CORE + "\n\ndef lookup(module):\n"
+                                        '    return getattr(module, "tested_only")\n',
+        })
+        assert "tested_only" not in _flagged(tmp_path)
+
+    def test_a_name_nothing_uses_is_not_this_rules_finding(self, tmp_path):
+        _stage(tmp_path, {
+            "src/repro/widgets.py": WIDGETS + "\n\ndef orphan():\n    return 0\n",
+        })
+        assert "orphan" not in _flagged(tmp_path)
+
+    def test_a_decorated_definition_anchors_at_its_decorator(self, tmp_path):
+        _stage(tmp_path, {
+            "src/repro/widgets.py": WIDGETS.replace(
+                "def tested_only():",
+                "@staticmethod\ndef tested_only():",
+            ),
+        })
+        report = lint_project(tmp_path)
+        [finding] = [f for f in report.findings
+                     if f.message.startswith("tested_only ")]
+        assert (finding.path, finding.line) == ("src/repro/widgets.py", 4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import ReversibleCircuit
-from repro.circuits.gates import Control, MCTGate
+from repro.circuits.gates import Control, MCTGate, SwapGate, cnot
 from repro.circuits.line_permutation import LinePermutation
 from repro.circuits.permutation import Permutation
 from repro.circuits.transforms import (
@@ -96,6 +96,17 @@ class TestTransformInvariants:
     def test_permutation_circuit_matches_line_action(self, pi, value):
         assert permutation_circuit(pi).simulate(value) == pi.apply_to_vector(value)
 
+    @given(negations, line_permutations(), inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_fig4_commutation_identity(self, nu, pi, value):
+        # C_pi C_nu == C_nu' C_pi, where nu' is nu moved by pi.
+        mask = sum(1 << index for index, flag in enumerate(nu) if flag)
+        moved = pi.apply_to_vector(mask)
+        nu_prime = [bool((moved >> line) & 1) for line in range(NUM_LINES)]
+        left = negation_circuit(nu).then(permutation_circuit(pi))
+        right = permutation_circuit(pi).then(negation_circuit(nu_prime))
+        assert left.simulate(value) == right.simulate(value)
+
     @given(circuits(), negations, line_permutations(), inputs)
     @settings(max_examples=40, deadline=None)
     def test_transformed_circuit_factorises(self, base, nu, pi, value):
@@ -128,3 +139,19 @@ class TestLinePermutationInvariants:
             for line, image in zip(cycle, cycle[1:] + cycle[:1]):
                 mapping[line] = image
         assert LinePermutation(mapping) == pi
+
+
+class TestSwapInvariants:
+    @given(
+        st.integers(min_value=0, max_value=NUM_LINES - 1),
+        st.integers(min_value=0, max_value=NUM_LINES - 1),
+        inputs,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_swap_equals_three_cnots(self, line_a, line_b, value):
+        if line_a == line_b:
+            return
+        cnots = ReversibleCircuit(
+            NUM_LINES, [cnot(line_a, line_b), cnot(line_b, line_a), cnot(line_a, line_b)]
+        )
+        assert cnots.simulate(value) == SwapGate(line_a, line_b).apply(value)

@@ -20,3 +20,10 @@ class TestWriting:
     def test_comment_included(self):
         text = cnf_to_dimacs(CNF([[1]]), comment="hello\nworld")
         assert text.startswith("c hello\nc world\n")
+
+    def test_no_comment_starts_at_the_header(self):
+        text = cnf_to_dimacs(CNF([[-1, 2]], 2))
+        assert text == "p cnf 2 1\n-1 2 0\n"
+
+    def test_empty_formula_is_a_bare_header(self):
+        assert cnf_to_dimacs(CNF([], 4)) == "p cnf 4 0\n"
